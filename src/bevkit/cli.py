@@ -114,22 +114,17 @@ def cmd_bench(args) -> int:
     positions = rng.uniform(-51.2, 51.2, (args.m, 3))
     feats = rng.normal(0.0, 1.0, (args.m, args.c))
     points = vp.FeaturedPoints(positions, feats)
-    rows = []
-    impls = {
-        "reference": lambda: vp.pool_reference(points, cfg),
-        "cumsum": lambda: vp.pool_cumsum(points, cfg),
-        "concurrent": lambda: vp.pool_concurrent(points, cfg, args.workers),
-    }
     warmup = vp.FeaturedPoints(positions[:256], feats[:256])
-    warm_impls = {
-        "reference": lambda: vp.pool_reference(warmup, cfg),
-        "cumsum": lambda: vp.pool_cumsum(warmup, cfg),
-        "concurrent": lambda: vp.pool_concurrent(warmup, cfg, args.workers),
+    impls = {
+        "reference": lambda pts: vp.pool_reference(pts, cfg),
+        "cumsum": lambda pts: vp.pool_cumsum(pts, cfg),
+        "concurrent": lambda pts: vp.pool_concurrent(pts, cfg, args.workers),
     }
+    rows = []
     for name, fn in impls.items():
-        warm_impls[name]()  # load jitted kernels and touch caches off the clock
+        fn(warmup)  # touch caches off the clock
         t0 = time.perf_counter()
-        fn()
+        fn(points)
         seconds = time.perf_counter() - t0
         rows.append({"impl": name, "M": args.m, "C": args.c, "nx": args.nx,
                      "ny": args.ny, "workers": args.workers if name == "concurrent" else 1,

@@ -78,18 +78,6 @@ class RadarMatch:
     q_row: np.ndarray = field(repr=False)  # (x, y, vx, vy)
 
 
-def aggregate_image_features(features_at_refs: list[np.ndarray],
-                             weights: list[float]) -> np.ndarray:
-    """Weighted sum of per-reference-point feature vectors."""
-    if len(features_at_refs) == 0:
-        raise ValueError("need at least one reference feature")
-    if len(features_at_refs) != len(weights):
-        raise ValueError("one weight per feature required")
-    stacked = np.stack([as_tensor(f).reshape(-1) for f in features_at_refs])
-    w = as_tensor(weights).reshape(-1)
-    return w @ stacked
-
-
 def fuse_bev_features(f_bev: np.ndarray, f_radar: np.ndarray,
                       f_depth: np.ndarray) -> FusedBEV:
     """Cellwise sum of the three aligned (C, ny, nx) grids.

@@ -1,4 +1,4 @@
-"""Pinhole projection, depth-map rasterization, frustums, and ego alignment.
+"""Pinhole projection, depth-map rasterization, and frustums.
 
 Pixel convention, used everywhere in this package: (u, v) = (column, row),
 origin at the top-left image corner, integer pixel (floor(u), floor(v)).
@@ -216,10 +216,3 @@ def unproject_frustum(rig: CameraRig, frustum: FrustumGrid) -> np.ndarray:
     cam = (homog @ k_inv.T) * s[:, 2:3]
     return (cam - rig.translation) @ rig.rotation
 
-
-def transform_ego(points: np.ndarray, src: EgoPose, dst: EgoPose) -> np.ndarray:
-    """Re-express points given in the src ego frame in the dst ego frame."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    rot = dst.rotation.T @ src.rotation
-    shift = dst.rotation.T @ (src.translation - dst.translation)
-    return points @ rot.T + shift

@@ -13,14 +13,12 @@ the depth network; tests check them against central finite differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import CameraRig
-from .nnprims import as_tensor, conv_pointwise, read_tensor, se_excite, write_tensor
+from .nnprims import as_tensor, conv_pointwise, se_excite
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -337,59 +335,6 @@ def depthnet_forward(image_features: list[np.ndarray], rigs: list[CameraRig],
         contexts.append(split[params.n_depth_bins :])
         gate_list.append(gates)
     return DepthNetOutputs(logits, contexts, gate_list)
-
-
-def save_depthnet_params(params: DepthNetParams, out_dir) -> Path:
-    """Persist parameters as TNSR blocks plus a manifest naming each one."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    layers = []
-    for i, layer in enumerate(params.kan_layers):
-        spline_file = f"layer{i}_spline.tnsr"
-        shortcut_file = f"layer{i}_shortcut.tnsr"
-        write_tensor(out / spline_file, layer.spline_coeffs)
-        write_tensor(out / shortcut_file, layer.shortcut_weights)
-        layers.append({"spline_coeffs": spline_file, "shortcut_weights": shortcut_file})
-    write_tensor(out / "split_kernel.tnsr", params.split_kernel)
-    write_tensor(out / "split_bias.tnsr", params.split_bias)
-    basis = params.kan_layers[0].basis
-    manifest = {
-        "basis": {"degree": basis.degree, "n_intervals": basis.n_intervals},
-        "layers": layers,
-        "split_kernel": "split_kernel.tnsr",
-        "split_bias": "split_bias.tnsr",
-        "n_depth_bins": params.n_depth_bins,
-        "n_context": params.n_context,
-        "embed": {
-            "intrinsics_scale": params.embed.intrinsics_scale,
-            "rotation_scale": params.embed.rotation_scale,
-            "translation_scale": params.embed.translation_scale,
-        },
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return out
-
-
-def load_depthnet_params(param_dir) -> DepthNetParams:
-    path = Path(param_dir)
-    with open(path / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    basis = BSplineBasis(degree=manifest["basis"]["degree"],
-                         n_intervals=manifest["basis"]["n_intervals"])
-    layers = [KanLayer(basis,
-                       read_tensor(path / entry["spline_coeffs"]),
-                       read_tensor(path / entry["shortcut_weights"]))
-              for entry in manifest["layers"]]
-    return DepthNetParams(
-        kan_layers=layers,
-        split_kernel=read_tensor(path / manifest["split_kernel"]),
-        split_bias=read_tensor(path / manifest["split_bias"]),
-        n_depth_bins=manifest["n_depth_bins"],
-        n_context=manifest["n_context"],
-        embed=EmbedConfig(**manifest["embed"]),
-    )
 
 
 def depthnet_input_jacobian(params: DepthNetParams, rig: CameraRig,

@@ -236,19 +236,6 @@ def compose_nds(mean_ap: float, mtps) -> float:
     return total / 10.0
 
 
-def evaluate_class(preds: list[DetectionBox], gts: list[DetectionBox],
-                   class_name: str) -> ClassEval:
-    aps = []
-    tp_pairs: list[tuple[DetectionBox, DetectionBox]] = []
-    for thr in AP_THRESHOLDS:
-        match = match_center_distance(preds, gts, thr)
-        aps.append(average_precision(match))
-        if thr == TP_THRESHOLD:
-            tp_pairs = [(preds[int(pi)], gts[int(gi)])
-                        for pi, gi in zip(match.ranked_pred, match.ranked_gt) if gi >= 0]
-    return ClassEval(class_name, aps, tp_errors(tp_pairs, class_name))
-
-
 def aggregate_summary(per_class: list[ClassEval], eval_time: float = 0.0) -> EvalSummary:
     """Combine class results under the two documented missing-value rules."""
     if not per_class:

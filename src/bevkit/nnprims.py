@@ -13,6 +13,8 @@ Canonical layouts used throughout the package:
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -190,15 +192,22 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Inverse of write_tensor; a short or malformed file raises ValueError."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != TNSR_MAGIC:
-            raise ValueError(f"bad tensor magic {magic!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
+            raise ValueError(f"bad tensor magic {magic!r} in {path}")
+        header = fh.read(4)
+        if len(header) != 4:
+            raise ValueError(f"truncated tensor header in {path}")
+        (rank,) = struct.unpack("<I", header)
+        if 8 + 4 * rank > size:
+            raise ValueError(f"truncated tensor header in {path}")
         shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        count = int(np.prod(shape)) if rank else 1
+        count = math.prod(shape)
+        if 8 + 4 * rank + 8 * count > size:
+            raise ValueError(f"truncated tensor payload in {path}")
         payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ValueError("truncated tensor payload")
     arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     return as_tensor(arr)

@@ -9,6 +9,7 @@ whose cells line up with the BEV grid.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -135,13 +136,6 @@ def augment_points(pillar_points: np.ndarray, pillar_center: np.ndarray) -> np.n
     return out
 
 
-def center_distance(pillar_points: np.ndarray, pillar_center: np.ndarray) -> np.ndarray:
-    """Diagnostic: scalar planar distance of each point to the cell center."""
-    pts = np.asarray(pillar_points, dtype=np.float64).reshape(-1, 4)
-    center = np.asarray(pillar_center, dtype=np.float64).reshape(2)
-    return np.linalg.norm(pts[:, :2] - center, axis=1)
-
-
 def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> PillarTensor:
     """Bin a cloud into pillars with seeded overflow sampling.
 
@@ -215,11 +209,6 @@ def vfe_forward(pillars: PillarTensor, weights: VfeWeights) -> np.ndarray:
     return out
 
 
-def flat_cell_index(x: int, y: int, n_x: int) -> int:
-    """Row-major scatter index: y * N_x + x."""
-    return y * n_x + x
-
-
 def scatter_to_pseudo_image(features: np.ndarray, coords: np.ndarray,
                             cfg: PillarGridConfig) -> PseudoImage:
     """Write each pillar's C-vector at its grid cell; empty cells stay zero."""
@@ -260,9 +249,9 @@ def read_pc4d(path) -> RadarPointCloud:
         if len(header) != PC4D_HEADER_BYTES or header[:4] != PC4D_MAGIC:
             raise ValueError(f"bad point cloud header in {path}")
         (count,) = struct.unpack("<I", header[4:8])
-        payload = fh.read(16 * count)
-        if len(payload) != 16 * count:
+        if PC4D_HEADER_BYTES + 16 * count > os.fstat(fh.fileno()).st_size:
             raise ValueError(f"truncated point cloud in {path}")
+        payload = fh.read(16 * count)
     pts = np.frombuffer(payload, dtype="<f4").reshape(count, 4)
     return RadarPointCloud(pts.astype(np.float64))
 

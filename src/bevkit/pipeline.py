@@ -79,11 +79,10 @@ class PipelineConfig:
     radar_hint_strength: float = 2.0
     # execution
     weight_seed: int = 7
-    pooling: str = "cumsum"
+    pooling: str = "reference"
     workers: int = 4
     modality: str = "camera+radar"
     sequential: bool = False
-    average_pool: bool = False
 
     def __post_init__(self):
         if self.pooling not in POOL_IMPLS:
@@ -115,57 +114,62 @@ class PipelineConfig:
             fh.write("\n")
 
     def to_dict(self) -> dict:
-        return {
-            "depth": {"d_min": self.d_min, "d_max": self.d_max,
-                      "n_bins": self.n_depth_bins, "n_context": self.n_context,
-                      "kan_hidden": list(self.kan_hidden)},
-            "bev": {"range": self.bev_range, "cells": self.bev_cells},
-            "pillars": {"max_points": self.pillar_max_points,
-                        "max_pillars": self.pillar_max_pillars,
-                        "channels": self.radar_channels},
-            "fusion": {"n_classes": self.n_classes,
-                       "heatmap_score_thresh": self.heatmap_score_thresh,
-                       "match_iou_thresh": self.match_iou_thresh,
-                       "peak_threshold": self.peak_threshold,
-                       "radar_hint_strength": self.radar_hint_strength},
-            "run": {"weight_seed": self.weight_seed, "pooling": self.pooling,
-                    "workers": self.workers, "modality": self.modality,
-                    "sequential": self.sequential, "average_pool": self.average_pool},
-        }
+        out: dict = {}
+        for name, (section, key) in CONFIG_KEYS.items():
+            value = getattr(self, name)
+            out.setdefault(section, {})[key] = list(value) if name == "kan_hidden" else value
+        return out
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        depth, bev = d.get("depth", {}), d.get("bev", {})
-        pil, fus, run = d.get("pillars", {}), d.get("fusion", {}), d.get("run", {})
-        base = PipelineConfig()
-        return PipelineConfig(
-            d_min=depth.get("d_min", base.d_min),
-            d_max=depth.get("d_max", base.d_max),
-            n_depth_bins=depth.get("n_bins", base.n_depth_bins),
-            n_context=depth.get("n_context", base.n_context),
-            kan_hidden=tuple(depth.get("kan_hidden", base.kan_hidden)),
-            bev_range=bev.get("range", base.bev_range),
-            bev_cells=bev.get("cells", base.bev_cells),
-            pillar_max_points=pil.get("max_points", base.pillar_max_points),
-            pillar_max_pillars=pil.get("max_pillars", base.pillar_max_pillars),
-            radar_channels=pil.get("channels", base.radar_channels),
-            n_classes=fus.get("n_classes", base.n_classes),
-            heatmap_score_thresh=fus.get("heatmap_score_thresh", base.heatmap_score_thresh),
-            match_iou_thresh=fus.get("match_iou_thresh", base.match_iou_thresh),
-            peak_threshold=fus.get("peak_threshold", base.peak_threshold),
-            radar_hint_strength=fus.get("radar_hint_strength", base.radar_hint_strength),
-            weight_seed=run.get("weight_seed", base.weight_seed),
-            pooling=run.get("pooling", base.pooling),
-            workers=run.get("workers", base.workers),
-            modality=run.get("modality", base.modality),
-            sequential=run.get("sequential", base.sequential),
-            average_pool=run.get("average_pool", base.average_pool),
-        )
+        """Inverse of to_dict; absent keys keep their defaults, unknown ones raise."""
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
+        fields = {}
+        for section, values in d.items():
+            if section not in _SECTIONS:
+                raise ValueError(f"unknown config section {section!r}")
+            if not isinstance(values, dict):
+                raise ValueError(f"config section {section!r} must be an object")
+            for key, value in values.items():
+                if (section, key, value) == ("run", "average_pool", False):
+                    continue  # written by older versions, where it was the only value used
+                if (section, key) not in _FIELD_OF:
+                    raise ValueError(f"unknown config key {section}.{key}")
+                fields[_FIELD_OF[section, key]] = value
+        return PipelineConfig(**fields)
 
     @staticmethod
     def from_json(path) -> "PipelineConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return PipelineConfig.from_dict(json.load(fh))
+
+
+# field -> (section, key) in the JSON layout written by PipelineConfig.to_json
+CONFIG_KEYS = {
+    "d_min": ("depth", "d_min"),
+    "d_max": ("depth", "d_max"),
+    "n_depth_bins": ("depth", "n_bins"),
+    "n_context": ("depth", "n_context"),
+    "kan_hidden": ("depth", "kan_hidden"),
+    "bev_range": ("bev", "range"),
+    "bev_cells": ("bev", "cells"),
+    "pillar_max_points": ("pillars", "max_points"),
+    "pillar_max_pillars": ("pillars", "max_pillars"),
+    "radar_channels": ("pillars", "channels"),
+    "n_classes": ("fusion", "n_classes"),
+    "heatmap_score_thresh": ("fusion", "heatmap_score_thresh"),
+    "match_iou_thresh": ("fusion", "match_iou_thresh"),
+    "peak_threshold": ("fusion", "peak_threshold"),
+    "radar_hint_strength": ("fusion", "radar_hint_strength"),
+    "weight_seed": ("run", "weight_seed"),
+    "pooling": ("run", "pooling"),
+    "workers": ("run", "workers"),
+    "modality": ("run", "modality"),
+    "sequential": ("run", "sequential"),
+}
+_FIELD_OF = {where: name for name, where in CONFIG_KEYS.items()}
+_SECTIONS = {section for section, _ in CONFIG_KEYS.values()}
 
 
 @dataclass
@@ -282,13 +286,12 @@ def _apply_depth_hints(logits: np.ndarray, hints: np.ndarray,
 
 
 def _pool(cfg: PipelineConfig, points: vp.FeaturedPoints) -> vp.BEVGrid:
-    impl = cfg.pooling
+    if cfg.pooling == "reference":
+        return vp.pool_reference(points, cfg.bev_grid)
+    if cfg.pooling == "cumsum":
+        return vp.pool_cumsum(points, cfg.bev_grid)
     workers = 1 if cfg.sequential else cfg.workers
-    if impl == "reference":
-        return vp.pool_reference(points, cfg.bev_grid, average=cfg.average_pool)
-    if impl == "cumsum":
-        return vp.pool_cumsum(points, cfg.bev_grid, average=cfg.average_pool)
-    return vp.pool_concurrent(points, cfg.bev_grid, workers, average=cfg.average_pool)
+    return vp.pool_concurrent(points, cfg.bev_grid, workers)
 
 
 def _radar_bev_boxes(radar_xyz: np.ndarray, grid: vp.BEVGridConfig) -> list[fu.DetectionBox]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metrics import (
+    DETECTION_CLASSES,
     TP_METRICS,
     ClassEval,
     aggregate_summary,
@@ -36,11 +37,6 @@ TABLE_TOL = 5e-4 + 1e-9
 # published cell (row mean 0.25125 printed as 0.252); it gets the full
 # rounded-input bound instead.
 ROUNDING_EXCEPTIONS = {"bevdepth_baseline/truck/mean_ap": 1e-3}
-
-CLASS_ORDER = (
-    "car", "truck", "bus", "trailer", "construction_vehicle",
-    "pedestrian", "motorcycle", "bicycle", "traffic_cone", "barrier",
-)
 
 # Per-class AP at 0.5/1/2/4 m and the printed per-class mean AP.
 BASELINE_AP = {
@@ -128,7 +124,7 @@ class CellCheck:
 
 def _class_evals(ap_table, tp_table) -> list[ClassEval]:
     evals = []
-    for name in CLASS_ORDER:
+    for name in DETECTION_CLASSES:
         ap4, _ = ap_table[name]
         tp = dict(zip(TP_METRICS, tp_table[name]))
         evals.append(ClassEval(name, list(ap4), tp))
@@ -139,7 +135,7 @@ def check_tables() -> list[CellCheck]:
     """Recompute every derivable aggregation cell of the reference tables."""
     checks: list[CellCheck] = []
     for method, (ap_table, tp_table, summary) in METHODS.items():
-        for name in CLASS_ORDER:
+        for name in DETECTION_CLASSES:
             ap4, printed_mean = ap_table[name]
             cell = f"{method}/{name}/mean_ap"
             checks.append(CellCheck(cell, printed_mean, class_mean_ap(ap4),

@@ -9,14 +9,8 @@ Three implementations with one contract:
   scatter-adds blocks into the shared grid under a mutex (the lossless
   "atomic add" contract); block interleaving may reassociate sums.
 
-The prefix-sum path has two interchangeable backends: a jitted single-pass
-kernel that carries the running prefix through the sorted rows, and a
-materialized numpy fallback. Both perform the same additions in the same
-order and are bit-identical.
-
 Cells are half-open: a point exactly on the max edge of either range is
-dropped. Summation is the default; averaging by cell population is
-available behind a flag.
+dropped. Every kernel sums the features that land in a cell.
 """
 
 from __future__ import annotations
@@ -26,13 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised via the fallback test
-    numba = None
-
-from .geometry import EgoPose, transform_ego
 
 
 @dataclass(frozen=True)
@@ -105,16 +92,7 @@ def _in_range_features(points: FeaturedPoints, inside: np.ndarray) -> np.ndarray
     return points.features[inside]
 
 
-def count_in_range(points: FeaturedPoints, cfg: BEVGridConfig) -> int:
-    inside, _ = cell_ids(points, cfg)
-    return int(np.count_nonzero(inside))
-
-
-def _finalize(flat: np.ndarray, ids: np.ndarray, cfg: BEVGridConfig,
-              average: bool) -> BEVGrid:
-    if average and ids.size:
-        counts = np.bincount(ids, minlength=cfg.nx * cfg.ny).astype(np.float64)
-        flat = flat / np.maximum(counts, 1.0)[:, None]
+def _finalize(flat: np.ndarray, cfg: BEVGridConfig) -> BEVGrid:
     c = flat.shape[1]
     return BEVGrid(np.ascontiguousarray(flat.T).reshape(c, cfg.ny, cfg.nx), cfg)
 
@@ -124,71 +102,45 @@ def _scatter_add_in_order(flat: np.ndarray, ids: np.ndarray, feats: np.ndarray) 
     np.add.at(flat, ids, feats)
 
 
-def pool_reference(points: FeaturedPoints, cfg: BEVGridConfig,
-                   average: bool = False) -> BEVGrid:
+def pool_reference(points: FeaturedPoints, cfg: BEVGridConfig) -> BEVGrid:
     """Sequential accumulation in input order; the ground-truth semantics."""
     inside, ids = cell_ids(points, cfg)
     feats = _in_range_features(points, inside)
     flat = np.zeros((cfg.nx * cfg.ny, feats.shape[1]))
     _scatter_add_in_order(flat, ids, feats)
-    return _finalize(flat, ids, cfg, average)
+    return _finalize(flat, cfg)
 
 
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _fused_segment_sums(order, sorted_ids, feats, out):
-        # running inclusive prefix over the sorted rows; a segment's total is
-        # the prefix at its end minus the prefix at the previous end, exactly
-        # the materialized cumsum-and-subtract but without the (M, C) buffer
-        c = feats.shape[1]
-        run = np.zeros(c)
-        prev = np.zeros(c)
-        n = order.shape[0]
-        for i in range(n):
-            row = order[i]
-            for j in range(c):
-                run[j] += feats[row, j]
-            if i == n - 1 or sorted_ids[i + 1] != sorted_ids[i]:
-                cell = sorted_ids[i]
-                for j in range(c):
-                    out[cell, j] = run[j] - prev[j]
-                    prev[j] = run[j]
-
-
-def _segment_sums_numpy(order, ids, feats, flat) -> None:
-    sorted_ids = ids[order]
-    prefix = feats[order]
-    np.cumsum(prefix, axis=0, out=prefix)
-    last = np.flatnonzero(np.diff(sorted_ids) != 0)
-    ends = np.concatenate([last, [ids.size - 1]])
-    totals = prefix[ends]
-    totals[1:] -= prefix[ends[:-1]]
-    flat[sorted_ids[ends]] = totals
-
-
-def pool_cumsum(points: FeaturedPoints, cfg: BEVGridConfig,
-                average: bool = False) -> BEVGrid:
+def pool_cumsum(points: FeaturedPoints, cfg: BEVGridConfig) -> BEVGrid:
     """Sort by cell id, prefix-sum the rows, difference segment boundaries.
 
     The stable sort keeps within-cell input order, so each segment sums in
     the same order as pool_reference and only the cross-segment prefix
-    subtraction can reassociate (bounded well below 1e-9 at desk scale).
+    subtraction can reassociate. At the 6-camera pipeline shape (473,088
+    points, C=80, U[0,1) features) that error was 3.5e-10 against
+    pool_reference, a third of the 1e-9 equivalence bound; it grows with
+    the prefix magnitude. The sort copies every in-range feature row: at
+    that shape on a 2-core VM (numpy 2.4) a call took a median 0.82 s and
+    a 524 MB traced peak, against 0.68 s and 267 MB for pool_reference,
+    which is why the pipeline defaults to pool_reference.
     """
     inside, ids = cell_ids(points, cfg)
-    feats = np.ascontiguousarray(_in_range_features(points, inside))
+    feats = _in_range_features(points, inside)
     flat = np.zeros((cfg.nx * cfg.ny, feats.shape[1]))
     if ids.size:
         order = np.argsort(ids, kind="stable")
-        if numba is not None:
-            _fused_segment_sums(order, ids[order], feats, flat)
-        else:
-            _segment_sums_numpy(order, ids, feats, flat)
-    return _finalize(flat, ids, cfg, average)
+        sorted_ids = ids[order]
+        prefix = feats[order]
+        np.cumsum(prefix, axis=0, out=prefix)
+        ends = np.append(np.flatnonzero(np.diff(sorted_ids)), ids.size - 1)
+        totals = prefix[ends]
+        totals[1:] -= prefix[ends[:-1]]
+        flat[sorted_ids[ends]] = totals
+    return _finalize(flat, cfg)
 
 
 def pool_concurrent(points: FeaturedPoints, cfg: BEVGridConfig, workers: int,
-                    average: bool = False, block: int = 1024) -> BEVGrid:
+                    block: int = 1024) -> BEVGrid:
     """Parallel accumulation with mutex-guarded scatter-adds.
 
     Input order is preserved inside each contiguous chunk; chunks interleave
@@ -217,19 +169,5 @@ def pool_concurrent(points: FeaturedPoints, cfg: BEVGridConfig, workers: int,
                        for i in range(workers)]
             for fut in futures:
                 fut.result()
-    return _finalize(flat, ids, cfg, average)
+    return _finalize(flat, cfg)
 
-
-def pool_aligned_frames(frames: list[tuple[FeaturedPoints, EgoPose]], current: EgoPose,
-                        cfg: BEVGridConfig, pool_fn=pool_reference, **pool_kwargs) -> BEVGrid:
-    """Move every frame into the current ego frame, then pool them together.
-
-    Equivalent to pooling the concatenation of the aligned frames, which is
-    exactly how it is implemented.
-    """
-    if not frames:
-        raise ValueError("need at least one frame")
-    positions = np.concatenate(
-        [transform_ego(pts.positions, pose, current) for pts, pose in frames])
-    features = np.concatenate([pts.features for pts, _ in frames])
-    return pool_fn(FeaturedPoints(positions, features), cfg, **pool_kwargs)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -89,6 +90,41 @@ class TestRun:
                    "--config", str(config_path), "--pooling", "reference",
                    "--workers", "1"])
         assert rc == EXIT_OK
+
+    def test_default_config_matches_reference_sequential(self, scene_dir, tmp_path):
+        cfg = PipelineConfig(**SMALL).to_dict()
+        del cfg["run"]  # every execution setting at its default
+        default_cfg = tmp_path / "default.json"
+        default_cfg.write_text(json.dumps(cfg))
+        runs = {"default": [], "reference": ["--pooling", "reference", "--sequential"]}
+        for name, flags in runs.items():
+            rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / name),
+                       "--config", str(default_cfg), *flags])
+            assert rc == EXIT_OK
+        assert ((tmp_path / "default" / "predictions.json").read_bytes()
+                == (tmp_path / "reference" / "predictions.json").read_bytes())
+
+    def test_truncated_tensor_header_validation_error(self, scene_dir, config_path,
+                                                      tmp_path, capsys):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        tensor = bad / "features_cam0.tnsr"
+        tensor.write_bytes(tensor.read_bytes()[:10])
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "truncated tensor header" in err
+
+    def test_misspelled_config_key_validation_error(self, scene_dir, tmp_path, capsys):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"run": {"poolng": "reference"}}))
+        rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION
+        assert "run.poolng" in capsys.readouterr().err
 
 
 class TestEval:

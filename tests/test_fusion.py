@@ -4,7 +4,6 @@ import pytest
 from bevkit.fusion import (
     DetectionBox,
     Heatmap,
-    aggregate_image_features,
     depth_bce_loss,
     detection_loss,
     fuse_bev_features,
@@ -23,30 +22,6 @@ def box(cx, cy, w=2.0, l=2.0, score=0.5, vx=0.0, vy=0.0, cls=0):
 
 def grid(nx=8, ny=8, extent=4.0):
     return BEVGridConfig((-extent, extent), (-extent, extent), nx, ny)
-
-
-class TestAggregateImageFeatures:
-    def test_single_feature_identity(self):
-        f = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(aggregate_image_features([f], [1.0]), f)
-
-    def test_equal_weights_mean(self):
-        a, b = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        np.testing.assert_allclose(aggregate_image_features([a, b], [0.5, 0.5]), [1.0, 1.0])
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(71)
-        feats = [rng.normal(0, 1, 6) for _ in range(5)]
-        w = rng.normal(0, 1, 5).tolist()
-        expect = np.zeros(6)
-        for wi, fi in zip(w, feats):
-            expect = expect + wi * fi
-        got = aggregate_image_features(feats, w)
-        assert np.abs(got - expect).max() < 1e-15
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_image_features([], [])
 
 
 class TestFuseBevFeatures:

@@ -5,13 +5,11 @@ from bevkit.geometry import (
     DEPTH_SENTINEL,
     CameraRig,
     DepthMap,
-    EgoPose,
     FrustumGrid,
     depth_map_from_points,
     in_front_mask,
     project_points,
     rasterize_depth_map,
-    transform_ego,
     unproject_frustum,
 )
 
@@ -29,13 +27,6 @@ def random_rig(rng, image_size=(48, 64)):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return CameraRig(k, q.T, rng.normal(0, 1, 3), image_size)
-
-
-def random_pose(rng, timestamp=0.0):
-    q, _ = np.linalg.qr(rng.normal(0, 1, (3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return EgoPose(q, rng.normal(0, 5, 3), timestamp)
 
 
 class TestCameraRig:
@@ -177,38 +168,6 @@ class TestUnprojectFrustum:
     def test_depth_bins_validated(self):
         with pytest.raises(ValueError, match="increasing"):
             FrustumGrid.regular((2, 2), np.array([3.0, 2.0]))
-
-
-class TestTransformEgo:
-    def test_same_pose_identity(self):
-        rng = np.random.default_rng(25)
-        pose = random_pose(rng)
-        pts = rng.normal(0, 10, (20, 3))
-        np.testing.assert_allclose(transform_ego(pts, pose, pose), pts, atol=1e-12)
-
-    def test_pure_translation_shift(self):
-        src = EgoPose.identity()
-        dst = EgoPose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        pts = np.array([[0.0, 0.0, 0.0], [2.0, 3.0, 1.0]])
-        out = transform_ego(pts, src, dst)
-        np.testing.assert_allclose(out, pts + np.array([-1.0, 0.0, 0.0]))
-
-    def test_composition(self):
-        rng = np.random.default_rng(26)
-        a, b, c = (random_pose(rng) for _ in range(3))
-        pts = rng.normal(0, 5, (30, 3))
-        direct = transform_ego(pts, a, c)
-        via_mid = transform_ego(transform_ego(pts, a, b), b, c)
-        assert np.abs(direct - via_mid).max() < 1e-12
-
-    def test_preserves_pairwise_distances(self):
-        rng = np.random.default_rng(27)
-        src, dst = random_pose(rng), random_pose(rng)
-        pts = rng.normal(0, 5, (15, 3))
-        out = transform_ego(pts, src, dst)
-        before = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        after = np.linalg.norm(out[:, None] - out[None, :], axis=-1)
-        assert np.abs(before - after).max() < 1e-12
 
 
 class TestDepthMapType:

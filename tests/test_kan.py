@@ -230,22 +230,3 @@ def test_sigmoid_silu_shapes():
     s = sigmoid(x)
     assert np.all((s >= 0) & (s <= 1))
     assert np.abs(silu(x) - x * s).max() < 1e-12
-
-
-class TestParamPersistence:
-    def test_manifest_roundtrip_preserves_forward(self, tmp_path):
-        from bevkit.kan import load_depthnet_params, save_depthnet_params
-
-        rng = np.random.default_rng(53)
-        params = DepthNetParams.random(rng, n_features=6, n_depth_bins=4,
-                                       n_context=3, hidden=(8,))
-        params.embed = EmbedConfig(intrinsics_scale=123.0)
-        out = save_depthnet_params(params, tmp_path / "weights")
-        assert (out / "manifest.json").exists()
-        back = load_depthnet_params(out)
-        assert back.embed.intrinsics_scale == 123.0
-        feats = [rng.normal(0, 1, (6, 2, 3))]
-        a = depthnet_forward(feats, [identity_rig()], params)
-        b = depthnet_forward(feats, [identity_rig()], back)
-        np.testing.assert_array_equal(a.depth_logits[0], b.depth_logits[0])
-        np.testing.assert_array_equal(a.context[0], b.context[0])

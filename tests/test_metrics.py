@@ -10,7 +10,6 @@ from bevkit.metrics import (
     average_precision,
     class_mean_ap,
     compose_nds,
-    evaluate_class,
     evaluate_detections,
     load_boxes,
     match_center_distance,
@@ -184,17 +183,18 @@ class TestAggregation:
     def test_published_column_means(self):
         # fusion-model TP columns: translation over all ten classes, velocity
         # over the eight classes that carry it
-        from bevkit.tables import FUSION_TP, CLASS_ORDER
+        from bevkit.tables import FUSION_TP
         from bevkit.metrics import ClassEval, TP_METRICS
 
         evals = [ClassEval(n, [0.5, 0.5, 0.5, 0.5], dict(zip(TP_METRICS, FUSION_TP[n])))
-                 for n in CLASS_ORDER]
+                 for n in DETECTION_CLASSES]
         agg = aggregate_summary(evals)
         assert abs(agg.mtp["ate"] - 0.6044) <= 5e-4
         assert abs(agg.mtp["ave"] - 0.4244) <= 5e-4
 
     def test_single_class_passthrough(self):
-        ce = evaluate_class([box(0, 0, score=0.9)], [box(0, 0)], "car")
+        ce = evaluate_detections({"s": [box(0, 0, score=0.9)]}, {"s": [box(0, 0)]},
+                                 classes=("car",)).per_class[0]
         agg = aggregate_summary([ce])
         assert agg.mean_ap == pytest.approx(ce.mean_ap)
         assert agg.mtp["ate"] == pytest.approx(ce.tp["ate"])
@@ -279,8 +279,9 @@ class TestBoxJson:
         assert b1.attribute_id == b0.attribute_id
 
     def test_table_rendering(self):
-        ce = evaluate_class([box(0, 0, score=0.9)], [box(0, 0)], "car")
-        text = render_summary_table({"demo": aggregate_summary([ce])})
+        summary = evaluate_detections({"s": [box(0, 0, score=0.9)]}, {"s": [box(0, 0)]},
+                                      classes=("car",))
+        text = render_summary_table({"demo": summary})
         assert "demo" in text and "NDS" in text
 
 

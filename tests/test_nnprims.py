@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,25 @@ class TestTensorIO:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             read_tensor(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.tnsr"
+        for header in (b"TNSR\x03", b"TNSR" + (3).to_bytes(4, "little") + b"\x10\x00"):
+            path.write_bytes(header)
+            with pytest.raises(ValueError, match="truncated tensor header"):
+                read_tensor(path)
+
+    def test_oversized_shape_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.tnsr"
+        path.write_bytes(b"TNSR" + (1).to_bytes(4, "little") + (1 << 23).to_bytes(4, "little"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated tensor payload"):
+                read_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,6 @@ from bevkit.pillars import (
     VfeWeights,
     augment_points,
     build_pillars,
-    center_distance,
-    flat_cell_index,
     gather_from_pseudo_image,
     read_cloud_csv,
     read_pc4d,
@@ -44,10 +44,6 @@ class TestAugmentPoints:
     def test_empty_pillar_rejected(self):
         with pytest.raises(ValueError):
             augment_points(np.zeros((0, 4)), np.zeros(2))
-
-    def test_center_distance_diagnostic(self):
-        d = center_distance(np.array([[3.0, 4.0, 0.0, 0.0]]), np.array([0.0, 0.0]))
-        assert abs(d[0] - 5.0) < 1e-15
 
 
 class TestBuildPillars:
@@ -173,10 +169,6 @@ class TestVfeForward:
 
 
 class TestScatter:
-    def test_flat_index_arithmetic(self):
-        assert flat_cell_index(5, 3, 128) == 389
-        assert flat_cell_index(0, 0, 128) == 0
-
     def test_scatter_gather_roundtrip(self):
         rng = np.random.default_rng(36)
         pts = np.column_stack([rng.uniform(-7.9, 7.9, 60), rng.uniform(-7.9, 7.9, 60),
@@ -219,6 +211,18 @@ class TestCloudIO:
         p.write_bytes(b"PC4D" + (5).to_bytes(4, "little") + b"\x00" * 8 + b"\x00" * 10)
         with pytest.raises(ValueError, match="truncated"):
             read_pc4d(p)
+
+    def test_oversized_count_rejected_before_allocating(self, tmp_path):
+        p = tmp_path / "huge.pc4d"
+        p.write_bytes(b"PC4D" + (1 << 22).to_bytes(4, "little") + b"\x00" * 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                read_pc4d(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_csv_import(self, tmp_path):
         p = tmp_path / "cloud.csv"

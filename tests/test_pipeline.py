@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from bevkit.pipeline import (
+    CONFIG_KEYS,
     PipelineConfig,
     PipelineWeights,
     run_pipeline,
@@ -101,11 +103,42 @@ class TestRunPipeline:
 
 class TestPipelineConfig:
     def test_json_roundtrip(self, tmp_path):
-        cfg = PipelineConfig(**SMALL, pooling="reference", modality="camera")
+        cfg = PipelineConfig(d_min=1.5, d_max=40.0, n_depth_bins=24, n_context=12,
+                             kan_hidden=(16, 8), bev_range=32.0, bev_cells=64,
+                             pillar_max_points=10, pillar_max_pillars=100, radar_channels=8,
+                             n_classes=3, heatmap_score_thresh=0.4, match_iou_thresh=0.2,
+                             peak_threshold=0.7, radar_hint_strength=1.0, weight_seed=11,
+                             pooling="cumsum", workers=2, modality="camera", sequential=True)
+        default = PipelineConfig()
+        assert set(CONFIG_KEYS) == {f.name for f in dataclasses.fields(PipelineConfig)}
+        for f in dataclasses.fields(PipelineConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
         path = tmp_path / "cfg.json"
         cfg.to_json(path)
+        assert json.loads(path.read_text())["bev"] == {"range": 32.0, "cells": 64}
         back = PipelineConfig.from_json(path)
         assert back == cfg
+
+    def test_default_pooling_is_reference(self):
+        assert PipelineConfig().pooling == "reference"
+
+    def test_older_files_load(self):
+        cfg = PipelineConfig.from_dict({"run": {"pooling": "cumsum", "average_pool": False}})
+        assert cfg == PipelineConfig(pooling="cumsum")
+        with pytest.raises(ValueError, match="run.average_pool"):
+            PipelineConfig.from_dict({"run": {"average_pool": True}})
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match="run.poolng"):
+            PipelineConfig.from_dict({"run": {"poolng": "reference"}})
+        with pytest.raises(ValueError, match="'bevv'"):
+            PipelineConfig.from_dict({"bevv": {"cells": 4}})
+
+    def test_non_object_section_rejected(self):
+        with pytest.raises(ValueError, match="'bev' must be an object"):
+            PipelineConfig.from_dict({"bev": [64]})
+        with pytest.raises(ValueError, match="JSON object"):
+            PipelineConfig.from_dict([])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 from oracles import brute_force_pool
 
-from bevkit.geometry import EgoPose
 from bevkit.voxelpool import (
     BEVGridConfig,
     FeaturedPoints,
     cell_ids,
-    count_in_range,
-    pool_aligned_frames,
     pool_concurrent,
     pool_cumsum,
     pool_reference,
@@ -49,7 +46,9 @@ class TestPoolReference:
         cfg = grid(nx=4, ny=4, extent=2.0)
         pts = FeaturedPoints(np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]),
                              np.ones((2, 1)))
-        assert count_in_range(pts, cfg) == 1  # max edge dropped, min edge kept
+        inside, ids = cell_ids(pts, cfg)
+        np.testing.assert_array_equal(inside, [False, True])  # max edge dropped
+        np.testing.assert_array_equal(ids, [2 * cfg.nx])  # min edge kept, in column 0
         out = pool_reference(pts, cfg)
         assert out.data.sum() == 1.0
 
@@ -74,21 +73,6 @@ class TestPoolCumsum:
     def test_empty_input(self):
         out = pool_cumsum(FeaturedPoints(np.zeros((0, 3)), np.zeros((0, 4))), grid())
         assert np.all(out.data == 0.0)
-
-    def test_backends_bit_identical(self):
-        import bevkit.voxelpool as vpmod
-
-        rng = np.random.default_rng(59)
-        pts = random_points(rng, m=4000, c=7)
-        cfg = grid()
-        inside, ids = cell_ids(pts, cfg)
-        feats = np.ascontiguousarray(pts.features[inside])
-        order = np.argsort(ids, kind="stable")
-        from_numpy = np.zeros((cfg.nx * cfg.ny, 7))
-        vpmod._segment_sums_numpy(order, ids, feats, from_numpy)
-        fast = pool_cumsum(pts, cfg)
-        np.testing.assert_array_equal(
-            fast.data, np.ascontiguousarray(from_numpy.T).reshape(7, cfg.ny, cfg.nx))
 
     def test_adversarial_mixed_sign(self):
         rng = np.random.default_rng(64)
@@ -138,44 +122,6 @@ class TestPoolConcurrent:
             pool_concurrent(random_points(np.random.default_rng(0), 10), grid(), 0)
 
 
-class TestPoolAlignedFrames:
-    def test_single_current_frame_is_plain_pooling(self):
-        rng = np.random.default_rng(68)
-        pts = random_points(rng, m=500, c=3)
-        cfg = grid()
-        pose = EgoPose.identity()
-        out = pool_aligned_frames([(pts, pose)], pose, cfg)
-        np.testing.assert_array_equal(out.data, pool_reference(pts, cfg).data)
-
-    def test_two_identical_frames_double(self):
-        rng = np.random.default_rng(69)
-        pts = random_points(rng, m=400, c=3)
-        cfg = grid()
-        pose = EgoPose.identity()
-        out = pool_aligned_frames([(pts, pose), (pts, pose)], pose, cfg)
-        assert np.abs(out.data - 2.0 * pool_reference(pts, cfg).data).max() < 1e-12
-
-    def test_static_point_under_moving_ego(self):
-        # a fixed world point seen from three ego positions must land in one
-        # cell, three times its feature, once frames are aligned
-        cfg = grid(nx=20, ny=20, extent=10.0)
-        world_point = np.array([3.0, 1.0, 0.0])
-        frames = []
-        for t in range(3):
-            pose = EgoPose(np.eye(3), np.array([2.0 * t, 0.0, 0.0]), float(t))
-            local = world_point - pose.translation
-            frames.append((FeaturedPoints(local[None, :], np.array([[1.0]])), pose))
-        current = frames[-1][1]
-        out = pool_aligned_frames(frames, current, cfg)
-        nz = np.nonzero(out.data[0])
-        assert len(nz[0]) == 1
-        assert out.data[0][nz][0] == 3.0
-
-    def test_empty_frames_rejected(self):
-        with pytest.raises(ValueError):
-            pool_aligned_frames([], EgoPose.identity(), grid())
-
-
 class TestInvariants:
     def test_mass_conservation(self):
         rng = np.random.default_rng(70)
@@ -188,17 +134,6 @@ class TestInvariants:
             assert np.abs(got - expected).max() < tol
         got = pool_concurrent(pts, cfg, 8).data.sum(axis=(1, 2))
         assert np.abs(got - expected).max() < 1e-6
-
-    def test_average_flag(self):
-        pts = FeaturedPoints(np.array([[0.1, 0.1, 0.0], [0.1, 0.1, 0.0]]),
-                             np.array([[2.0], [4.0]]))
-        cfg = grid()
-        summed = pool_reference(pts, cfg)
-        averaged = pool_reference(pts, cfg, average=True)
-        assert summed.data.sum() == 6.0
-        assert averaged.data.sum() == 3.0
-        for fn in (pool_cumsum, lambda p, c, average: pool_concurrent(p, c, 4, average=average)):
-            assert fn(pts, cfg, average=True).data.sum() == 3.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
