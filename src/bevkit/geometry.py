@@ -8,7 +8,7 @@ with d <= 0 are behind the camera and never rasterized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,25 +111,23 @@ class DepthMap:
 
 @dataclass
 class FrustumGrid:
-    """(u, v, d) samples on a regular pixel x depth-bin lattice.
+    """(u, v, d) samples on a regular pixel x depth-bin grid.
 
     Sample order is depth-major: all pixels of bin 0 first, row-major
     within a bin, matching the flattening of lifted (C_D, H, W) features.
     """
 
     samples: np.ndarray
-    lattice: tuple[int, int, int] = field(default=(0, 0, 0))  # (n_depth, rows, cols)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1, 3)
 
     @staticmethod
-    def regular(feature_size: tuple[int, int], depths: np.ndarray,
-                pixel_scale: tuple[float, float] = (1.0, 1.0)) -> "FrustumGrid":
-        """Lattice over feature-map pixel centers and the given depth bins.
+    def regular(feature_size: tuple[int, int], depths: np.ndarray) -> "FrustumGrid":
+        """Samples at every feature-map pixel center and each given depth bin.
 
-        pixel_scale maps feature pixels to image pixels (e.g. the backbone
-        stride) so the samples live in the rig's pixel coordinates.
+        The samples are in feature-map pixels, so they pair with a rig
+        scaled to the feature map (CameraRig.scaled).
         """
         depths = np.asarray(depths, dtype=np.float64)
         if depths.ndim != 1 or depths.size < 1:
@@ -137,12 +135,10 @@ class FrustumGrid:
         if np.any(np.diff(depths) <= 0):
             raise ValueError("depth bins must be strictly increasing")
         rows, cols = feature_size
-        sy, sx = pixel_scale
-        u = (np.arange(cols) + 0.5) * sx
-        v = (np.arange(rows) + 0.5) * sy
+        u = np.arange(cols) + 0.5
+        v = np.arange(rows) + 0.5
         dd, vv, uu = np.meshgrid(depths, v, u, indexing="ij")
-        samples = np.stack([uu.ravel(), vv.ravel(), dd.ravel()], axis=1)
-        return FrustumGrid(samples, lattice=(depths.size, rows, cols))
+        return FrustumGrid(np.stack([uu.ravel(), vv.ravel(), dd.ravel()], axis=1))
 
 
 def project_points(points: np.ndarray, rig: CameraRig) -> np.ndarray:

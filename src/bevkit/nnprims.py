@@ -119,25 +119,13 @@ def conv_pointwise(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nd
     return np.einsum("oi,ihw->ohw", kernel, x) + bias[:, None, None]
 
 
-def fold_depth_view(x: np.ndarray) -> np.ndarray:
-    """View (C_F, C_D, H, W) as (C_F*H, C_D, W) for depth-axis filtering."""
-    c_f, c_d, h, w = x.shape
-    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(c_f * h, c_d, w)
-
-
-def unfold_depth_view(y: np.ndarray, c_f: int, h: int) -> np.ndarray:
-    """Inverse of fold_depth_view."""
-    _, c_d, w = y.shape
-    return y.reshape(c_f, h, c_d, w).transpose(0, 2, 1, 3)
-
-
 def depth_refine(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Filter lifted features along the (depth-bin, column) plane.
 
-    The (C_F, C_D, H, W) input is viewed as (C_F*H) independent (C_D, W)
-    slices; each is cross-correlated with one shared 3x3 kernel under zero
-    padding and the result is viewed back. kernel[1, 1] is the center tap,
-    so a one-hot center kernel is the identity.
+    Every (C_D, W) slice of the (C_F, C_D, H, W) input is cross-correlated
+    with one shared 3x3 kernel under zero padding; the result is a
+    C-contiguous array of the input's shape. kernel[1, 1] is the center
+    tap, so a one-hot center kernel is the identity.
     """
     x = as_tensor(x)
     kernel = as_tensor(kernel)
@@ -149,14 +137,13 @@ def depth_refine(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if c_d < 3:
         raise ValueError(f"need at least 3 depth bins to filter, got {c_d}")
 
-    slices = fold_depth_view(x)
-    padded = np.zeros((slices.shape[0], c_d + 2, w + 2))
-    padded[:, 1:-1, 1:-1] = slices
-    out = np.zeros_like(slices)
+    padded = np.zeros((c_f, c_d + 2, h, w + 2))
+    padded[:, 1:-1, :, 1:-1] = x
+    out = np.zeros(x.shape)
     for dj in range(3):
         for dk in range(3):
-            out += kernel[dj, dk] * padded[:, dj : dj + c_d, dk : dk + w]
-    return unfold_depth_view(out, c_f, h)
+            out += kernel[dj, dk] * padded[:, dj : dj + c_d, :, dk : dk + w]
+    return out
 
 
 def finite_diff_jacobian(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -10,7 +10,8 @@ Stage wiring, where the configuration leaves the sensors on:
     radar cloud -> pillars -> VFE -> pseudo image -> 1x1 conv -> f_radar
     camera features + rig -> gates -> depth logits + context
     radar projections -> depth-logit hints (camera+radar only)
-    softmax -> lift -> f_bev (pooled) and depth-refined lift -> f_depth
+    per camera: softmax -> lift -> pooled grid, and lift -> depth refine -> pooled grid
+    f_bev, f_depth = sums over cameras of the plain and refined grids
     f_bev + f_radar + f_depth -> heatmap prior -> radar box matching
     matched q rows -> q grid -> final heatmap -> peak decoding
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +48,7 @@ from .scene import CLASS_SIZES, CLASS_ATTRIBUTES, SceneBundle, load_scene
 
 POOL_IMPLS = ("reference", "cumsum", "concurrent")
 MODALITIES = ("camera", "camera+radar")
+N_CLASSES = len(me.DETECTION_CLASSES)
 
 
 @dataclass
@@ -70,7 +73,6 @@ class PipelineConfig:
     pillar_max_pillars: int = 4096
     radar_channels: int = 32
     # fusion and head
-    n_classes: int = len(me.DETECTION_CLASSES)
     heatmap_score_thresh: float = 0.55
     match_iou_thresh: float = 0.01
     peak_threshold: float = 0.6
@@ -85,12 +87,13 @@ class PipelineConfig:
     sequential: bool = False
 
     def __post_init__(self):
-        if self.pooling not in POOL_IMPLS:
-            raise ValueError(f"pooling must be one of {POOL_IMPLS}")
-        if self.modality not in MODALITIES:
-            raise ValueError(f"modality must be one of {MODALITIES}")
         if isinstance(self.kan_hidden, list):
             self.kan_hidden = tuple(self.kan_hidden)
+        for name, (ok, what) in _RULES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        if self.d_max <= self.d_min:
+            raise ValueError("d_max must exceed d_min")
 
     @property
     def depth_bins(self) -> DepthBinSpec:
@@ -132,8 +135,13 @@ class PipelineConfig:
             if not isinstance(values, dict):
                 raise ValueError(f"config section {section!r} must be an object")
             for key, value in values.items():
-                if (section, key, value) == ("run", "average_pool", False):
-                    continue  # written by older versions, where it was the only value used
+                if (section, key) in RETIRED_KEYS:
+                    only = RETIRED_KEYS[section, key]
+                    # compare types too: False == 0 and 10 == 10.0 in Python
+                    if type(value) is not type(only) or value != only:
+                        raise ValueError(f"config key {section}.{key} is retired; "
+                                         f"only {json.dumps(only)} is accepted")
+                    continue
                 if (section, key) not in _FIELD_OF:
                     raise ValueError(f"unknown config key {section}.{key}")
                 fields[_FIELD_OF[section, key]] = value
@@ -157,7 +165,6 @@ CONFIG_KEYS = {
     "pillar_max_points": ("pillars", "max_points"),
     "pillar_max_pillars": ("pillars", "max_pillars"),
     "radar_channels": ("pillars", "channels"),
-    "n_classes": ("fusion", "n_classes"),
     "heatmap_score_thresh": ("fusion", "heatmap_score_thresh"),
     "match_iou_thresh": ("fusion", "match_iou_thresh"),
     "peak_threshold": ("fusion", "peak_threshold"),
@@ -170,6 +177,52 @@ CONFIG_KEYS = {
 }
 _FIELD_OF = {where: name for name, where in CONFIG_KEYS.items()}
 _SECTIONS = {section for section, _ in CONFIG_KEYS.values()}
+
+# keys that older versions wrote -> the only value that still loads
+RETIRED_KEYS = {
+    ("run", "average_pool"): False,
+    ("fusion", "n_classes"): N_CLASSES,
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
+
+
+def _at_least(low: int):
+    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+
+
+_POSITIVE = (lambda v: _is_real(v) and v > 0), "a positive number"
+_UNIT = (lambda v: _is_real(v) and 0 <= v <= 1), "a number in [0, 1]"
+
+# field -> (predicate, what the value must be); checked by PipelineConfig.__post_init__
+_RULES = {
+    "d_min": _POSITIVE,
+    "d_max": _POSITIVE,
+    "n_depth_bins": _at_least(3),  # depth_refine's 3x3 kernel spans three bins
+    "n_context": _at_least(1),
+    "kan_hidden": ((lambda v: isinstance(v, tuple) and all(_is_int(h) and h >= 1 for h in v)),
+                   "a list of integers >= 1"),
+    "bev_range": _POSITIVE,
+    "bev_cells": _at_least(1),
+    "pillar_max_points": _at_least(1),
+    "pillar_max_pillars": _at_least(1),
+    "radar_channels": _at_least(1),
+    "heatmap_score_thresh": _UNIT,
+    "match_iou_thresh": _UNIT,
+    "peak_threshold": _UNIT,
+    "radar_hint_strength": ((lambda v: _is_real(v) and v >= 0), "a number >= 0"),
+    "weight_seed": _at_least(0),
+    "pooling": ((lambda v: v in POOL_IMPLS), f"one of {POOL_IMPLS}"),
+    "workers": _at_least(1),
+    "modality": ((lambda v: v in MODALITIES), f"one of {MODALITIES}"),
+    "sequential": ((lambda v: isinstance(v, bool)), "true or false"),
+}
 
 
 @dataclass
@@ -196,8 +249,8 @@ class PipelineWeights:
                 rng, n_features, cfg.n_depth_bins, c_ctx, hidden=cfg.kan_hidden),
             radar_proj_kernel=rng.normal(0.0, 0.2, (c_ctx, cfg.radar_channels)),
             radar_proj_bias=np.zeros(c_ctx),
-            head_kernel=rng.normal(0.0, 0.3, (cfg.n_classes, c_ctx)),
-            head_bias=rng.normal(0.0, 0.1, cfg.n_classes),
+            head_kernel=rng.normal(0.0, 0.3, (N_CLASSES, c_ctx)),
+            head_bias=rng.normal(0.0, 0.1, N_CLASSES),
             q_kernel=rng.normal(0.0, 0.2, (c_ctx, 4)),
             q_bias=np.zeros(c_ctx),
             refine_kernel=np.array([[0.0, 0.1, 0.0],
@@ -246,7 +299,9 @@ class _StageTimer:
         return self
 
     def __exit__(self, *exc):
-        self.report.timings[self.name] = time.perf_counter() - self.t0
+        # a stage entered more than once (once per camera) reports its total
+        elapsed = time.perf_counter() - self.t0
+        self.report.timings[self.name] = self.report.timings.get(self.name, 0.0) + elapsed
         return False
 
 
@@ -314,9 +369,8 @@ def _radar_bev_boxes(radar_xyz: np.ndarray, grid: vp.BEVGridConfig) -> list[fu.D
     return boxes
 
 
-def _gt_heatmap(boxes: list[fu.DetectionBox], grid: vp.BEVGridConfig,
-                n_classes: int) -> np.ndarray:
-    hm = np.zeros((n_classes, grid.ny, grid.nx))
+def _gt_heatmap(boxes: list[fu.DetectionBox], grid: vp.BEVGridConfig) -> np.ndarray:
+    hm = np.zeros((N_CLASSES, grid.ny, grid.nx))
     dx, dy = grid.cell_size
     for b in boxes:
         ix = int(np.floor((b.center[0] - grid.x_range[0]) / dx))
@@ -426,34 +480,28 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
                for pd, dm in zip(p_depth, gt_maps) if dm.coverage_mask().any()]
         report.losses["depth_bce"] = float(np.mean(bce)) if bce else float("nan")
 
-    # Lift, refine, and pool into BEV.
-    with _StageTimer(report, "lift"):
-        lifted = [lift_outer_product(ctx, pd)
-                  for ctx, pd in zip(outputs.context, p_depth)]
-        refined = [depth_refine(lf, weights.refine_kernel) for lf in lifted]
-        report.checksums["lifted"] = checksum(lifted[0])
-
-    with _StageTimer(report, "voxelpool"):
-        depths = bins.centers()
-        positions, feats_plain, feats_refined = [], [], []
-        for rig, lf, rf in zip(bundle.cameras, lifted, refined):
-            frig = _feature_rig(rig, feature_hw)
-            frustum = geo.FrustumGrid.regular(feature_hw, depths)
-            pts = geo.unproject_frustum(frig, frustum)
-            positions.append(pts)
-            c_ctx = lf.shape[0]
-            feats_plain.append(lf.reshape(c_ctx, -1).T)
-            feats_refined.append(rf.reshape(c_ctx, -1).T)
-        positions = np.vstack(positions)
-        f_bev = _pool(cfg, vp.FeaturedPoints(positions, np.vstack(feats_plain)))
-        f_depth = _pool(cfg, vp.FeaturedPoints(positions, np.vstack(feats_refined)))
-        report.checksums["f_bev"] = checksum(f_bev.data)
-        report.checksums["f_depth"] = checksum(f_depth.data)
+    # Lift, refine and pool one camera at a time; cell sums add across cameras.
+    frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
+    f_bev = np.zeros((cfg.n_context, cfg.bev_cells, cfg.bev_cells))
+    f_depth = np.zeros_like(f_bev)
+    for i, (rig, ctx, pd) in enumerate(zip(bundle.cameras, outputs.context, p_depth)):
+        with _StageTimer(report, "lift"):
+            lifted = lift_outer_product(ctx, pd)
+            refined = depth_refine(lifted, weights.refine_kernel)
+            if i == 0:
+                report.checksums["lifted"] = checksum(lifted)
+        with _StageTimer(report, "voxelpool"):
+            pts = geo.unproject_frustum(_feature_rig(rig, feature_hw), frustum)
+            f_bev += _pool(cfg, vp.FeaturedPoints(pts, lifted.reshape(len(ctx), -1).T)).data
+            f_depth += _pool(cfg, vp.FeaturedPoints(pts, refined.reshape(len(ctx), -1).T)).data
+        del lifted, refined  # free this camera's tensors before the next one is lifted
+    report.checksums["f_bev"] = checksum(f_bev)
+    report.checksums["f_depth"] = checksum(f_depth)
 
     # Fusion, heatmap prior, radar matching, final heatmap.
     with _StageTimer(report, "fusion"):
         try:
-            fused = fu.fuse_bev_features(f_bev.data, radar_bev, f_depth.data)
+            fused = fu.fuse_bev_features(f_bev, radar_bev, f_depth)
         except ValueError as err:
             raise _stage_error("fusion", err) from err
         prior_scores = kan.sigmoid(conv_pointwise(fused.data, weights.head_kernel,
@@ -487,9 +535,9 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
         radar_vel = {m.cell: (float(m.q_row[2]), float(m.q_row[3])) for m in matches}
         preds = _decode_peaks(final_scores, cfg.bev_grid, cfg.peak_threshold, radar_vel)
         gt_boxes = bundle.gt_boxes[token]
-        gt_hm = _gt_heatmap(gt_boxes, cfg.bev_grid, cfg.n_classes)
+        gt_hm = _gt_heatmap(gt_boxes, cfg.bev_grid)
         pairs_p, pairs_g = [], []
-        for ci in range(cfg.n_classes):
+        for ci in range(N_CLASSES):
             cls_p = [b for b in preds if b.class_id == ci]
             cls_g = [b for b in gt_boxes if b.class_id == ci]
             match = me.match_center_distance(cls_p, cls_g, me.TP_THRESHOLD)

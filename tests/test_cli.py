@@ -126,6 +126,17 @@ class TestRun:
         assert rc == EXIT_VALIDATION
         assert "run.poolng" in capsys.readouterr().err
 
+    def test_wrong_typed_config_value_validation_error(self, scene_dir, tmp_path, capsys):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"bev": {"cells": "4"}}))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "bev_cells" in err
+
 
 class TestEval:
     def test_eval_roundtrip_idempotent(self, scene_dir, config_path, tmp_path):

@@ -8,12 +8,10 @@ from bevkit.nnprims import (
     conv_pointwise,
     depth_refine,
     finite_diff_jacobian,
-    fold_depth_view,
     lift_outer_product,
     read_tensor,
     se_excite,
     softmax_over_depth,
-    unfold_depth_view,
     write_tensor,
 )
 
@@ -135,13 +133,6 @@ class TestDepthRefine:
         rng = np.random.default_rng(10)
         x = rng.normal(0, 1, (2, 5, 3, 4))
         np.testing.assert_array_equal(depth_refine(x, IDENTITY_3X3), x)
-
-    def test_reshape_roundtrip_is_exact(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(0, 1, (3, 4, 2, 5))
-        folded = fold_depth_view(x)
-        assert folded.shape == (3 * 2, 4, 5)
-        np.testing.assert_array_equal(unfold_depth_view(folded, 3, 2), x)
 
     def test_averaging_kernel_on_ones(self):
         # zero padding: interior cells keep 1, edges keep 6/9, corners 4/9

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from bevkit import geometry as geo
+from bevkit import pipeline as pl
+from bevkit import scene as sc
+from bevkit import voxelpool as vp
 from bevkit.pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
@@ -101,12 +106,70 @@ class TestRunPipeline:
         np.testing.assert_array_equal(a.depthnet.split_kernel, b.depthnet.split_kernel)
 
 
+def yawed_rigs(yaws_deg):
+    """Forward-model cameras turned about the ego z axis, mounted 1.5 m out."""
+    base = sc.forward_camera()
+    rigs = []
+    for deg in yaws_deg:
+        c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+        rot = sc.FORWARD_CAM_ROTATION @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+        mount = np.array([1.5 * c, 1.5 * s, 1.6])
+        rigs.append(geo.CameraRig(base.intrinsics, rot, -rot @ mount, base.image_size))
+    return rigs
+
+
+def vstack_pool_oracle(positions, features, grid):
+    """All cameras' frustum points and feature rows stacked, pooled in one call."""
+    return vp.pool_reference(vp.FeaturedPoints(np.vstack(positions), np.vstack(features)),
+                             grid).data
+
+
+class TestPerCameraPooling:
+    def test_camera_sum_matches_stacked_pool(self, tmp_path, monkeypatch):
+        spec = default_scene_spec(seed=5, n_objects=8, n_cameras=3, feature_shape=(16, 8, 22),
+                                  radar_density=1200, lidar_density=4000)
+        spec.cameras = yawed_rigs((0.0, 120.0, 240.0))
+        scene = generate_scene(spec, tmp_path / "scene")
+        seen = {"lift": [], "refine": [], "fuse": []}
+
+        def record(name, fn, keep_args=False):
+            def wrapped(*args):
+                out = fn(*args)
+                seen[name].append(args if keep_args else out)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(pl, "lift_outer_product", record("lift", pl.lift_outer_product))
+        monkeypatch.setattr(pl, "depth_refine", record("refine", pl.depth_refine))
+        monkeypatch.setattr(pl.fu, "fuse_bev_features",
+                            record("fuse", pl.fu.fuse_bev_features, keep_args=True))
+        cfg = PipelineConfig(**SMALL, pooling="reference", sequential=True)
+        run_pipeline(scene, cfg)
+        f_bev, _, f_depth = seen["fuse"][0]
+
+        frustum = geo.FrustumGrid.regular((8, 22), cfg.depth_bins.centers())
+        positions = [geo.unproject_frustum(rig.scaled(8 / 256, 22 / 704), frustum)
+                     for rig in spec.cameras]
+        rows = {name: [t.reshape(t.shape[0], -1).T for t in seen[name]]
+                for name in ("lift", "refine")}
+        assert len(positions) == len(rows["lift"]) == len(rows["refine"]) == 3
+        want_bev = vstack_pool_oracle(positions, rows["lift"], cfg.bev_grid)
+        want_depth = vstack_pool_oracle(positions, rows["refine"], cfg.bev_grid)
+        assert np.abs(f_bev - want_bev).max() <= 1e-9
+        assert np.abs(f_depth - want_depth).max() <= 1e-9
+        # every camera adds cells the others leave empty, so a dropped camera would show
+        for k in range(3):
+            others = vstack_pool_oracle(positions[:k] + positions[k + 1:],
+                                        rows["lift"][:k] + rows["lift"][k + 1:], cfg.bev_grid)
+            assert np.abs(f_bev - others).max() > 1e-3
+
+
 class TestPipelineConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = PipelineConfig(d_min=1.5, d_max=40.0, n_depth_bins=24, n_context=12,
                              kan_hidden=(16, 8), bev_range=32.0, bev_cells=64,
                              pillar_max_points=10, pillar_max_pillars=100, radar_channels=8,
-                             n_classes=3, heatmap_score_thresh=0.4, match_iou_thresh=0.2,
+                             heatmap_score_thresh=0.4, match_iou_thresh=0.2,
                              peak_threshold=0.7, radar_hint_strength=1.0, weight_seed=11,
                              pooling="cumsum", workers=2, modality="camera", sequential=True)
         default = PipelineConfig()
@@ -123,10 +186,14 @@ class TestPipelineConfig:
         assert PipelineConfig().pooling == "reference"
 
     def test_older_files_load(self):
-        cfg = PipelineConfig.from_dict({"run": {"pooling": "cumsum", "average_pool": False}})
+        cfg = PipelineConfig.from_dict({"run": {"pooling": "cumsum", "average_pool": False},
+                                        "fusion": {"n_classes": 10}})
         assert cfg == PipelineConfig(pooling="cumsum")
-        with pytest.raises(ValueError, match="run.average_pool"):
-            PipelineConfig.from_dict({"run": {"average_pool": True}})
+        for section, key, value in (("run", "average_pool", True), ("run", "average_pool", 0),
+                                    ("fusion", "n_classes", 3), ("fusion", "n_classes", 11),
+                                    ("fusion", "n_classes", 10.0)):
+            with pytest.raises(ValueError, match=f"{section}.{key} is retired"):
+                PipelineConfig.from_dict({section: {key: value}})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="run.poolng"):
@@ -145,3 +212,27 @@ class TestPipelineConfig:
             PipelineConfig(pooling="gpu")
         with pytest.raises(ValueError):
             PipelineConfig(modality="lidar")
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_min", 0.0), ("d_min", "2"), ("d_max", float("nan")), ("d_max", 1.0),
+        ("n_depth_bins", 2), ("n_depth_bins", 24.0), ("n_context", True),
+        ("kan_hidden", 5), ("kan_hidden", (16, 0)), ("kan_hidden", "64"),
+        ("bev_range", -1.0), ("bev_cells", "4"), ("bev_cells", 0),
+        ("pillar_max_points", None), ("pillar_max_pillars", 0), ("radar_channels", 8.0),
+        ("heatmap_score_thresh", -0.1), ("match_iou_thresh", "0.2"),
+        ("peak_threshold", 1.5), ("radar_hint_strength", float("inf")),
+        ("radar_hint_strength", -1.0), ("weight_seed", -1), ("weight_seed", False),
+        ("pooling", ["reference"]), ("workers", 0), ("modality", None),
+        ("sequential", "no"), ("sequential", 1),
+    ])
+    def test_bad_values_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
+        section, key = CONFIG_KEYS[field]
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig.from_dict({section: {key: value}})
+
+    def test_numbers_accept_json_integers(self):
+        cfg = PipelineConfig.from_dict({"depth": {"d_min": 1, "d_max": 40},
+                                        "fusion": {"peak_threshold": 1}})
+        assert (cfg.d_min, cfg.d_max, cfg.peak_threshold) == (1, 40, 1)
