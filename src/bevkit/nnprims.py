@@ -125,7 +125,8 @@ def depth_refine(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     Every (C_D, W) slice of the (C_F, C_D, H, W) input is cross-correlated
     with one shared 3x3 kernel under zero padding; the result is a
     C-contiguous array of the input's shape. kernel[1, 1] is the center
-    tap, so a one-hot center kernel is the identity.
+    tap, so a one-hot center kernel is the identity. Zero taps are
+    skipped: the input is finite, so each would add a signed zero.
     """
     x = as_tensor(x)
     kernel = as_tensor(kernel)
@@ -140,10 +141,29 @@ def depth_refine(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     padded = np.zeros((c_f, c_d + 2, h, w + 2))
     padded[:, 1:-1, :, 1:-1] = x
     out = np.zeros(x.shape)
-    for dj in range(3):
-        for dk in range(3):
-            out += kernel[dj, dk] * padded[:, dj : dj + c_d, :, dk : dk + w]
+    for dj, dk in zip(*np.nonzero(kernel)):
+        out += kernel[dj, dk] * padded[:, dj : dj + c_d, :, dk : dk + w]
     return out
+
+
+def refine_taps(p_depth: np.ndarray, kernel: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """depth_refine of a lift, as (column shift, depth weights) taps.
+
+    Column b of the kernel mixes depth bins at column offset b - 1, so
+    depth_refine(lift_outer_product(context, p_depth), kernel)[:, l, h, w]
+    is the sum over the kernel's nonzero columns b of
+    q_b[l, h, w] * context[:, h, w + b - 1], where q_b is p_depth refined
+    by column b alone; a column outside the map has q_b = 0 (zero padding).
+    This filters the (C_D, H, W) distribution, not the lift.
+    """
+    p_depth = as_tensor(p_depth)
+    kernel = as_tensor(kernel)
+    taps = []
+    for b in np.flatnonzero(kernel.any(axis=0)):
+        column = np.zeros_like(kernel)
+        column[:, b] = kernel[:, b]
+        taps.append((int(b) - 1, depth_refine(p_depth[None], column)[0]))
+    return taps
 
 
 def finite_diff_jacobian(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

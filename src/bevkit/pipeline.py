@@ -10,7 +10,10 @@ Stage wiring, where the configuration leaves the sensors on:
     radar cloud -> pillars -> VFE -> pseudo image -> 1x1 conv -> f_radar
     camera features + rig -> gates -> depth logits + context
     radar projections -> depth-logit hints (camera+radar only)
-    per camera: softmax -> lift -> pooled grid, and lift -> depth refine -> pooled grid
+    per camera: softmax -> depth weights p; p refined one kernel column
+      at a time -> column taps; frustum -> BEV cells; p summed into
+      (cell, pixel) slots @ context -> plain grid; taps likewise -> refined
+      grid (no (C, D, H, W) lift is built)
     f_bev, f_depth = sums over cameras of the plain and refined grids
     f_bev + f_radar + f_depth -> heatmap prior -> radar box matching
     matched q rows -> q grid -> final heatmap -> peak decoding
@@ -37,13 +40,10 @@ from . import kan
 from . import metrics as me
 from . import pillars as pi
 from . import voxelpool as vp
-from .nnprims import (
-    DepthBinSpec,
-    conv_pointwise,
-    depth_refine,
-    lift_outer_product,
-    softmax_over_depth,
-)
+from .nnprims import DepthBinSpec, conv_pointwise, refine_taps, softmax_over_depth
+# The pipeline no longer lifts or refines the lift, but perfbench/tracing.py
+# patches these names here.
+from .nnprims import depth_refine, lift_outer_product  # noqa: F401
 from .scene import CLASS_SIZES, CLASS_ATTRIBUTES, SceneBundle, load_scene
 
 POOL_IMPLS = ("reference", "cumsum", "concurrent")
@@ -340,13 +340,14 @@ def _apply_depth_hints(logits: np.ndarray, hints: np.ndarray,
     return out
 
 
-def _pool(cfg: PipelineConfig, points: vp.FeaturedPoints) -> vp.BEVGrid:
+def _id_sum(cfg: PipelineConfig):
+    """The configured pooling kernel's id-level sum, (ids, values, n) -> (n, C)."""
     if cfg.pooling == "reference":
-        return vp.pool_reference(points, cfg.bev_grid)
+        return vp.sum_reference
     if cfg.pooling == "cumsum":
-        return vp.pool_cumsum(points, cfg.bev_grid)
+        return vp.sum_cumsum
     workers = 1 if cfg.sequential else cfg.workers
-    return vp.pool_concurrent(points, cfg.bev_grid, workers)
+    return lambda ids, values, n: vp.sum_concurrent(ids, values, n, workers)
 
 
 def _radar_bev_boxes(radar_xyz: np.ndarray, grid: vp.BEVGridConfig) -> list[fu.DetectionBox]:
@@ -480,21 +481,19 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
                for pd, dm in zip(p_depth, gt_maps) if dm.coverage_mask().any()]
         report.losses["depth_bce"] = float(np.mean(bce)) if bce else float("nan")
 
-    # Lift, refine and pool one camera at a time; cell sums add across cameras.
+    # Lift-splat one camera at a time through depth weights; cell sums add
+    # across cameras. "lift" builds the weights, "voxelpool" places and pools them.
     frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
     f_bev = np.zeros((cfg.n_context, cfg.bev_cells, cfg.bev_cells))
     f_depth = np.zeros_like(f_bev)
+    id_sum = _id_sum(cfg)
     for i, (rig, ctx, pd) in enumerate(zip(bundle.cameras, outputs.context, p_depth)):
         with _StageTimer(report, "lift"):
-            lifted = lift_outer_product(ctx, pd)
-            refined = depth_refine(lifted, weights.refine_kernel)
-            if i == 0:
-                report.checksums["lifted"] = checksum(lifted)
+            taps = refine_taps(pd, weights.refine_kernel)
         with _StageTimer(report, "voxelpool"):
             pts = geo.unproject_frustum(_feature_rig(rig, feature_hw), frustum)
-            f_bev += _pool(cfg, vp.FeaturedPoints(pts, lifted.reshape(len(ctx), -1).T)).data
-            f_depth += _pool(cfg, vp.FeaturedPoints(pts, refined.reshape(len(ctx), -1).T)).data
-        del lifted, refined  # free this camera's tensors before the next one is lifted
+            report.dropped_points[f"frustum_cam{i}"] = vp.splat(
+                pts, ctx, ([(0, pd)], taps), cfg.bev_grid, id_sum, [f_bev, f_depth])
     report.checksums["f_bev"] = checksum(f_bev)
     report.checksums["f_depth"] = checksum(f_depth)
 

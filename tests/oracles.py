@@ -6,6 +6,9 @@ loops, textbook recursions, no reuse of the library's vectorized paths.
 
 import numpy as np
 
+from bevkit.nnprims import depth_refine, lift_outer_product
+from bevkit.voxelpool import FeaturedPoints, pool_reference
+
 
 def rel_err(a, b):
     """Gradcheck-style relative error with a unit floor."""
@@ -108,3 +111,22 @@ def tp_errors_oracle(pairs):
         aae += 0.0 if p.attribute_id == g.attribute_id else 1.0
     n = len(pairs)
     return {"ate": ate / n, "ase": ase / n, "aoe": aoe / n, "ave": ave / n, "aae": aae / n}
+
+
+def lift_refine_pool(positions, contexts, p_depths, kernel, cfg):
+    """(f_bev, f_depth) by the materialized lift, one row per frustum point.
+
+    Each camera's (C, D, H, W) lift and its depth_refine are built in full,
+    every camera's rows are stacked, and pool_reference sums them: the
+    path that bevkit's factorized splat replaces. Unlike the rest of this
+    file it composes library functions; each of them is checked against a
+    loop oracle in its own tests.
+    """
+    plain, refined = [], []
+    for ctx, p in zip(contexts, p_depths):
+        lifted = lift_outer_product(ctx, p)
+        plain.append(lifted.reshape(len(ctx), -1).T)
+        refined.append(depth_refine(lifted, kernel).reshape(len(ctx), -1).T)
+    stacked = np.vstack(positions)
+    return (pool_reference(FeaturedPoints(stacked, np.vstack(plain)), cfg).data,
+            pool_reference(FeaturedPoints(stacked, np.vstack(refined)), cfg).data)

@@ -10,10 +10,12 @@ from bevkit.nnprims import (
     finite_diff_jacobian,
     lift_outer_product,
     read_tensor,
+    refine_taps,
     se_excite,
     softmax_over_depth,
     write_tensor,
 )
+from bevkit.pipeline import PipelineConfig, PipelineWeights
 
 
 class TestSoftmaxOverDepth:
@@ -165,6 +167,51 @@ class TestDepthRefine:
     def test_too_few_bins(self):
         with pytest.raises(ValueError):
             depth_refine(np.zeros((1, 2, 2, 2)), IDENTITY_3X3)
+
+    def test_skipping_zero_taps_is_bit_identical(self):
+        def nine_taps(x, kernel):
+            c_f, c_d, h, w = x.shape
+            padded = np.zeros((c_f, c_d + 2, h, w + 2))
+            padded[:, 1:-1, :, 1:-1] = x
+            out = np.zeros(x.shape)
+            for dj in range(3):
+                for dk in range(3):
+                    out += kernel[dj, dk] * padded[:, dj : dj + c_d, :, dk : dk + w]
+            return out
+
+        rng = np.random.default_rng(13)
+        x = rng.normal(0, 1, (6, 9, 4, 7))
+        sparse = rng.normal(0, 1, (3, 3)) * (rng.uniform(size=(3, 3)) < 0.5)
+        for kernel in (PIPELINE_REFINE_KERNEL, rng.normal(0, 1, (3, 3)), sparse,
+                       -PIPELINE_REFINE_KERNEL):
+            assert np.array_equal(depth_refine(x, kernel), nine_taps(x, kernel))
+
+
+PIPELINE_REFINE_KERNEL = PipelineWeights.create(PipelineConfig(), 16).refine_kernel
+
+
+class TestRefineTaps:
+    def test_taps_rebuild_refined_lift(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            c, d = (int(v) for v in rng.integers(1, 6, 2))
+            h, w = (int(v) for v in rng.integers(1, 7, 2))
+            ctx = rng.normal(0, 1, (c, h, w))
+            p = softmax_over_depth(rng.normal(0, 1, (d + 2, h, w)))
+            kernel = rng.normal(0, 1, (3, 3))
+            want = depth_refine(lift_outer_product(ctx, p), kernel)
+            got = np.zeros_like(want)
+            for shift, q in refine_taps(p, kernel):
+                for k in range(w):
+                    if 0 <= k + shift < w:
+                        got[:, :, :, k] += ctx[:, None, :, k + shift] * q[None, :, :, k]
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_zero_columns_skipped(self):
+        p = softmax_over_depth(np.zeros((4, 2, 3)))
+        assert [s for s, _ in refine_taps(p, PIPELINE_REFINE_KERNEL)] == [-1, 0, 1]
+        assert [s for s, _ in refine_taps(p, IDENTITY_3X3)] == [0]
+        np.testing.assert_array_equal(refine_taps(p, IDENTITY_3X3)[0][1], p)
 
 
 class TestFiniteDiffJacobian:

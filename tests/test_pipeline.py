@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import lift_refine_pool
 
 from bevkit import geometry as geo
 from bevkit import pipeline as pl
@@ -118,19 +119,17 @@ def yawed_rigs(yaws_deg):
     return rigs
 
 
-def vstack_pool_oracle(positions, features, grid):
-    """All cameras' frustum points and feature rows stacked, pooled in one call."""
-    return vp.pool_reference(vp.FeaturedPoints(np.vstack(positions), np.vstack(features)),
-                             grid).data
-
-
 class TestPerCameraPooling:
-    def test_camera_sum_matches_stacked_pool(self, tmp_path, monkeypatch):
+    @pytest.fixture(scope="class")
+    def three_cameras(self, tmp_path_factory):
+        """A 3-camera run (rigs yawed 0/120/240 degrees) with what its stages saw."""
         spec = default_scene_spec(seed=5, n_objects=8, n_cameras=3, feature_shape=(16, 8, 22),
                                   radar_density=1200, lidar_density=4000)
         spec.cameras = yawed_rigs((0.0, 120.0, 240.0))
-        scene = generate_scene(spec, tmp_path / "scene")
-        seen = {"lift": [], "refine": [], "fuse": []}
+        scene = generate_scene(spec, tmp_path_factory.mktemp("cams") / "scene")
+        cfg = PipelineConfig(**SMALL, pooling="reference", sequential=True)
+        weights = PipelineWeights.create(cfg, 16)
+        seen = {"depthnet": [], "softmax": [], "fuse": []}
 
         def record(name, fn, keep_args=False):
             def wrapped(*args):
@@ -139,29 +138,41 @@ class TestPerCameraPooling:
                 return out
             return wrapped
 
-        monkeypatch.setattr(pl, "lift_outer_product", record("lift", pl.lift_outer_product))
-        monkeypatch.setattr(pl, "depth_refine", record("refine", pl.depth_refine))
-        monkeypatch.setattr(pl.fu, "fuse_bev_features",
-                            record("fuse", pl.fu.fuse_bev_features, keep_args=True))
-        cfg = PipelineConfig(**SMALL, pooling="reference", sequential=True)
-        run_pipeline(scene, cfg)
-        f_bev, _, f_depth = seen["fuse"][0]
-
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl.kan, "depthnet_forward", record("depthnet", pl.kan.depthnet_forward))
+            mp.setattr(pl, "softmax_over_depth", record("softmax", pl.softmax_over_depth))
+            mp.setattr(pl.fu, "fuse_bev_features",
+                       record("fuse", pl.fu.fuse_bev_features, keep_args=True))
+            report, _ = run_pipeline(scene, cfg, weights)
         frustum = geo.FrustumGrid.regular((8, 22), cfg.depth_bins.centers())
         positions = [geo.unproject_frustum(rig.scaled(8 / 256, 22 / 704), frustum)
                      for rig in spec.cameras]
-        rows = {name: [t.reshape(t.shape[0], -1).T for t in seen[name]]
-                for name in ("lift", "refine")}
-        assert len(positions) == len(rows["lift"]) == len(rows["refine"]) == 3
-        want_bev = vstack_pool_oracle(positions, rows["lift"], cfg.bev_grid)
-        want_depth = vstack_pool_oracle(positions, rows["refine"], cfg.bev_grid)
+        return cfg, weights, report, seen, positions
+
+    def test_camera_sum_matches_stacked_pool(self, three_cameras):
+        cfg, weights, _, seen, positions = three_cameras
+        f_bev, _, f_depth = seen["fuse"][0]
+        contexts = seen["depthnet"][0].context
+        p_depths = seen["softmax"]
+        assert len(positions) == len(contexts) == len(p_depths) == 3
+        kernel = weights.refine_kernel
+        want_bev, want_depth = lift_refine_pool(positions, contexts, p_depths, kernel,
+                                                cfg.bev_grid)
         assert np.abs(f_bev - want_bev).max() <= 1e-9
         assert np.abs(f_depth - want_depth).max() <= 1e-9
         # every camera adds cells the others leave empty, so a dropped camera would show
         for k in range(3):
-            others = vstack_pool_oracle(positions[:k] + positions[k + 1:],
-                                        rows["lift"][:k] + rows["lift"][k + 1:], cfg.bev_grid)
+            others, _ = lift_refine_pool(*(v[:k] + v[k + 1:] for v in
+                                           (positions, contexts, p_depths)),
+                                         kernel, cfg.bev_grid)
             assert np.abs(f_bev - others).max() > 1e-3
+
+    def test_frustum_drops_reported(self, three_cameras):
+        cfg, _, report, _, positions = three_cameras
+        for k, pts in enumerate(positions):
+            inside, _ = vp.cell_ids(vp.FeaturedPoints(pts, np.zeros((len(pts), 0))),
+                                    cfg.bev_grid)
+            assert 0 < report.dropped_points[f"frustum_cam{k}"] == int((~inside).sum())
 
 
 class TestPipelineConfig:
