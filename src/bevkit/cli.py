@@ -26,17 +26,20 @@ EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 1, 2
 def _spec_from_json(path) -> SceneSpec:
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    return SceneSpec(
-        seed=int(d["seed"]),
-        cameras=[rig_from_json(r) for r in d["cameras"]],
-        ego_trajectory=[pose_from_json(p) for p in d["ego_trajectory"]],
-        objects=[SceneObject(**o) for o in d.get("objects", [])],
-        radar_density=float(d.get("radar_density", 2000.0)),
-        lidar_density=float(d.get("lidar_density", 8000.0)),
-        radar_max_range=float(d.get("radar_max_range", 55.0)),
-        lidar_max_range=float(d.get("lidar_max_range", 25.0)),
-        feature_shape=tuple(d.get("feature_shape", (64, 16, 44))),
-    )
+    try:
+        return SceneSpec(
+            seed=int(d["seed"]),
+            cameras=[rig_from_json(r) for r in d["cameras"]],
+            ego_trajectory=[pose_from_json(p) for p in d["ego_trajectory"]],
+            objects=[SceneObject(**o) for o in d.get("objects", [])],
+            radar_density=float(d.get("radar_density", 2000.0)),
+            lidar_density=float(d.get("lidar_density", 8000.0)),
+            radar_max_range=float(d.get("radar_max_range", 55.0)),
+            lidar_max_range=float(d.get("lidar_max_range", 25.0)),
+            feature_shape=tuple(d.get("feature_shape", (64, 16, 44))),
+        )
+    except (TypeError, AttributeError, KeyError) as err:
+        raise ValueError(f"malformed scene spec {path}: {err}") from err
 
 
 def cmd_gen(args) -> int:

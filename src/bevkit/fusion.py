@@ -1,16 +1,16 @@
 """Detection-head feature fusion and the associated losses.
 
 Combines the camera BEV grid, the projected radar pseudo image, and the
-depth-path grid by cellwise summation, filters radar box proposals against
-heatmap priors with axis-aligned BEV IOU, and computes the composite
-detection loss (heatmap binary cross-entropy plus box L1) and the
-depth-distribution BCE against a rasterized ground-truth depth map.
+depth-path grid by cellwise summation, gates radar proposal cells with the
+heatmap prior, and computes the composite detection loss (heatmap binary
+cross-entropy plus box L1) and the depth-distribution BCE against a
+rasterized ground-truth depth map.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,23 +63,8 @@ class DetectionBox:
         return np.array([*self.center, *self.size, self.yaw, *self.velocity])
 
 
-@dataclass
-class FusedBEV:
-    data: np.ndarray
-
-
-@dataclass
-class RadarMatch:
-    """One radar box accepted by the heatmap prior."""
-
-    box: DetectionBox
-    cell: tuple[int, int]  # (iy, ix)
-    iou: float
-    q_row: np.ndarray = field(repr=False)  # (x, y, vx, vy)
-
-
 def fuse_bev_features(f_bev: np.ndarray, f_radar: np.ndarray,
-                      f_depth: np.ndarray) -> FusedBEV:
+                      f_depth: np.ndarray) -> np.ndarray:
     """Cellwise sum of the three aligned (C, ny, nx) grids.
 
     The radar pseudo image must already be projected to the shared channel
@@ -90,64 +75,25 @@ def fuse_bev_features(f_bev: np.ndarray, f_radar: np.ndarray,
         raise ValueError(
             f"grids must share a shape: {f_bev.shape}, {f_radar.shape}, {f_depth.shape}"
         )
-    return FusedBEV(f_bev + f_radar + f_depth)
+    return f_bev + f_radar + f_depth
 
 
-def _footprint(box: DetectionBox) -> tuple[float, float, float, float]:
-    """(x_lo, x_hi, y_lo, y_hi) of the axis-aligned BEV footprint."""
-    cx, cy, _ = box.center
-    w, length, _ = box.size
-    return cx - w / 2, cx + w / 2, cy - length / 2, cy + length / 2
+def match_radar_to_heatmap(radar_cells: np.ndarray, heatmap: Heatmap,
+                           score_thresh: float) -> np.ndarray:
+    """Radar proposal cells whose best class score reaches score_thresh.
 
-
-def iou_bev(a: DetectionBox, b: DetectionBox) -> float:
-    """Axis-aligned BEV IOU over (x, y, w, l) footprints, ignoring yaw."""
-    ax0, ax1, ay0, ay1 = _footprint(a)
-    bx0, bx1, by0, by1 = _footprint(b)
-    ix = max(0.0, min(ax1, bx1) - max(ax0, bx0))
-    iy = max(0.0, min(ay1, by1) - max(ay0, by0))
-    inter = ix * iy
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return inter / union if union > 0 else 0.0
-
-
-def match_radar_to_heatmap(radar_boxes: list[DetectionBox], heatmap: Heatmap,
-                           score_thresh: float, iou_thresh: float) -> list[RadarMatch]:
-    """Keep radar boxes that overlap a confident heatmap cell.
-
-    Cells whose best class score reaches score_thresh become one-cell valid
-    regions; each radar box matches its highest-IOU valid cell provided the
-    IOU reaches iou_thresh, ties resolved toward the lower flat cell index.
-    Matched boxes emit (x, y, vx, vy) rows for feature concatenation.
+    Proposals are flat cell ids iy*nx + ix of radar-occupied cells of the
+    heatmap's grid. A proposal and a confident cell are both one grid cell,
+    so a proposal overlaps no confident cell but its own: the prior is one
+    mask lookup. Matches keep the proposals' order.
     """
-    if not 0.0 <= score_thresh <= 1.0 or not 0.0 <= iou_thresh <= 1.0:
-        raise ValueError("thresholds must lie in [0, 1]")
-    cfg = heatmap.config
-    valid = heatmap.scores.max(axis=0) >= score_thresh
-    flat_ids = np.flatnonzero(valid.ravel())
-    if flat_ids.size == 0 or not radar_boxes:
-        return []
-    iy, ix = np.divmod(flat_ids, cfg.nx)
-    centers = cfg.cell_center(ix, iy)
-    dx, dy = cfg.cell_size
-    cell_x0, cell_x1 = centers[:, 0] - dx / 2, centers[:, 0] + dx / 2
-    cell_y0, cell_y1 = centers[:, 1] - dy / 2, centers[:, 1] + dy / 2
-    cell_area = dx * dy
-
-    matches = []
-    for box in radar_boxes:
-        bx0, bx1, by0, by1 = _footprint(box)
-        ov_x = np.maximum(0.0, np.minimum(bx1, cell_x1) - np.maximum(bx0, cell_x0))
-        ov_y = np.maximum(0.0, np.minimum(by1, cell_y1) - np.maximum(by0, cell_y0))
-        inter = ov_x * ov_y
-        union = (bx1 - bx0) * (by1 - by0) + cell_area - inter
-        ious = np.where(union > 0, inter / union, 0.0)
-        best = int(np.argmax(ious))  # first maximum = lowest flat cell id
-        if ious[best] >= iou_thresh:
-            q = np.array([box.center[0], box.center[1], *box.velocity])
-            matches.append(RadarMatch(box, (int(iy[best]), int(ix[best])),
-                                      float(ious[best]), q))
-    return matches
+    if not 0.0 <= score_thresh <= 1.0:
+        raise ValueError("score_thresh must lie in [0, 1]")
+    cells = np.asarray(radar_cells, dtype=np.int64)
+    confident = heatmap.scores.max(axis=0).ravel() >= score_thresh
+    if cells.size and not (0 <= cells.min() and cells.max() < confident.size):
+        raise ValueError("radar cells must be flat ids of the heatmap's grid")
+    return cells[confident[cells]]
 
 
 def _bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -55,7 +55,6 @@ class MatchResult:
 
     ranked_pred: np.ndarray
     ranked_gt: np.ndarray
-    ranked_dist: np.ndarray
     n_gt: int
 
     @property
@@ -83,7 +82,6 @@ def match_center_distance(preds: list[DetectionBox], gts: list[DetectionBox],
     gt_centers = np.array([[g.center[0], g.center[1]] for g in gts]).reshape(-1, 2)
     taken = np.zeros(len(gts), dtype=bool)
     ranked_gt = np.full(len(preds), -1, dtype=np.int64)
-    ranked_dist = np.full(len(preds), np.nan)
     for rank, pi in enumerate(order):
         if not len(gts):
             break
@@ -94,8 +92,7 @@ def match_center_distance(preds: list[DetectionBox], gts: list[DetectionBox],
         if d[gi] <= threshold:
             taken[gi] = True
             ranked_gt[rank] = gi
-            ranked_dist[rank] = d[gi]
-    return MatchResult(np.array(order, dtype=np.int64), ranked_gt, ranked_dist, len(gts))
+    return MatchResult(np.array(order, dtype=np.int64), ranked_gt, len(gts))
 
 
 def average_precision(match: MatchResult) -> float | None:
@@ -280,8 +277,7 @@ def evaluate_detections(preds_by_token: dict[str, list[DetectionBox]],
             ranked.sort(key=lambda sf: -sf[0])
             flags = np.array([f for _, f in ranked], dtype=bool)
             ranked_gt = np.where(flags, 0, -1)
-            match = MatchResult(np.arange(len(flags)), ranked_gt,
-                                np.full(len(flags), np.nan), n_gt_total)
+            match = MatchResult(np.arange(len(flags)), ranked_gt, n_gt_total)
             aps.append(average_precision(match))
         per_class.append(ClassEval(name, aps, tp_errors(tp_pairs, name)))
     return aggregate_summary(per_class, eval_time)
@@ -303,10 +299,10 @@ def box_to_json(box: DetectionBox, with_score: bool = True) -> dict:
 
 def box_from_json(d: dict) -> DetectionBox:
     return DetectionBox(
-        center=tuple(d["translation"]),
-        size=tuple(d["size"]),
+        center=tuple(map(float, d["translation"])),
+        size=tuple(map(float, d["size"])),
         yaw=float(d["yaw"]),
-        velocity=tuple(d["velocity"]),
+        velocity=tuple(map(float, d["velocity"])),
         class_id=DETECTION_CLASSES.index(d["detection_name"]),
         score=float(d.get("detection_score", 0.0)),
         attribute_id=ATTRIBUTES.index(d.get("attribute_name", "")),
@@ -325,7 +321,10 @@ def save_boxes(path, boxes_by_token: dict[str, list[DetectionBox]],
 def load_boxes(path) -> dict[str, list[DetectionBox]]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return {token: [box_from_json(d) for d in boxes] for token, boxes in payload.items()}
+    try:
+        return {token: [box_from_json(d) for d in boxes] for token, boxes in payload.items()}
+    except (TypeError, AttributeError, KeyError) as err:
+        raise ValueError(f"malformed boxes file {path}: {err}") from err
 
 
 def render_summary_table(rows: dict[str, EvalSummary]) -> str:

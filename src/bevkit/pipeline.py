@@ -15,8 +15,15 @@ Stage wiring, where the configuration leaves the sensors on:
       (cell, pixel) slots @ context -> plain grid; taps likewise -> refined
       grid (no (C, D, H, W) lift is built)
     f_bev, f_depth = sums over cameras of the plain and refined grids
-    f_bev + f_radar + f_depth -> heatmap prior -> radar box matching
-    matched q rows -> q grid -> final heatmap -> peak decoding
+    f_bev + f_radar + f_depth -> heatmap prior
+    radar-occupied BEV cells -> cells the prior accepts -> their centers
+      (x, y, 0, 0) in the q grid -> 1x1 conv, added to the fused grid
+    final heatmap -> peak decoding
+
+Radar carries no velocity here (PC4D rows are x, y, z, reflectivity), so
+the q grid's vx, vy channels and every decoded box's velocity are zero.
+The zero channels stay so the q kernel keeps its shape and its seeded
+draw.
 
 The depth supervision target is always rasterized from the lidar and radar
 clouds together, so camera-only and camera+radar runs report BCE against
@@ -74,7 +81,6 @@ class PipelineConfig:
     radar_channels: int = 32
     # fusion and head
     heatmap_score_thresh: float = 0.55
-    match_iou_thresh: float = 0.01
     peak_threshold: float = 0.6
     # moderate prior weight: a hard boost would backfire at pixels where
     # lidar sees a nearer surface than the radar return
@@ -166,7 +172,6 @@ CONFIG_KEYS = {
     "pillar_max_pillars": ("pillars", "max_pillars"),
     "radar_channels": ("pillars", "channels"),
     "heatmap_score_thresh": ("fusion", "heatmap_score_thresh"),
-    "match_iou_thresh": ("fusion", "match_iou_thresh"),
     "peak_threshold": ("fusion", "peak_threshold"),
     "radar_hint_strength": ("fusion", "radar_hint_strength"),
     "weight_seed": ("run", "weight_seed"),
@@ -182,6 +187,7 @@ _SECTIONS = {section for section, _ in CONFIG_KEYS.values()}
 RETIRED_KEYS = {
     ("run", "average_pool"): False,
     ("fusion", "n_classes"): N_CLASSES,
+    ("fusion", "match_iou_thresh"): 0.01,
 }
 
 
@@ -214,7 +220,6 @@ _RULES = {
     "pillar_max_pillars": _at_least(1),
     "radar_channels": _at_least(1),
     "heatmap_score_thresh": _UNIT,
-    "match_iou_thresh": _UNIT,
     "peak_threshold": _UNIT,
     "radar_hint_strength": ((lambda v: _is_real(v) and v >= 0), "a number >= 0"),
     "weight_seed": _at_least(0),
@@ -350,26 +355,6 @@ def _id_sum(cfg: PipelineConfig):
     return lambda ids, values, n: vp.sum_concurrent(ids, values, n, workers)
 
 
-def _radar_bev_boxes(radar_xyz: np.ndarray, grid: vp.BEVGridConfig) -> list[fu.DetectionBox]:
-    """One-cell footprint proposals at radar-occupied BEV cells."""
-    pts = vp.FeaturedPoints(radar_xyz, np.ones((radar_xyz.shape[0], 1)))
-    inside, ids = vp.cell_ids(pts, grid)
-    if not ids.size:
-        return []
-    counts = np.bincount(ids, minlength=grid.nx * grid.ny)
-    occupied = np.flatnonzero(counts)
-    top = counts.max()
-    dx, dy = grid.cell_size
-    boxes = []
-    for cell in occupied:
-        iy, ix = divmod(int(cell), grid.nx)
-        cx, cy = grid.cell_center(ix, iy)
-        boxes.append(fu.DetectionBox(
-            center=(float(cx), float(cy), 0.5), size=(dx, dy, 1.0), yaw=0.0,
-            velocity=(0.0, 0.0), class_id=0, score=float(counts[cell] / top)))
-    return boxes
-
-
 def _gt_heatmap(boxes: list[fu.DetectionBox], grid: vp.BEVGridConfig) -> np.ndarray:
     hm = np.zeros((N_CLASSES, grid.ny, grid.nx))
     dx, dy = grid.cell_size
@@ -381,9 +366,8 @@ def _gt_heatmap(boxes: list[fu.DetectionBox], grid: vp.BEVGridConfig) -> np.ndar
     return hm
 
 
-def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig, threshold: float,
-                  radar_velocity: dict[tuple[int, int], tuple[float, float]],
-                  ) -> list[fu.DetectionBox]:
+def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
+                  threshold: float) -> list[fu.DetectionBox]:
     """3x3 local maxima above threshold become boxes with nominal sizes."""
     n_classes, ny, nx = heatmap.shape
     padded = np.full((n_classes, ny + 2, nx + 2), -np.inf)
@@ -400,10 +384,9 @@ def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig, threshold: float,
         name = me.DETECTION_CLASSES[ci]
         w, length, h = CLASS_SIZES[name]
         cx, cy = grid.cell_center(int(ix), int(iy))
-        vel = radar_velocity.get((int(iy), int(ix)), (0.0, 0.0))
         boxes.append(fu.DetectionBox(
             center=(float(cx), float(cy), h / 2.0), size=(w, length, h), yaw=0.0,
-            velocity=vel, class_id=int(ci), score=float(heatmap[ci, iy, ix]),
+            velocity=(0.0, 0.0), class_id=int(ci), score=float(heatmap[ci, iy, ix]),
             attribute_id=me.ATTRIBUTES.index(CLASS_ATTRIBUTES[name])))
     boxes.sort(key=lambda b: -b.score)
     return boxes
@@ -497,42 +480,38 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     report.checksums["f_bev"] = checksum(f_bev)
     report.checksums["f_depth"] = checksum(f_depth)
 
-    # Fusion, heatmap prior, radar matching, final heatmap.
+    # Fusion, heatmap prior, radar cell gating, final heatmap.
     with _StageTimer(report, "fusion"):
         try:
             fused = fu.fuse_bev_features(f_bev, radar_bev, f_depth)
         except ValueError as err:
             raise _stage_error("fusion", err) from err
-        prior_scores = kan.sigmoid(conv_pointwise(fused.data, weights.head_kernel,
+        prior_scores = kan.sigmoid(conv_pointwise(fused, weights.head_kernel,
                                                   weights.head_bias))
         prior = fu.Heatmap(prior_scores, cfg.bev_grid)
-        matches: list[fu.RadarMatch] = []
-        proposals: list[fu.DetectionBox] = []
+        proposals = matched = np.zeros(0, dtype=np.int64)
         if use_radar:
-            proposals = _radar_bev_boxes(bundle.radar[:, :3], cfg.bev_grid)
-            matches = fu.match_radar_to_heatmap(proposals, prior,
-                                                cfg.heatmap_score_thresh,
-                                                cfg.match_iou_thresh)
+            radar = vp.FeaturedPoints(bundle.radar[:, :3], np.zeros((len(bundle.radar), 0)))
+            proposals = np.unique(vp.cell_ids(radar, cfg.bev_grid)[1])
+            matched = fu.match_radar_to_heatmap(proposals, prior, cfg.heatmap_score_thresh)
+            iy, ix = np.divmod(matched, cfg.bev_cells)
             q_grid = np.zeros((4, cfg.bev_cells, cfg.bev_cells))
-            for m in matches:
-                q_grid[:, m.cell[0], m.cell[1]] = m.q_row
-            fused = fu.FusedBEV(fused.data + conv_pointwise(
-                q_grid, weights.q_kernel, weights.q_bias))
-        final_scores = kan.sigmoid(conv_pointwise(fused.data, weights.head_kernel,
+            q_grid[:2, iy, ix] = cfg.bev_grid.cell_center(ix, iy).T
+            report.matches = [{"cell": [y, x], "q": q_grid[:, y, x].tolist()}
+                              for y, x in zip(iy.tolist(), ix.tolist())]
+            fused = fused + conv_pointwise(q_grid, weights.q_kernel, weights.q_bias)
+        final_scores = kan.sigmoid(conv_pointwise(fused, weights.head_kernel,
                                                   weights.head_bias))
-        report.checksums["fused_bev"] = checksum(fused.data)
+        report.checksums["fused_bev"] = checksum(fused)
         report.checksums["heatmap"] = checksum(final_scores)
         report.fusion_stats = {
             "n_radar_boxes": float(len(proposals)),
-            "n_matches": float(len(matches)),
+            "n_matches": float(len(matched)),
         }
-        report.matches = [{"cell": list(m.cell), "iou": m.iou,
-                           "q": m.q_row.tolist()} for m in matches]
 
     # Decode, losses, evaluation.
     with _StageTimer(report, "head"):
-        radar_vel = {m.cell: (float(m.q_row[2]), float(m.q_row[3])) for m in matches}
-        preds = _decode_peaks(final_scores, cfg.bev_grid, cfg.peak_threshold, radar_vel)
+        preds = _decode_peaks(final_scores, cfg.bev_grid, cfg.peak_threshold)
         gt_boxes = bundle.gt_boxes[token]
         gt_hm = _gt_heatmap(gt_boxes, cfg.bev_grid)
         pairs_p, pairs_g = [], []

@@ -265,11 +265,23 @@ def load_scene(scene_dir) -> SceneBundle:
         raise FileNotFoundError(f"no scene.json in {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    files = manifest["files"]
+    try:
+        files = manifest["files"]
+        names = [files["radar"], files["lidar"], files["gt_boxes"], *files["features"]]
+        cameras = [rig_from_json(d) for d in manifest["cameras"]]
+        ego_trajectory = [pose_from_json(d) for d in manifest["ego_trajectory"]]
+        seed, token = manifest["seed"], manifest["sample_token"]
+    except (TypeError, AttributeError, KeyError) as err:
+        raise ValueError(f"malformed {manifest_path}: {err}") from err
+    if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
+            and type(seed) is int and seed >= 0 and isinstance(token, str)):
+        raise ValueError(f"{manifest_path}: files must name the radar, lidar and gt_boxes "
+                         "files and list the features files, seed must be an integer >= 0 "
+                         "and sample_token a string")
     return SceneBundle(
         manifest=manifest,
-        cameras=[rig_from_json(d) for d in manifest["cameras"]],
-        ego_trajectory=[pose_from_json(d) for d in manifest["ego_trajectory"]],
+        cameras=cameras,
+        ego_trajectory=ego_trajectory,
         radar=read_pc4d(path / files["radar"]).points,
         lidar=read_pc4d(path / files["lidar"]).points,
         features=[read_tensor(path / f) for f in files["features"]],

@@ -6,6 +6,7 @@ loops, textbook recursions, no reuse of the library's vectorized paths.
 
 import numpy as np
 
+from bevkit.fusion import DetectionBox
 from bevkit.nnprims import depth_refine, lift_outer_product
 from bevkit.voxelpool import FeaturedPoints, pool_reference
 
@@ -42,6 +43,58 @@ def brute_force_pool(points, cfg):
             if mask.any():
                 out[:, iy, ix] = points.features[mask].sum(axis=0)
     return out
+
+
+def _footprint(box):
+    """(x_lo, x_hi, y_lo, y_hi) of the axis-aligned BEV footprint."""
+    cx, cy, _ = box.center
+    w, length, _ = box.size
+    return cx - w / 2, cx + w / 2, cy - length / 2, cy + length / 2
+
+
+def iou_bev(a, b):
+    """Axis-aligned BEV IOU over (x, y, w, l) footprints, ignoring yaw."""
+    ax0, ax1, ay0, ay1 = _footprint(a)
+    bx0, bx1, by0, by1 = _footprint(b)
+    ix = max(0.0, min(ax1, bx1) - max(ax0, bx0))
+    iy = max(0.0, min(ay1, by1) - max(ay0, by0))
+    inter = ix * iy
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def cell_box(cfg, iy, ix):
+    """The one-cell BEV box of grid cell (iy, ix)."""
+    dx, dy = cfg.cell_size
+    cx = cfg.x_range[0] + (ix + 0.5) * dx
+    cy = cfg.y_range[0] + (iy + 0.5) * dy
+    return DetectionBox(center=(cx, cy, 0.5), size=(dx, dy, 1.0), yaw=0.0,
+                        velocity=(0.0, 0.0), class_id=0)
+
+
+def brute_force_match(boxes, heatmap, score_thresh, iou_thresh):
+    """Per box, the (cell, IOU) of its highest-IOU confident cell, or None.
+
+    Confident cells are those whose best class score reaches score_thresh;
+    all pairs are scored, ties go to the lower flat index, and a best IOU
+    below iou_thresh is no match.
+    """
+    cfg = heatmap.config
+    results = []
+    for b in boxes:
+        best_iou, best_cell = -1.0, None
+        for iy in range(cfg.ny):
+            for ix in range(cfg.nx):
+                if heatmap.scores[:, iy, ix].max() < score_thresh:
+                    continue
+                iou = iou_bev(b, cell_box(cfg, iy, ix))
+                if iou > best_iou + 1e-15:
+                    best_iou, best_cell = iou, (iy, ix)
+        if best_cell is not None and best_iou >= iou_thresh:
+            results.append((best_cell, best_iou))
+        else:
+            results.append(None)
+    return results
 
 
 def rasterize_min_oracle(u, v, d, image_size):

@@ -70,6 +70,33 @@ class TestGen:
         assert (tmp_path / "scene" / "scene.json").exists()
 
 
+    @pytest.mark.parametrize("spec", [
+        [],
+        {"bogus": 1},
+        {"seed": 5, "cameras": [], "ego_trajectory": [], "objects": [{"bogus": 1}]},
+    ], ids=["list", "unknown-key", "unknown-object-key"])
+    def test_malformed_spec_validation_error(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        rc = main(["gen", "--out", str(tmp_path / "scene"), "--spec", str(spec_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scene spec") and err.count("\n") == 1
+
+
+def _set_files(m):
+    m["files"] = 5
+
+
+def _set_image_size(m):
+    m["cameras"][0]["image_size"] = 5
+
+
+def _set_features_string(m):
+    m["files"]["features"] = m["files"]["features"][0]
+
+
 class TestRun:
     def test_run_and_rerun_deterministic(self, scene_dir, config_path, tmp_path):
         for name in ("r1", "r2"):
@@ -117,6 +144,51 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "truncated tensor header" in err
+
+    @pytest.mark.parametrize("edit", [_set_files, _set_image_size, _set_features_string])
+    def test_malformed_manifest_validation_error(self, scene_dir, config_path, tmp_path,
+                                                 capsys, edit):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        manifest = json.loads((bad / "scene.json").read_text())
+        edit(manifest)
+        (bad / "scene.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "scene.json" in err
+
+    def test_malformed_gt_boxes_validation_error(self, scene_dir, config_path, tmp_path,
+                                                 capsys):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        (bad / "gt_boxes.json").write_text("[1, 2]")
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "malformed boxes file" in err
+
+    @pytest.mark.parametrize("value, want", [(0.0, EXIT_VALIDATION), (0.01, EXIT_OK)])
+    def test_retired_match_iou_thresh(self, scene_dir, config_path, tmp_path, capsys,
+                                      value, want):
+        cfg = json.loads(config_path.read_text())
+        cfg["fusion"]["match_iou_thresh"] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
+                   "--config", str(path)])
+        assert rc == want
+        if want == EXIT_VALIDATION:
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "fusion.match_iou_thresh" in err
 
     def test_misspelled_config_key_validation_error(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "typo.json"

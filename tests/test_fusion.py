@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import brute_force_match, cell_box, iou_bev
 
 from bevkit.fusion import (
     DetectionBox,
@@ -7,7 +8,6 @@ from bevkit.fusion import (
     depth_bce_loss,
     detection_loss,
     fuse_bev_features,
-    iou_bev,
     match_radar_to_heatmap,
 )
 from bevkit.geometry import DepthMap
@@ -29,24 +29,24 @@ class TestFuseBevFeatures:
         rng = np.random.default_rng(72)
         f = rng.normal(0, 1, (3, 4, 4))
         out = fuse_bev_features(f, np.zeros_like(f), np.zeros_like(f))
-        np.testing.assert_array_equal(out.data, f)
+        np.testing.assert_array_equal(out, f)
 
     def test_three_equal_grids(self):
         g = np.full((2, 3, 3), 1.5)
-        np.testing.assert_array_equal(fuse_bev_features(g, g, g).data, 3.0 * g)
+        np.testing.assert_array_equal(fuse_bev_features(g, g, g), 3.0 * g)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(73)
         a, b, c = rng.normal(0, 1, (3, 4, 2, 5))
-        got = fuse_bev_features(a, b, c).data
+        got = fuse_bev_features(a, b, c)
         for i in np.ndindex(a.shape):
             assert abs(got[i] - (a[i] + b[i] + c[i])) < 1e-15
 
     def test_commutative_associative(self):
         rng = np.random.default_rng(74)
         a, b, c = rng.normal(0, 1, (3, 2, 3, 3))
-        orders = [fuse_bev_features(a, b, c).data, fuse_bev_features(c, a, b).data,
-                  fuse_bev_features(b, c, a).data]
+        orders = [fuse_bev_features(a, b, c), fuse_bev_features(c, a, b),
+                  fuse_bev_features(b, c, a)]
         for other in orders[1:]:
             assert np.abs(orders[0] - other).max() < 1e-15
 
@@ -78,85 +78,72 @@ class TestIouBev:
             assert iou_bev(a, a) == 1.0
 
 
-def brute_force_match(boxes, heatmap, score_thresh, iou_thresh):
-    """All-pairs argmax with the lower-flat-index tie rule."""
-    cfg = heatmap.config
-    dx, dy = cfg.cell_size
-    results = []
-    for b in boxes:
-        best_iou, best_cell = -1.0, None
-        for iy in range(cfg.ny):
-            for ix in range(cfg.nx):
-                if heatmap.scores[:, iy, ix].max() < score_thresh:
-                    continue
-                cx = cfg.x_range[0] + (ix + 0.5) * dx
-                cy = cfg.y_range[0] + (iy + 0.5) * dy
-                cell_box = DetectionBox(center=(cx, cy, 0.5), size=(dx, dy, 1.0),
-                                        yaw=0.0, velocity=(0, 0), class_id=0)
-                iou = iou_bev(b, cell_box)
-                if iou > best_iou + 1e-15:
-                    best_iou, best_cell = iou, (iy, ix)
-        if best_cell is not None and best_iou >= iou_thresh:
-            results.append((best_cell, best_iou))
-        else:
-            results.append(None)
-    return results
-
-
 class TestMatchRadarToHeatmap:
     def test_cold_heatmap_no_matches(self):
         hm = Heatmap(np.zeros((2, 8, 8)), grid())
-        assert match_radar_to_heatmap([box(0.0, 0.0)], hm, 0.5, 0.1) == []
+        got = match_radar_to_heatmap(np.arange(64), hm, 0.5)
+        assert got.dtype == np.int64 and got.size == 0
 
     def test_exact_cell_cover(self):
-        cfg = grid()
-        scores = np.zeros((1, 8, 8))
-        scores[0, 4, 4] = 0.9
-        hm = Heatmap(scores, cfg)
-        # cell (iy=4, ix=4) spans [0, 1) x [0, 1)
-        b = box(0.5, 0.5, 1.0, 1.0, vx=2.0, vy=-1.0)
-        matches = match_radar_to_heatmap([b], hm, 0.5, 0.5)
-        assert len(matches) == 1
-        assert matches[0].cell == (4, 4)
-        assert abs(matches[0].iou - 1.0) < 1e-12
-        np.testing.assert_allclose(matches[0].q_row, [0.5, 0.5, 2.0, -1.0])
-
-    def test_matches_brute_force_oracle(self):
-        rng = np.random.default_rng(76)
-        cfg = grid()
-        scores = rng.uniform(0, 1, (3, 8, 8))
-        hm = Heatmap(scores, cfg)
-        boxes = [box(*rng.uniform(-4, 4, 2), *rng.uniform(0.4, 3, 2)) for _ in range(20)]
-        got = match_radar_to_heatmap(boxes, hm, 0.6, 0.05)
-        expect = brute_force_match(boxes, hm, 0.6, 0.05)
-        got_by_box = {id(m.box): m for m in got}
-        for b, exp in zip(boxes, expect):
-            if exp is None:
-                assert id(b) not in got_by_box
-            else:
-                m = got_by_box[id(b)]
-                assert m.cell == exp[0]
-                assert abs(m.iou - exp[1]) < 1e-12
+        scores = np.zeros((2, 8, 8))
+        scores[1, 4, 4] = 0.9  # cell (iy=4, ix=4), flat id 36, spans [0, 1) x [0, 1)
+        hm = Heatmap(scores, grid())
+        # its four edge neighbours and the cell itself are proposed
+        got = match_radar_to_heatmap(np.array([28, 35, 36, 37, 44]), hm, 0.5)
+        np.testing.assert_array_equal(got, [36])
+        np.testing.assert_array_equal(match_radar_to_heatmap([36], hm, 0.9), [36])
+        assert match_radar_to_heatmap([36], hm, 0.95).size == 0
 
     def test_every_match_clears_threshold(self):
         rng = np.random.default_rng(77)
         hm = Heatmap(rng.uniform(0, 1, (2, 8, 8)), grid())
-        boxes = [box(*rng.uniform(-4, 4, 2), *rng.uniform(0.4, 3, 2)) for _ in range(30)]
-        for m in match_radar_to_heatmap(boxes, hm, 0.4, 0.2):
-            assert m.iou >= 0.2
+        cells = np.arange(64)
+        got = match_radar_to_heatmap(cells, hm, 0.4)
+        best = hm.scores.max(axis=0).ravel()
+        assert np.all(best[got] >= 0.4)
+        assert np.all(best[np.setdiff1d(cells, got)] < 0.4)
+
+    def test_keeps_proposal_order(self):
+        rng = np.random.default_rng(82)
+        hm = Heatmap(rng.uniform(0, 1, (2, 8, 8)), grid())
+        cells = rng.permutation(64)
+        got = match_radar_to_heatmap(cells, hm, 0.5)
+        confident = hm.scores.max(axis=0).ravel() >= 0.5
+        assert got.tolist() == [c for c in cells.tolist() if confident[c]]
 
     def test_deterministic(self):
         rng = np.random.default_rng(78)
         hm = Heatmap(rng.uniform(0, 1, (2, 8, 8)), grid())
-        boxes = [box(*rng.uniform(-4, 4, 2)) for _ in range(10)]
-        a = match_radar_to_heatmap(boxes, hm, 0.5, 0.05)
-        b = match_radar_to_heatmap(boxes, hm, 0.5, 0.05)
-        assert [(m.cell, m.iou) for m in a] == [(m.cell, m.iou) for m in b]
+        cells = np.unique(rng.integers(0, 64, 20))
+        a = match_radar_to_heatmap(cells, hm, 0.5)
+        b = match_radar_to_heatmap(cells, hm, 0.5)
+        np.testing.assert_array_equal(a, b)
 
     def test_thresholds_validated(self):
         hm = Heatmap(np.zeros((1, 8, 8)), grid())
-        with pytest.raises(ValueError):
-            match_radar_to_heatmap([], hm, 1.5, 0.5)
+        for thresh in (1.5, -0.1):
+            with pytest.raises(ValueError, match="score_thresh"):
+                match_radar_to_heatmap([], hm, thresh)
+        for cells in ([64], [-1]):
+            with pytest.raises(ValueError, match="flat ids"):
+                match_radar_to_heatmap(cells, hm, 0.5)
+
+    def test_matches_brute_force_oracle(self):
+        """One-cell boxes at proposal cells, matched by IOU argmax: the same cells."""
+        rng = np.random.default_rng(76)
+        for _ in range(30):
+            nx, ny = (int(n) for n in rng.integers(1, 10, 2))
+            x0, y0 = rng.uniform(-60.0, 60.0, 2)
+            cfg = BEVGridConfig((x0, x0 + rng.uniform(0.5, 40.0)),
+                                (y0, y0 + rng.uniform(0.5, 40.0)), nx, ny)
+            hm = Heatmap(rng.uniform(0, 1, (3, ny, nx)), cfg)
+            score_thresh = float(rng.uniform(0.05, 0.95))
+            iou_thresh = float(10.0 ** rng.uniform(-12.0, np.log10(0.99)))
+            cells = np.unique(rng.integers(0, nx * ny, int(rng.integers(1, nx * ny + 1))))
+            boxes = [cell_box(cfg, *divmod(int(c), nx)) for c in cells]
+            expect = [iy * nx + ix for (iy, ix), _ in
+                      filter(None, brute_force_match(boxes, hm, score_thresh, iou_thresh))]
+            assert match_radar_to_heatmap(cells, hm, score_thresh).tolist() == expect
 
 
 class TestDetectionLoss:

@@ -104,8 +104,7 @@ class TestAveragePrecision:
 
         def ap_from_flags(flags, n_gt):
             ranked_gt = np.where(np.asarray(flags, dtype=bool), 0, -1)
-            return average_precision(MatchResult(np.arange(len(flags)), ranked_gt,
-                                                 np.full(len(flags), np.nan), n_gt))
+            return average_precision(MatchResult(np.arange(len(flags)), ranked_gt, n_gt))
 
         rng = np.random.default_rng(94)
         for _ in range(50):

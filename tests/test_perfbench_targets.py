@@ -1,6 +1,8 @@
 """The traced benchmark wraps bevkit functions by (module, attribute) name.
 
-A rename in src/ would otherwise show up only as failed traced ops.
+A rename in src/ would otherwise show up only as failed traced ops, and a
+signature change that breaks a count function only as a benchmark whose
+traced counts disagree with the report.
 """
 
 import importlib
@@ -8,16 +10,38 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from bevkit.pipeline import PipelineConfig, run_pipeline
+from bevkit.scene import default_scene_spec, generate_scene
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_traced_target_resolves(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     # load perfbench/tracing.py read-only: no bytecode cache, no sys.modules entry
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves(tracing):
     assert tracing.PATCHES
     for module, attr, *_ in tracing.PATCHES:
         assert callable(getattr(importlib.import_module(module), attr, None)), \
             f"{module}.{attr}"
+
+
+def test_traced_fusion_counts_match_report(tracing, tmp_path):
+    spec = default_scene_spec(seed=19, n_objects=4, feature_shape=(16, 8, 22),
+                              radar_density=800, lidar_density=2000)
+    scene = generate_scene(spec, tmp_path / "scene")
+    cfg = PipelineConfig(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
+                         kan_hidden=(16,), radar_channels=8, sequential=True)
+    (report, _), counts = tracing.Tracer().run_op(0, lambda: run_pipeline(scene, cfg), "op")
+    assert report.fusion_stats["n_radar_boxes"] > 0
+    assert counts["fusion.proposals"] == report.fusion_stats["n_radar_boxes"]
+    assert counts["fusion.matches"] == report.fusion_stats["n_matches"]

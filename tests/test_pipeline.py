@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import lift_refine_pool
+from oracles import brute_force_match, brute_force_pool, cell_box, lift_refine_pool
 
 from bevkit import geometry as geo
 from bevkit import pipeline as pl
@@ -99,6 +99,36 @@ class TestRunPipeline:
         with pytest.raises(OSError, match="stage 'load'"):
             run_pipeline(tmp_path / "nope", PipelineConfig(**SMALL))
 
+    def test_radar_gate_matches_brute_force_oracle(self, scene_dir):
+        """Proposals, matches and q rows against one-cell boxes matched by IOU."""
+        cfg = PipelineConfig(**{**SMALL, "bev_cells": 12}, sequential=True)
+        seen = []
+
+        def capture(cells, heatmap, thresh):
+            seen.append((cells, heatmap))
+            return match(cells, heatmap, thresh)
+
+        match = pl.fu.match_radar_to_heatmap
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl.fu, "match_radar_to_heatmap", capture)
+            run_pipeline(scene_dir, cfg)
+            # the proposals' median prior score, so the gate drops some of them
+            cells, prior = seen[0]
+            cfg.heatmap_score_thresh = float(np.median(prior.scores.max(axis=0).ravel()[cells]))
+            report, _ = run_pipeline(scene_dir, cfg)
+        radar = sc.load_scene(scene_dir).radar[:, :3]
+        counts = brute_force_pool(vp.FeaturedPoints(radar, np.ones((len(radar), 1))),
+                                  cfg.bev_grid)[0]
+        boxes = [cell_box(cfg.bev_grid, iy, ix) for iy, ix in zip(*np.nonzero(counts))]
+        found = brute_force_match(boxes, seen[1][1], cfg.heatmap_score_thresh, 0.01)
+        want = [(list(f[0]), [b.center[0], b.center[1], 0.0, 0.0])
+                for b, f in zip(boxes, found) if f]
+        assert 0 < len(want) < len(boxes)
+        assert report.fusion_stats == {"n_radar_boxes": len(boxes), "n_matches": len(want)}
+        assert [m["cell"] for m in report.matches] == [cell for cell, _ in want]
+        for m, (_, q) in zip(report.matches, want):
+            np.testing.assert_allclose(m["q"], q, rtol=0, atol=1e-12)
+
     def test_weights_reproducible(self, scene_dir):
         cfg = PipelineConfig(**SMALL, sequential=True)
         a = PipelineWeights.create(cfg, 16)
@@ -180,8 +210,7 @@ class TestPipelineConfig:
         cfg = PipelineConfig(d_min=1.5, d_max=40.0, n_depth_bins=24, n_context=12,
                              kan_hidden=(16, 8), bev_range=32.0, bev_cells=64,
                              pillar_max_points=10, pillar_max_pillars=100, radar_channels=8,
-                             heatmap_score_thresh=0.4, match_iou_thresh=0.2,
-                             peak_threshold=0.7, radar_hint_strength=1.0, weight_seed=11,
+                             heatmap_score_thresh=0.4, peak_threshold=0.7, radar_hint_strength=1.0, weight_seed=11,
                              pooling="cumsum", workers=2, modality="camera", sequential=True)
         default = PipelineConfig()
         assert set(CONFIG_KEYS) == {f.name for f in dataclasses.fields(PipelineConfig)}
@@ -198,11 +227,14 @@ class TestPipelineConfig:
 
     def test_older_files_load(self):
         cfg = PipelineConfig.from_dict({"run": {"pooling": "cumsum", "average_pool": False},
-                                        "fusion": {"n_classes": 10}})
+                                        "fusion": {"n_classes": 10, "match_iou_thresh": 0.01}})
         assert cfg == PipelineConfig(pooling="cumsum")
         for section, key, value in (("run", "average_pool", True), ("run", "average_pool", 0),
                                     ("fusion", "n_classes", 3), ("fusion", "n_classes", 11),
-                                    ("fusion", "n_classes", 10.0)):
+                                    ("fusion", "n_classes", 10.0),
+                                    ("fusion", "match_iou_thresh", 0.0),
+                                    ("fusion", "match_iou_thresh", 1.0),
+                                    ("fusion", "match_iou_thresh", "0.01")):
             with pytest.raises(ValueError, match=f"{section}.{key} is retired"):
                 PipelineConfig.from_dict({section: {key: value}})
 
@@ -230,8 +262,7 @@ class TestPipelineConfig:
         ("kan_hidden", 5), ("kan_hidden", (16, 0)), ("kan_hidden", "64"),
         ("bev_range", -1.0), ("bev_cells", "4"), ("bev_cells", 0),
         ("pillar_max_points", None), ("pillar_max_pillars", 0), ("radar_channels", 8.0),
-        ("heatmap_score_thresh", -0.1), ("match_iou_thresh", "0.2"),
-        ("peak_threshold", 1.5), ("radar_hint_strength", float("inf")),
+        ("heatmap_score_thresh", -0.1), ("peak_threshold", 1.5), ("radar_hint_strength", float("inf")),
         ("radar_hint_strength", -1.0), ("weight_seed", -1), ("weight_seed", False),
         ("pooling", ["reference"]), ("workers", 0), ("modality", None),
         ("sequential", "no"), ("sequential", 1),
