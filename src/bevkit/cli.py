@@ -1,4 +1,4 @@
-"""Command-line surface: gen, run, eval, check-tables, bench.
+"""Command-line surface: gen, run, eval, check-tables.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on I/O error.
 """
@@ -6,17 +6,13 @@ Exit codes: 0 on success, 1 on validation failure, 2 on I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
 
-import numpy as np
-
 from . import metrics as me
 from . import tables
-from . import voxelpool as vp
-from .pipeline import MODALITIES, POOL_IMPLS, PipelineConfig, run_pipeline, save_run_outputs
+from .pipeline import MODALITIES, PipelineConfig, run_pipeline, save_run_outputs
 from .scene import SceneSpec, default_scene_spec, generate_scene
 from .scene import pose_from_json, rig_from_json, SceneObject
 
@@ -31,15 +27,25 @@ def _spec_from_json(path) -> SceneSpec:
             seed=int(d["seed"]),
             cameras=[rig_from_json(r) for r in d["cameras"]],
             ego_trajectory=[pose_from_json(p) for p in d["ego_trajectory"]],
-            objects=[SceneObject(**o) for o in d.get("objects", [])],
+            objects=[_object_from_json(o) for o in d.get("objects", [])],
             radar_density=float(d.get("radar_density", 2000.0)),
             lidar_density=float(d.get("lidar_density", 8000.0)),
             radar_max_range=float(d.get("radar_max_range", 55.0)),
             lidar_max_range=float(d.get("lidar_max_range", 25.0)),
             feature_shape=tuple(d.get("feature_shape", (64, 16, 44))),
         )
-    except (TypeError, AttributeError, KeyError) as err:
+    except (TypeError, AttributeError, KeyError, ValueError) as err:
         raise ValueError(f"malformed scene spec {path}: {err}") from err
+
+
+def _object_from_json(o: dict) -> SceneObject:
+    obj = SceneObject(**o)
+    obj.center = me.finite_floats(obj.center, 3, "object center")
+    obj.size = me.finite_floats(obj.size, 3, "object size")
+    obj.yaw = me.finite_floats([obj.yaw], 1, "object yaw")[0]
+    obj.velocity = me.finite_floats(obj.velocity, 2, "object velocity")
+    obj.to_box()  # positive size, known class and attribute
+    return obj
 
 
 def cmd_gen(args) -> int:
@@ -65,10 +71,6 @@ def cmd_gen(args) -> int:
 
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
-    if args.pooling:
-        cfg.pooling = args.pooling
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.modality:
         cfg.modality = args.modality
     if args.sequential:
@@ -111,39 +113,6 @@ def cmd_check_tables(args) -> int:
     return EXIT_OK if all(c.ok for c in checks) else EXIT_VALIDATION
 
 
-def cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    cfg = vp.BEVGridConfig((-51.2, 51.2), (-51.2, 51.2), args.nx, args.ny)
-    positions = rng.uniform(-51.2, 51.2, (args.m, 3))
-    feats = rng.normal(0.0, 1.0, (args.m, args.c))
-    points = vp.FeaturedPoints(positions, feats)
-    warmup = vp.FeaturedPoints(positions[:256], feats[:256])
-    impls = {
-        "reference": lambda pts: vp.pool_reference(pts, cfg),
-        "cumsum": lambda pts: vp.pool_cumsum(pts, cfg),
-        "concurrent": lambda pts: vp.pool_concurrent(pts, cfg, args.workers),
-    }
-    rows = []
-    for name, fn in impls.items():
-        fn(warmup)  # touch caches off the clock
-        t0 = time.perf_counter()
-        fn(points)
-        seconds = time.perf_counter() - t0
-        rows.append({"impl": name, "M": args.m, "C": args.c, "nx": args.nx,
-                     "ny": args.ny, "workers": args.workers if name == "concurrent" else 1,
-                     "seconds": f"{seconds:.6f}"})
-    writer = csv.DictWriter(sys.stdout,
-                            fieldnames=["impl", "M", "C", "nx", "ny", "workers", "seconds"])
-    writer.writeheader()
-    writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.DictWriter(fh, fieldnames=writer.fieldnames)
-            w.writeheader()
-            w.writerows(rows)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bevkit",
                                      description="desk-scale BEV perception pipeline")
@@ -167,11 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scene", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--config", default=None, help="pipeline config JSON")
-    p_run.add_argument("--pooling", choices=POOL_IMPLS, default=None)
-    p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--modality", choices=MODALITIES, default=None)
     p_run.add_argument("--sequential", action="store_true",
-                       help="force fully deterministic execution")
+                       help="accepted for older scripts; every run is sequential")
     p_run.set_defaults(fn=cmd_run)
 
     p_eval = sub.add_parser("eval", help="evaluate predictions against ground truth")
@@ -184,15 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="recompute the bundled reference-table arithmetic")
     p_check.set_defaults(fn=cmd_check_tables)
 
-    p_bench = sub.add_parser("bench", help="time the pooling implementations")
-    p_bench.add_argument("--m", type=int, default=1_000_000)
-    p_bench.add_argument("--c", type=int, default=64)
-    p_bench.add_argument("--nx", type=int, default=128)
-    p_bench.add_argument("--ny", type=int, default=128)
-    p_bench.add_argument("--workers", type=int, default=8)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", default=None)
-    p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 

@@ -15,6 +15,7 @@ No range or visibility filtering is applied before evaluation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +152,6 @@ def tp_errors(matched_pairs: list[tuple[DetectionBox, DetectionBox]],
     out: dict[str, float | None] = {m: None for m in TP_METRICS}
     if not matched_pairs:
         return out
-    preds, gts = zip(*matched_pairs)
     if "ate" in applicable:
         out["ate"] = float(np.mean([bev_distance(p, g) for p, g in matched_pairs]))
     if "ase" in applicable:
@@ -297,12 +297,23 @@ def box_to_json(box: DetectionBox, with_score: bool = True) -> dict:
     return d
 
 
+def finite_floats(value, n: int, what: str) -> tuple[float, ...]:
+    """A list of n numbers as finite floats; ValueError naming what otherwise."""
+    try:
+        out = tuple(map(float, value)) if isinstance(value, (list, tuple)) else ()
+    except (TypeError, ValueError):
+        out = ()
+    if len(out) != n or not all(map(math.isfinite, out)):
+        raise ValueError(f"{what} must be {n} finite number{'s' * (n != 1)}, got {value!r}")
+    return out
+
+
 def box_from_json(d: dict) -> DetectionBox:
     return DetectionBox(
-        center=tuple(map(float, d["translation"])),
-        size=tuple(map(float, d["size"])),
-        yaw=float(d["yaw"]),
-        velocity=tuple(map(float, d["velocity"])),
+        center=finite_floats(d["translation"], 3, "translation"),
+        size=finite_floats(d["size"], 3, "size"),
+        yaw=finite_floats([d["yaw"]], 1, "yaw")[0],
+        velocity=finite_floats(d["velocity"], 2, "velocity"),
         class_id=DETECTION_CLASSES.index(d["detection_name"]),
         score=float(d.get("detection_score", 0.0)),
         attribute_id=ATTRIBUTES.index(d.get("attribute_name", "")),
@@ -323,7 +334,7 @@ def load_boxes(path) -> dict[str, list[DetectionBox]]:
         payload = json.load(fh)
     try:
         return {token: [box_from_json(d) for d in boxes] for token, boxes in payload.items()}
-    except (TypeError, AttributeError, KeyError) as err:
+    except (TypeError, AttributeError, KeyError, ValueError) as err:
         raise ValueError(f"malformed boxes file {path}: {err}") from err
 
 

@@ -200,7 +200,7 @@ def vfe_forward(pillars: PillarTensor, weights: VfeWeights) -> np.ndarray:
     pillars whose real activations are all negative pre-rectifier.
     """
     feats = pillars.features
-    p, t_cap, _ = feats.shape
+    _, t_cap, _ = feats.shape
     mapped = np.maximum(0.0, np.einsum("ptd,cd->ptc", feats, weights.weight) + weights.bias)
     mask = np.arange(t_cap)[None, :] < pillars.point_counts[:, None]
     mapped = np.where(mask[:, :, None], mapped, -np.inf)

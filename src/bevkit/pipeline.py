@@ -53,7 +53,6 @@ from .nnprims import DepthBinSpec, conv_pointwise, refine_taps, softmax_over_dep
 from .nnprims import depth_refine, lift_outer_product  # noqa: F401
 from .scene import CLASS_SIZES, CLASS_ATTRIBUTES, SceneBundle, load_scene
 
-POOL_IMPLS = ("reference", "cumsum", "concurrent")
 MODALITIES = ("camera", "camera+radar")
 N_CLASSES = len(me.DETECTION_CLASSES)
 
@@ -85,10 +84,11 @@ class PipelineConfig:
     # moderate prior weight: a hard boost would backfire at pixels where
     # lidar sees a nearer surface than the radar return
     radar_hint_strength: float = 2.0
-    # execution
+    # execution. splat sums slot weights one way, so every run is
+    # sequential and deterministic: pooling accepts only "reference" and
+    # sequential changes nothing. Both stay so older files and callers load.
     weight_seed: int = 7
     pooling: str = "reference"
-    workers: int = 4
     modality: str = "camera+radar"
     sequential: bool = False
 
@@ -176,7 +176,6 @@ CONFIG_KEYS = {
     "radar_hint_strength": ("fusion", "radar_hint_strength"),
     "weight_seed": ("run", "weight_seed"),
     "pooling": ("run", "pooling"),
-    "workers": ("run", "workers"),
     "modality": ("run", "modality"),
     "sequential": ("run", "sequential"),
 }
@@ -188,6 +187,7 @@ RETIRED_KEYS = {
     ("run", "average_pool"): False,
     ("fusion", "n_classes"): N_CLASSES,
     ("fusion", "match_iou_thresh"): 0.01,
+    ("run", "workers"): 4,
 }
 
 
@@ -223,8 +223,7 @@ _RULES = {
     "peak_threshold": _UNIT,
     "radar_hint_strength": ((lambda v: _is_real(v) and v >= 0), "a number >= 0"),
     "weight_seed": _at_least(0),
-    "pooling": ((lambda v: v in POOL_IMPLS), f"one of {POOL_IMPLS}"),
-    "workers": _at_least(1),
+    "pooling": ((lambda v: v == "reference"), '"reference"'),
     "modality": ((lambda v: v in MODALITIES), f"one of {MODALITIES}"),
     "sequential": ((lambda v: isinstance(v, bool)), "true or false"),
 }
@@ -345,16 +344,6 @@ def _apply_depth_hints(logits: np.ndarray, hints: np.ndarray,
     return out
 
 
-def _id_sum(cfg: PipelineConfig):
-    """The configured pooling kernel's id-level sum, (ids, values, n) -> (n, C)."""
-    if cfg.pooling == "reference":
-        return vp.sum_reference
-    if cfg.pooling == "cumsum":
-        return vp.sum_cumsum
-    workers = 1 if cfg.sequential else cfg.workers
-    return lambda ids, values, n: vp.sum_concurrent(ids, values, n, workers)
-
-
 def _gt_heatmap(boxes: list[fu.DetectionBox], grid: vp.BEVGridConfig) -> np.ndarray:
     hm = np.zeros((N_CLASSES, grid.ny, grid.nx))
     dx, dy = grid.cell_size
@@ -469,14 +458,13 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
     f_bev = np.zeros((cfg.n_context, cfg.bev_cells, cfg.bev_cells))
     f_depth = np.zeros_like(f_bev)
-    id_sum = _id_sum(cfg)
     for i, (rig, ctx, pd) in enumerate(zip(bundle.cameras, outputs.context, p_depth)):
         with _StageTimer(report, "lift"):
             taps = refine_taps(pd, weights.refine_kernel)
         with _StageTimer(report, "voxelpool"):
             pts = geo.unproject_frustum(_feature_rig(rig, feature_hw), frustum)
             report.dropped_points[f"frustum_cam{i}"] = vp.splat(
-                pts, ctx, ([(0, pd)], taps), cfg.bev_grid, id_sum, [f_bev, f_depth])
+                pts, ctx, ([(0, pd)], taps), cfg.bev_grid, [f_bev, f_depth])
     report.checksums["f_bev"] = checksum(f_bev)
     report.checksums["f_depth"] = checksum(f_depth)
 

@@ -105,7 +105,7 @@ def default_scene_spec(seed: int, n_objects: int = 8, n_cameras: int = 1,
     """Randomized but fully seed-determined scene in front of the ego."""
     rng = np.random.default_rng([seed, 0])
     objects = []
-    for i in range(n_objects):
+    for _ in range(n_objects):
         name = DETECTION_CLASSES[int(rng.integers(len(DETECTION_CLASSES)))]
         w, length, h = CLASS_SIZES[name]
         x = float(rng.uniform(8.0, 50.0))

@@ -70,12 +70,23 @@ class TestGen:
         assert (tmp_path / "scene" / "scene.json").exists()
 
 
-    @pytest.mark.parametrize("spec", [
-        [],
-        {"bogus": 1},
-        {"seed": 5, "cameras": [], "ego_trajectory": [], "objects": [{"bogus": 1}]},
-    ], ids=["list", "unknown-key", "unknown-object-key"])
-    def test_malformed_spec_validation_error(self, tmp_path, capsys, spec):
+    @pytest.mark.parametrize("spec, says", [
+        ([], ""),
+        ({"bogus": 1}, ""),
+        ({"seed": 5, "cameras": [], "ego_trajectory": [], "objects": [{"bogus": 1}]}, ""),
+        *(({"seed": 5, "cameras": [], "ego_trajectory": [],
+            "objects": [{"class_name": "car", "center": [10.0, 0.0, 0.8],
+                         "size": [1.9, 4.6, 1.6], "yaw": 0.0, **bad}]}, says)
+          for bad, says in (({"center": "abc"}, "object center must be 3"),
+                            ({"center": [10.0, 0.0]}, "object center must be 3"),
+                            ({"size": [float("nan"), 4.6, 1.6]}, "object size must be 3"),
+                            ({"size": [1.9, 0.0, 1.6]}, "sizes must be positive"),
+                            ({"yaw": float("inf")}, "object yaw must be 1 finite number,"),
+                            ({"velocity": [1.0]}, "object velocity must be 2"))),
+    ], ids=["list", "unknown-key", "unknown-object-key", "object-center-string",
+            "object-center-length", "object-size-nan", "object-size-zero",
+            "object-yaw-inf", "object-velocity-length"])
+    def test_malformed_spec_validation_error(self, tmp_path, capsys, spec, says):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         capsys.readouterr()
@@ -83,6 +94,7 @@ class TestGen:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: malformed scene spec") and err.count("\n") == 1
+        assert says in err
 
 
 def _set_files(m):
@@ -113,23 +125,39 @@ class TestRun:
         assert rc == EXIT_IO
 
     def test_pooling_flag_override(self, scene_dir, config_path, tmp_path):
-        rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "p"),
-                   "--config", str(config_path), "--pooling", "reference",
-                   "--workers", "1"])
-        assert rc == EXIT_OK
+        # the kernel flags are gone: argparse rejects them with exit code 2
+        for flags in (["--pooling", "cumsum"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "p"),
+                      "--config", str(config_path), *flags])
+            assert exc.value.code == 2
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("key, value", [("workers", 2), ("pooling", "cumsum")])
+    def test_retired_run_keys_validation_error(self, scene_dir, tmp_path, capsys,
+                                               key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {key: value}}))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err
 
     def test_default_config_matches_reference_sequential(self, scene_dir, tmp_path):
         cfg = PipelineConfig(**SMALL).to_dict()
         del cfg["run"]  # every execution setting at its default
         default_cfg = tmp_path / "default.json"
         default_cfg.write_text(json.dumps(cfg))
-        runs = {"default": [], "reference": ["--pooling", "reference", "--sequential"]}
+        runs = {"default": [], "sequential": ["--sequential"]}
         for name, flags in runs.items():
             rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / name),
                        "--config", str(default_cfg), *flags])
             assert rc == EXIT_OK
         assert ((tmp_path / "default" / "predictions.json").read_bytes()
-                == (tmp_path / "reference" / "predictions.json").read_bytes())
+                == (tmp_path / "sequential" / "predictions.json").read_bytes())
 
     def test_truncated_tensor_header_validation_error(self, scene_dir, config_path,
                                                       tmp_path, capsys):
@@ -173,6 +201,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "malformed boxes file" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("translation", [1.0]), ("size", [1.9, float("nan"), 1.6]),
+        ("velocity", [0.0, 0.0, 0.0]), ("yaw", float("-inf")),
+    ])
+    def test_malformed_gt_box_validation_error(self, scene_dir, config_path, tmp_path,
+                                               capsys, key, value):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        boxes = json.loads((bad / "gt_boxes.json").read_text())
+        next(iter(boxes.values()))[0][key] = value
+        (bad / "gt_boxes.json").write_text(json.dumps(boxes))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "malformed boxes file" in err and f"{key} must be" in err
 
     @pytest.mark.parametrize("value, want", [(0.0, EXIT_VALIDATION), (0.01, EXIT_OK)])
     def test_retired_match_iou_thresh(self, scene_dir, config_path, tmp_path, capsys,
@@ -257,13 +304,3 @@ class TestCheckTables:
         assert "radar_camera_fusion/NDS" in out
         assert "FAIL" not in out
 
-
-class TestBench:
-    def test_emits_csv(self, capsys, tmp_path):
-        out_csv = tmp_path / "bench.csv"
-        rc = main(["bench", "--m", "20000", "--c", "8", "--workers", "2",
-                   "--out", str(out_csv)])
-        assert rc == EXIT_OK
-        text = out_csv.read_text().splitlines()
-        assert text[0] == "impl,M,C,nx,ny,workers,seconds"
-        assert len(text) == 4

@@ -174,8 +174,6 @@ def shifted_lift(context, taps):
 class TestSplat:
     def test_matches_lift_refine_pool_random_cases(self, monkeypatch):
         rng = np.random.default_rng(4040)
-        sums = (vp.sum_reference, vp.sum_cumsum,
-                lambda ids, values, n: vp.sum_concurrent(ids, values, n, 3, block=16))
         cases_with_drops = 0
         for case in range(60):
             c_ctx, c_d = int(rng.integers(1, 7)), int(rng.integers(3, 9))
@@ -192,7 +190,7 @@ class TestSplat:
             monkeypatch.setattr(vp, "SPLAT_BLOCK_SLOTS", int(rng.integers(1, 4 * h * w)))
             f_bev, f_depth = np.zeros((2, c_ctx, ny, nx))
             dropped = splat(pts, ctx, ([(0, p)], refine_taps(p, kernel)), cfg,
-                            sums[case % 3], [f_bev, f_depth])
+                            [f_bev, f_depth])
             want_bev, want_depth = lift_refine_pool([pts], [ctx], [p], kernel, cfg)
             assert np.abs(f_bev - want_bev).max() <= 1e-9
             assert np.abs(f_depth - want_depth).max() <= 1e-9
@@ -202,24 +200,52 @@ class TestSplat:
             # taps with weight at every column: a column shifted off the map adds nothing
             taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
             got = np.zeros((c_ctx, ny, nx))
-            splat(pts, ctx, (taps,), cfg, vp.sum_reference, [got])
+            splat(pts, ctx, (taps,), cfg, [got])
             lifted = shifted_lift(ctx, taps).reshape(c_ctx, -1).T
             want = pool_reference(FeaturedPoints(pts, lifted), cfg).data
             assert np.abs(got - want).max() <= 1e-9
         assert cases_with_drops >= 30
 
+    @pytest.mark.parametrize("block_slots", [1 << 20, 40])
+    def test_slot_sums_bit_identical_to_sum_reference(self, monkeypatch, block_slots):
+        # a one-hot context (C = H*W) makes the product exact, so each grid
+        # column is one cell's slot sums
+        monkeypatch.setattr(vp, "SPLAT_BLOCK_SLOTS", block_slots)
+        rng = np.random.default_rng(4041)
+        h, w, d = 5, 7, 30
+        cfg = BEVGridConfig((-6.0, 6.0), (-4.0, 8.0), 9, 7)
+        bins = DepthBinSpec(0.5, 12.0, d)
+        pts = unproject_frustum(random_rig(rng), FrustumGrid.regular((h, w), bins.centers()))
+        taps = [(s, rng.lognormal(0, 3, (d, h, w))) for s in (0, -1, 1)]
+        got = np.zeros((h * w, cfg.ny, cfg.nx))
+        splat(pts, np.eye(h * w).reshape(h * w, h, w), (taps,), cfg, [got])
+        # the same slots, in tap-then-sample order, through sum_reference
+        inside, ids = cell_ids(FeaturedPoints(pts, np.zeros((len(pts), 0))), cfg)
+        cells, occ = np.unique(ids, return_inverse=True)
+        sample = np.flatnonzero(inside)
+        slots, values = [], []
+        for shift, weights in taps:
+            keep = (0 <= sample % w + shift) & (sample % w + shift < w)
+            slots.append(occ[keep] * h * w + sample[keep] % (h * w) + shift)
+            values.append(weights.reshape(-1)[sample[keep]])
+        slots, values = np.concatenate(slots), np.concatenate(values)
+        assert np.bincount(slots).max() > len(taps)  # slots collect many samples
+        sums = vp.sum_reference(slots, values[:, None], cells.size * h * w)
+        want = np.zeros_like(got)
+        want[:, cells // cfg.nx, cells % cfg.nx] = sums.reshape(cells.size, h * w).T
+        assert np.array_equal(got, want)
+
     def test_nothing_in_range(self):
         pts = np.full((2 * 3, 3), 100.0)
         out = np.zeros((4, 10, 10))
         p = np.ones((2, 1, 3))
-        assert splat(pts, np.ones((4, 1, 3)), ([(0, p)],), grid(), vp.sum_reference,
-                     [out]) == 6
+        assert splat(pts, np.ones((4, 1, 3)), ([(0, p)],), grid(), [out]) == 6
         assert np.all(out == 0.0)
 
     def test_empty_tap_set_adds_nothing(self):
         pts = np.zeros((2 * 3, 3))
         out = np.zeros((4, 10, 10))
-        assert splat(pts, np.ones((4, 1, 3)), ([],), grid(), vp.sum_reference, [out]) == 0
+        assert splat(pts, np.ones((4, 1, 3)), ([],), grid(), [out]) == 0
         assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("h, w, cells", [(16, 44, 128), (32, 88, 512)])
@@ -237,7 +263,7 @@ class TestSplat:
         tracemalloc.start()
         try:
             splat(pts, ctx, ([(0, p)], refine_taps(p, kernel)), cfg.bev_grid,
-                  vp.sum_reference, [f_bev, f_depth])
+                  [f_bev, f_depth])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
