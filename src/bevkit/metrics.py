@@ -3,7 +3,14 @@
 Predictions are greedily matched to ground truth by BEV center distance at
 thresholds of 0.5/1/2/4 meters, per-class AP comes from 101-point recall
 interpolation of the rank-accumulated precision-recall curve, and the five
-true-positive error metrics are computed on the 2-meter matches. Aggregation
+true-positive error metrics are computed on the 2-meter matches.
+
+Matching works on arrays: per class and sample, one (P, G) distance matrix
+over the score-ranked predictions serves all four thresholds, and the greedy
+loop visits only predictions with a ground truth within the threshold,
+stopping once every ground truth is taken. Samples are merged for the
+precision-recall sweep by one stable argsort of the concatenated scores, and
+AP reads the 101 recall points off a suffix maximum of precision. Aggregation
 follows two distinct missing-value rules, both verified against published
 reference tables: a class's mean AP averages over all four thresholds with
 non-evaluable entries contributing zero, while the global mean of each TP
@@ -71,6 +78,45 @@ def bev_distance(a: DetectionBox, b: DetectionBox) -> float:
     return float(np.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]))
 
 
+def _ranked_distances(preds: list[DetectionBox], gts: list[DetectionBox]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prediction order, ranked scores and (P, G) BEV center distances.
+
+    Predictions are ranked by descending score, input order breaking ties;
+    row r of the distance matrix belongs to the prediction of rank r.
+    """
+    scores = np.array([p.score for p in preds], dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    pred_xy = np.array([preds[i].center[:2] for i in order], dtype=np.float64).reshape(-1, 2)
+    gt_xy = np.array([g.center[:2] for g in gts], dtype=np.float64).reshape(-1, 2)
+    dist = np.hypot(gt_xy[None, :, 0] - pred_xy[:, None, 0],
+                    gt_xy[None, :, 1] - pred_xy[:, None, 1])
+    return order, scores[order], dist
+
+
+def _greedy_match(dist: np.ndarray, threshold: float) -> np.ndarray:
+    """Matched gt index per ranked prediction (-1 when unmatched).
+
+    Rank by rank, each prediction takes the nearest untaken ground truth
+    within the threshold, equal distances resolving to the lower gt index.
+    Rows with no ground truth in reach are never visited, and the loop ends
+    once every ground truth is taken.
+    """
+    ranked_gt = np.full(dist.shape[0], -1, dtype=np.int64)
+    rows = np.flatnonzero((dist <= threshold).any(axis=1))
+    free = dist[rows]  # taken columns are set to inf
+    n_free = dist.shape[1]
+    for k, rank in enumerate(rows.tolist()):
+        gi = int(np.argmin(free[k]))  # first minimum = lowest gt index
+        if free[k, gi] <= threshold:
+            ranked_gt[rank] = gi
+            free[:, gi] = np.inf
+            n_free -= 1
+            if not n_free:
+                break
+    return ranked_gt
+
+
 def match_center_distance(preds: list[DetectionBox], gts: list[DetectionBox],
                           threshold: float) -> MatchResult:
     """Greedy per-class matching by BEV center distance.
@@ -79,28 +125,21 @@ def match_center_distance(preds: list[DetectionBox], gts: list[DetectionBox],
     ties); each takes the nearest unmatched ground truth within the
     threshold, equal distances resolving to the lower gt index.
     """
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    gt_centers = np.array([[g.center[0], g.center[1]] for g in gts]).reshape(-1, 2)
-    taken = np.zeros(len(gts), dtype=bool)
-    ranked_gt = np.full(len(preds), -1, dtype=np.int64)
-    for rank, pi in enumerate(order):
-        if not len(gts):
-            break
-        p = preds[pi]
-        d = np.hypot(gt_centers[:, 0] - p.center[0], gt_centers[:, 1] - p.center[1])
-        d = np.where(taken, np.inf, d)
-        gi = int(np.argmin(d))  # first minimum = lowest gt index
-        if d[gi] <= threshold:
-            taken[gi] = True
-            ranked_gt[rank] = gi
-    return MatchResult(np.array(order, dtype=np.int64), ranked_gt, len(gts))
+    order, _, dist = _ranked_distances(preds, gts)
+    return MatchResult(order, _greedy_match(dist, threshold), len(gts))
+
+
+_RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 
 def average_precision(match: MatchResult) -> float | None:
     """Area under the PR curve via 101-point recall interpolation.
 
-    Returns None (not evaluable) when there is no ground truth or no
-    prediction ever matches, mirroring the NaN cells of published tables.
+    At each recall point the interpolated precision is the best precision
+    at any rank reaching that recall: a suffix maximum of precision read at
+    the first such rank (recall never falls with rank). Returns None (not
+    evaluable) when there is no ground truth or no prediction ever matches,
+    mirroring the NaN cells of published tables.
     """
     if match.n_gt == 0 or match.n_matched == 0:
         return None
@@ -108,10 +147,10 @@ def average_precision(match: MatchResult) -> float | None:
     ranks = np.arange(1, len(tp) + 1, dtype=np.float64)
     precision = tp / ranks
     recall = tp / match.n_gt
+    best_from = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        achievable = precision[recall >= r - 1e-12]
-        ap += achievable.max() if achievable.size else 0.0
+    for p in best_from[np.searchsorted(recall, _RECALL_POINTS - 1e-12)].tolist():
+        ap += p  # one by one: a pairwise or compensated sum changes the last bits
     return ap / 101.0
 
 
@@ -247,38 +286,45 @@ def aggregate_summary(per_class: list[ClassEval], eval_time: float = 0.0) -> Eva
     return EvalSummary(per_class, global_map, mtp, nds, eval_time)
 
 
+def group_by_class(boxes: list[DetectionBox]) -> dict[int, list[DetectionBox]]:
+    """Boxes keyed by class id, input order kept within each class."""
+    out: dict[int, list[DetectionBox]] = {}
+    for b in boxes:
+        out.setdefault(b.class_id, []).append(b)
+    return out
+
+
 def evaluate_detections(preds_by_token: dict[str, list[DetectionBox]],
                         gts_by_token: dict[str, list[DetectionBox]],
                         classes=DETECTION_CLASSES, eval_time: float = 0.0) -> EvalSummary:
     """Full evaluation over samples; matching never crosses sample tokens."""
     if set(preds_by_token) != set(gts_by_token):
         raise ValueError("prediction and ground-truth sample tokens differ")
+    tokens = sorted(gts_by_token)
+    preds_of = [group_by_class(preds_by_token[t]) for t in tokens]
+    gts_of = [group_by_class(gts_by_token[t]) for t in tokens]
     per_class = []
     for ci, name in enumerate(classes):
         # Rank accumulation needs one global score ordering per class, so
         # per-token matches are merged before the PR sweep.
         tp_pairs: list[tuple[DetectionBox, DetectionBox]] = []
         n_gt_total = 0
-        per_thr_ranked: list[list[tuple[float, bool]]] = [[] for _ in AP_THRESHOLDS]
-        for token in sorted(gts_by_token):
-            preds = [b for b in preds_by_token[token] if b.class_id == ci]
-            gts = [b for b in gts_by_token[token] if b.class_id == ci]
+        scores = [np.zeros(0)]
+        matched = [np.zeros((len(AP_THRESHOLDS), 0), dtype=bool)]  # threshold x rank
+        for preds, gts in zip(preds_of, gts_of):
+            preds, gts = preds.get(ci, []), gts.get(ci, [])
             n_gt_total += len(gts)
-            for ti, thr in enumerate(AP_THRESHOLDS):
-                match = match_center_distance(preds, gts, thr)
-                scores = [preds[int(pi)].score for pi in match.ranked_pred]
-                per_thr_ranked[ti].extend(zip(scores, match.tp_flags.tolist()))
-                if thr == TP_THRESHOLD:
-                    tp_pairs.extend((preds[int(pi)], gts[int(gi)])
-                                    for pi, gi in zip(match.ranked_pred, match.ranked_gt)
-                                    if gi >= 0)
-        aps: list[float | None] = []
-        for ranked in per_thr_ranked:
-            ranked.sort(key=lambda sf: -sf[0])
-            flags = np.array([f for _, f in ranked], dtype=bool)
-            ranked_gt = np.where(flags, 0, -1)
-            match = MatchResult(np.arange(len(flags)), ranked_gt, n_gt_total)
-            aps.append(average_precision(match))
+            order, ranked_scores, dist = _ranked_distances(preds, gts)
+            ranked_gts = [_greedy_match(dist, thr) for thr in AP_THRESHOLDS]
+            scores.append(ranked_scores)
+            matched.append(np.array(ranked_gts) >= 0)
+            ranked_gt = ranked_gts[AP_THRESHOLDS.index(TP_THRESHOLD)]
+            tp_pairs.extend((preds[pi], gts[gi])
+                            for pi, gi in zip(order.tolist(), ranked_gt.tolist()) if gi >= 0)
+        merged = np.argsort(-np.concatenate(scores), kind="stable")
+        flags = np.concatenate(matched, axis=1)[:, merged]
+        aps = [average_precision(MatchResult(merged, np.where(f, 0, -1), n_gt_total))
+               for f in flags]
         per_class.append(ClassEval(name, aps, tp_errors(tp_pairs, name)))
     return aggregate_summary(per_class, eval_time)
 
@@ -308,15 +354,22 @@ def finite_floats(value, n: int, what: str) -> tuple[float, ...]:
     return out
 
 
+def name_index(names: tuple[str, ...], value, what: str) -> int:
+    """Position of value in names; ValueError naming what and value otherwise."""
+    if not isinstance(value, str) or value not in names:
+        raise ValueError(f"{what} must be one of {', '.join(map(repr, names))}; got {value!r}")
+    return names.index(value)
+
+
 def box_from_json(d: dict) -> DetectionBox:
     return DetectionBox(
         center=finite_floats(d["translation"], 3, "translation"),
         size=finite_floats(d["size"], 3, "size"),
         yaw=finite_floats([d["yaw"]], 1, "yaw")[0],
         velocity=finite_floats(d["velocity"], 2, "velocity"),
-        class_id=DETECTION_CLASSES.index(d["detection_name"]),
+        class_id=name_index(DETECTION_CLASSES, d["detection_name"], "detection_name"),
         score=float(d.get("detection_score", 0.0)),
-        attribute_id=ATTRIBUTES.index(d.get("attribute_name", "")),
+        attribute_id=name_index(ATTRIBUTES, d.get("attribute_name", ""), "attribute_name"),
     )
 
 

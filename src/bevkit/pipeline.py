@@ -355,9 +355,21 @@ def _gt_heatmap(boxes: list[fu.DetectionBox], grid: vp.BEVGridConfig) -> np.ndar
     return hm
 
 
+# per class id: nominal (w, l, h) and default attribute id of a decoded box
+_CLASS_SIZE_TABLE = np.array([CLASS_SIZES[n] for n in me.DETECTION_CLASSES])
+_CLASS_ATTRIBUTE_IDS = np.array([me.ATTRIBUTES.index(CLASS_ATTRIBUTES[n])
+                                 for n in me.DETECTION_CLASSES])
+
+
 def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
                   threshold: float) -> list[fu.DetectionBox]:
-    """3x3 local maxima above threshold become boxes with nominal sizes."""
+    """3x3 local maxima above threshold become boxes with nominal sizes.
+
+    Peaks are found on the whole (classes, ny, nx) heatmap at once and
+    ranked by one stable argsort of descending score, so equal scores keep
+    (class, row, column) order. Centers, sizes and attributes are looked up
+    as arrays; only the returned boxes are built one by one.
+    """
     n_classes, ny, nx = heatmap.shape
     padded = np.full((n_classes, ny + 2, nx + 2), -np.inf)
     padded[:, 1:-1, 1:-1] = heatmap
@@ -367,18 +379,17 @@ def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
             if dj == 1 and dk == 1:
                 continue
             neigh = np.maximum(neigh, padded[:, dj : dj + ny, dk : dk + nx])
-    is_peak = (heatmap >= neigh) & (heatmap >= threshold)
-    boxes = []
-    for ci, iy, ix in zip(*np.nonzero(is_peak)):
-        name = me.DETECTION_CLASSES[ci]
-        w, length, h = CLASS_SIZES[name]
-        cx, cy = grid.cell_center(int(ix), int(iy))
-        boxes.append(fu.DetectionBox(
-            center=(float(cx), float(cy), h / 2.0), size=(w, length, h), yaw=0.0,
-            velocity=(0.0, 0.0), class_id=int(ci), score=float(heatmap[ci, iy, ix]),
-            attribute_id=me.ATTRIBUTES.index(CLASS_ATTRIBUTES[name])))
-    boxes.sort(key=lambda b: -b.score)
-    return boxes
+    ci, iy, ix = np.nonzero((heatmap >= neigh) & (heatmap >= threshold))
+    scores = heatmap[ci, iy, ix]
+    order = np.argsort(-scores, kind="stable")
+    ci, iy, ix = ci[order], iy[order], ix[order]
+    centers = grid.cell_center(ix, iy)
+    sizes = _CLASS_SIZE_TABLE[ci]
+    return [fu.DetectionBox(center=(cx, cy, h / 2.0), size=(w, length, h), yaw=0.0,
+                            velocity=(0.0, 0.0), class_id=c, score=score, attribute_id=a)
+            for (cx, cy), (w, length, h), c, score, a in zip(
+                centers.tolist(), sizes.tolist(), ci.tolist(), scores[order].tolist(),
+                _CLASS_ATTRIBUTE_IDS[ci].tolist())]
 
 
 def run_pipeline(scene_dir, cfg: PipelineConfig,
@@ -503,9 +514,9 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
         gt_boxes = bundle.gt_boxes[token]
         gt_hm = _gt_heatmap(gt_boxes, cfg.bev_grid)
         pairs_p, pairs_g = [], []
+        preds_of, gts_of = me.group_by_class(preds), me.group_by_class(gt_boxes)
         for ci in range(N_CLASSES):
-            cls_p = [b for b in preds if b.class_id == ci]
-            cls_g = [b for b in gt_boxes if b.class_id == ci]
+            cls_p, cls_g = preds_of.get(ci, []), gts_of.get(ci, [])
             match = me.match_center_distance(cls_p, cls_g, me.TP_THRESHOLD)
             for pidx, gidx in zip(match.ranked_pred, match.ranked_gt):
                 if gidx >= 0:

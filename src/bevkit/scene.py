@@ -23,7 +23,7 @@ import numpy as np
 
 from .fusion import DetectionBox
 from .geometry import CameraRig, EgoPose
-from .metrics import ATTRIBUTES, DETECTION_CLASSES, save_boxes
+from .metrics import ATTRIBUTES, DETECTION_CLASSES, name_index, save_boxes
 from .nnprims import write_tensor
 from .pillars import write_pc4d
 
@@ -63,8 +63,8 @@ class SceneObject:
         return DetectionBox(
             center=self.center, size=self.size, yaw=self.yaw,
             velocity=self.velocity,
-            class_id=DETECTION_CLASSES.index(self.class_name),
-            score=0.0, attribute_id=ATTRIBUTES.index(self.attribute),
+            class_id=name_index(DETECTION_CLASSES, self.class_name, "class_name"),
+            score=0.0, attribute_id=name_index(ATTRIBUTES, self.attribute, "attribute"),
         )
 
 

@@ -7,7 +7,11 @@ loops, textbook recursions, no reuse of the library's vectorized paths.
 import numpy as np
 
 from bevkit.fusion import DetectionBox
+from bevkit.metrics import (
+    AP_THRESHOLDS, ATTRIBUTES, CLASS_TP_METRICS, DETECTION_CLASSES, TP_METRICS, TP_THRESHOLD,
+)
 from bevkit.nnprims import depth_refine, lift_outer_product
+from bevkit.scene import CLASS_ATTRIBUTES, CLASS_SIZES
 from bevkit.voxelpool import FeaturedPoints, pool_reference
 
 
@@ -164,6 +168,80 @@ def tp_errors_oracle(pairs):
         aae += 0.0 if p.attribute_id == g.attribute_id else 1.0
     n = len(pairs)
     return {"ate": ate / n, "ase": ase / n, "aoe": aoe / n, "ave": ave / n, "aae": aae / n}
+
+
+def evaluate_oracle(preds_by_token, gts_by_token, classes=DETECTION_CLASSES):
+    """Evaluation summary from the per-class oracles and the two missing-value rules.
+
+    Per class and threshold, each token's greedy matches are listed in
+    rank order, tokens in sorted order, and Python's stable sort by
+    descending score merges them. A class's mean AP divides by all four
+    thresholds (absent counting zero) and is absent when every AP is; the
+    global mean AP skips absent classes and is 0 when all are. TP errors
+    come from the 2 m pairs, absent without pairs or where the class has
+    no such metric, and their global means skip absent classes.
+    """
+    per_class = {}
+    for ci, name in enumerate(classes):
+        ranked = [[] for _ in AP_THRESHOLDS]
+        pairs, n_gt = [], 0
+        for token in sorted(gts_by_token):
+            preds = [b for b in preds_by_token[token] if b.class_id == ci]
+            gts = [b for b in gts_by_token[token] if b.class_id == ci]
+            n_gt += len(gts)
+            for ti, thr in enumerate(AP_THRESHOLDS):
+                order, assigned = greedy_match_oracle(preds, gts, thr)
+                ranked[ti].extend((preds[i].score, i in assigned) for i in order)
+                if thr == TP_THRESHOLD:
+                    pairs.extend((preds[i], gts[assigned[i]]) for i in order if i in assigned)
+        aps = [ap_oracle([flag for _, flag in sorted(r, key=lambda sf: -sf[0])], n_gt)
+               for r in ranked]
+        present = [a for a in aps if a is not None]
+        errors = tp_errors_oracle(pairs) if pairs else {}
+        applicable = CLASS_TP_METRICS.get(name, TP_METRICS)
+        per_class[name] = {
+            "ap_per_threshold": aps,
+            "mean_ap": sum(present) / len(aps) if present else None,
+            "tp_errors": {m: errors[m] if errors and m in applicable else None
+                          for m in TP_METRICS},
+        }
+    class_maps = [c["mean_ap"] for c in per_class.values() if c["mean_ap"] is not None]
+    mean_ap = sum(class_maps) / len(class_maps) if class_maps else 0.0
+    mtp = {}
+    for m in TP_METRICS:
+        vals = [c["tp_errors"][m] for c in per_class.values() if c["tp_errors"][m] is not None]
+        mtp[m] = sum(vals) / len(vals) if vals else None
+    nds = (5.0 * mean_ap + sum(1.0 - min(1.0, e) for e in mtp.values() if e is not None)) / 10.0
+    return {"per_class": per_class, "mean_ap": mean_ap, "mtp": mtp, "nds": nds}
+
+
+def decode_peaks_oracle(heatmap, grid, threshold):
+    """Per cell: a peak when no 3x3 neighbour is larger and the score reaches threshold.
+
+    Cells outside the grid count as -inf. Peaks are listed in (class, row,
+    column) order and ranked by Python's stable sort on descending score.
+    """
+    n_classes, ny, nx = heatmap.shape
+    dx, dy = grid.cell_size
+    boxes = []
+    for ci in range(n_classes):
+        for iy in range(ny):
+            for ix in range(nx):
+                score = heatmap[ci, iy, ix]
+                neighbours = [heatmap[ci, y, x] if 0 <= y < ny and 0 <= x < nx else -np.inf
+                              for y in (iy - 1, iy, iy + 1) for x in (ix - 1, ix, ix + 1)
+                              if (y, x) != (iy, ix)]
+                if score < threshold or score < max(neighbours):
+                    continue
+                name = DETECTION_CLASSES[ci]
+                w, length, h = CLASS_SIZES[name]
+                boxes.append(DetectionBox(
+                    center=(grid.x_range[0] + (ix + 0.5) * dx,
+                            grid.y_range[0] + (iy + 0.5) * dy, h / 2.0),
+                    size=(w, length, h), yaw=0.0, velocity=(0.0, 0.0), class_id=ci,
+                    score=float(score),
+                    attribute_id=ATTRIBUTES.index(CLASS_ATTRIBUTES[name])))
+    return sorted(boxes, key=lambda b: -b.score)
 
 
 def lift_refine_pool(positions, contexts, p_depths, kernel, cfg):

@@ -82,10 +82,13 @@ class TestGen:
                             ({"size": [float("nan"), 4.6, 1.6]}, "object size must be 3"),
                             ({"size": [1.9, 0.0, 1.6]}, "sizes must be positive"),
                             ({"yaw": float("inf")}, "object yaw must be 1 finite number,"),
-                            ({"velocity": [1.0]}, "object velocity must be 2"))),
+                            ({"velocity": [1.0]}, "object velocity must be 2"),
+                            ({"class_name": "lorry"}, "class_name must be one of"),
+                            ({"attribute": "vehicle.flying"}, "attribute must be one of"))),
     ], ids=["list", "unknown-key", "unknown-object-key", "object-center-string",
             "object-center-length", "object-size-nan", "object-size-zero",
-            "object-yaw-inf", "object-velocity-length"])
+            "object-yaw-inf", "object-velocity-length", "object-class-unknown",
+            "object-attribute-unknown"])
     def test_malformed_spec_validation_error(self, tmp_path, capsys, spec, says):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -95,6 +98,8 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed scene spec") and err.count("\n") == 1
         assert says in err
+        if "lorry" in json.dumps(spec):
+            assert "'lorry'" in err
 
 
 def _set_files(m):
@@ -205,6 +210,7 @@ class TestRun:
     @pytest.mark.parametrize("key, value", [
         ("translation", [1.0]), ("size", [1.9, float("nan"), 1.6]),
         ("velocity", [0.0, 0.0, 0.0]), ("yaw", float("-inf")),
+        ("detection_name", "lorry"), ("attribute_name", "vehicle.flying"),
     ])
     def test_malformed_gt_box_validation_error(self, scene_dir, config_path, tmp_path,
                                                capsys, key, value):
@@ -220,6 +226,8 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "malformed boxes file" in err and f"{key} must be" in err
+        if isinstance(value, str):
+            assert repr(value) in err
 
     @pytest.mark.parametrize("value, want", [(0.0, EXIT_VALIDATION), (0.01, EXIT_OK)])
     def test_retired_match_iou_thresh(self, scene_dir, config_path, tmp_path, capsys,

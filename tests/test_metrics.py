@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from oracles import ap_oracle, greedy_match_oracle, tp_errors_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import ap_oracle, evaluate_oracle, greedy_match_oracle, tp_errors_oracle
 
 from bevkit.fusion import DetectionBox
 from bevkit.metrics import (
     AP_THRESHOLDS,
     DETECTION_CLASSES,
+    MatchResult,
     aggregate_summary,
     average_precision,
     class_mean_ap,
@@ -100,8 +103,6 @@ class TestAveragePrecision:
                 assert abs(got - expect) < 1e-12
 
     def test_adding_correct_top_prediction_never_decreases(self):
-        from bevkit.metrics import MatchResult
-
         def ap_from_flags(flags, n_gt):
             ranked_gt = np.where(np.asarray(flags, dtype=bool), 0, -1)
             return average_precision(MatchResult(np.arange(len(flags)), ranked_gt, n_gt))
@@ -114,6 +115,33 @@ class TestAveragePrecision:
             grown = ap_from_flags([True] + flags, n_gt)
             if base is not None:
                 assert grown >= base - 1e-12
+
+
+# Lattice centers make equidistant ground truths common, few score values make ties.
+_lattice_box = st.builds(
+    lambda x, y, s: box(x, y, score=s),
+    st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+
+
+class TestProperties:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_lattice_box, max_size=12), st.lists(_lattice_box, max_size=12),
+           st.sampled_from(AP_THRESHOLDS))
+    def test_match_equals_greedy_oracle(self, preds, gts, thr):
+        m = match_center_distance(preds, gts, thr)
+        order, assign = greedy_match_oracle(preds, gts, thr)
+        assert m.ranked_pred.tolist() == order
+        assert m.ranked_gt.tolist() == [assign.get(pi, -1) for pi in order]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.booleans(), max_size=40), st.integers(0, 45))
+    @example([True] * 7 + [False, True], 2)  # recall 7/10 lies just below the 0.70 point
+    def test_ap_equals_oracle(self, flags, extra_gt):
+        n_gt = sum(flags) + extra_gt
+        ranked_gt = np.where(np.array(flags, dtype=bool), 0, -1)
+        got = average_precision(MatchResult(np.arange(len(flags)), ranked_gt, n_gt))
+        expect = ap_oracle(flags, n_gt)
+        assert got == expect if expect is None else abs(got - expect) < 1e-12
 
 
 class TestClassMeanAp:
@@ -259,6 +287,59 @@ class TestEvaluateDetections:
         preds = {"s0": []}
         summary = evaluate_detections(preds, gts)
         assert summary.mean_ap == 0.0
+
+    @staticmethod
+    def random_samples(rng, n_tokens):
+        """Boxes by token: class 8 never in the ground truth, class 9 never predicted.
+
+        Scores come from five values, so ties occur within and across tokens.
+        """
+        def rand_box(cls, xy, score):
+            return box(*xy, score=score, yaw=float(rng.uniform(-np.pi, np.pi)),
+                       vx=float(rng.normal()), vy=float(rng.normal()),
+                       size=tuple(rng.uniform(0.5, 4.0, 3)), cls=cls,
+                       attr=int(rng.integers(0, 3)))
+
+        preds, gts = {}, {}
+        for t in range(n_tokens):
+            gt = [rand_box(int(rng.choice([c for c in range(10) if c != 8])),
+                           rng.uniform(-10, 10, 2), 0.0)
+                  for _ in range(int(rng.integers(0, 25)))]
+            pr = []
+            for _ in range(int(rng.integers(0, 60))):
+                score = float(rng.choice([0.2, 0.4, 0.5, 0.7, 0.9]))
+                if gt and rng.uniform() < 0.6:
+                    g = gt[int(rng.integers(len(gt)))]
+                    cls = g.class_id if g.class_id != 9 else int(rng.integers(0, 9))
+                    xy = np.array(g.center[:2]) + rng.normal(0.0, 1.5, 2)
+                else:
+                    cls, xy = int(rng.integers(0, 9)), rng.uniform(-10, 10, 2)
+                pr.append(rand_box(cls, xy, score))
+            preds[f"tok{t}"], gts[f"tok{t}"] = pr, gt
+        return preds, gts
+
+    def test_matches_multi_token_oracle(self):
+        def close(a, b):
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(close(a[k], b[k]) for k in a)
+            if isinstance(a, list):
+                return len(a) == len(b) and all(map(close, a, b))
+            if a is None or b is None:
+                return a is None and b is None
+            return abs(a - b) <= 1e-12
+
+        rng = np.random.default_rng(97)
+        for case in range(12):
+            preds, gts = self.random_samples(rng, int(rng.integers(0, 5)))
+            got = evaluate_detections(preds, gts).to_dict()
+            got.pop("eval_time")
+            expect = evaluate_oracle(preds, gts)
+            assert close(got, expect), case
+            if not gts:
+                assert got["mean_ap"] == 0.0
+                continue
+            assert got["per_class"]["traffic_cone"]["ap_per_threshold"] == [None] * 4
+            assert got["per_class"]["barrier"]["ap_per_threshold"] == [None] * 4
 
     def test_token_mismatch_rejected(self):
         with pytest.raises(ValueError, match="token"):

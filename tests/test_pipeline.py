@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_match, brute_force_pool, cell_box, lift_refine_pool
+from oracles import (
+    brute_force_match, brute_force_pool, cell_box, decode_peaks_oracle, lift_refine_pool,
+)
 
 from bevkit import geometry as geo
 from bevkit import pipeline as pl
@@ -270,3 +272,35 @@ class TestPipelineConfig:
         cfg = PipelineConfig.from_dict({"depth": {"d_min": 1, "d_max": 40},
                                         "fusion": {"peak_threshold": 1}})
         assert (cfg.d_min, cfg.d_max, cfg.peak_threshold) == (1, 40, 1)
+
+
+class TestDecodePeaks:
+    @staticmethod
+    def heatmaps():
+        """(heatmap, threshold): seeded maps, few-level maps with plateaus and ties, thin grids."""
+        rng = np.random.default_rng(31)
+        for case in range(24):
+            n_classes = int(rng.integers(1, 11))
+            ny, nx = (int(v) for v in rng.integers(1, 13, 2))
+            hm = rng.uniform(0.0, 1.0, (n_classes, ny, nx))
+            if case % 2:  # a few levels: equal neighbours and equal scores across cells
+                hm = np.round(hm * 3) / 3
+            yield hm, float(rng.choice([0.0, 0.3, 0.6]))
+        yield np.full((10, 1, 1), 0.7), 0.6
+        yield rng.uniform(0.0, 1.0, (3, 1, 9)), 0.2
+        yield np.round(rng.uniform(0.0, 1.0, (3, 9, 1)) * 2) / 2, 0.0
+        yield np.full((2, 4, 5), 0.5), 0.5  # one plateau: every cell is a peak
+
+    def test_matches_loop_oracle(self):
+        for hm, thr in self.heatmaps():
+            _, ny, nx = hm.shape
+            grid = vp.BEVGridConfig((-3.0, 5.0), (-2.0, 7.0), nx, ny)
+            got = pl._decode_peaks(hm, grid, thr)
+            assert got == decode_peaks_oracle(hm, grid, thr)
+            assert [b.score for b in got] == sorted((b.score for b in got), reverse=True)
+
+    def test_threshold_above_maximum_gives_no_boxes(self):
+        hm = np.random.default_rng(32).uniform(0.0, 0.9, (10, 6, 7))
+        grid = vp.BEVGridConfig((-3.0, 3.0), (-3.0, 3.0), 7, 6)
+        assert pl._decode_peaks(hm, grid, 0.95) == []
+        assert decode_peaks_oracle(hm, grid, 0.95) == []
