@@ -69,11 +69,6 @@ class PillarGridConfig:
         return ((self.x_range[1] - self.x_range[0]) / w,
                 (self.y_range[1] - self.y_range[0]) / h)
 
-    def pillar_center(self, ix: int, iy: int) -> np.ndarray:
-        dx, dy = self.pillar_size
-        return np.array([self.x_range[0] + (ix + 0.5) * dx,
-                         self.y_range[0] + (iy + 0.5) * dy])
-
 
 @dataclass
 class PillarTensor:
@@ -119,23 +114,6 @@ class VfeWeights:
                           rng.normal(0.0, scale, channels))
 
 
-def augment_points(pillar_points: np.ndarray, pillar_center: np.ndarray) -> np.ndarray:
-    """Expand n x 4 pillar points to the 9-D encoding.
-
-    Columns 0-3 copy (x, y, z, r); 4-6 are offsets from the pillar's point
-    cluster mean; 7-8 are (x, y) offsets from the pillar cell center.
-    """
-    pts = np.asarray(pillar_points, dtype=np.float64).reshape(-1, 4)
-    if pts.shape[0] == 0:
-        raise ValueError("cannot augment an empty pillar")
-    center = np.asarray(pillar_center, dtype=np.float64).reshape(2)
-    out = np.zeros((pts.shape[0], 9))
-    out[:, :4] = pts
-    out[:, 4:7] = pts[:, :3] - pts[:, :3].mean(axis=0)
-    out[:, 7:9] = pts[:, :2] - center
-    return out
-
-
 def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> PillarTensor:
     """Bin a cloud into pillars with seeded overflow sampling.
 
@@ -145,6 +123,12 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
     id), so results do not depend on pillar processing order. If more than
     max_pillars cells are occupied, the most populated ones are kept
     (first-occurrence order breaking ties) and the truncation is reported.
+
+    Points are grouped by one stable sort on their flat cell, so each
+    pillar's points keep input order and take their row from their rank in
+    the group. Only pillars over T are visited one by one, for their draw.
+    Each point's 9-D row holds (x, y, z, r), its offset from the mean of
+    the pillar's kept points and its (x, y) offset from the cell center.
     """
     pts = cloud.points
     h, w = cfg.grid
@@ -154,59 +138,68 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
     ix = np.floor((pts[:, 0] - cfg.x_range[0]) / dx).astype(np.int64)
     iy = np.floor((pts[:, 1] - cfg.y_range[0]) / dy).astype(np.int64)
     inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-    pts, ix, iy = pts[inside], ix[inside], iy[inside]
-    flat = iy * w + ix
+    pts = pts[inside]
+    flat = iy[inside] * w + ix[inside]
 
-    order: list[int] = []
-    members: dict[int, list[int]] = {}
-    for i, cell in enumerate(flat.tolist()):
-        if cell not in members:
-            members[cell] = []
-            order.append(cell)
-        members[cell].append(i)
-
-    truncated = 0
-    if len(order) > cfg.max_pillars:
-        pos = {cell: i for i, cell in enumerate(order)}
-        keep = sorted(order, key=lambda c: (-len(members[c]), pos[c]))[: cfg.max_pillars]
-        keep_set = set(keep)
-        truncated = len(order) - cfg.max_pillars
-        order = [c for c in order if c in keep_set]
+    by_cell = np.argsort(flat, kind="stable")
+    cells, first, counts = np.unique(flat, return_index=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    truncated = max(0, len(cells) - cfg.max_pillars)
+    kept = np.arange(len(cells))
+    if truncated:
+        kept = np.lexsort((first, -counts))[: cfg.max_pillars]
         logger.warning("dropped %d pillars beyond the %d most populated",
                        truncated, cfg.max_pillars)
+    kept = kept[np.argsort(first[kept])]
+    n_pillars = len(kept)
 
-    n_pillars = len(order)
+    # pillar and row of every point in cell order; dropped cells get pillar -1
+    pillar_of = np.full(len(cells), -1)
+    pillar_of[kept] = np.arange(n_pillars)
+    pillar = np.repeat(pillar_of, counts)
+    rank = np.arange(len(flat)) - np.repeat(starts, counts)
+    take = (pillar >= 0) & (rank < t_cap)
     features = np.zeros((n_pillars, t_cap, 9))
-    coords = np.zeros((n_pillars, 2), dtype=np.int64)
-    counts = np.zeros(n_pillars, dtype=np.int64)
-    for p, cell in enumerate(order):
-        idx = members[cell]
-        if len(idx) > t_cap:
-            rng = np.random.default_rng([seed, cell])
-            chosen = rng.choice(len(idx), size=t_cap, replace=False)
-            idx = [idx[i] for i in sorted(chosen.tolist())]
-        cell_iy, cell_ix = divmod(cell, w)
-        center = cfg.pillar_center(cell_ix, cell_iy)
-        features[p, : len(idx)] = augment_points(pts[idx], center)
-        coords[p] = (cell_ix, cell_iy)
-        counts[p] = len(idx)
-    return PillarTensor(features, coords, counts, truncated)
+    xyzr = features[:, :, :4]
+    xyzr[pillar[take], rank[take]] = pts[by_cell[take]]
+    for p in np.flatnonzero(counts[kept] > t_cap).tolist():
+        cell = kept[p]
+        rng = np.random.default_rng([seed, int(cells[cell])])
+        chosen = np.sort(rng.choice(int(counts[cell]), size=t_cap, replace=False))
+        xyzr[p] = pts[by_cell[starts[cell] + chosen]]
+
+    n_kept = np.minimum(counts[kept], t_cap)
+    real = np.arange(t_cap) < n_kept[:, None]
+    # adds each pillar's points in rank order (padding adds +0.0), as a
+    # per-pillar mean would
+    mean = xyzr[:, :, :3].sum(axis=1) / n_kept[:, None]
+    cell_iy, cell_ix = np.divmod(cells[kept], w)
+    center = np.column_stack([cfg.x_range[0] + (cell_ix + 0.5) * dx,
+                              cfg.y_range[0] + (cell_iy + 0.5) * dy])
+    features[:, :, 4:7] = np.where(real[:, :, None], xyzr[:, :, :3] - mean[:, None], 0.0)
+    features[:, :, 7:9] = np.where(real[:, :, None], xyzr[:, :, :2] - center[:, None], 0.0)
+    return PillarTensor(features, np.column_stack([cell_ix, cell_iy]), n_kept, truncated)
 
 
 def vfe_forward(pillars: PillarTensor, weights: VfeWeights) -> np.ndarray:
-    """Encode each pillar to a C-vector: affine, relu, masked max over T.
+    """Encode each pillar to a C-vector: affine, relu, max over its real points.
 
-    Padding rows are excluded from the max so zero padding cannot dominate
-    pillars whose real activations are all negative pre-rectifier.
+    Only the real rows (rank below the pillar's count) are encoded, so zero
+    padding cannot dominate pillars whose real activations are all negative
+    pre-rectifier. They are contiguous per pillar in (pillar, rank) order,
+    and one max reduction at the count offsets gives every pillar's vector.
     """
-    feats = pillars.features
-    _, t_cap, _ = feats.shape
-    mapped = np.maximum(0.0, np.einsum("ptd,cd->ptc", feats, weights.weight) + weights.bias)
-    mask = np.arange(t_cap)[None, :] < pillars.point_counts[:, None]
-    mapped = np.where(mask[:, :, None], mapped, -np.inf)
-    out = mapped.max(axis=1)
-    out[~np.isfinite(out)] = 0.0  # pillars with count 0 cannot occur, but stay safe
-    return out
+    feats, counts = pillars.features, pillars.point_counts
+    if feats.ndim != 3 or feats.shape[2] != 9:
+        raise ValueError(f"pillar features must be (P, T, 9), got {feats.shape}")
+    if counts.shape != feats.shape[:1]:
+        raise ValueError(f"point counts of shape {counts.shape} for {feats.shape[0]} pillars")
+    if counts.size and (counts.min() < 1 or counts.max() > feats.shape[1]):
+        raise ValueError(f"point counts must lie in [1, {feats.shape[1]}]")
+    real = feats[np.arange(feats.shape[1]) < counts[:, None]]
+    # einsum, not a BLAS matmul, which would round the 9-term sums differently
+    mapped = np.maximum(0.0, np.einsum("nd,cd->nc", real, weights.weight) + weights.bias)
+    return np.maximum.reduceat(mapped, np.cumsum(counts) - counts, axis=0)
 
 
 def scatter_to_pseudo_image(features: np.ndarray, coords: np.ndarray,
@@ -253,7 +246,10 @@ def read_pc4d(path) -> RadarPointCloud:
             raise ValueError(f"truncated point cloud in {path}")
         payload = fh.read(16 * count)
     pts = np.frombuffer(payload, dtype="<f4").reshape(count, 4)
-    return RadarPointCloud(pts.astype(np.float64))
+    try:
+        return RadarPointCloud(pts.astype(np.float64))
+    except ValueError as err:
+        raise ValueError(f"{err} in {path}") from err
 
 
 def read_cloud_csv(path) -> RadarPointCloud:

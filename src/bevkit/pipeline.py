@@ -7,7 +7,8 @@ bundle's ground truth.
 
 Stage wiring, where the configuration leaves the sensors on:
 
-    radar cloud -> pillars -> VFE -> pseudo image -> 1x1 conv -> f_radar
+    radar cloud -> pillars -> VFE -> 1x1 conv of the occupied cells, bias
+      elsewhere -> f_radar (the pseudo image is built for its checksum)
     camera features + rig -> gates -> depth logits + context
     radar projections -> depth-logit hints (camera+radar only)
     per camera: softmax -> depth weights p; p refined one kernel column
@@ -273,6 +274,7 @@ class RunReport:
     fusion_stats: dict[str, float] = field(default_factory=dict)
     matches: list[dict] = field(default_factory=list)
     dropped_points: dict[str, int] = field(default_factory=dict)
+    pillars: dict[str, int] = field(default_factory=dict)
     eval_summary: me.EvalSummary | None = None
 
     def to_dict(self) -> dict:
@@ -284,6 +286,8 @@ class RunReport:
             "matches": self.matches,
             "dropped_points": self.dropped_points,
         }
+        if self.pillars:
+            out["pillars"] = self.pillars
         if self.eval_summary is not None:
             self.eval_summary.check()
             out["eval"] = self.eval_summary.to_dict()
@@ -421,7 +425,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             gt_maps.append(dm)
             report.dropped_points[f"supervision_cam{i}"] = dropped
 
-    # Radar pillar stream.
+    # Radar pillar stream. The pillar grid is the BEV grid, so the radar
+    # points' BEV cells also give the points in range and, later, the proposals.
     radar_bev = np.zeros((cfg.n_context, cfg.bev_cells, cfg.bev_cells))
     if use_radar:
         with _StageTimer(report, "pillars"):
@@ -433,8 +438,18 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
                                                     cfg.pillar_grid)
             except ValueError as err:
                 raise _stage_error("pillars", err) from err
-            radar_bev = conv_pointwise(pseudo.data, weights.radar_proj_kernel,
-                                       weights.radar_proj_bias)
+            # the 1x1 conv of an empty cell is its bias, so only occupied cells
+            # are convolved; a contiguous (C, 1, P) input keeps the full-grid sums
+            cell_x, cell_y = tensor.pillar_coords.T
+            radar_bev[:] = weights.radar_proj_bias[:, None, None]
+            radar_bev[:, cell_y, cell_x] = conv_pointwise(
+                np.ascontiguousarray(encoded.T)[:, None, :], weights.radar_proj_kernel,
+                weights.radar_proj_bias)[:, 0, :]
+            radar = vp.FeaturedPoints(bundle.radar[:, :3], np.zeros((len(bundle.radar), 0)))
+            radar_cells = vp.cell_ids(radar, cfg.bev_grid)[1]  # one per point in range
+            report.pillars = {"points_in_range": len(radar_cells),
+                              "kept": len(tensor.point_counts),
+                              "truncated": int(tensor.truncated_pillars)}
             report.checksums["radar_pseudo_image"] = checksum(pseudo.data)
             report.checksums["radar_bev"] = checksum(radar_bev)
 
@@ -490,8 +505,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
         prior = fu.Heatmap(prior_scores, cfg.bev_grid)
         proposals = matched = np.zeros(0, dtype=np.int64)
         if use_radar:
-            radar = vp.FeaturedPoints(bundle.radar[:, :3], np.zeros((len(bundle.radar), 0)))
-            proposals = np.unique(vp.cell_ids(radar, cfg.bev_grid)[1])
+            proposals = np.unique(radar_cells)
             matched = fu.match_radar_to_heatmap(proposals, prior, cfg.heatmap_score_thresh)
             iy, ix = np.divmod(matched, cfg.bev_cells)
             q_grid = np.zeros((4, cfg.bev_cells, cfg.bev_cells))

@@ -11,6 +11,7 @@ from bevkit.metrics import (
     AP_THRESHOLDS, ATTRIBUTES, CLASS_TP_METRICS, DETECTION_CLASSES, TP_METRICS, TP_THRESHOLD,
 )
 from bevkit.nnprims import depth_refine, lift_outer_product
+from bevkit.pillars import PillarTensor
 from bevkit.scene import CLASS_ATTRIBUTES, CLASS_SIZES
 from bevkit.voxelpool import FeaturedPoints, pool_reference
 
@@ -261,3 +262,74 @@ def lift_refine_pool(positions, contexts, p_depths, kernel, cfg):
     stacked = np.vstack(positions)
     return (pool_reference(FeaturedPoints(stacked, np.vstack(plain)), cfg).data,
             pool_reference(FeaturedPoints(stacked, np.vstack(refined)), cfg).data)
+
+
+def pillar_center(cfg, ix, iy):
+    """(x, y) center of pillar cell (ix, iy)."""
+    dx, dy = cfg.pillar_size
+    return np.array([cfg.x_range[0] + (ix + 0.5) * dx, cfg.y_range[0] + (iy + 0.5) * dy])
+
+
+def augment_points(pillar_points, center):
+    """Expand n x 4 pillar points to the 9-D encoding.
+
+    Columns 0-3 copy (x, y, z, r); 4-6 are offsets from the pillar's point
+    cluster mean; 7-8 are (x, y) offsets from the pillar cell center.
+    """
+    pts = np.asarray(pillar_points, dtype=np.float64).reshape(-1, 4)
+    if pts.shape[0] == 0:
+        raise ValueError("cannot augment an empty pillar")
+    out = np.zeros((pts.shape[0], 9))
+    out[:, :4] = pts
+    out[:, 4:7] = pts[:, :3] - pts[:, :3].mean(axis=0)
+    out[:, 7:9] = pts[:, :2] - np.asarray(center, dtype=np.float64).reshape(2)
+    return out
+
+
+def build_pillars_oracle(cloud, cfg, seed):
+    """Pillars by a dict of member lists: one Python pass per point and per pillar.
+
+    Same contract as ``bevkit.pillars.build_pillars``: first-occurrence
+    pillar order, the most populated max_pillars cells kept (ties to the
+    earlier first occurrence), and each pillar over T sampled by
+    ``default_rng([seed, flat cell])`` with the survivors in input order.
+    """
+    pts = cloud.points
+    h, w = cfg.grid
+    dx, dy = cfg.pillar_size
+    t_cap = cfg.max_points
+
+    ix = np.floor((pts[:, 0] - cfg.x_range[0]) / dx).astype(np.int64)
+    iy = np.floor((pts[:, 1] - cfg.y_range[0]) / dy).astype(np.int64)
+    inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    pts, ix, iy = pts[inside], ix[inside], iy[inside]
+    flat = iy * w + ix
+
+    order, members = [], {}
+    for i, cell in enumerate(flat.tolist()):
+        if cell not in members:
+            members[cell] = []
+            order.append(cell)
+        members[cell].append(i)
+
+    truncated = 0
+    if len(order) > cfg.max_pillars:
+        pos = {cell: i for i, cell in enumerate(order)}
+        keep = set(sorted(order, key=lambda c: (-len(members[c]), pos[c]))[: cfg.max_pillars])
+        truncated = len(order) - cfg.max_pillars
+        order = [c for c in order if c in keep]
+
+    features = np.zeros((len(order), t_cap, 9))
+    coords = np.zeros((len(order), 2), dtype=np.int64)
+    counts = np.zeros(len(order), dtype=np.int64)
+    for p, cell in enumerate(order):
+        idx = members[cell]
+        if len(idx) > t_cap:
+            chosen = np.random.default_rng([seed, cell]).choice(len(idx), size=t_cap,
+                                                                replace=False)
+            idx = [idx[i] for i in sorted(chosen.tolist())]
+        cell_iy, cell_ix = divmod(cell, w)
+        features[p, : len(idx)] = augment_points(pts[idx], pillar_center(cfg, cell_ix, cell_iy))
+        coords[p] = (cell_ix, cell_iy)
+        counts[p] = len(idx)
+    return PillarTensor(features, coords, counts, truncated)

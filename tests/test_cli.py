@@ -114,6 +114,30 @@ def _set_features_string(m):
     m["files"]["features"] = m["files"]["features"][0]
 
 
+def _cut_payload(blob):
+    return blob[:-7]
+
+
+def _cut_header(blob):
+    return blob[:11]
+
+
+def _bad_magic(blob):
+    return b"PC3D" + blob[4:]
+
+
+def _huge_count(blob):
+    return blob[:4] + (0xFFFFFFFF).to_bytes(4, "little") + blob[8:]
+
+
+def _nan_coordinate(blob):
+    return blob[:20] + np.array(np.nan, dtype="<f4").tobytes() + blob[24:]
+
+
+def _negative_reflectivity(blob):
+    return blob[:28] + np.array(-1.0, dtype="<f4").tobytes() + blob[32:]
+
+
 class TestRun:
     def test_run_and_rerun_deterministic(self, scene_dir, config_path, tmp_path):
         for name in ("r1", "r2"):
@@ -177,6 +201,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "truncated tensor header" in err
+
+    @pytest.mark.parametrize("corrupt", [_cut_payload, _cut_header, _bad_magic, _huge_count,
+                                         _nan_coordinate, _negative_reflectivity])
+    def test_corrupted_radar_cloud_one_line_error(self, scene_dir, config_path, tmp_path,
+                                                  capsys, corrupt):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        cloud = bad / "radar.pc4d"
+        cloud.write_bytes(corrupt(cloud.read_bytes()))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc in (EXIT_VALIDATION, EXIT_IO)
+        err = capsys.readouterr().err
+        assert "error:" in err and err.count("\n") == 1 and "Traceback" not in err
+        assert "radar.pc4d" in err
 
     @pytest.mark.parametrize("edit", [_set_files, _set_image_size, _set_features_string])
     def test_malformed_manifest_validation_error(self, scene_dir, config_path, tmp_path,

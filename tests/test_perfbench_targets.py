@@ -45,3 +45,20 @@ def test_traced_fusion_counts_match_report(tracing, tmp_path):
     assert report.fusion_stats["n_radar_boxes"] > 0
     assert counts["fusion.proposals"] == report.fusion_stats["n_radar_boxes"]
     assert counts["fusion.matches"] == report.fusion_stats["n_matches"]
+
+
+def test_traced_pillar_counts_and_spans(tracing, tmp_path):
+    spec = default_scene_spec(seed=29, n_objects=3, feature_shape=(16, 8, 22),
+                              radar_density=800, lidar_density=1000)
+    scene = generate_scene(spec, tmp_path / "scene")
+    cfg = PipelineConfig(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
+                         kan_hidden=(16,), radar_channels=8, pillar_max_pillars=40,
+                         sequential=True)
+    tracer = tracing.Tracer()
+    (report, _), counts = tracer.run_op(0, lambda: run_pipeline(scene, cfg), "op")
+    assert report.pillars["truncated"] > 0
+    assert counts["pillars.kept"] == report.pillars["kept"] == 40
+    assert counts["pillars.truncated"] == report.pillars["truncated"]
+    names = [s["name"] for s in tracer.spans]
+    for name in ("pillars.build", "pillars.vfe", "pillars.scatter", "nnprims.conv"):
+        assert name in names, name

@@ -1,13 +1,18 @@
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import augment_points, build_pillars_oracle
 
 from bevkit.pillars import (
     PillarGridConfig,
+    PillarTensor,
     RadarPointCloud,
     VfeWeights,
-    augment_points,
     build_pillars,
     gather_from_pseudo_image,
     read_cloud_csv,
@@ -20,6 +25,23 @@ from bevkit.pillars import (
 
 def small_cfg(t=3, max_pillars=4096):
     return PillarGridConfig((-8.0, 8.0), (-8.0, 8.0), (8, 8), t, max_pillars)
+
+
+def cloud_of(xy, rng):
+    """A cloud at the given (x, y) with random height and reflectivity."""
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    return RadarPointCloud(np.column_stack([xy, rng.normal(0, 1, len(xy)),
+                                            rng.uniform(0, 1, len(xy))]))
+
+
+def assert_matches_oracle(cloud, cfg, seed):
+    got = build_pillars(cloud, cfg, seed)
+    want = build_pillars_oracle(cloud, cfg, seed)
+    for name in ("features", "pillar_coords", "point_counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.truncated_pillars == want.truncated_pillars
+    return got
 
 
 class TestAugmentPoints:
@@ -103,6 +125,87 @@ class TestBuildPillars:
         assert sorted(out.point_counts.tolist()) == [2, 3]
 
 
+class TestBuildPillarsOracle:
+    """build_pillars is exactly the per-point, per-pillar loop of the oracle."""
+
+    def test_seeded_clouds(self):
+        rng = np.random.default_rng(38)
+        truncated = overflowed = 0
+        for case in range(60):
+            n = int(rng.integers(1, 600))
+            cfg = PillarGridConfig((-8.0, 8.0), (-6.0, 10.0),
+                                   (int(rng.integers(1, 12)), int(rng.integers(1, 12))),
+                                   int(rng.integers(1, 8)), int(rng.integers(1, 80)))
+            out = assert_matches_oracle(cloud_of(rng.uniform(-9, 11, (n, 2)), rng), cfg, case)
+            truncated += out.truncated_pillars > 0
+            overflowed += bool((out.point_counts == cfg.max_points).any())
+        assert truncated > 10 and overflowed > 10
+
+    def test_overflowing_pillars(self):
+        rng = np.random.default_rng(39)
+        xy = np.vstack([rng.uniform(0.0, 1.9, (40, 2)), rng.uniform(-5.9, -4.1, (7, 2)),
+                        [[6.5, 6.5]]])
+        for seed in range(5):
+            out = assert_matches_oracle(cloud_of(rng.permutation(xy), rng), small_cfg(t=5), seed)
+            assert sorted(out.point_counts.tolist()) == [1, 5, 5]
+
+    def test_truncation_with_tied_counts(self):
+        rng = np.random.default_rng(40)
+        # six cells of two points, two of three, in interleaved order
+        cells = rng.permutation(np.repeat(np.arange(8), [2, 2, 3, 2, 2, 3, 2, 2]))
+        xy = np.column_stack([-7.0 + 2.0 * cells + 0.5, np.full(len(cells), 0.5)])
+        for max_pillars in range(1, 9):
+            out = assert_matches_oracle(cloud_of(xy, rng), small_cfg(t=2, max_pillars=max_pillars),
+                                        seed=3)
+            assert out.truncated_pillars == 8 - max_pillars
+
+    def test_single_point(self):
+        out = assert_matches_oracle(RadarPointCloud(np.array([[1.5, -2.5, 0.3, 0.9]])),
+                                    small_cfg(t=1, max_pillars=1), seed=0)
+        assert out.point_counts.tolist() == [1]
+        assert out.pillar_coords.tolist() == [[4, 2]]
+
+    def test_nothing_in_range(self):
+        rng = np.random.default_rng(41)
+        out = assert_matches_oracle(cloud_of(rng.uniform(8.0, 20.0, (30, 2)), rng),
+                                    small_cfg(), seed=0)
+        assert out.features.shape == (0, 3, 9) and out.pillar_coords.shape == (0, 2)
+
+    def test_points_on_edges(self):
+        rng = np.random.default_rng(42)
+        # the max edge of each range is outside the grid, the min edge inside
+        xy = [[8.0, 0.0], [0.0, 8.0], [8.0, 8.0], [-8.0, -8.0], [-8.0, 7.999], [6.0, 6.0],
+              [2.0, -2.0]]
+        out = assert_matches_oracle(cloud_of(xy, rng), small_cfg(), seed=0)
+        assert out.pillar_coords.tolist() == [[0, 0], [0, 7], [7, 7], [5, 3]]
+
+    def test_duplicate_points(self):
+        pts = np.tile([[0.5, 0.5, 0.1, 0.2], [-3.0, 4.0, 0.0, 0.0]], (9, 1))
+        for seed in range(4):
+            out = assert_matches_oracle(RadarPointCloud(pts), small_cfg(t=4), seed)
+            assert out.point_counts.tolist() == [4, 4]
+            assert np.all(out.features[:, :, 4:7] == 0.0)
+
+    # lattice coordinates put points on cell edges, on each other and in
+    # crowded cells; off-lattice values cover the rest
+    _coord = st.one_of(st.integers(-12, 12).map(lambda k: k * 0.75),
+                       st.floats(-9.5, 9.5, allow_nan=False))
+    _point = st.tuples(_coord, _coord, st.floats(-3.0, 3.0), st.floats(0.0, 2.0))
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_point, max_size=60), st.integers(1, 5), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_property_matches_oracle(self, points, t, max_pillars, seed):
+        cloud = RadarPointCloud(np.array(points, dtype=np.float64).reshape(-1, 4))
+        cfg = PillarGridConfig((-6.0, 6.0), (-6.0, 6.0), (4, 8), t, max_pillars)
+        out = assert_matches_oracle(cloud, cfg, seed)
+        weights = VfeWeights.random(np.random.default_rng(seed), 3)
+        got = vfe_forward(out, weights)
+        for p, n in enumerate(out.point_counts):
+            mapped = np.maximum(0.0, out.features[p, :n] @ weights.weight.T + weights.bias)
+            np.testing.assert_allclose(got[p], mapped.max(axis=0), rtol=0, atol=1e-12)
+
+
 class TestVfeForward:
     def test_single_point_passthrough(self):
         # pick out column 0 (x) on one channel with zero bias
@@ -167,6 +270,27 @@ class TestVfeForward:
         with pytest.raises(ValueError):
             VfeWeights(np.zeros((0, 9)), np.zeros(0))
 
+    def test_no_pillars(self):
+        tensor = PillarTensor(np.zeros((0, 4, 9)), np.zeros((0, 2), dtype=np.int64),
+                              np.zeros(0, dtype=np.int64))
+        out = vfe_forward(tensor, VfeWeights.random(np.random.default_rng(43), 6))
+        assert out.shape == (0, 6)
+
+    @pytest.mark.parametrize("features, counts, says", [
+        (np.zeros((2, 4)), [1, 1], r"\(P, T, 9\)"),
+        (np.zeros((2, 4, 8)), [1, 1], r"\(P, T, 9\)"),
+        (np.zeros((2, 4, 9)), [1, 1, 1], "point counts"),
+        (np.zeros((2, 4, 9)), [[1, 1]], "point counts"),
+        (np.zeros((2, 4, 9)), [1, 0], r"\[1, 4\]"),
+        (np.zeros((2, 4, 9)), [5, 1], r"\[1, 4\]"),
+        (np.zeros((2, 4, 9)), [-1, 2], r"\[1, 4\]"),
+    ])
+    def test_malformed_tensor_rejected(self, features, counts, says):
+        # a zero count would otherwise read the next pillar's row
+        tensor = PillarTensor(features, np.zeros((2, 2), dtype=np.int64), np.array(counts))
+        with pytest.raises(ValueError, match=says):
+            vfe_forward(tensor, VfeWeights.random(np.random.default_rng(44), 3))
+
 
 class TestScatter:
     def test_scatter_gather_roundtrip(self):
@@ -223,6 +347,45 @@ class TestCloudIO:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(width=32, allow_nan=False, allow_infinity=False)] * 3,
+                              st.floats(0.0, width=32, allow_infinity=False)), max_size=40))
+    def test_pc4d_roundtrip_exact_at_f32(self, rows):
+        pts = np.array(rows, dtype=np.float64).reshape(-1, 4)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cloud.pc4d")
+            write_pc4d(path, pts)
+            back = read_pc4d(path).points
+        assert back.dtype == np.float64 and back.shape == pts.shape
+        np.testing.assert_array_equal(back, pts)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_corrupted_pc4d_raises_only_value_or_os_error(self, data):
+        rng = np.random.default_rng(45)
+        pts = np.column_stack([rng.normal(0, 10, (6, 3)), rng.uniform(0, 1, 6)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cloud.pc4d")
+            write_pc4d(path, pts)
+            with open(path, "rb") as fh:
+                blob = bytearray(fh.read())
+            if data.draw(st.booleans(), label="truncate"):
+                blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+                must_fail = True
+            else:
+                for _ in range(data.draw(st.integers(1, 4), label="flips")):
+                    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+                    blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+                must_fail = False
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                cloud = read_pc4d(path)
+            except (ValueError, OSError):
+                return
+        assert not must_fail, "a truncated cloud was read"
+        assert np.all(np.isfinite(cloud.points)) and np.all(cloud.points[:, 3] >= 0)
 
     def test_csv_import(self, tmp_path):
         p = tmp_path / "cloud.csv"

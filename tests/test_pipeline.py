@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 from oracles import (
-    brute_force_match, brute_force_pool, cell_box, decode_peaks_oracle, lift_refine_pool,
+    brute_force_match, brute_force_pool, build_pillars_oracle, cell_box, decode_peaks_oracle,
+    lift_refine_pool,
 )
 
 from bevkit import geometry as geo
@@ -51,6 +52,7 @@ class TestRunPipeline:
         assert report.fusion_stats["n_radar_boxes"] == 0
         assert report.fusion_stats["n_matches"] == 0
         assert "pillars" not in report.timings
+        assert "pillars" not in report.to_dict()
 
     def test_modality_changes_only_radar_dependent_stages(self, scene_dir):
         cam, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, modality="camera",
@@ -82,6 +84,37 @@ class TestRunPipeline:
         if payload["matches"]:
             match = payload["matches"][0]
             assert len(match["q"]) == 4 and len(match["cell"]) == 2
+
+    def test_pillar_counts_reported(self, scene_dir, tmp_path):
+        cfg = PipelineConfig(**SMALL, pillar_max_points=3, pillar_max_pillars=50,
+                             sequential=True)
+        report, preds = run_pipeline(scene_dir, cfg)
+        bundle = sc.load_scene(scene_dir)
+        want = build_pillars_oracle(pl.pi.RadarPointCloud(bundle.radar), cfg.pillar_grid,
+                                    bundle.manifest["seed"])
+        x, y = bundle.radar[:, 0], bundle.radar[:, 1]
+        r = cfg.bev_range
+        in_range = int(np.count_nonzero((x >= -r) & (x < r) & (y >= -r) & (y < r)))
+        assert report.pillars == {"points_in_range": in_range, "kept": 50,
+                                  "truncated": want.truncated_pillars}
+        assert want.truncated_pillars > 0 and len(want.point_counts) == 50
+        report_path, _ = save_run_outputs(tmp_path, report, preds)
+        assert json.loads(report_path.read_text())["pillars"] == report.pillars
+
+    def test_radar_projection_equals_full_grid_conv(self, scene_dir):
+        """Convolving only the occupied cells gives the full-grid 1x1 conv bit for bit."""
+        cfg = PipelineConfig(**SMALL, sequential=True)
+        weights = PipelineWeights.create(cfg, 16)
+        weights.radar_proj_bias = np.random.default_rng(46).normal(0.0, 0.3, cfg.n_context)
+        images = []
+        scatter = pl.pi.scatter_to_pseudo_image
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl.pi, "scatter_to_pseudo_image",
+                       lambda *args: images.append(scatter(*args)) or images[-1])
+            report, _ = run_pipeline(scene_dir, cfg, weights)
+        full = pl.conv_pointwise(images[0].data, weights.radar_proj_kernel,
+                                 weights.radar_proj_bias)
+        assert report.checksums["radar_bev"] == pl.checksum(full)
 
     def test_missing_scene_raises_staged_error(self, tmp_path):
         with pytest.raises(OSError, match="stage 'load'"):
