@@ -1,14 +1,17 @@
 """Kolmogorov-Arnold layers and the camera-aware depth network head.
 
 A KAN layer routes every input through two branches per edge: a learnable
-B-spline activation and a fixed smooth-rectifier shortcut. The depth
-network embeds each camera's calibration as a 27-vector, maps it through a
-small KAN stack to per-channel gates, excites the backbone features with
-those gates, and splits the result into depth logits and context features
-with a 1x1 convolution.
+B-spline activation and a fixed smooth-rectifier shortcut. The B-spline
+basis of every input of a layer comes from one array Cox-de Boor recursion
+(``_basis_levels``), which also yields the lower degree that the basis
+derivatives need. The depth network embeds each camera's calibration as a
+plain 27-vector, maps it through a small KAN stack to per-channel gates,
+excites the backbone features with those gates, and splits the result into
+depth logits and context features with a 1x1 convolution.
 
 Analytic Jacobians are provided for both the layer and the feature path of
-the depth network; tests check them against central finite differences.
+the depth network (a Kronecker product: the path is per-pixel linear once
+the gates are fixed); tests check them against central finite differences.
 """
 
 from __future__ import annotations
@@ -70,73 +73,55 @@ class BSplineBasis:
     def n_basis(self) -> int:
         return self.n_intervals + self.degree
 
-    def clamp(self, x: float) -> float:
-        return min(max(x, self.domain[0]), self.domain[1])
 
-    def _span(self, x: float) -> int:
-        """Knot index s with knots[s] <= x < knots[s+1], right edge clamped."""
-        lo, hi = self.domain
-        step = (hi - lo) / self.n_intervals
-        interval = min(int((x - lo) / step), self.n_intervals - 1)
-        return interval + self.degree
+def _basis_levels(basis: BSplineBasis, x: np.ndarray) -> list[np.ndarray]:
+    """Basis values of every degree 0..k at each x, clamped to the domain.
 
-
-def _nonzero_basis(knots: np.ndarray, degree: int, span: int, x: float) -> np.ndarray:
-    """The degree+1 nonzero basis values at x (triangular de Boor scheme)."""
-    vals = np.zeros(degree + 1)
-    left = np.zeros(degree + 1)
-    right = np.zeros(degree + 1)
-    vals[0] = 1.0
-    for d in range(1, degree + 1):
-        left[d] = x - knots[span + 1 - d]
-        right[d] = knots[span + d] - x
-        saved = 0.0
-        for r in range(d):
-            tmp = vals[r] / (right[r + 1] + left[d - r])
-            vals[r] = saved + right[r + 1] * tmp
-            saved = left[d - r] * tmp
-        vals[d] = saved
-    return vals
+    levels[d] has shape (len(x), len(knots) - d - 1). Degree 0 is a one-hot
+    at the knot span, the right edge clamped into the last interval; each
+    higher degree follows from the one below by the Cox-de Boor recursion
+    over all knots at once. The knots are uniform, so no denominator is zero.
+    """
+    lo, hi = basis.domain
+    t = basis.knots
+    x = np.clip(x, lo, hi)
+    step = (hi - lo) / basis.n_intervals
+    span = np.minimum(((x - lo) / step).astype(np.int64), basis.n_intervals - 1) + basis.degree
+    level = np.zeros((len(x), len(t) - 1))
+    level[np.arange(len(x)), span] = 1.0
+    levels = [level]
+    xc = x[:, None]
+    for d in range(1, basis.degree + 1):
+        m = len(t) - d - 1
+        level = ((xc - t[:m]) / (t[d : d + m] - t[:m]) * level[:, :-1]
+                 + (t[d + 1 :] - xc) / (t[d + 1 :] - t[1 : m + 1]) * level[:, 1:])
+        levels.append(level)
+    return levels
 
 
-def bspline_basis_eval(basis: BSplineBasis, x: float) -> np.ndarray:
-    """All n_basis weights at scalar x; x is clamped to the domain."""
-    xc = basis.clamp(float(x))
-    span = basis._span(xc)
-    out = np.zeros(basis.n_basis)
-    out[span - basis.degree : span + 1] = _nonzero_basis(basis.knots, basis.degree, span, xc)
-    return out
-
-
-def bspline_basis_grad(basis: BSplineBasis, x: float) -> np.ndarray:
-    """Derivative of every basis function at x.
-
-    Uses the standard lower-degree identity
+def _basis_grads(basis: BSplineBasis, x: np.ndarray) -> np.ndarray:
+    """(len(x), n_basis) derivatives: the lower-degree identity
     B'_{i,k} = k * (B_{i,k-1}/(t_{i+k}-t_i) - B_{i+1,k-1}/(t_{i+k+1}-t_{i+1})).
     Outside the (closed) domain the clamped spline is constant, so the
     derivative is zero there.
     """
-    xf = float(x)
+    k, n, t = basis.degree, basis.n_basis, basis.knots
+    lower = _basis_levels(basis, x)[k - 1]
+    grads = k * (lower[:, :-1] / (t[k : k + n] - t[:n])
+                 - lower[:, 1:] / (t[k + 1 :] - t[1 : n + 1]))
     lo, hi = basis.domain
-    out = np.zeros(basis.n_basis)
-    if xf < lo or xf > hi:
-        return out
-    k = basis.degree
-    t = basis.knots
-    span = basis._span(xf)
-    if k == 1:
-        lower = np.zeros(basis.n_basis + 1)
-        lower[span] = 1.0  # degree-0 indicator of the span interval
-    else:
-        lower = np.zeros(basis.n_basis + 1)
-        lower[span - (k - 1) : span + 1] = _nonzero_basis(t, k - 1, span, xf)
-    for i in range(basis.n_basis):
-        left_den = t[i + k] - t[i]
-        right_den = t[i + k + 1] - t[i + 1]
-        term = lower[i] / left_den if left_den > 0 else 0.0
-        term -= lower[i + 1] / right_den if right_den > 0 else 0.0
-        out[i] = k * term
-    return out
+    grads[(x < lo) | (x > hi)] = 0.0
+    return grads
+
+
+def bspline_basis_eval(basis: BSplineBasis, x: float) -> np.ndarray:
+    """All n_basis weights at scalar x; x is clamped to the domain."""
+    return _basis_levels(basis, np.array([float(x)]))[-1][0]
+
+
+def bspline_basis_grad(basis: BSplineBasis, x: float) -> np.ndarray:
+    """Derivative of every basis function at scalar x (zero outside the domain)."""
+    return _basis_grads(basis, np.array([float(x)]))[0]
 
 
 @dataclass
@@ -185,16 +170,14 @@ def kan_layer_forward(layer: KanLayer, x: np.ndarray) -> np.ndarray:
     x = as_tensor(x).reshape(-1)
     if x.shape[0] != layer.in_dim:
         raise ValueError(f"expected {layer.in_dim} inputs, got {x.shape[0]}")
-    basis_vals = np.stack([bspline_basis_eval(layer.basis, xi) for xi in x])
-    spline = np.einsum("jib,ib->j", layer.spline_coeffs, basis_vals)
+    spline = np.einsum("jib,ib->j", layer.spline_coeffs, _basis_levels(layer.basis, x)[-1])
     return spline + layer.shortcut_weights @ silu(x)
 
 
 def kan_layer_jacobian(layer: KanLayer, x: np.ndarray) -> np.ndarray:
     """Analytic d out / d x, shape (out_dim, in_dim)."""
     x = as_tensor(x).reshape(-1)
-    basis_grads = np.stack([bspline_basis_grad(layer.basis, xi) for xi in x])
-    spline_j = np.einsum("jib,ib->ji", layer.spline_coeffs, basis_grads)
+    spline_j = np.einsum("jib,ib->ji", layer.spline_coeffs, _basis_grads(layer.basis, x))
     return spline_j + layer.shortcut_weights * silu_grad(x)[None, :]
 
 
@@ -206,45 +189,20 @@ def kan_stack_forward(layers: list[KanLayer], x: np.ndarray) -> np.ndarray:
 
 
 CAMERA_PARAM_DIM = 27
+# per-group normalization of the 27-vector
+INTRINSICS_SCALE = 500.0
+ROTATION_SCALE = 1.0
+TRANSLATION_SCALE = 5.0
 
 
-@dataclass(frozen=True)
-class EmbedConfig:
-    """Fixed per-group normalization constants for the 27-vector."""
-
-    intrinsics_scale: float = 500.0
-    rotation_scale: float = 1.0
-    translation_scale: float = 5.0
-
-
-@dataclass(frozen=True)
-class CameraParamVector:
-    """Flattened camera calibration: K (9), R (9), t (3), 6 zero pads.
-
-    The pad slots are reserved for augmentation parameters and stay zero;
-    the normalization constants applied per group are recorded alongside.
-    """
-
-    values: np.ndarray
-    scales: EmbedConfig
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.shape[0] != CAMERA_PARAM_DIM:
-            raise ValueError(f"camera vector must have {CAMERA_PARAM_DIM} entries")
-        if np.any(v[21:] != 0.0):
-            raise ValueError("pad slots must be zero")
-        object.__setattr__(self, "values", v)
-
-
-def embed_camera_params(rig: CameraRig, scales: EmbedConfig | None = None) -> CameraParamVector:
-    """Deterministic flatten + per-group normalization of one rig."""
-    scales = scales or EmbedConfig()
+def embed_camera_params(rig: CameraRig) -> np.ndarray:
+    """Flatten one rig to the (27,) vector: K (9), R (9), t (3), each group
+    divided by its scale, then 6 zero pads reserved for augmentation."""
     vec = np.zeros(CAMERA_PARAM_DIM)
-    vec[0:9] = rig.intrinsics.ravel() / scales.intrinsics_scale
-    vec[9:18] = rig.rotation.ravel() / scales.rotation_scale
-    vec[18:21] = rig.translation / scales.translation_scale
-    return CameraParamVector(vec, scales)
+    vec[0:9] = rig.intrinsics.ravel() / INTRINSICS_SCALE
+    vec[9:18] = rig.rotation.ravel() / ROTATION_SCALE
+    vec[18:21] = rig.translation / TRANSLATION_SCALE
+    return vec
 
 
 @dataclass
@@ -261,7 +219,6 @@ class DepthNetParams:
     split_bias: np.ndarray
     n_depth_bins: int
     n_context: int
-    embed: EmbedConfig = field(default_factory=EmbedConfig)
 
     def __post_init__(self):
         self.split_kernel = as_tensor(self.split_kernel)
@@ -306,8 +263,7 @@ class DepthNetOutputs:
 
 def camera_gates(params: DepthNetParams, rig: CameraRig) -> np.ndarray:
     """Per-channel gates in (0, 1) derived from one camera's calibration."""
-    vec = embed_camera_params(rig, params.embed)
-    return sigmoid(kan_stack_forward(params.kan_layers, vec.values))
+    return sigmoid(kan_stack_forward(params.kan_layers, embed_camera_params(rig)))
 
 
 def depthnet_forward(image_features: list[np.ndarray], rigs: list[CameraRig],
@@ -349,12 +305,4 @@ def depthnet_input_jacobian(params: DepthNetParams, rig: CameraRig,
     if c_f != params.n_features:
         raise ValueError("feature_shape channel count mismatch")
     gates = camera_gates(params, rig)
-    n_out = params.split_kernel.shape[0]
-    n_pix = h * w
-    jac = np.zeros((n_out * n_pix, c_f * n_pix))
-    weighted = params.split_kernel * gates[None, :]
-    for o in range(n_out):
-        for c in range(c_f):
-            idx = np.arange(n_pix)
-            jac[o * n_pix + idx, c * n_pix + idx] = weighted[o, c]
-    return jac
+    return np.kron(params.split_kernel * gates[None, :], np.eye(h * w))

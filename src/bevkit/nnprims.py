@@ -213,8 +213,11 @@ def read_tensor(path) -> np.ndarray:
             raise ValueError(f"truncated tensor header in {path}")
         shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
         count = math.prod(shape)
-        if 8 + 4 * rank + 8 * count > size:
+        expected = 8 + 4 * rank + 8 * count
+        if size < expected:
             raise ValueError(f"truncated tensor payload in {path}")
+        if size > expected:
+            raise ValueError(f"{size - expected} trailing bytes after the tensor in {path}")
         payload = fh.read(8 * count)
     arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     return as_tensor(arr)

@@ -242,8 +242,11 @@ def read_pc4d(path) -> RadarPointCloud:
         if len(header) != PC4D_HEADER_BYTES or header[:4] != PC4D_MAGIC:
             raise ValueError(f"bad point cloud header in {path}")
         (count,) = struct.unpack("<I", header[4:8])
-        if PC4D_HEADER_BYTES + 16 * count > os.fstat(fh.fileno()).st_size:
+        size, expected = os.fstat(fh.fileno()).st_size, PC4D_HEADER_BYTES + 16 * count
+        if size < expected:
             raise ValueError(f"truncated point cloud in {path}")
+        if size > expected:
+            raise ValueError(f"{size - expected} trailing bytes after {count} points in {path}")
         payload = fh.read(16 * count)
     pts = np.frombuffer(payload, dtype="<f4").reshape(count, 4)
     try:

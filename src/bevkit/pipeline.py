@@ -295,7 +295,7 @@ class RunReport:
 
 
 def checksum(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64)).hexdigest()
 
 
 class _StageTimer:
@@ -325,26 +325,20 @@ def _feature_rig(rig: geo.CameraRig, feature_hw: tuple[int, int]) -> geo.CameraR
     return rig.scaled(fh / h, fw / w)
 
 
-def _depth_hints(radar_xyz: np.ndarray, rig: geo.CameraRig,
-                 feature_hw: tuple[int, int]) -> np.ndarray | None:
-    """Per-pixel nearest radar depth at feature resolution, NaN when unseen."""
-    frig = _feature_rig(rig, feature_hw)
-    dm, _ = geo.depth_map_from_points(radar_xyz, frig, feature_hw)
-    vals = dm.values
-    if not dm.coverage_mask().any():
-        return None
-    return vals
-
-
-def _apply_depth_hints(logits: np.ndarray, hints: np.ndarray,
+def _hint_depth_logits(logits: np.ndarray, radar_xyz: np.ndarray, frig: geo.CameraRig,
                        bins: DepthBinSpec, strength: float) -> np.ndarray:
-    out = logits.copy()
-    covered = hints > 0
+    """Logits with strength added at each radar-seen pixel's nearest-depth bin.
+
+    frig is the rig at feature resolution; logits come back unchanged when
+    no radar point lands on the feature map.
+    """
+    dm, _ = geo.depth_map_from_points(radar_xyz, frig, logits.shape[1:])
+    covered = dm.coverage_mask()
     if not covered.any():
-        return out
+        return logits
     rows, cols = np.nonzero(covered)
-    bin_idx = bins.index_of(hints[covered])
-    out[bin_idx, rows, cols] += strength
+    out = logits.copy()
+    out[bins.index_of(dm.values[covered]), rows, cols] += strength
     return out
 
 
@@ -417,10 +411,10 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
 
     # Supervision target: lidar + radar union, rasterized at feature scale.
     with _StageTimer(report, "supervision"):
+        frigs = [_feature_rig(rig, feature_hw) for rig in bundle.cameras]
         supervision = np.vstack([bundle.lidar[:, :3], bundle.radar[:, :3]])
         gt_maps = []
-        for i, rig in enumerate(bundle.cameras):
-            frig = _feature_rig(rig, feature_hw)
+        for i, frig in enumerate(frigs):
             dm, dropped = geo.depth_map_from_points(supervision, frig, feature_hw)
             gt_maps.append(dm)
             report.dropped_points[f"supervision_cam{i}"] = dropped
@@ -462,12 +456,9 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             raise _stage_error("depthnet", err) from err
         depth_logits = outputs.depth_logits
         if use_radar:
-            hinted = []
-            for logits, rig in zip(depth_logits, bundle.cameras):
-                hints = _depth_hints(bundle.radar[:, :3], rig, feature_hw)
-                hinted.append(logits if hints is None else _apply_depth_hints(
-                    logits, hints, bins, cfg.radar_hint_strength))
-            depth_logits = hinted
+            depth_logits = [_hint_depth_logits(logits, bundle.radar[:, :3], frig, bins,
+                                               cfg.radar_hint_strength)
+                            for logits, frig in zip(depth_logits, frigs)]
         p_depth = [softmax_over_depth(lg) for lg in depth_logits]
         for i in range(len(bundle.cameras)):
             report.checksums[f"gates_cam{i}"] = checksum(outputs.gates[i])
@@ -484,11 +475,11 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
     f_bev = np.zeros((cfg.n_context, cfg.bev_cells, cfg.bev_cells))
     f_depth = np.zeros_like(f_bev)
-    for i, (rig, ctx, pd) in enumerate(zip(bundle.cameras, outputs.context, p_depth)):
+    for i, (frig, ctx, pd) in enumerate(zip(frigs, outputs.context, p_depth)):
         with _StageTimer(report, "lift"):
             taps = refine_taps(pd, weights.refine_kernel)
         with _StageTimer(report, "voxelpool"):
-            pts = geo.unproject_frustum(_feature_rig(rig, feature_hw), frustum)
+            pts = geo.unproject_frustum(frig, frustum)
             report.dropped_points[f"frustum_cam{i}"] = vp.splat(
                 pts, ctx, ([(0, pd)], taps), cfg.bev_grid, [f_bev, f_depth])
     report.checksums["f_bev"] = checksum(f_bev)
@@ -504,6 +495,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
                                                   weights.head_bias))
         prior = fu.Heatmap(prior_scores, cfg.bev_grid)
         proposals = matched = np.zeros(0, dtype=np.int64)
+        final_scores = prior_scores  # without radar the fused grid is unchanged
         if use_radar:
             proposals = np.unique(radar_cells)
             matched = fu.match_radar_to_heatmap(proposals, prior, cfg.heatmap_score_thresh)
@@ -513,8 +505,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             report.matches = [{"cell": [y, x], "q": q_grid[:, y, x].tolist()}
                               for y, x in zip(iy.tolist(), ix.tolist())]
             fused = fused + conv_pointwise(q_grid, weights.q_kernel, weights.q_bias)
-        final_scores = kan.sigmoid(conv_pointwise(fused, weights.head_kernel,
-                                                  weights.head_bias))
+            final_scores = kan.sigmoid(conv_pointwise(fused, weights.head_kernel,
+                                                      weights.head_bias))
         report.checksums["fused_bev"] = checksum(fused)
         report.checksums["heatmap"] = checksum(final_scores)
         report.fusion_stats = {

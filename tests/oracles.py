@@ -35,6 +35,21 @@ def naive_cox_de_boor(knots, i, k, x):
     return left + right
 
 
+def depthnet_jacobian_oracle(split_kernel, gates, n_pix):
+    """d (depth logits, context) / d features of one camera, one block at a time.
+
+    Block (o, c) of the (n_out * n_pix, C * n_pix) matrix is
+    kernel[o, c] * gate[c] on the pixel diagonal and zero elsewhere.
+    """
+    n_out, c_f = split_kernel.shape
+    jac = np.zeros((n_out * n_pix, c_f * n_pix))
+    idx = np.arange(n_pix)
+    for o in range(n_out):
+        for c in range(c_f):
+            jac[o * n_pix + idx, c * n_pix + idx] = split_kernel[o, c] * gates[c]
+    return jac
+
+
 def brute_force_pool(points, cfg):
     """Per-cell filter-and-sum; no scatter, no sort, no prefix sums."""
     dx, dy = cfg.cell_size

@@ -218,6 +218,20 @@ class TestRun:
         assert "error:" in err and err.count("\n") == 1 and "Traceback" not in err
         assert "radar.pc4d" in err
 
+    def test_radar_cloud_with_trailing_bytes_validation_error(self, scene_dir, config_path,
+                                                             tmp_path, capsys):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        cloud = bad / "radar.pc4d"
+        cloud.write_bytes(cloud.read_bytes() + b"\x00" * 16)
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "16 trailing bytes" in err and "radar.pc4d" in err
+
     @pytest.mark.parametrize("edit", [_set_files, _set_image_size, _set_features_string])
     def test_malformed_manifest_validation_error(self, scene_dir, config_path, tmp_path,
                                                  capsys, edit):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
-from oracles import naive_cox_de_boor, rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import depthnet_jacobian_oracle, naive_cox_de_boor, rel_err
 
 from bevkit.geometry import CameraRig
 from bevkit.kan import (
     CAMERA_PARAM_DIM,
+    INTRINSICS_SCALE,
+    ROTATION_SCALE,
+    TRANSLATION_SCALE,
     BSplineBasis,
     DepthNetParams,
-    EmbedConfig,
     KanLayer,
     bspline_basis_eval,
     bspline_basis_grad,
@@ -52,6 +56,31 @@ class TestBSplineBasis:
                                for i in range(basis.n_basis)])
             assert np.abs(got - expect).max() < 1e-12
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 10), st.data())
+    def test_matches_naive_recursion_property(self, degree, n_intervals, data):
+        basis = BSplineBasis(degree=degree, n_intervals=n_intervals)
+        interior = basis.knots[degree + 1 : degree + n_intervals].tolist()
+        x = data.draw(st.one_of(st.sampled_from([-1.0] + interior),
+                                st.floats(-1.0, 1.0, exclude_max=True)), label="x")
+        expect = [naive_cox_de_boor(basis.knots, i, degree, x) for i in range(basis.n_basis)]
+        assert np.abs(bspline_basis_eval(basis, x) - expect).max() < 1e-12
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 10),
+           st.one_of(st.just(1.0), st.floats(min_value=1.0), st.floats(max_value=-1.0)))
+    def test_clamped_at_and_outside_domain_property(self, degree, n_intervals, x):
+        basis = BSplineBasis(degree=degree, n_intervals=n_intervals)
+        edge = 1.0 if x >= 1.0 else -1.0
+        got = bspline_basis_eval(basis, x)
+        np.testing.assert_array_equal(got, bspline_basis_eval(basis, edge))
+        # the half-open oracle is zero at x = 1; its left limit is the boundary value
+        inside = np.nextafter(1.0, 0.0) if edge > 0 else -1.0
+        expect = [naive_cox_de_boor(basis.knots, i, degree, inside)
+                  for i in range(basis.n_basis)]
+        assert np.abs(got - expect).max() < 1e-12
+        assert abs(got.sum() - 1.0) < 1e-12
+
     def test_clamping_outside_domain(self):
         basis = BSplineBasis(degree=3, n_intervals=4)
         np.testing.assert_array_equal(bspline_basis_eval(basis, 5.0),
@@ -66,6 +95,18 @@ class TestBSplineBasis:
                 h = 1e-7
                 fd = (bspline_basis_eval(basis, x + h) - bspline_basis_eval(basis, x - h)) / (2 * h)
                 assert np.abs(got - fd).max() < 1e-5
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_gradient_at_and_outside_domain_edges(self, degree):
+        basis = BSplineBasis(degree=degree, n_intervals=5)
+        h = 1e-7
+        # one-sided differences: x = 1 is clamped into the last interval
+        fd_hi = (bspline_basis_eval(basis, 1.0) - bspline_basis_eval(basis, 1.0 - h)) / h
+        fd_lo = (bspline_basis_eval(basis, -1.0 + h) - bspline_basis_eval(basis, -1.0)) / h
+        assert np.abs(bspline_basis_grad(basis, 1.0) - fd_hi).max() < 1e-5
+        assert np.abs(bspline_basis_grad(basis, -1.0) - fd_lo).max() < 1e-5
+        for x in (-np.inf, -3.0, np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), 1.5):
+            np.testing.assert_array_equal(bspline_basis_grad(basis, x), 0.0)
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -123,25 +164,25 @@ class TestKanLayer:
 
 class TestEmbedCameraParams:
     def test_identity_rig_layout(self):
-        scales = EmbedConfig(intrinsics_scale=2.0, rotation_scale=4.0, translation_scale=8.0)
-        vec = embed_camera_params(identity_rig(), scales).values
-        np.testing.assert_allclose(vec[0:9], np.eye(3).ravel() / 2.0)
-        np.testing.assert_allclose(vec[9:18], np.eye(3).ravel() / 4.0)
-        np.testing.assert_allclose(vec[18:21], 0.0)
+        rig = CameraRig(np.eye(3), np.eye(3), np.array([1.0, -2.0, 3.0]), (4, 4))
+        vec = embed_camera_params(rig)
+        np.testing.assert_allclose(vec[0:9], np.eye(3).ravel() / INTRINSICS_SCALE)
+        np.testing.assert_allclose(vec[9:18], np.eye(3).ravel() / ROTATION_SCALE)
+        np.testing.assert_allclose(vec[18:21], np.array([1.0, -2.0, 3.0]) / TRANSLATION_SCALE)
         np.testing.assert_array_equal(vec[21:], np.zeros(6))
         assert vec.shape == (CAMERA_PARAM_DIM,)
 
     def test_deterministic(self):
-        a = embed_camera_params(identity_rig()).values
-        b = embed_camera_params(identity_rig()).values
+        a = embed_camera_params(identity_rig())
+        b = embed_camera_params(identity_rig())
         np.testing.assert_array_equal(a, b)
 
     def test_single_entry_sensitivity(self):
-        base = embed_camera_params(identity_rig()).values
+        base = embed_camera_params(identity_rig())
         k = np.eye(3)
         k[0, 2] = 3.0
         bumped = CameraRig(k, np.eye(3), np.zeros(3), (4, 4))
-        vec = embed_camera_params(bumped).values
+        vec = embed_camera_params(bumped)
         changed = np.flatnonzero(vec != base)
         assert changed.tolist() == [2]  # the (0, 2) slot of flattened K
 
@@ -199,6 +240,15 @@ class TestDepthNet:
 
         fd = finite_diff_jacobian(f, rng.normal(0, 1, 4 * 3))
         assert rel_err(jac, fd).max() < 1e-5
+
+    def test_input_jacobian_equals_loop_oracle(self):
+        rng = np.random.default_rng(53)
+        params = self.small_params(rng, n_feat=4, n_bins=3, n_ctx=2)
+        rig = CameraRig(np.diag([300.0, 280.0, 1.0]), np.eye(3), np.array([0.5, -1.0, 2.0]),
+                        (4, 4))
+        jac = depthnet_input_jacobian(params, rig, (4, 2, 3))
+        expect = depthnet_jacobian_oracle(params.split_kernel, camera_gates(params, rig), 6)
+        np.testing.assert_array_equal(jac, expect)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(50)

@@ -296,6 +296,13 @@ class TestTensorIO:
             with pytest.raises(ValueError, match="truncated tensor header"):
                 read_tensor(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.tnsr"
+        write_tensor(path, np.ones((2, 3)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="8 trailing bytes.*long.tnsr"):
+            read_tensor(path)
+
     def test_oversized_shape_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "huge.tnsr"
         path.write_bytes(b"TNSR" + (1).to_bytes(4, "little") + (1 << 23).to_bytes(4, "little"))

@@ -336,6 +336,13 @@ class TestCloudIO:
         with pytest.raises(ValueError, match="truncated"):
             read_pc4d(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "long.pc4d"
+        write_pc4d(p, np.zeros((2, 4)))
+        p.write_bytes(p.read_bytes() + b"\x00" * 16)
+        with pytest.raises(ValueError, match="16 trailing bytes.*long.pc4d"):
+            read_pc4d(p)
+
     def test_oversized_count_rejected_before_allocating(self, tmp_path):
         p = tmp_path / "huge.pc4d"
         p.write_bytes(b"PC4D" + (1 << 22).to_bytes(4, "little") + b"\x00" * 8)
@@ -369,22 +376,26 @@ class TestCloudIO:
             path = os.path.join(tmp, "cloud.pc4d")
             write_pc4d(path, pts)
             with open(path, "rb") as fh:
-                blob = bytearray(fh.read())
+                original = fh.read()
+            blob = bytearray(original)
             if data.draw(st.booleans(), label="truncate"):
                 blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
                 must_fail = True
             else:
                 for _ in range(data.draw(st.integers(1, 4), label="flips")):
-                    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+                    # the count field (bytes 4-7) is drawn as often as the rest
+                    at = data.draw(st.one_of(st.integers(4, 7), st.integers(0, len(blob) - 1)),
+                                   label="at")
                     blob[at] ^= data.draw(st.integers(1, 255), label="mask")
-                must_fail = False
+                # a changed count no longer matches the file size
+                must_fail = blob[4:8] != original[4:8]
             with open(path, "wb") as fh:
                 fh.write(blob)
             try:
                 cloud = read_pc4d(path)
             except (ValueError, OSError):
                 return
-        assert not must_fail, "a truncated cloud was read"
+        assert not must_fail, "a truncated cloud or a changed count was read"
         assert np.all(np.isfinite(cloud.points)) and np.all(cloud.points[:, 3] >= 0)
 
     def test_csv_import(self, tmp_path):

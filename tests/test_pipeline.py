@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -17,6 +18,7 @@ from bevkit.pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
     PipelineWeights,
+    checksum,
     run_pipeline,
     save_run_outputs,
 )
@@ -149,6 +151,27 @@ class TestRunPipeline:
         assert [m["cell"] for m in report.matches] == [cell for cell, _ in want]
         for m, (_, q) in zip(report.matches, want):
             np.testing.assert_allclose(m["q"], q, rtol=0, atol=1e-12)
+
+    def test_heatmap_is_head_over_final_fused_grid(self, scene_dir):
+        """Camera-only the prior is the heatmap; radar matches make a second head pass."""
+        sigmoid, heads = pl.kan.sigmoid, []
+
+        def record(x):
+            out = sigmoid(x)
+            if x.ndim == 3:  # the head over the BEV grid, not the KAN gates
+                heads.append(out)
+            return out
+
+        cfg = PipelineConfig(**{**SMALL, "bev_cells": 12}, sequential=True)
+        for modality, n_heads in (("camera", 1), ("camera+radar", 2)):
+            heads.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pl.kan, "sigmoid", record)
+                report, _ = run_pipeline(scene_dir, dataclasses.replace(cfg, modality=modality))
+            assert len(heads) == n_heads
+            assert report.checksums["heatmap"] == pl.checksum(heads[-1])
+        assert report.fusion_stats["n_matches"] > 0
+        assert not np.array_equal(heads[0], heads[1])
 
     def test_weights_reproducible(self, scene_dir):
         cfg = PipelineConfig(**SMALL, sequential=True)
@@ -305,6 +328,17 @@ class TestPipelineConfig:
         cfg = PipelineConfig.from_dict({"depth": {"d_min": 1, "d_max": 40},
                                         "fusion": {"peak_threshold": 1}})
         assert (cfg.d_min, cfg.d_max, cfg.peak_threshold) == (1, 40, 1)
+
+
+_GRID = np.random.default_rng(3).normal(0.0, 1.0, (4, 5, 6))
+
+
+@pytest.mark.parametrize("arr", [_GRID, np.asfortranarray(_GRID), _GRID.astype(np.float32),
+                                 _GRID[:, ::2, 1:]],
+                         ids=["c_order", "fortran_order", "float32", "strided_view"])
+def test_checksum_is_sha256_of_float64_c_bytes(arr):
+    expect = hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()
+    assert checksum(arr) == expect
 
 
 class TestDecodePeaks:
