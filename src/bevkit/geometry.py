@@ -21,6 +21,8 @@ def _check_rotation(rot: np.ndarray, what: str) -> np.ndarray:
     rot = np.asarray(rot, dtype=np.float64)
     if rot.shape != (3, 3):
         raise ValueError(f"{what} rotation must be 3x3, got {rot.shape}")
+    if not np.all(np.isfinite(rot)):
+        raise ValueError(f"{what} rotation must be finite")
     if np.max(np.abs(rot.T @ rot - np.eye(3))) > _ORTHO_TOL:
         raise ValueError(f"{what} rotation is not orthonormal")
     if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
@@ -45,6 +47,8 @@ class CameraRig:
         k = np.asarray(self.intrinsics, dtype=np.float64)
         if k.shape != (3, 3):
             raise ValueError(f"intrinsics must be 3x3, got {k.shape}")
+        if not np.all(np.isfinite(k)):
+            raise ValueError("intrinsics must be finite")
         lower = np.abs(np.tril(k, -1))
         if lower.max() > 1e-12:
             raise ValueError("intrinsics must be upper-triangular")
@@ -52,6 +56,8 @@ class CameraRig:
             raise ValueError("intrinsic diagonal must be strictly positive")
         rot = _check_rotation(self.rotation, "camera")
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("camera translation must be finite")
         h, w = self.image_size
         if h <= 0 or w <= 0:
             raise ValueError(f"image_size must be positive, got {self.image_size}")
@@ -83,6 +89,8 @@ class EgoPose:
     def __post_init__(self):
         rot = _check_rotation(self.rotation, "ego")
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("ego translation must be finite")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)
 

@@ -13,9 +13,9 @@ Cells are half-open: a point exactly on the max edge of either range is
 dropped. Every kernel sums the features that land in a cell.
 
 splat pools lift-splat features without materializing them: it sums
-depth weights into (cell, pixel) slots with np.bincount, in the order
-pool_reference would add them, and multiplies each block of slots by the
-context.
+depth weights into rows of H weights, one per (image column, occupied
+cell) pair, with np.bincount in the order pool_reference would add them,
+and multiplies each image column's rows by that column of the context.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-
-# (cell, pixel) slots per dense block of the splat's weight matrix: 8 MB
-SPLAT_BLOCK_SLOTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,47 +191,50 @@ def splat(positions: np.ndarray, context: np.ndarray, tap_sets, cfg: BEVGridConf
           outs: list[np.ndarray]) -> int:
     """Pool lifted features into BEV grids without building the lift.
 
-    positions are the (D*H*W, 3) frustum samples in depth-major order,
-    context is (C, H, W). A tap set is a list of (shift, weights) pairs with
-    (D, H, W) weights. It stands for the lifted features
-    sum_t weights_t[l, h, w] * context[:, h, w + shift_t] at sample
-    (l, h, w), where a shifted column off the map contributes nothing.
-    These are linear in the context, so a cell pools
-    sum_pixel W[cell, pixel] * context[:, pixel]. W is built by summing
-    each sample's weights into its slot, occ * H*W + h*W + w + shift, where
-    occ numbers the occupied cells. np.bincount adds a slot's weights in
-    tap-then-sample order, as sum_reference would, so W is bit-identical to
-    what sum_reference gives. That is done SPLAT_BLOCK_SLOTS slots at a
-    time, and each block takes one matrix product with the context. Each tap
-    set's (C, ny, nx) result is added into the array at the same position of
-    outs. Returns the number of samples outside the grid.
+    positions are the (D*H*W, 3) frustum samples in depth-major order, context
+    is (C, H, W). A tap set is a list of (shift, weights) pairs with (D, H, W)
+    weights. It stands for the lifted features
+    sum_t weights_t[l, h, w] * context[:, h, w + shift_t] at sample (l, h, w);
+    a shifted column off the map contributes nothing. That is linear in the
+    context, and a cell sees few image columns, so sample (l, h, w) adds its
+    weights to entry h of a row keyed by (column w + shift, occupied cell).
+    np.bincount adds them in tap-then-sample order, as sum_reference would, so
+    every entry is bit-identical to sum_reference's. Column j's rows take one
+    product with context[:, :, j].T into (cells, C) sums, which each tap set
+    adds once into the C-contiguous (C, ny, nx) array at its position in outs.
+    Returns the number of samples outside the grid.
     """
     c, h, w = context.shape
-    hw = h * w
     inside, ids = _cell_ids_of(positions, cfg)
-    cells, occ = np.unique(ids, return_inverse=True)
-    rows, cols = np.divmod(cells, cfg.nx)
+    present = np.bincount(ids, minlength=cfg.ny * cfg.nx) > 0
+    cells = np.flatnonzero(present)
+    n = cells.size
+    occ = (np.cumsum(present) - 1)[ids]
     sample = np.flatnonzero(inside)
-    col = sample % w
-    base = occ * hw + sample % hw
-    ctx_t = context.reshape(c, hw).T
-    per_block = max(1, SPLAT_BLOCK_SLOTS // hw)
+    col, row = sample % w, sample // w % h
+    if not all(out.flags.c_contiguous for out in outs):
+        raise ValueError("splat outputs must be C-contiguous")
     for taps, out in zip(tap_sets, outs):
         if not taps:
             continue
-        slots, values = [], []
+        pairs, entries, values = [], [], []
         for shift, weights in taps:
             keep = (col + shift >= 0) & (col + shift < w)
-            slots.append(base[keep] + shift)
+            pairs.append((col[keep] + shift) * n + occ[keep])
+            entries.append(row[keep])
             values.append(weights.reshape(-1)[sample[keep]])
-        slots, values = np.concatenate(slots), np.concatenate(values)
-        block_of = slots // (per_block * hw)
-        for lo in range(0, cells.size, per_block):
-            hi = min(lo + per_block, cells.size)
-            mine = block_of == lo // per_block
-            block = np.bincount(slots[mine] - lo * hw, weights=values[mine],
-                                minlength=(hi - lo) * hw)
-            # slots @ context, not context @ slots: with OpenBLAS 0.3 only
-            # this order gave the same bits on 1 and 2 threads
-            out[:, rows[lo:hi], cols[lo:hi]] += (block.reshape(hi - lo, hw) @ ctx_t).T
+        pairs = np.concatenate(pairs)
+        reached = np.zeros(w * n, dtype=bool)
+        reached[pairs] = True
+        keys = np.flatnonzero(reached)  # column-major: column j, then cell
+        rank = np.cumsum(reached) - 1
+        rows = np.bincount(rank[pairs] * h + np.concatenate(entries),
+                           weights=np.concatenate(values),
+                           minlength=keys.size * h).reshape(keys.size, h)
+        bounds = np.searchsorted(keys, np.arange(w + 1) * n)
+        sums = np.zeros((n, c))
+        for j in range(w):
+            lo, hi = bounds[j], bounds[j + 1]
+            sums[keys[lo:hi] - j * n] += rows[lo:hi] @ context[:, :, j].T
+        out.reshape(c, -1)[:, cells] += sums.T
     return int(inside.size - ids.size)

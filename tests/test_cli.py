@@ -31,6 +31,13 @@ def scene_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def seed3_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "seed3"
+    assert main(["gen", "--out", str(out), "--seed", "3"]) == EXIT_OK
+    return out
+
+
 class TestGen:
     def test_gen_writes_bundle(self, scene_dir):
         names = {p.name for p in scene_dir.iterdir()}
@@ -247,6 +254,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "scene.json" in err
+
+    def test_nonfinite_camera_translation_validation_error(self, seed3_dir, tmp_path, capsys):
+        bad = tmp_path / "scene"
+        shutil.copytree(seed3_dir, bad)
+        manifest = json.loads((bad / "scene.json").read_text())
+        manifest["cameras"][0]["translation"] = [float("nan"), 1.6, -1.5]
+        (bad / "scene.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "scene.json" in err and "translation must be finite" in err
+
+    @pytest.mark.parametrize("keep", [0, 6, 14, -8, -1])
+    def test_truncated_features_validation_error(self, seed3_dir, tmp_path, capsys, keep):
+        bad = tmp_path / "scene"
+        shutil.copytree(seed3_dir, bad)
+        tensor = bad / "features_cam0.tnsr"
+        tensor.write_bytes(tensor.read_bytes()[:keep])
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "features_cam0.tnsr" in err
 
     def test_malformed_gt_boxes_validation_error(self, scene_dir, config_path, tmp_path,
                                                  capsys):

@@ -5,6 +5,7 @@ from bevkit.geometry import (
     DEPTH_SENTINEL,
     CameraRig,
     DepthMap,
+    EgoPose,
     FrustumGrid,
     depth_map_from_points,
     in_front_mask,
@@ -40,6 +41,23 @@ class TestCameraRig:
         flip = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="determinant"):
             CameraRig(np.eye(3), flip, np.zeros(3), (4, 4))
+
+    @pytest.mark.parametrize("field, at", [("intrinsics", (0, 0)), ("intrinsics", (1, 0)),
+                                           ("intrinsics", (0, 2)), ("rotation", (2, 1)),
+                                           ("translation", (0,))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_values(self, field, at, bad):
+        fields = {"intrinsics": np.eye(3), "rotation": np.eye(3), "translation": np.zeros(3)}
+        fields[field][at] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CameraRig(image_size=(4, 4), **fields)
+
+    @pytest.mark.parametrize("field, at", [("rotation", (0, 0)), ("translation", (2,))])
+    def test_ego_pose_rejects_nonfinite_values(self, field, at):
+        fields = {"rotation": np.eye(3), "translation": np.zeros(3)}
+        fields[field][at] = np.nan
+        with pytest.raises(ValueError, match=f"ego {field} must be finite"):
+            EgoPose(**fields)
 
     def test_rejects_nonpositive_image(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bevkit.nnprims import (
     DepthBinSpec,
@@ -318,3 +323,46 @@ class TestTensorIO:
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_tensor(tmp_path / "x.tnsr", np.array([np.nan]))
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_roundtrip_exact(self, arr):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.tnsr")
+            write_tensor(path, arr)
+            back = read_tensor(path)
+        assert back.dtype == np.float64 and back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()  # bit for bit, signed zeros included
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_corrupted_tensor_raises_only_value_or_os_error(self, data):
+        arr = np.random.default_rng(46).normal(0, 1, (2, 3, 4))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.tnsr")
+            write_tensor(path, arr)
+            with open(path, "rb") as fh:
+                original = fh.read()
+            blob = bytearray(original)
+            if data.draw(st.booleans(), label="truncate"):
+                blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+                must_fail = True
+            else:
+                for _ in range(data.draw(st.integers(1, 4), label="flips")):
+                    # the header (magic, rank, extents: bytes 0-19) is drawn as often
+                    # as the rest
+                    at = data.draw(st.one_of(st.integers(0, 19),
+                                             st.integers(0, len(blob) - 1)), label="at")
+                    blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+                must_fail = blob[:4] != original[:4]
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                back = read_tensor(path)
+            except (ValueError, OSError):
+                return
+        assert not must_fail, "a truncated tensor or a changed magic was read"
+        # a tensor that reads spans the whole file, and every value is finite
+        assert 8 + 4 * back.ndim + 8 * back.size == len(blob)
+        assert back.dtype == np.float64 and np.all(np.isfinite(back))

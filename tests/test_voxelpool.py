@@ -172,7 +172,7 @@ def shifted_lift(context, taps):
 
 
 class TestSplat:
-    def test_matches_lift_refine_pool_random_cases(self, monkeypatch):
+    def test_matches_lift_refine_pool_random_cases(self):
         rng = np.random.default_rng(4040)
         cases_with_drops = 0
         for case in range(60):
@@ -186,8 +186,6 @@ class TestSplat:
             ctx = rng.normal(0, 1, (c_ctx, h, w))
             p = softmax_over_depth(rng.normal(0, 2, (c_d, h, w)))
             kernel = rng.normal(0, 1, (3, 3))
-            # blocks of one cell up to one block for everything
-            monkeypatch.setattr(vp, "SPLAT_BLOCK_SLOTS", int(rng.integers(1, 4 * h * w)))
             f_bev, f_depth = np.zeros((2, c_ctx, ny, nx))
             dropped = splat(pts, ctx, ([(0, p)], refine_taps(p, kernel)), cfg,
                             [f_bev, f_depth])
@@ -206,12 +204,11 @@ class TestSplat:
             assert np.abs(got - want).max() <= 1e-9
         assert cases_with_drops >= 30
 
-    @pytest.mark.parametrize("block_slots", [1 << 20, 40])
-    def test_slot_sums_bit_identical_to_sum_reference(self, monkeypatch, block_slots):
+    @pytest.mark.parametrize("seed", [1 << 20, 40])
+    def test_slot_sums_bit_identical_to_sum_reference(self, seed):
         # a one-hot context (C = H*W) makes the product exact, so each grid
-        # column is one cell's slot sums
-        monkeypatch.setattr(vp, "SPLAT_BLOCK_SLOTS", block_slots)
-        rng = np.random.default_rng(4041)
+        # column is one cell's slot sums; each seed draws its own rig and weights
+        rng = np.random.default_rng(seed)
         h, w, d = 5, 7, 30
         cfg = BEVGridConfig((-6.0, 6.0), (-4.0, 8.0), 9, 7)
         bins = DepthBinSpec(0.5, 12.0, d)
@@ -234,6 +231,35 @@ class TestSplat:
         want = np.zeros_like(got)
         want[:, cells // cfg.nx, cells % cfg.nx] = sums.reshape(cells.size, h * w).T
         assert np.array_equal(got, want)
+
+    def test_matches_lift_refine_pool_at_benchmark_shape(self):
+        # one forward camera at the 16x44 map, 112 bins and 128 cells: the cells
+        # near the camera each see several image columns
+        cfg = PipelineConfig()
+        grid_cfg, c, h, w = cfg.bev_grid, 8, 16, 44
+        rng = np.random.default_rng(4043)
+        frustum = FrustumGrid.regular((h, w), cfg.depth_bins.centers())
+        pts = unproject_frustum(forward_camera().scaled(h / 256, w / 704), frustum)
+        inside, ids = cell_ids(FeaturedPoints(pts, np.zeros((len(pts), 0))), grid_cfg)
+        col = np.flatnonzero(inside) % w
+        seen = np.unique(np.column_stack([ids, col]), axis=0)
+        assert np.bincount(seen[:, 0]).max() >= 4
+        assert {0, w - 1} <= set(col.tolist())
+        ctx = rng.uniform(0, 1, (c, h, w))
+        p = softmax_over_depth(rng.normal(0, 1, (cfg.n_depth_bins, h, w)))
+        kernel = PipelineWeights.create(cfg, 16).refine_kernel
+        f_bev, f_depth = np.zeros((2, c, grid_cfg.ny, grid_cfg.nx))
+        splat(pts, ctx, ([(0, p)], refine_taps(p, kernel)), grid_cfg, [f_bev, f_depth])
+        want_bev, want_depth = lift_refine_pool([pts], [ctx], [p], kernel, grid_cfg)
+        assert np.abs(f_bev - want_bev).max() <= 1e-9
+        assert np.abs(f_depth - want_depth).max() <= 1e-9
+        # weight at columns 0 and W-1, whose shifted columns fall off the map
+        taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
+        got = np.zeros((c, grid_cfg.ny, grid_cfg.nx))
+        splat(pts, ctx, (taps,), grid_cfg, [got])
+        lifted = shifted_lift(ctx, taps).reshape(c, -1).T
+        want = pool_reference(FeaturedPoints(pts, lifted), grid_cfg).data
+        assert np.abs(got - want).max() <= 1e-9
 
     def test_nothing_in_range(self):
         pts = np.full((2 * 3, 3), 100.0)
