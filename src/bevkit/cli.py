@@ -24,7 +24,7 @@ def _spec_from_json(path) -> SceneSpec:
         d = json.load(fh)
     try:
         return SceneSpec(
-            seed=int(d["seed"]),
+            seed=d["seed"],
             cameras=[rig_from_json(r) for r in d["cameras"]],
             ego_trajectory=[pose_from_json(p) for p in d["ego_trajectory"]],
             objects=[_object_from_json(o) for o in d.get("objects", [])],

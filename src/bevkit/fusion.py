@@ -1,10 +1,10 @@
 """Detection-head feature fusion and the associated losses.
 
-Combines the camera BEV grid, the projected radar pseudo image, and the
-depth-path grid by cellwise summation, gates radar proposal cells with the
-heatmap prior, and computes the composite detection loss (heatmap binary
-cross-entropy plus box L1) and the depth-distribution BCE against a
-rasterized ground-truth depth map.
+Combines the camera BEV grid and the projected radar pseudo image by
+cellwise summation, gates radar proposal cells with the heatmap prior,
+and computes the composite detection loss (heatmap binary cross-entropy
+plus box L1) and the depth-distribution BCE against a rasterized
+ground-truth depth map.
 """
 
 from __future__ import annotations
@@ -63,19 +63,12 @@ class DetectionBox:
         return np.array([*self.center, *self.size, self.yaw, *self.velocity])
 
 
-def fuse_bev_features(f_bev: np.ndarray, f_radar: np.ndarray,
-                      f_depth: np.ndarray) -> np.ndarray:
-    """Cellwise sum of the three aligned (C, ny, nx) grids.
-
-    The radar pseudo image must already be projected to the shared channel
-    count (conv_pointwise) before it gets here.
-    """
-    f_bev, f_radar, f_depth = as_tensor(f_bev), as_tensor(f_radar), as_tensor(f_depth)
-    if not (f_bev.shape == f_radar.shape == f_depth.shape):
-        raise ValueError(
-            f"grids must share a shape: {f_bev.shape}, {f_radar.shape}, {f_depth.shape}"
-        )
-    return f_bev + f_radar + f_depth
+def fuse_bev_features(f_cam: np.ndarray, f_radar: np.ndarray) -> np.ndarray:
+    """Cellwise sum of the camera grid and the projected (C, ny, nx) radar grid."""
+    f_cam, f_radar = as_tensor(f_cam), as_tensor(f_radar)
+    if f_cam.shape != f_radar.shape:
+        raise ValueError(f"grids must share a shape: {f_cam.shape}, {f_radar.shape}")
+    return f_cam + f_radar
 
 
 def match_radar_to_heatmap(radar_cells: np.ndarray, heatmap: Heatmap,

@@ -11,12 +11,11 @@ Stage wiring, where the configuration leaves the sensors on:
       elsewhere -> f_radar (the pseudo image is built for its checksum)
     camera features + rig -> gates -> depth logits + context
     radar projections -> depth-logit hints (camera+radar only)
-    per camera: softmax -> depth weights p; p refined one kernel column
-      at a time -> column taps; frustum -> BEV cells; p summed into
-      (cell, pixel) slots @ context -> plain grid; taps likewise -> refined
-      grid (no (C, D, H, W) lift is built)
-    f_bev, f_depth = sums over cameras of the plain and refined grids
-    f_bev + f_radar + f_depth -> heatmap prior
+    per camera: softmax -> depth weights p; p refined by refine_kernel plus
+      a one-hot centre (the plain lift), one kernel column at a time -> column
+      taps; frustum -> BEV cells; taps summed into (image column, cell) rows
+      @ context -> added into camera_bev (no (C, D, H, W) lift is built)
+    camera_bev + f_radar -> heatmap prior
     radar-occupied BEV cells -> cells the prior accepts -> their centers
       (x, y, 0, 0) in the q grid -> 1x1 conv, added to the fused grid
     final heatmap -> peak decoding
@@ -473,22 +472,22 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     # Lift-splat one camera at a time through depth weights; cell sums add
     # across cameras. "lift" builds the weights, "voxelpool" places and pools them.
     frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
-    f_bev = np.zeros((cfg.n_context, cfg.bev_cells, cfg.bev_cells))
-    f_depth = np.zeros_like(f_bev)
+    # the identity tap is the plain lift: lift + refine(lift, K) = refine(lift, K + delta)
+    kernel = weights.refine_kernel + np.pad([[1.0]], 1)
+    camera_bev = np.zeros((cfg.n_context, cfg.bev_cells, cfg.bev_cells))
     for i, (frig, ctx, pd) in enumerate(zip(frigs, outputs.context, p_depth)):
         with _StageTimer(report, "lift"):
-            taps = refine_taps(pd, weights.refine_kernel)
+            taps = refine_taps(pd, kernel)
         with _StageTimer(report, "voxelpool"):
             pts = geo.unproject_frustum(frig, frustum)
             report.dropped_points[f"frustum_cam{i}"] = vp.splat(
-                pts, ctx, ([(0, pd)], taps), cfg.bev_grid, [f_bev, f_depth])
-    report.checksums["f_bev"] = checksum(f_bev)
-    report.checksums["f_depth"] = checksum(f_depth)
+                pts, ctx, taps, cfg.bev_grid, camera_bev)
+    report.checksums["camera_bev"] = checksum(camera_bev)
 
     # Fusion, heatmap prior, radar cell gating, final heatmap.
     with _StageTimer(report, "fusion"):
         try:
-            fused = fu.fuse_bev_features(f_bev, radar_bev, f_depth)
+            fused = fu.fuse_bev_features(camera_bev, radar_bev)
         except ValueError as err:
             raise _stage_error("fusion", err) from err
         prior_scores = kan.sigmoid(conv_pointwise(fused, weights.head_kernel,

@@ -89,6 +89,11 @@ class SceneSpec:
             raise ValueError("at most 6 cameras supported")
         if not self.ego_trajectory:
             raise ValueError("a scene needs at least one ego pose")
+        shape = list(self.feature_shape)
+        if not (type(self.seed) is int and self.seed >= 0 and len(shape) == 3
+                and all(type(v) is int and v >= 1 for v in shape)):
+            raise ValueError("seed must be an integer >= 0 and feature_shape three integers "
+                             f">= 1, got seed {self.seed!r} and feature_shape {shape}")
 
 
 def forward_camera(focal: float = 380.0, image_size: tuple[int, int] = (256, 704),
@@ -261,8 +266,6 @@ def load_scene(scene_dir) -> SceneBundle:
 
     path = Path(scene_dir)
     manifest_path = path / "scene.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no scene.json in {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     try:
@@ -274,17 +277,23 @@ def load_scene(scene_dir) -> SceneBundle:
     except (TypeError, AttributeError, KeyError, ValueError) as err:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
     if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
+            and len(files["features"]) == len(cameras) >= 1
             and type(seed) is int and seed >= 0 and isinstance(token, str)):
         raise ValueError(f"{manifest_path}: files must name the radar, lidar and gt_boxes "
-                         "files and list the features files, seed must be an integer >= 0 "
-                         "and sample_token a string")
+                         "files and list one features file per camera (at least one), seed "
+                         "must be an integer >= 0 and sample_token a string")
+    features = [read_tensor(path / f) for f in files["features"]]
+    for f, name in zip(features, files["features"]):
+        if f.ndim != 3 or f.size == 0 or f.shape != features[0].shape:
+            raise ValueError(f"{path / name}: features must be non-empty (C, H, W) tensors "
+                             f"of one shape, got {f.shape} (camera 0: {features[0].shape})")
     return SceneBundle(
         manifest=manifest,
         cameras=cameras,
         ego_trajectory=ego_trajectory,
         radar=read_pc4d(path / files["radar"]).points,
         lidar=read_pc4d(path / files["lidar"]).points,
-        features=[read_tensor(path / f) for f in files["features"]],
+        features=features,
         gt_boxes=load_boxes(path / files["gt_boxes"]),
         path=path,
     )

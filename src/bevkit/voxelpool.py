@@ -187,12 +187,12 @@ def pool_concurrent(points: FeaturedPoints, cfg: BEVGridConfig, workers: int,
                                                                     workers, block))
 
 
-def splat(positions: np.ndarray, context: np.ndarray, tap_sets, cfg: BEVGridConfig,
-          outs: list[np.ndarray]) -> int:
-    """Pool lifted features into BEV grids without building the lift.
+def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
+          out: np.ndarray) -> int:
+    """Pool lifted features into a BEV grid without building the lift.
 
     positions are the (D*H*W, 3) frustum samples in depth-major order, context
-    is (C, H, W). A tap set is a list of (shift, weights) pairs with (D, H, W)
+    is (C, H, W). taps is a list of (shift, weights) pairs with (D, H, W)
     weights. It stands for the lifted features
     sum_t weights_t[l, h, w] * context[:, h, w + shift_t] at sample (l, h, w);
     a shifted column off the map contributes nothing. That is linear in the
@@ -200,41 +200,40 @@ def splat(positions: np.ndarray, context: np.ndarray, tap_sets, cfg: BEVGridConf
     weights to entry h of a row keyed by (column w + shift, occupied cell).
     np.bincount adds them in tap-then-sample order, as sum_reference would, so
     every entry is bit-identical to sum_reference's. Column j's rows take one
-    product with context[:, :, j].T into (cells, C) sums, which each tap set
-    adds once into the C-contiguous (C, ny, nx) array at its position in outs.
-    Returns the number of samples outside the grid.
+    product with context[:, :, j].T into (cells, C) sums, added once into out,
+    a C-contiguous (C, ny, nx) array. Returns the number of samples outside
+    the grid.
     """
     c, h, w = context.shape
+    if not out.flags.c_contiguous:
+        raise ValueError("splat output must be C-contiguous")
     inside, ids = _cell_ids_of(positions, cfg)
+    if not taps:
+        return int(inside.size - ids.size)
     present = np.bincount(ids, minlength=cfg.ny * cfg.nx) > 0
     cells = np.flatnonzero(present)
     n = cells.size
     occ = (np.cumsum(present) - 1)[ids]
     sample = np.flatnonzero(inside)
     col, row = sample % w, sample // w % h
-    if not all(out.flags.c_contiguous for out in outs):
-        raise ValueError("splat outputs must be C-contiguous")
-    for taps, out in zip(tap_sets, outs):
-        if not taps:
-            continue
-        pairs, entries, values = [], [], []
-        for shift, weights in taps:
-            keep = (col + shift >= 0) & (col + shift < w)
-            pairs.append((col[keep] + shift) * n + occ[keep])
-            entries.append(row[keep])
-            values.append(weights.reshape(-1)[sample[keep]])
-        pairs = np.concatenate(pairs)
-        reached = np.zeros(w * n, dtype=bool)
-        reached[pairs] = True
-        keys = np.flatnonzero(reached)  # column-major: column j, then cell
-        rank = np.cumsum(reached) - 1
-        rows = np.bincount(rank[pairs] * h + np.concatenate(entries),
-                           weights=np.concatenate(values),
-                           minlength=keys.size * h).reshape(keys.size, h)
-        bounds = np.searchsorted(keys, np.arange(w + 1) * n)
-        sums = np.zeros((n, c))
-        for j in range(w):
-            lo, hi = bounds[j], bounds[j + 1]
-            sums[keys[lo:hi] - j * n] += rows[lo:hi] @ context[:, :, j].T
-        out.reshape(c, -1)[:, cells] += sums.T
+    pairs, entries, values = [], [], []
+    for shift, weights in taps:
+        keep = (col + shift >= 0) & (col + shift < w)
+        pairs.append((col[keep] + shift) * n + occ[keep])
+        entries.append(row[keep])
+        values.append(weights.reshape(-1)[sample[keep]])
+    pairs = np.concatenate(pairs)
+    reached = np.zeros(w * n, dtype=bool)
+    reached[pairs] = True
+    keys = np.flatnonzero(reached)  # column-major: column j, then cell
+    rank = np.cumsum(reached) - 1
+    rows = np.bincount(rank[pairs] * h + np.concatenate(entries),
+                       weights=np.concatenate(values),
+                       minlength=keys.size * h).reshape(keys.size, h)
+    bounds = np.searchsorted(keys, np.arange(w + 1) * n)
+    sums = np.zeros((n, c))
+    for j in range(w):
+        lo, hi = bounds[j], bounds[j + 1]
+        sums[keys[lo:hi] - j * n] += rows[lo:hi] @ context[:, :, j].T
+    out.reshape(c, -1)[:, cells] += sums.T
     return int(inside.size - ids.size)

@@ -6,6 +6,7 @@ import pytest
 
 from bevkit.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from bevkit.metrics import evaluate_detections, load_boxes
+from bevkit.nnprims import write_tensor
 from bevkit.pipeline import PipelineConfig
 
 SMALL = dict(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
@@ -38,6 +39,22 @@ def seed3_dir(tmp_path_factory):
     return out
 
 
+ONE_CAMERA_SPEC = {
+    "seed": 5,
+    "cameras": [{
+        "intrinsics": [[100.0, 0.0, 32.0], [0.0, 100.0, 24.0], [0.0, 0.0, 1.0]],
+        "rotation": np.eye(3).tolist(),
+        "translation": [0.0, 0.0, 0.0],
+        "image_size": [48, 64],
+    }],
+    "ego_trajectory": [{"rotation": np.eye(3).tolist(),
+                        "translation": [0.0, 0.0, 0.0], "timestamp": 0.0}],
+    "objects": [],
+    "radar_density": 500,
+    "lidar_density": 500,
+}
+
+
 class TestGen:
     def test_gen_writes_bundle(self, scene_dir):
         names = {p.name for p in scene_dir.iterdir()}
@@ -56,22 +73,8 @@ class TestGen:
         np.testing.assert_allclose(cloud.points[0], [1.0, 2.0, 0.1, 0.5], atol=1e-6)
 
     def test_gen_from_spec_json(self, tmp_path):
-        spec_json = {
-            "seed": 5,
-            "cameras": [{
-                "intrinsics": [[100.0, 0.0, 32.0], [0.0, 100.0, 24.0], [0.0, 0.0, 1.0]],
-                "rotation": np.eye(3).tolist(),
-                "translation": [0.0, 0.0, 0.0],
-                "image_size": [48, 64],
-            }],
-            "ego_trajectory": [{"rotation": np.eye(3).tolist(),
-                                "translation": [0.0, 0.0, 0.0], "timestamp": 0.0}],
-            "objects": [],
-            "radar_density": 500,
-            "lidar_density": 500,
-        }
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec_json))
+        spec_path.write_text(json.dumps(ONE_CAMERA_SPEC))
         rc = main(["gen", "--out", str(tmp_path / "scene"), "--spec", str(spec_path)])
         assert rc == EXIT_OK
         assert (tmp_path / "scene" / "scene.json").exists()
@@ -92,10 +95,18 @@ class TestGen:
                             ({"velocity": [1.0]}, "object velocity must be 2"),
                             ({"class_name": "lorry"}, "class_name must be one of"),
                             ({"attribute": "vehicle.flying"}, "attribute must be one of"))),
+        *(({**ONE_CAMERA_SPEC, **bad}, says)
+          for bad, says in (({"feature_shape": "abc"}, "feature_shape ['a', 'b', 'c']"),
+                            ({"feature_shape": [64, 16.5, 44]}, "feature_shape [64, 16.5, 44]"),
+                            ({"feature_shape": [64, 16]}, "feature_shape [64, 16]"),
+                            ({"feature_shape": [64, 0, 44]}, "feature_shape [64, 0, 44]"),
+                            ({"seed": 1.7}, "got seed 1.7 "),
+                            ({"seed": -1}, "got seed -1 "))),
     ], ids=["list", "unknown-key", "unknown-object-key", "object-center-string",
             "object-center-length", "object-size-nan", "object-size-zero",
             "object-yaw-inf", "object-velocity-length", "object-class-unknown",
-            "object-attribute-unknown"])
+            "object-attribute-unknown", "feature-shape-string", "feature-shape-float",
+            "feature-shape-length", "feature-shape-zero", "seed-float", "seed-negative"])
     def test_malformed_spec_validation_error(self, tmp_path, capsys, spec, says):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -119,6 +130,24 @@ def _set_image_size(m):
 
 def _set_features_string(m):
     m["files"]["features"] = m["files"]["features"][0]
+
+
+def _drop_features(m):
+    m["files"]["features"] = []
+
+
+def _flatten_features(scene):
+    write_tensor(scene / "features_cam0.tnsr", np.zeros((16, 44)))
+    return "features_cam0.tnsr", "(C, H, W)"
+
+
+def _add_smaller_camera(scene):
+    manifest = json.loads((scene / "scene.json").read_text())
+    manifest["cameras"].append(manifest["cameras"][0])
+    manifest["files"]["features"].append("features_cam1.tnsr")
+    (scene / "scene.json").write_text(json.dumps(manifest))
+    write_tensor(scene / "features_cam1.tnsr", np.zeros((64, 8, 22)))
+    return "features_cam1.tnsr", "(64, 8, 22)"
 
 
 def _cut_payload(blob):
@@ -239,7 +268,8 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "16 trailing bytes" in err and "radar.pc4d" in err
 
-    @pytest.mark.parametrize("edit", [_set_files, _set_image_size, _set_features_string])
+    @pytest.mark.parametrize("edit", [_set_files, _set_image_size, _set_features_string,
+                                      _drop_features])
     def test_malformed_manifest_validation_error(self, scene_dir, config_path, tmp_path,
                                                  capsys, edit):
         bad = tmp_path / "scene"
@@ -280,6 +310,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
         assert "features_cam0.tnsr" in err
+
+    @pytest.mark.parametrize("edit", [_flatten_features, _add_smaller_camera])
+    def test_bad_features_name_the_file(self, seed3_dir, tmp_path, capsys, edit):
+        bad = tmp_path / "scene"
+        shutil.copytree(seed3_dir, bad)
+        name, says = edit(bad)
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err and says in err
 
     def test_malformed_gt_boxes_validation_error(self, scene_dir, config_path, tmp_path,
                                                  capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestRunPipeline:
             assert cam.checksums[key] == fused.checksums[key]
         # radar hints reach the depth logits and everything downstream
         assert cam.checksums["depth_logits_cam0"] != fused.checksums["depth_logits_cam0"]
-        assert cam.checksums["f_bev"] != fused.checksums["f_bev"]
+        assert cam.checksums["camera_bev"] != fused.checksums["camera_bev"]
 
     def test_radar_hints_do_not_raise_depth_bce(self, scene_dir):
         cam, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, modality="camera",
@@ -225,21 +226,22 @@ class TestPerCameraPooling:
 
     def test_camera_sum_matches_stacked_pool(self, three_cameras):
         cfg, weights, _, seen, positions = three_cameras
-        f_bev, _, f_depth = seen["fuse"][0]
+        camera_bev, _ = seen["fuse"][0]
         contexts = seen["depthnet"][0].context
         p_depths = seen["softmax"]
         assert len(positions) == len(contexts) == len(p_depths) == 3
         kernel = weights.refine_kernel
+        # the oracle builds the plain lift and its refinement apart; the pipeline
+        # splats both at once
         want_bev, want_depth = lift_refine_pool(positions, contexts, p_depths, kernel,
                                                 cfg.bev_grid)
-        assert np.abs(f_bev - want_bev).max() <= 1e-9
-        assert np.abs(f_depth - want_depth).max() <= 1e-9
+        assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
         # every camera adds cells the others leave empty, so a dropped camera would show
         for k in range(3):
-            others, _ = lift_refine_pool(*(v[:k] + v[k + 1:] for v in
-                                           (positions, contexts, p_depths)),
-                                         kernel, cfg.bev_grid)
-            assert np.abs(f_bev - others).max() > 1e-3
+            others = np.add(*lift_refine_pool(*(v[:k] + v[k + 1:] for v in
+                                                (positions, contexts, p_depths)),
+                                              kernel, cfg.bev_grid))
+            assert np.abs(camera_bev - others).max() > 1e-3
 
     def test_frustum_drops_reported(self, three_cameras):
         cfg, _, report, _, positions = three_cameras
@@ -247,6 +249,74 @@ class TestPerCameraPooling:
             inside, _ = vp.cell_ids(vp.FeaturedPoints(pts, np.zeros((len(pts), 0))),
                                     cfg.bev_grid)
             assert 0 < report.dropped_points[f"frustum_cam{k}"] == int((~inside).sum())
+
+
+class TestMetamorphic:
+    """Relations between whole runs that hold whatever the stages do inside."""
+
+    # a mispairing of contexts and rigs survives a permutation it commutes with,
+    # and none but the identity commutes with both a 3-cycle and a swap
+    @pytest.mark.parametrize("order", [[2, 0, 1], [1, 0, 2]], ids=["cycle", "swap"])
+    def test_camera_order_does_not_matter(self, tmp_path, order):
+        spec = default_scene_spec(seed=5, n_objects=8, n_cameras=3, feature_shape=(16, 8, 22),
+                                  radar_density=1200, lidar_density=4000)
+        spec.cameras = yawed_rigs((0.0, 120.0, 240.0))
+        scene = generate_scene(spec, tmp_path / "scene")
+        permuted = tmp_path / "permuted"
+        shutil.copytree(scene, permuted)
+        manifest = json.loads((permuted / "scene.json").read_text())
+        # camera i of the permuted bundle is camera order[i]
+        manifest["cameras"] = [manifest["cameras"][k] for k in order]
+        manifest["files"]["features"] = [manifest["files"]["features"][k] for k in order]
+        (permuted / "scene.json").write_text(json.dumps(manifest))
+        cfg = PipelineConfig(**SMALL, sequential=True)
+        (a, preds_a), (b, preds_b) = run_pipeline(scene, cfg), run_pipeline(permuted, cfg)
+        # each camera keeps its own rig, context and depth
+        for i, k in enumerate(order):
+            for key in ("gates", "context", "depth_logits"):
+                assert a.checksums[f"{key}_cam{k}"] == b.checksums[f"{key}_cam{i}"]
+            for key in ("supervision", "frustum"):
+                assert a.dropped_points[f"{key}_cam{k}"] == b.dropped_points[f"{key}_cam{i}"]
+        # per-camera sums reassociate, so scores and losses may move in the last bits
+        boxes_a, boxes_b = (sorted(p["sample-0"], key=lambda x: (x.class_id, x.center))
+                            for p in (preds_a, preds_b))
+        assert len(boxes_a) == len(boxes_b) > 0
+        assert ([(x.class_id, x.center) for x in boxes_a]
+                == [(x.class_id, x.center) for x in boxes_b])
+        np.testing.assert_allclose([x.score for x in boxes_a], [x.score for x in boxes_b],
+                                   rtol=0, atol=1e-12)
+        assert a.losses.keys() == b.losses.keys()
+        for key, value in a.losses.items():
+            assert abs(value - b.losses[key]) <= 1e-12, key
+        assert a.fusion_stats == b.fusion_stats
+        assert a.eval_summary.nds == b.eval_summary.nds
+
+    def test_empty_radar_equals_camera_only(self, scene_dir, tmp_path):
+        quiet = tmp_path / "scene"
+        shutil.copytree(scene_dir, quiet)
+        pl.pi.write_pc4d(quiet / "radar.pc4d", np.zeros((0, 4)))
+        runs = {}
+        for modality in ("camera", "camera+radar"):
+            report, preds = run_pipeline(quiet, PipelineConfig(**SMALL, modality=modality,
+                                                               sequential=True))
+            save_run_outputs(tmp_path / modality, report, preds)
+            runs[modality] = report
+        cam, fused = runs["camera"], runs["camera+radar"]
+        assert fused.pillars == {"points_in_range": 0, "kept": 0, "truncated": 0}
+        assert ((tmp_path / "camera" / "predictions.json").read_bytes()
+                == (tmp_path / "camera+radar" / "predictions.json").read_bytes())
+        assert cam.losses == fused.losses
+        assert cam.fusion_stats == fused.fusion_stats
+        assert cam.matches == fused.matches == []
+        radar_only = {"radar_bev", "radar_pseudo_image"}
+        assert set(fused.checksums) - set(cam.checksums) == radar_only
+        assert cam.checksums == {k: v for k, v in fused.checksums.items()
+                                 if k not in radar_only}
+        assert cam.dropped_points == fused.dropped_points
+        evals = [r.eval_summary.to_dict() for r in (cam, fused)]
+        for e in evals:
+            e.pop("eval_time")
+        assert evals[0] == evals[1]
 
 
 class TestPipelineConfig:

@@ -20,6 +20,11 @@ from bevkit.voxelpool import (
 )
 
 
+# one-hot centre kernel: depth_refine's identity, so refine(lift, K + IDENTITY)
+# is the plain lift plus its refinement
+IDENTITY = np.pad([[1.0]], 1)
+
+
 def grid(nx=10, ny=10, extent=5.0):
     return BEVGridConfig((-extent, extent), (-extent, extent), nx, ny)
 
@@ -186,19 +191,17 @@ class TestSplat:
             ctx = rng.normal(0, 1, (c_ctx, h, w))
             p = softmax_over_depth(rng.normal(0, 2, (c_d, h, w)))
             kernel = rng.normal(0, 1, (3, 3))
-            f_bev, f_depth = np.zeros((2, c_ctx, ny, nx))
-            dropped = splat(pts, ctx, ([(0, p)], refine_taps(p, kernel)), cfg,
-                            [f_bev, f_depth])
+            camera_bev = np.zeros((c_ctx, ny, nx))
+            dropped = splat(pts, ctx, refine_taps(p, kernel + IDENTITY), cfg, camera_bev)
             want_bev, want_depth = lift_refine_pool([pts], [ctx], [p], kernel, cfg)
-            assert np.abs(f_bev - want_bev).max() <= 1e-9
-            assert np.abs(f_depth - want_depth).max() <= 1e-9
+            assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
             inside, _ = cell_ids(FeaturedPoints(pts, np.zeros((len(pts), 0))), cfg)
             assert dropped == int((~inside).sum())
             cases_with_drops += 0 < dropped < len(pts)
             # taps with weight at every column: a column shifted off the map adds nothing
             taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
             got = np.zeros((c_ctx, ny, nx))
-            splat(pts, ctx, (taps,), cfg, [got])
+            splat(pts, ctx, taps, cfg, got)
             lifted = shifted_lift(ctx, taps).reshape(c_ctx, -1).T
             want = pool_reference(FeaturedPoints(pts, lifted), cfg).data
             assert np.abs(got - want).max() <= 1e-9
@@ -215,7 +218,7 @@ class TestSplat:
         pts = unproject_frustum(random_rig(rng), FrustumGrid.regular((h, w), bins.centers()))
         taps = [(s, rng.lognormal(0, 3, (d, h, w))) for s in (0, -1, 1)]
         got = np.zeros((h * w, cfg.ny, cfg.nx))
-        splat(pts, np.eye(h * w).reshape(h * w, h, w), (taps,), cfg, [got])
+        splat(pts, np.eye(h * w).reshape(h * w, h, w), taps, cfg, got)
         # the same slots, in tap-then-sample order, through sum_reference
         inside, ids = cell_ids(FeaturedPoints(pts, np.zeros((len(pts), 0))), cfg)
         cells, occ = np.unique(ids, return_inverse=True)
@@ -248,15 +251,14 @@ class TestSplat:
         ctx = rng.uniform(0, 1, (c, h, w))
         p = softmax_over_depth(rng.normal(0, 1, (cfg.n_depth_bins, h, w)))
         kernel = PipelineWeights.create(cfg, 16).refine_kernel
-        f_bev, f_depth = np.zeros((2, c, grid_cfg.ny, grid_cfg.nx))
-        splat(pts, ctx, ([(0, p)], refine_taps(p, kernel)), grid_cfg, [f_bev, f_depth])
+        camera_bev = np.zeros((c, grid_cfg.ny, grid_cfg.nx))
+        splat(pts, ctx, refine_taps(p, kernel + IDENTITY), grid_cfg, camera_bev)
         want_bev, want_depth = lift_refine_pool([pts], [ctx], [p], kernel, grid_cfg)
-        assert np.abs(f_bev - want_bev).max() <= 1e-9
-        assert np.abs(f_depth - want_depth).max() <= 1e-9
+        assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
         # weight at columns 0 and W-1, whose shifted columns fall off the map
         taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
         got = np.zeros((c, grid_cfg.ny, grid_cfg.nx))
-        splat(pts, ctx, (taps,), grid_cfg, [got])
+        splat(pts, ctx, taps, grid_cfg, got)
         lifted = shifted_lift(ctx, taps).reshape(c, -1).T
         want = pool_reference(FeaturedPoints(pts, lifted), grid_cfg).data
         assert np.abs(got - want).max() <= 1e-9
@@ -265,13 +267,16 @@ class TestSplat:
         pts = np.full((2 * 3, 3), 100.0)
         out = np.zeros((4, 10, 10))
         p = np.ones((2, 1, 3))
-        assert splat(pts, np.ones((4, 1, 3)), ([(0, p)],), grid(), [out]) == 6
+        assert splat(pts, np.ones((4, 1, 3)), [(0, p)], grid(), out) == 6
         assert np.all(out == 0.0)
 
     def test_empty_tap_set_adds_nothing(self):
+        # an injected refine kernel K = -IDENTITY leaves the pipeline no taps
+        assert refine_taps(np.ones((3, 1, 3)), -IDENTITY + IDENTITY) == []
         pts = np.zeros((2 * 3, 3))
+        pts[:2] = 100.0
         out = np.zeros((4, 10, 10))
-        assert splat(pts, np.ones((4, 1, 3)), ([],), grid(), [out]) == 0
+        assert splat(pts, np.ones((4, 1, 3)), [], grid(), out) == 2
         assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("h, w, cells", [(16, 44, 128), (32, 88, 512)])
@@ -285,13 +290,12 @@ class TestSplat:
         ctx = rng.uniform(0, 1, (c, h, w))
         p = softmax_over_depth(rng.normal(0, 1, (d, h, w)))
         kernel = PipelineWeights.create(cfg, 16).refine_kernel
-        f_bev, f_depth = np.zeros((2, c, cells, cells))
+        camera_bev = np.zeros((c, cells, cells))
         tracemalloc.start()
         try:
-            splat(pts, ctx, ([(0, p)], refine_taps(p, kernel)), cfg.bev_grid,
-                  [f_bev, f_depth])
+            splat(pts, ctx, refine_taps(p, kernel + IDENTITY), cfg.bev_grid, camera_bev)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f_bev.any() and f_depth.any()
+        assert camera_bev.any()
         assert peak < c * d * h * w * 8
