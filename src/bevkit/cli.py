@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on validation failure, 2 on I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -52,8 +53,12 @@ def cmd_gen(args) -> int:
     if args.spec:
         spec = _spec_from_json(args.spec)
         if args.seed is not None:
-            spec.seed = args.seed
+            spec = dataclasses.replace(spec, seed=args.seed)
     else:
+        if not 1 <= args.cameras <= 6:
+            raise ValueError(f"--cameras must be an integer in [1, 6], got {args.cameras}")
+        if args.objects < 0:
+            raise ValueError(f"--objects must be an integer >= 0, got {args.objects}")
         spec = default_scene_spec(
             seed=args.seed if args.seed is not None else 0,
             n_objects=args.objects, n_cameras=args.cameras,

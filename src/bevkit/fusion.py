@@ -1,10 +1,10 @@
 """Detection-head feature fusion and the associated losses.
 
-Combines the camera BEV grid and the projected radar pseudo image by
-cellwise summation, gates radar proposal cells with the heatmap prior,
-and computes the composite detection loss (heatmap binary cross-entropy
-plus box L1) and the depth-distribution BCE against a rasterized
-ground-truth depth map.
+Sums the camera and radar class-logit BEV grids cell by cell (the head's
+1x1 conv is already folded into each source), gates radar proposal cells
+with the heatmap prior, and computes the composite detection loss
+(heatmap binary cross-entropy plus box L1) and the depth-distribution BCE
+against a rasterized ground-truth depth map.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class DetectionBox:
 
 
 def fuse_bev_features(f_cam: np.ndarray, f_radar: np.ndarray) -> np.ndarray:
-    """Cellwise sum of the camera grid and the projected (C, ny, nx) radar grid."""
+    """Cellwise sum of the camera and the radar (C, ny, nx) grid."""
     f_cam, f_radar = as_tensor(f_cam), as_tensor(f_radar)
     if f_cam.shape != f_radar.shape:
         raise ValueError(f"grids must share a shape: {f_cam.shape}, {f_radar.shape}")

@@ -383,9 +383,9 @@ def save_boxes(path, boxes_by_token: dict[str, list[DetectionBox]],
 
 
 def load_boxes(path) -> dict[str, list[DetectionBox]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
         return {token: [box_from_json(d) for d in boxes] for token, boxes in payload.items()}
     except (TypeError, AttributeError, KeyError, ValueError) as err:
         raise ValueError(f"malformed boxes file {path}: {err}") from err

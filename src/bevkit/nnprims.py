@@ -166,25 +166,6 @@ def refine_taps(p_depth: np.ndarray, kernel: np.ndarray) -> list[tuple[int, np.n
     return taps
 
 
-def finite_diff_jacobian(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a vector-to-vector function.
-
-    J[i, j] = (f(x + h*e_j) - f(x - h*e_j))[i] / (2h). The function is the
-    independent oracle used to verify analytic derivatives elsewhere.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e.flat[j] = h
-        f_plus = np.asarray(f(x + e), dtype=np.float64)
-        f_minus = np.asarray(f(x - e), dtype=np.float64)
-        if not np.all(np.isfinite(f_plus)) or not np.all(np.isfinite(f_minus)):
-            raise ValueError(f"non-finite function output while perturbing input {j}")
-        cols.append((f_plus - f_minus).ravel() / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
 def write_tensor(path, arr: np.ndarray) -> None:
     """Serialize a float64 array: magic, u32 rank, u32 extents, f64 payload.
 

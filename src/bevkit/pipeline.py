@@ -5,20 +5,21 @@ records per-stage checksums and wall-clock, computes the losses, decodes
 box predictions from the fused heatmap, and evaluates them against the
 bundle's ground truth.
 
-Stage wiring, where the configuration leaves the sensors on:
+Stage wiring, where the configuration leaves the sensors on. The head's
+1x1 conv K_h is applied to each source, so every BEV grid holds class logits:
 
-    radar cloud -> pillars -> VFE -> 1x1 conv of the occupied cells, bias
-      elsewhere -> f_radar (the pseudo image is built for its checksum)
+    radar cloud -> pillars -> VFE -> 1x1 conv by K_h @ radar projection at
+      the occupied cells, its bias elsewhere -> logits_radar
     camera features + rig -> gates -> depth logits + context
     radar projections -> depth-logit hints (camera+radar only)
     per camera: softmax -> depth weights p; p refined by refine_kernel plus
       a one-hot centre (the plain lift), one kernel column at a time -> column
       taps; frustum -> BEV cells; taps summed into (image column, cell) rows
-      @ context -> added into camera_bev (no (C, D, H, W) lift is built)
-    camera_bev + f_radar -> heatmap prior
+      @ (K_h @ context) -> added into logits_camera (no (C, D, H, W) lift)
+    logits_camera + logits_radar + head bias -> sigmoid -> heatmap prior
     radar-occupied BEV cells -> cells the prior accepts -> their centers
-      (x, y, 0, 0) in the q grid -> 1x1 conv, added to the fused grid
-    final heatmap -> peak decoding
+      (x, y, 0, 0) in the q grid -> 1x1 conv by K_h @ q kernel, added to the
+      logits -> final heatmap -> peak decoding
 
 Radar carries no velocity here (PC4D rows are x, y, z, reflectivity), so
 the q grid's vx, vy channels and every decoded box's velocity are zero.
@@ -392,7 +393,11 @@ def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
 def run_pipeline(scene_dir, cfg: PipelineConfig,
                  weights: PipelineWeights | None = None
                  ) -> tuple[RunReport, dict[str, list[fu.DetectionBox]]]:
-    """Execute every stage on a bundle; returns the report and predictions."""
+    """Execute every stage on a bundle; returns the report and predictions.
+
+    The head's kernel is applied to each source before the BEV sum, which is
+    exact only while the head is one 1x1 conv before the sigmoid.
+    """
     report = RunReport()
     with _StageTimer(report, "load"):
         try:
@@ -420,31 +425,30 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
 
     # Radar pillar stream. The pillar grid is the BEV grid, so the radar
     # points' BEV cells also give the points in range and, later, the proposals.
-    radar_bev = np.zeros((cfg.n_context, cfg.bev_cells, cfg.bev_cells))
+    head = weights.head_kernel
+    radar_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
     if use_radar:
         with _StageTimer(report, "pillars"):
             try:
                 cloud = pi.RadarPointCloud(bundle.radar)
                 tensor = pi.build_pillars(cloud, cfg.pillar_grid, seed=bundle.manifest["seed"])
                 encoded = pi.vfe_forward(tensor, weights.vfe)
-                pseudo = pi.scatter_to_pseudo_image(encoded, tensor.pillar_coords,
-                                                    cfg.pillar_grid)
             except ValueError as err:
                 raise _stage_error("pillars", err) from err
             # the 1x1 conv of an empty cell is its bias, so only occupied cells
             # are convolved; a contiguous (C, 1, P) input keeps the full-grid sums
+            bias = head @ weights.radar_proj_bias
             cell_x, cell_y = tensor.pillar_coords.T
-            radar_bev[:] = weights.radar_proj_bias[:, None, None]
-            radar_bev[:, cell_y, cell_x] = conv_pointwise(
-                np.ascontiguousarray(encoded.T)[:, None, :], weights.radar_proj_kernel,
-                weights.radar_proj_bias)[:, 0, :]
+            radar_logits[:] = bias[:, None, None]
+            radar_logits[:, cell_y, cell_x] = conv_pointwise(
+                np.ascontiguousarray(encoded.T)[:, None, :], head @ weights.radar_proj_kernel,
+                bias)[:, 0, :]
             radar = vp.FeaturedPoints(bundle.radar[:, :3], np.zeros((len(bundle.radar), 0)))
             radar_cells = vp.cell_ids(radar, cfg.bev_grid)[1]  # one per point in range
             report.pillars = {"points_in_range": len(radar_cells),
                               "kept": len(tensor.point_counts),
                               "truncated": int(tensor.truncated_pillars)}
-            report.checksums["radar_pseudo_image"] = checksum(pseudo.data)
-            report.checksums["radar_bev"] = checksum(radar_bev)
+            report.checksums["logits_radar"] = checksum(radar_logits)
 
     # Camera-aware depth estimation.
     with _StageTimer(report, "depthnet"):
@@ -474,27 +478,24 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
     # the identity tap is the plain lift: lift + refine(lift, K) = refine(lift, K + delta)
     kernel = weights.refine_kernel + np.pad([[1.0]], 1)
-    camera_bev = np.zeros((cfg.n_context, cfg.bev_cells, cfg.bev_cells))
+    camera_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
     for i, (frig, ctx, pd) in enumerate(zip(frigs, outputs.context, p_depth)):
         with _StageTimer(report, "lift"):
             taps = refine_taps(pd, kernel)
         with _StageTimer(report, "voxelpool"):
             pts = geo.unproject_frustum(frig, frustum)
             report.dropped_points[f"frustum_cam{i}"] = vp.splat(
-                pts, ctx, taps, cfg.bev_grid, camera_bev)
-    report.checksums["camera_bev"] = checksum(camera_bev)
+                pts, np.tensordot(head, ctx, 1), taps, cfg.bev_grid, camera_logits)
+    report.checksums["logits_camera"] = checksum(camera_logits)
 
     # Fusion, heatmap prior, radar cell gating, final heatmap.
     with _StageTimer(report, "fusion"):
-        try:
-            fused = fu.fuse_bev_features(camera_bev, radar_bev)
-        except ValueError as err:
-            raise _stage_error("fusion", err) from err
-        prior_scores = kan.sigmoid(conv_pointwise(fused, weights.head_kernel,
-                                                  weights.head_bias))
+        logits = fu.fuse_bev_features(camera_logits, radar_logits)
+        logits += weights.head_bias[:, None, None]
+        prior_scores = kan.sigmoid(logits)
         prior = fu.Heatmap(prior_scores, cfg.bev_grid)
         proposals = matched = np.zeros(0, dtype=np.int64)
-        final_scores = prior_scores  # without radar the fused grid is unchanged
+        final_scores = prior_scores  # without radar the logits are unchanged
         if use_radar:
             proposals = np.unique(radar_cells)
             matched = fu.match_radar_to_heatmap(proposals, prior, cfg.heatmap_score_thresh)
@@ -503,10 +504,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             q_grid[:2, iy, ix] = cfg.bev_grid.cell_center(ix, iy).T
             report.matches = [{"cell": [y, x], "q": q_grid[:, y, x].tolist()}
                               for y, x in zip(iy.tolist(), ix.tolist())]
-            fused = fused + conv_pointwise(q_grid, weights.q_kernel, weights.q_bias)
-            final_scores = kan.sigmoid(conv_pointwise(fused, weights.head_kernel,
-                                                      weights.head_bias))
-        report.checksums["fused_bev"] = checksum(fused)
+            final_scores = kan.sigmoid(logits + conv_pointwise(
+                q_grid, head @ weights.q_kernel, head @ weights.q_bias))
         report.checksums["heatmap"] = checksum(final_scores)
         report.fusion_stats = {
             "n_radar_boxes": float(len(proposals)),

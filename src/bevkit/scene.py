@@ -94,6 +94,12 @@ class SceneSpec:
                 and all(type(v) is int and v >= 1 for v in shape)):
             raise ValueError("seed must be an integer >= 0 and feature_shape three integers "
                              f">= 1, got seed {self.seed!r} and feature_shape {shape}")
+        for name in ("radar_density", "lidar_density", "radar_max_range", "lidar_max_range"):
+            v, density = getattr(self, name), name.endswith("density")
+            if not (isinstance(v, (int, float)) and np.isfinite(v)
+                    and (v >= 0 if density else v > 0)):
+                raise ValueError(f"{name} must be a finite number {'>=' if density else '>'} 0, "
+                                 f"got {v!r}")
 
 
 def forward_camera(focal: float = 380.0, image_size: tuple[int, int] = (256, 704),
@@ -108,8 +114,12 @@ def default_scene_spec(seed: int, n_objects: int = 8, n_cameras: int = 1,
                        radar_density: float = 2000.0, lidar_density: float = 8000.0,
                        feature_shape: tuple[int, int, int] = (64, 16, 44)) -> SceneSpec:
     """Randomized but fully seed-determined scene in front of the ego."""
+    poses = [EgoPose(np.eye(3), np.array([2.0 * t, 0.0, 0.0]), float(t))
+             for t in range(3)]
+    spec = SceneSpec(seed=seed, cameras=[forward_camera()] * n_cameras, ego_trajectory=poses,
+                     objects=[], radar_density=radar_density, lidar_density=lidar_density,
+                     feature_shape=feature_shape)
     rng = np.random.default_rng([seed, 0])
-    objects = []
     for _ in range(n_objects):
         name = DETECTION_CLASSES[int(rng.integers(len(DETECTION_CLASSES)))]
         w, length, h = CLASS_SIZES[name]
@@ -117,17 +127,12 @@ def default_scene_spec(seed: int, n_objects: int = 8, n_cameras: int = 1,
         y = float(rng.uniform(-18.0, 18.0))
         speed = float(rng.uniform(0.0, 8.0)) if name not in ("traffic_cone", "barrier") else 0.0
         heading = float(rng.uniform(-np.pi, np.pi))
-        objects.append(SceneObject(
+        spec.objects.append(SceneObject(
             class_name=name, center=(x, y, h / 2.0), size=(w, length, h),
             yaw=heading, velocity=(speed * np.cos(heading), speed * np.sin(heading)),
             attribute=CLASS_ATTRIBUTES[name],
         ))
-    poses = [EgoPose(np.eye(3), np.array([2.0 * t, 0.0, 0.0]), float(t))
-             for t in range(3)]
-    cams = [forward_camera()] * max(1, n_cameras)
-    return SceneSpec(seed=seed, cameras=cams, ego_trajectory=poses, objects=objects,
-                     radar_density=radar_density, lidar_density=lidar_density,
-                     feature_shape=feature_shape)
+    return spec
 
 
 def _box_surface_points(rng: np.random.Generator, obj: SceneObject, n: int) -> np.ndarray:

@@ -7,11 +7,12 @@ loops, textbook recursions, no reuse of the library's vectorized paths.
 import numpy as np
 
 from bevkit.fusion import DetectionBox
+from bevkit.geometry import FrustumGrid, unproject_frustum
 from bevkit.metrics import (
     AP_THRESHOLDS, ATTRIBUTES, CLASS_TP_METRICS, DETECTION_CLASSES, TP_METRICS, TP_THRESHOLD,
 )
-from bevkit.nnprims import depth_refine, lift_outer_product
-from bevkit.pillars import PillarTensor
+from bevkit.nnprims import conv_pointwise, depth_refine, lift_outer_product
+from bevkit.pillars import PillarTensor, RadarPointCloud, scatter_to_pseudo_image, vfe_forward
 from bevkit.scene import CLASS_ATTRIBUTES, CLASS_SIZES
 from bevkit.voxelpool import FeaturedPoints, pool_reference
 
@@ -19,6 +20,25 @@ from bevkit.voxelpool import FeaturedPoints, pool_reference
 def rel_err(a, b):
     """Gradcheck-style relative error with a unit floor."""
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def finite_diff_jacobian(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of a vector-to-vector function.
+
+    J[i, j] = (f(x + h*e_j) - f(x - h*e_j))[i] / (2h). It is the
+    independent oracle for the analytic derivatives.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cols = []
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e.flat[j] = h
+        f_plus = np.asarray(f(x + e), dtype=np.float64)
+        f_minus = np.asarray(f(x - e), dtype=np.float64)
+        if not np.all(np.isfinite(f_plus)) or not np.all(np.isfinite(f_minus)):
+            raise ValueError(f"non-finite function output while perturbing input {j}")
+        cols.append((f_plus - f_minus).ravel() / (2.0 * h))
+    return np.stack(cols, axis=1)
 
 
 def naive_cox_de_boor(knots, i, k, x):
@@ -277,6 +297,52 @@ def lift_refine_pool(positions, contexts, p_depths, kernel, cfg):
     stacked = np.vstack(positions)
     return (pool_reference(FeaturedPoints(stacked, np.vstack(plain)), cfg).data,
             pool_reference(FeaturedPoints(stacked, np.vstack(refined)), cfg).data)
+
+
+def wide_path_heatmap(bundle, cfg, weights, contexts, p_depths):
+    """Final heatmap by the wide path, where every BEV grid has n_context channels.
+
+    contexts and p_depths are the depth net's outputs for each camera, where
+    the wide and the head-first path part. The camera grid is the sum of
+    lift_refine_pool's two grids. Under camera+radar the pillars are
+    scattered into a pseudo image, projected by a full-grid 1x1 conv and
+    added. The head (1x1 conv, then sigmoid) runs over the sum. Each cell
+    of a radar point whose best prior score reaches the threshold gets its
+    center in the q grid, whose 1x1 conv is added before the head runs
+    again.
+    """
+    grid = cfg.bev_grid
+    h, w = bundle.cameras[0].image_size
+    fh, fw = contexts[0].shape[1:]
+    frustum = FrustumGrid.regular((fh, fw), cfg.depth_bins.centers())
+    positions = [unproject_frustum(rig.scaled(fh / h, fw / w), frustum)
+                 for rig in bundle.cameras]
+    fused = np.add(*lift_refine_pool(positions, contexts, p_depths, weights.refine_kernel,
+                                     grid))
+
+    def head(x):
+        logits = conv_pointwise(x, weights.head_kernel, weights.head_bias)
+        return 0.5 * (1.0 + np.tanh(0.5 * logits))
+
+    if cfg.modality == "camera":
+        return head(fused)
+    pillars = build_pillars_oracle(RadarPointCloud(bundle.radar), cfg.pillar_grid,
+                                   bundle.manifest["seed"])
+    pseudo = scatter_to_pseudo_image(vfe_forward(pillars, weights.vfe), pillars.pillar_coords,
+                                     cfg.pillar_grid)
+    fused = fused + conv_pointwise(pseudo.data, weights.radar_proj_kernel,
+                                   weights.radar_proj_bias)
+    prior = head(fused)
+    q = np.zeros((4, grid.ny, grid.nx))
+    dx, dy = grid.cell_size
+    for x, y in bundle.radar[:, :2].tolist():
+        ix = int(np.floor((x - grid.x_range[0]) / dx))
+        iy = int(np.floor((y - grid.y_range[0]) / dy))
+        if (0 <= ix < grid.nx and 0 <= iy < grid.ny
+                and prior[:, iy, ix].max() >= cfg.heatmap_score_thresh):
+            q[:2, iy, ix] = (grid.x_range[0] + (ix + 0.5) * dx,
+                             grid.y_range[0] + (iy + 0.5) * dy)
+    return head(fused + conv_pointwise(q, weights.q_kernel, weights.q_bias))
 
 
 def pillar_center(cfg, ix, iy):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 from oracles import (
     ap_oracle,
+    finite_diff_jacobian,
     greedy_match_oracle,
     naive_cox_de_boor,
     rasterize_min_oracle,
@@ -25,7 +26,7 @@ from bevkit import tables
 from bevkit import voxelpool as vp
 from bevkit.cli import main as cli_main
 from bevkit.fusion import DetectionBox
-from bevkit.nnprims import finite_diff_jacobian, lift_outer_product, softmax_over_depth
+from bevkit.nnprims import lift_outer_product, softmax_over_depth
 from bevkit.pipeline import PipelineConfig, run_pipeline
 from bevkit.scene import SceneObject, SceneSpec, forward_camera, generate_scene
 

@@ -119,6 +119,44 @@ class TestGen:
         if "lorry" in json.dumps(spec):
             assert "'lorry'" in err
 
+    @pytest.mark.parametrize("args, says", [
+        (["--cameras", "0"], "--cameras must be an integer in [1, 6], got 0"),
+        (["--cameras", "7"], "--cameras must be an integer in [1, 6], got 7"),
+        (["--objects", "-2"], "--objects must be an integer >= 0, got -2"),
+        (["--radar-density", "-5"], "radar_density must be a finite number >= 0, got -5.0"),
+        (["--lidar-density", "nan"], "lidar_density must be a finite number >= 0, got nan"),
+        (["--seed", "-3"], "got seed -3 "),
+    ], ids=["cameras-zero", "cameras-seven", "objects-negative", "radar-density-negative",
+            "lidar-density-nan", "seed-negative"])
+    def test_bad_option_named_before_writing(self, tmp_path, capsys, args, says):
+        out = tmp_path / "scene"
+        capsys.readouterr()
+        assert main(["gen", "--out", str(out), *args]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, args, says", [
+        ({}, ["--seed", "-3"], "got seed -3 "),
+        ({"radar_density": -5}, [], "radar_density must be a finite number >= 0, got -5.0"),
+        ({"lidar_density": float("nan")}, [], "lidar_density must be a finite number >= 0"),
+        ({"radar_max_range": 0}, [], "radar_max_range must be a finite number > 0, got 0.0"),
+        ({"lidar_max_range": float("inf")}, [], "lidar_max_range must be a finite number > 0"),
+    ], ids=["seed-negative", "radar-density-negative", "lidar-density-nan",
+            "radar-max-range-zero", "lidar-max-range-inf"])
+    def test_bad_spec_number_named_before_writing(self, tmp_path, capsys, edit, args, says):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**ONE_CAMERA_SPEC, **edit}))
+        out = tmp_path / "scene"
+        capsys.readouterr()
+        assert main(["gen", "--out", str(out), "--spec", str(spec_path), *args]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+        assert not out.exists()
+
 
 def _set_files(m):
     m["files"] = 5
@@ -432,6 +470,18 @@ class TestEval:
         rc = main(["eval", "--pred", str(tmp_path / "nope.json"),
                    "--gt", str(tmp_path / "nope.json")])
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("keep", [0, 1, 40, -3])
+    def test_truncated_predictions_one_line_error(self, scene_dir, tmp_path, capsys, keep):
+        gt = scene_dir / "gt_boxes.json"
+        pred = tmp_path / "pred.json"
+        blob = gt.read_bytes()
+        pred.write_bytes(blob[:keep % len(blob)])
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) in (EXIT_VALIDATION,
+                                                                         EXIT_IO)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(pred) in err
 
 
 class TestCheckTables:

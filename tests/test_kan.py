@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import depthnet_jacobian_oracle, naive_cox_de_boor, rel_err
+from oracles import depthnet_jacobian_oracle, finite_diff_jacobian, naive_cox_de_boor, rel_err
 
 from bevkit.geometry import CameraRig
 from bevkit.kan import (
@@ -24,7 +24,7 @@ from bevkit.kan import (
     sigmoid,
     silu,
 )
-from bevkit.nnprims import conv_pointwise, finite_diff_jacobian, softmax_over_depth
+from bevkit.nnprims import conv_pointwise, softmax_over_depth
 
 
 def identity_rig():

@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +11,7 @@ from oracles import ap_oracle, evaluate_oracle, greedy_match_oracle, tp_errors_o
 from bevkit.fusion import DetectionBox
 from bevkit.metrics import (
     AP_THRESHOLDS,
+    ATTRIBUTES,
     DETECTION_CLASSES,
     MatchResult,
     aggregate_summary,
@@ -346,7 +351,68 @@ class TestEvaluateDetections:
             evaluate_detections({"a": []}, {"b": []})
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_valid_box = st.builds(
+    DetectionBox, center=st.tuples(_finite, _finite, _finite),
+    size=st.tuples(_positive, _positive, _positive), yaw=_finite,
+    velocity=st.tuples(_finite, _finite), class_id=st.integers(0, len(DETECTION_CLASSES) - 1),
+    score=st.floats(0.0, 1.0), attribute_id=st.integers(0, len(ATTRIBUTES) - 1))
+
+
+def _box_bits(b):
+    """A box's numbers as float64 bytes (signed zeros count), class and attribute."""
+    numbers = np.array([*b.center, *b.size, b.yaw, *b.velocity, b.score])
+    return numbers.tobytes(), b.class_id, b.attribute_id
+
+
 class TestBoxJson:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), st.lists(_valid_box, max_size=4), max_size=3),
+           st.booleans())
+    def test_roundtrip_bit_exact(self, boxes, with_score):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "boxes.json")
+            save_boxes(path, boxes, with_score)
+            back = load_boxes(path)
+        if not with_score:  # a file without scores loads them as 0
+            boxes = {t: [dataclasses.replace(b, score=0.0) for b in bs]
+                     for t, bs in boxes.items()}
+        assert back.keys() == boxes.keys()
+        for token, want in boxes.items():
+            assert list(map(_box_bits, back[token])) == list(map(_box_bits, want))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_corrupted_boxes_raise_only_value_or_os_error(self, data):
+        boxes = {"s0": [box(1.5, -2.0, score=0.7, yaw=0.3, vx=1.0, cls=3, attr=2),
+                        box(-4.0, 9.25, score=0.125, cls=9)], "s1": [box(0.0, 0.0)]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "boxes.json")
+            save_boxes(path, boxes)
+            with open(path, "rb") as fh:
+                original = fh.read()
+            blob = bytearray(original)
+            truncated = data.draw(st.booleans(), label="truncate")
+            if truncated:
+                blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+            else:
+                for _ in range(data.draw(st.integers(1, 4), label="flips")):
+                    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+                    blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                back = load_boxes(path)
+            except (ValueError, OSError):
+                return
+        # a cut file loads only if the cut took no more than the trailing newline,
+        # and every box that loads is a valid box
+        assert not truncated or len(blob) >= len(original.rstrip())
+        for b in (b for bs in back.values() for b in bs):
+            assert np.all(np.isfinite(b.param_vector())) and 0.0 <= b.score <= 1.0
+            assert min(b.size) > 0
+
     def test_roundtrip(self, tmp_path):
         boxes = {"s0": [box(1.5, -2.0, score=0.7, yaw=0.3, vx=1.0, cls=3, attr=2)]}
         path = tmp_path / "boxes.json"

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from oracles import finite_diff_jacobian
 
 from bevkit.nnprims import (
     DepthBinSpec,
     conv_pointwise,
     depth_refine,
-    finite_diff_jacobian,
     lift_outer_product,
     read_tensor,
     refine_taps,

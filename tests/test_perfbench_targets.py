@@ -60,7 +60,7 @@ def test_traced_pillar_counts_and_spans(tracing, tmp_path):
     assert counts["pillars.kept"] == report.pillars["kept"] == 40
     assert counts["pillars.truncated"] == report.pillars["truncated"]
     names = [s["name"] for s in tracer.spans]
-    for name in ("pillars.build", "pillars.vfe", "pillars.scatter", "nnprims.conv",
+    for name in ("pillars.build", "pillars.vfe", "nnprims.conv",
                  "fusion.fuse", "geometry.unproject", "kan.depthnet", "nnprims.softmax",
                  "metrics.evaluate"):
         assert name in names, name

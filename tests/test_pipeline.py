@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import (
     brute_force_match, brute_force_pool, build_pillars_oracle, cell_box, decode_peaks_oracle,
-    lift_refine_pool,
+    lift_refine_pool, wide_path_heatmap,
 )
 
 from bevkit import geometry as geo
@@ -17,6 +17,7 @@ from bevkit import scene as sc
 from bevkit import voxelpool as vp
 from bevkit.pipeline import (
     CONFIG_KEYS,
+    MODALITIES,
     PipelineConfig,
     PipelineWeights,
     checksum,
@@ -67,7 +68,7 @@ class TestRunPipeline:
             assert cam.checksums[key] == fused.checksums[key]
         # radar hints reach the depth logits and everything downstream
         assert cam.checksums["depth_logits_cam0"] != fused.checksums["depth_logits_cam0"]
-        assert cam.checksums["camera_bev"] != fused.checksums["camera_bev"]
+        assert cam.checksums["logits_camera"] != fused.checksums["logits_camera"]
 
     def test_radar_hints_do_not_raise_depth_bce(self, scene_dir):
         cam, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, modality="camera",
@@ -105,19 +106,30 @@ class TestRunPipeline:
         assert json.loads(report_path.read_text())["pillars"] == report.pillars
 
     def test_radar_projection_equals_full_grid_conv(self, scene_dir):
-        """Convolving only the occupied cells gives the full-grid 1x1 conv bit for bit."""
+        """Convolving only the occupied cells gives the full-grid 1x1 conv bit for bit.
+
+        The run builds no pseudo image: the scatter raises if it is called.
+        """
         cfg = PipelineConfig(**SMALL, sequential=True)
         weights = PipelineWeights.create(cfg, 16)
         weights.radar_proj_bias = np.random.default_rng(46).normal(0.0, 0.3, cfg.n_context)
-        images = []
         scatter = pl.pi.scatter_to_pseudo_image
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pl.pi, "scatter_to_pseudo_image",
-                       lambda *args: images.append(scatter(*args)) or images[-1])
-            report, _ = run_pipeline(scene_dir, cfg, weights)
-        full = pl.conv_pointwise(images[0].data, weights.radar_proj_kernel,
-                                 weights.radar_proj_bias)
-        assert report.checksums["radar_bev"] == pl.checksum(full)
+                       lambda *args: pytest.fail("the run built a pseudo image"))
+            report, _, seen = run_recorded(scene_dir, cfg, weights)
+        bundle = sc.load_scene(scene_dir)
+        pillars = pl.pi.build_pillars(pl.pi.RadarPointCloud(bundle.radar), cfg.pillar_grid,
+                                      bundle.manifest["seed"])
+        image = scatter(pl.pi.vfe_forward(pillars, weights.vfe), pillars.pillar_coords,
+                        cfg.pillar_grid).data
+        head = weights.head_kernel
+        full = pl.conv_pointwise(image, head @ weights.radar_proj_kernel,
+                                 head @ weights.radar_proj_bias)
+        assert report.checksums["logits_radar"] == pl.checksum(full)
+        _, radar_logits = seen["fuse"][0]
+        wide = pl.conv_pointwise(image, weights.radar_proj_kernel, weights.radar_proj_bias)
+        assert np.abs(radar_logits - np.tensordot(head, wide, 1)).max() <= 1e-9
 
     def test_missing_scene_raises_staged_error(self, tmp_path):
         with pytest.raises(OSError, match="stage 'load'"):
@@ -155,24 +167,44 @@ class TestRunPipeline:
 
     def test_heatmap_is_head_over_final_fused_grid(self, scene_dir):
         """Camera-only the prior is the heatmap; radar matches make a second head pass."""
-        sigmoid, heads = pl.kan.sigmoid, []
-
-        def record(x):
-            out = sigmoid(x)
-            if x.ndim == 3:  # the head over the BEV grid, not the KAN gates
-                heads.append(out)
-            return out
-
         cfg = PipelineConfig(**{**SMALL, "bev_cells": 12}, sequential=True)
         for modality, n_heads in (("camera", 1), ("camera+radar", 2)):
-            heads.clear()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(pl.kan, "sigmoid", record)
-                report, _ = run_pipeline(scene_dir, dataclasses.replace(cfg, modality=modality))
+            report, _, seen = run_recorded(scene_dir, dataclasses.replace(cfg, modality=modality))
+            heads = seen["heads"]
             assert len(heads) == n_heads
             assert report.checksums["heatmap"] == pl.checksum(heads[-1])
         assert report.fusion_stats["n_matches"] > 0
         assert not np.array_equal(heads[0], heads[1])
+
+    @pytest.mark.parametrize("modality", MODALITIES)
+    @pytest.mark.parametrize("scene", ["scene_dir", "yawed_scene"])
+    def test_heatmap_matches_wide_path(self, request, scene, modality):
+        """Head-first logits give the heatmap of the n_context-wide grids at 1e-9."""
+        scene = request.getfixturevalue(scene)
+        cfg = PipelineConfig(**SMALL, modality=modality, sequential=True)
+        weights = PipelineWeights.create(cfg, 16)
+        report, _, seen = run_recorded(scene, cfg, weights)
+        heatmap = seen["heads"][-1]
+        assert report.checksums["heatmap"] == pl.checksum(heatmap)
+        assert (report.fusion_stats["n_matches"] > 0) == (modality == "camera+radar")
+        want = wide_path_heatmap(sc.load_scene(scene), cfg, weights,
+                                 seen["depthnet"][0].context, seen["softmax"])
+        assert np.abs(heatmap - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_checksum_keys_are_pinned(self, tmp_path, modality):
+        """The report's checksum schema; changing it is a deliberate act."""
+        spec = default_scene_spec(seed=3, n_objects=2, n_cameras=2, feature_shape=(16, 8, 22),
+                                  radar_density=300, lidar_density=600)
+        scene = generate_scene(spec, tmp_path / "scene")
+        report, _ = run_pipeline(scene, PipelineConfig(**SMALL, modality=modality,
+                                                       sequential=True))
+        want = {f"{key}_cam{i}" for key in ("image_features", "gates", "context",
+                                             "depth_logits") for i in range(2)}
+        want |= {"logits_camera", "heatmap"}
+        if modality == "camera+radar":
+            want.add("logits_radar")
+        assert set(report.checksums) == want
 
     def test_weights_reproducible(self, scene_dir):
         cfg = PipelineConfig(**SMALL, sequential=True)
@@ -180,6 +212,33 @@ class TestRunPipeline:
         b = PipelineWeights.create(cfg, 16)
         np.testing.assert_array_equal(a.head_kernel, b.head_kernel)
         np.testing.assert_array_equal(a.depthnet.split_kernel, b.depthnet.split_kernel)
+
+
+def run_recorded(scene, cfg, weights=None):
+    """run_pipeline plus what its stages saw.
+
+    seen holds the depth net's outputs, each camera's depth weights, the
+    two grids each fuse_bev_features call summed and every sigmoid taken
+    over the BEV grid, in call order.
+    """
+    seen = {"depthnet": [], "softmax": [], "fuse": [], "heads": []}
+
+    def record(name, fn, keep_args=False):
+        def wrapped(*args):
+            out = fn(*args)
+            if name != "heads" or out.ndim == 3:  # the head, not the KAN gates
+                seen[name].append(args if keep_args else out)
+            return out
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl.kan, "depthnet_forward", record("depthnet", pl.kan.depthnet_forward))
+        mp.setattr(pl, "softmax_over_depth", record("softmax", pl.softmax_over_depth))
+        mp.setattr(pl.fu, "fuse_bev_features",
+                   record("fuse", pl.fu.fuse_bev_features, keep_args=True))
+        mp.setattr(pl.kan, "sigmoid", record("heads", pl.kan.sigmoid))
+        report, preds = run_pipeline(scene, cfg, weights)
+    return report, preds, seen
 
 
 def yawed_rigs(yaws_deg):
@@ -194,54 +253,46 @@ def yawed_rigs(yaws_deg):
     return rigs
 
 
+@pytest.fixture(scope="module")
+def yawed_scene(tmp_path_factory):
+    """A 3-camera bundle, rigs yawed 0/120/240 degrees."""
+    spec = default_scene_spec(seed=5, n_objects=8, n_cameras=3, feature_shape=(16, 8, 22),
+                              radar_density=1200, lidar_density=4000)
+    spec.cameras = yawed_rigs((0.0, 120.0, 240.0))
+    return generate_scene(spec, tmp_path_factory.mktemp("cams") / "scene")
+
+
 class TestPerCameraPooling:
     @pytest.fixture(scope="class")
-    def three_cameras(self, tmp_path_factory):
-        """A 3-camera run (rigs yawed 0/120/240 degrees) with what its stages saw."""
-        spec = default_scene_spec(seed=5, n_objects=8, n_cameras=3, feature_shape=(16, 8, 22),
-                                  radar_density=1200, lidar_density=4000)
-        spec.cameras = yawed_rigs((0.0, 120.0, 240.0))
-        scene = generate_scene(spec, tmp_path_factory.mktemp("cams") / "scene")
+    def three_cameras(self, yawed_scene):
+        """The 3-camera run with what its stages saw."""
         cfg = PipelineConfig(**SMALL, sequential=True)
         weights = PipelineWeights.create(cfg, 16)
-        seen = {"depthnet": [], "softmax": [], "fuse": []}
-
-        def record(name, fn, keep_args=False):
-            def wrapped(*args):
-                out = fn(*args)
-                seen[name].append(args if keep_args else out)
-                return out
-            return wrapped
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pl.kan, "depthnet_forward", record("depthnet", pl.kan.depthnet_forward))
-            mp.setattr(pl, "softmax_over_depth", record("softmax", pl.softmax_over_depth))
-            mp.setattr(pl.fu, "fuse_bev_features",
-                       record("fuse", pl.fu.fuse_bev_features, keep_args=True))
-            report, _ = run_pipeline(scene, cfg, weights)
+        report, _, seen = run_recorded(yawed_scene, cfg, weights)
+        bundle = sc.load_scene(yawed_scene)
         frustum = geo.FrustumGrid.regular((8, 22), cfg.depth_bins.centers())
         positions = [geo.unproject_frustum(rig.scaled(8 / 256, 22 / 704), frustum)
-                     for rig in spec.cameras]
+                     for rig in bundle.cameras]
         return cfg, weights, report, seen, positions
 
     def test_camera_sum_matches_stacked_pool(self, three_cameras):
         cfg, weights, _, seen, positions = three_cameras
-        camera_bev, _ = seen["fuse"][0]
+        camera_logits, _ = seen["fuse"][0]
         contexts = seen["depthnet"][0].context
         p_depths = seen["softmax"]
         assert len(positions) == len(contexts) == len(p_depths) == 3
-        kernel = weights.refine_kernel
-        # the oracle builds the plain lift and its refinement apart; the pipeline
-        # splats both at once
-        want_bev, want_depth = lift_refine_pool(positions, contexts, p_depths, kernel,
-                                                cfg.bev_grid)
-        assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
+        kernel, head = weights.refine_kernel, weights.head_kernel
+        # the oracle builds the plain lift and its refinement apart, over the
+        # n_context channels; the pipeline splats both at once, in class logits
+        want = np.tensordot(head, np.add(*lift_refine_pool(positions, contexts, p_depths,
+                                                           kernel, cfg.bev_grid)), 1)
+        assert np.abs(camera_logits - want).max() <= 1e-9
         # every camera adds cells the others leave empty, so a dropped camera would show
         for k in range(3):
             others = np.add(*lift_refine_pool(*(v[:k] + v[k + 1:] for v in
                                                 (positions, contexts, p_depths)),
                                               kernel, cfg.bev_grid))
-            assert np.abs(camera_bev - others).max() > 1e-3
+            assert np.abs(camera_logits - np.tensordot(head, others, 1)).max() > 1e-3
 
     def test_frustum_drops_reported(self, three_cameras):
         cfg, _, report, _, positions = three_cameras
@@ -308,7 +359,7 @@ class TestMetamorphic:
         assert cam.losses == fused.losses
         assert cam.fusion_stats == fused.fusion_stats
         assert cam.matches == fused.matches == []
-        radar_only = {"radar_bev", "radar_pseudo_image"}
+        radar_only = {"logits_radar"}
         assert set(fused.checksums) - set(cam.checksums) == radar_only
         assert cam.checksums == {k: v for k, v in fused.checksums.items()
                                  if k not in radar_only}
