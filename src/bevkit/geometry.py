@@ -59,8 +59,8 @@ class CameraRig:
         if not np.all(np.isfinite(t)):
             raise ValueError("camera translation must be finite")
         h, w = self.image_size
-        if h <= 0 or w <= 0:
-            raise ValueError(f"image_size must be positive, got {self.image_size}")
+        if not (0 < h < np.inf and 0 < w < np.inf):
+            raise ValueError(f"image_size must be positive and finite, got {self.image_size}")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)

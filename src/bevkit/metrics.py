@@ -209,11 +209,14 @@ def tp_errors(matched_pairs: list[tuple[DetectionBox, DetectionBox]],
 
 @dataclass
 class ClassEval:
-    """One class's APs across thresholds plus its TP errors."""
+    """One class's APs across thresholds, its TP errors and the 2 m (pred, gt)
+    pairs they came from: samples in token order, each in rank order.
+    EvalSummary.to_dict leaves the pairs out."""
 
     class_name: str
     ap_per_threshold: list[float | None]
     tp: dict[str, float | None] = field(default_factory=dict)
+    tp_pairs: list[tuple[DetectionBox, DetectionBox]] = field(default_factory=list)
 
     @property
     def mean_ap(self) -> float | None:
@@ -325,7 +328,7 @@ def evaluate_detections(preds_by_token: dict[str, list[DetectionBox]],
         flags = np.concatenate(matched, axis=1)[:, merged]
         aps = [average_precision(MatchResult(merged, np.where(f, 0, -1), n_gt_total))
                for f in flags]
-        per_class.append(ClassEval(name, aps, tp_errors(tp_pairs, name)))
+        per_class.append(ClassEval(name, aps, tp_errors(tp_pairs, name), tp_pairs))
     return aggregate_summary(per_class, eval_time)
 
 

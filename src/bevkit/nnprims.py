@@ -201,4 +201,7 @@ def read_tensor(path) -> np.ndarray:
             raise ValueError(f"{size - expected} trailing bytes after the tensor in {path}")
         payload = fh.read(8 * count)
     arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-    return as_tensor(arr)
+    try:
+        return as_tensor(arr)
+    except ValueError as err:
+        raise ValueError(f"{err} in {path}") from err

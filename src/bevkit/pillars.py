@@ -11,9 +11,11 @@ from __future__ import annotations
 import logging
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .voxelpool import BEVGridConfig
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +46,8 @@ class PillarGridConfig:
     """H x W pillar grid spanning the given ranges exactly.
 
     grid is (H, W) = (rows along y, columns along x); T caps points per
-    pillar and max_pillars caps the number of nonempty pillars kept.
+    pillar and max_pillars caps the number of nonempty pillars kept. bev is
+    the same grid as a BEVGridConfig, whose cell rule bins the points.
     """
 
     x_range: tuple[float, float]
@@ -52,22 +55,14 @@ class PillarGridConfig:
     grid: tuple[int, int]
     max_points: int
     max_pillars: int = 4096
+    bev: BEVGridConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.x_range[1] <= self.x_range[0] or self.y_range[1] <= self.y_range[0]:
-            raise ValueError("ranges must be increasing")
         h, w = self.grid
-        if h < 1 or w < 1:
-            raise ValueError("grid must be at least 1x1")
+        # building the view checks the ranges and the grid
+        object.__setattr__(self, "bev", BEVGridConfig(self.x_range, self.y_range, w, h))
         if self.max_points < 1:
             raise ValueError("max_points (T) must be >= 1")
-
-    @property
-    def pillar_size(self) -> tuple[float, float]:
-        """(dx, dy): derived so the grid spans the ranges exactly."""
-        h, w = self.grid
-        return ((self.x_range[1] - self.x_range[0]) / w,
-                (self.y_range[1] - self.y_range[0]) / h)
 
 
 @dataclass
@@ -130,16 +125,9 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
     Each point's 9-D row holds (x, y, z, r), its offset from the mean of
     the pillar's kept points and its (x, y) offset from the cell center.
     """
-    pts = cloud.points
-    h, w = cfg.grid
-    dx, dy = cfg.pillar_size
     t_cap = cfg.max_points
-
-    ix = np.floor((pts[:, 0] - cfg.x_range[0]) / dx).astype(np.int64)
-    iy = np.floor((pts[:, 1] - cfg.y_range[0]) / dy).astype(np.int64)
-    inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-    pts = pts[inside]
-    flat = iy[inside] * w + ix[inside]
+    inside, flat = cfg.bev.cell_ids(cloud.points)
+    pts = cloud.points[inside]
 
     by_cell = np.argsort(flat, kind="stable")
     cells, first, counts = np.unique(flat, return_index=True, return_counts=True)
@@ -173,9 +161,8 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
     # adds each pillar's points in rank order (padding adds +0.0), as a
     # per-pillar mean would
     mean = xyzr[:, :, :3].sum(axis=1) / n_kept[:, None]
-    cell_iy, cell_ix = np.divmod(cells[kept], w)
-    center = np.column_stack([cfg.x_range[0] + (cell_ix + 0.5) * dx,
-                              cfg.y_range[0] + (cell_iy + 0.5) * dy])
+    cell_iy, cell_ix = np.divmod(cells[kept], cfg.bev.nx)
+    center = cfg.bev.cell_center(cell_ix, cell_iy)
     features[:, :, 4:7] = np.where(real[:, :, None], xyzr[:, :, :3] - mean[:, None], 0.0)
     features[:, :, 7:9] = np.where(real[:, :, None], xyzr[:, :, :2] - center[:, None], 0.0)
     return PillarTensor(features, np.column_stack([cell_ix, cell_iy]), n_kept, truncated)

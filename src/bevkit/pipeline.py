@@ -1,9 +1,9 @@
 """End-to-end pipeline: pillars -> depth net -> lift -> pooling -> fusion.
 
 Runs a scene bundle through every stage with seeded, untrained weights,
-records per-stage checksums and wall-clock, computes the losses, decodes
-box predictions from the fused heatmap, and evaluates them against the
-bundle's ground truth.
+records per-stage checksums and wall-clock, decodes box predictions from
+the fused heatmap, evaluates them against the bundle's ground truth, and
+computes the losses.
 
 Stage wiring, where the configuration leaves the sensors on. The head's
 1x1 conv K_h is applied to each source, so every BEV grid holds class logits:
@@ -19,7 +19,10 @@ Stage wiring, where the configuration leaves the sensors on. The head's
     logits_camera + logits_radar + head bias -> sigmoid -> heatmap prior
     radar-occupied BEV cells -> cells the prior accepts -> their centers
       (x, y, 0, 0) in the q grid -> 1x1 conv by K_h @ q kernel, added to the
-      logits -> final heatmap -> peak decoding
+      logits -> final heatmap -> peak decoding -> evaluation, whose 2 m
+      class-wise matches are the L_bbox pairs
+    GT centers -> BEV cells by BEVGridConfig.cell_ids, the one cell rule
+      (the pillar grid is the BEV grid) -> GT heatmap -> L_heatmap
 
 Radar carries no velocity here (PC4D rows are x, y, z, reflectivity), so
 the q grid's vx, vy channels and every decoded box's velocity are zero.
@@ -343,14 +346,11 @@ def _hint_depth_logits(logits: np.ndarray, radar_xyz: np.ndarray, frig: geo.Came
 
 
 def _gt_heatmap(boxes: list[fu.DetectionBox], grid: vp.BEVGridConfig) -> np.ndarray:
-    hm = np.zeros((N_CLASSES, grid.ny, grid.nx))
-    dx, dy = grid.cell_size
-    for b in boxes:
-        ix = int(np.floor((b.center[0] - grid.x_range[0]) / dx))
-        iy = int(np.floor((b.center[1] - grid.y_range[0]) / dy))
-        if 0 <= ix < grid.nx and 0 <= iy < grid.ny:
-            hm[b.class_id, iy, ix] = 1.0
-    return hm
+    """1 at each GT center's cell in its class's channel; centers off the grid are dropped."""
+    hm = np.zeros((N_CLASSES, grid.ny * grid.nx))
+    inside, cells = grid.cell_ids(np.array([b.center for b in boxes]).reshape(-1, 3))
+    hm[np.array([b.class_id for b in boxes], dtype=np.int64)[inside], cells] = 1.0
+    return hm.reshape(N_CLASSES, grid.ny, grid.nx)
 
 
 # per class id: nominal (w, l, h) and default attribute id of a decoded box
@@ -443,8 +443,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             radar_logits[:, cell_y, cell_x] = conv_pointwise(
                 np.ascontiguousarray(encoded.T)[:, None, :], head @ weights.radar_proj_kernel,
                 bias)[:, 0, :]
-            radar = vp.FeaturedPoints(bundle.radar[:, :3], np.zeros((len(bundle.radar), 0)))
-            radar_cells = vp.cell_ids(radar, cfg.bev_grid)[1]  # one per point in range
+            radar_cells = cfg.bev_grid.cell_ids(bundle.radar)[1]  # one per point in range
             report.pillars = {"points_in_range": len(radar_cells),
                               "kept": len(tensor.point_counts),
                               "truncated": int(tensor.truncated_pillars)}
@@ -512,28 +511,23 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             "n_matches": float(len(matched)),
         }
 
-    # Decode, losses, evaluation.
+    # Decode, evaluation, losses. L_bbox pairs are evaluate's 2 m matches,
+    # taken class by class; "head" times decode and losses.
     with _StageTimer(report, "head"):
         preds = _decode_peaks(final_scores, cfg.bev_grid, cfg.peak_threshold)
-        gt_boxes = bundle.gt_boxes[token]
-        gt_hm = _gt_heatmap(gt_boxes, cfg.bev_grid)
-        pairs_p, pairs_g = [], []
-        preds_of, gts_of = me.group_by_class(preds), me.group_by_class(gt_boxes)
-        for ci in range(N_CLASSES):
-            cls_p, cls_g = preds_of.get(ci, []), gts_of.get(ci, [])
-            match = me.match_center_distance(cls_p, cls_g, me.TP_THRESHOLD)
-            for pidx, gidx in zip(match.ranked_pred, match.ranked_gt):
-                if gidx >= 0:
-                    pairs_p.append(cls_p[int(pidx)])
-                    pairs_g.append(cls_g[int(gidx)])
-        l_det, l_heatmap, l_bbox = fu.detection_loss(final_scores, gt_hm, pairs_p, pairs_g)
-        report.losses.update({"l_det": l_det, "l_heatmap": l_heatmap, "l_bbox": l_bbox})
 
     with _StageTimer(report, "evaluate"):
         t0 = time.perf_counter()
         summary = me.evaluate_detections({token: preds}, bundle.gt_boxes)
         summary.eval_time = time.perf_counter() - t0
         report.eval_summary = summary
+
+    with _StageTimer(report, "head"):
+        gt_hm = _gt_heatmap(bundle.gt_boxes[token], cfg.bev_grid)
+        pairs = [pair for ce in summary.per_class for pair in ce.tp_pairs]
+        l_det, l_heatmap, l_bbox = fu.detection_loss(
+            final_scores, gt_hm, [p for p, _ in pairs], [g for _, g in pairs])
+        report.losses.update({"l_det": l_det, "l_heatmap": l_heatmap, "l_bbox": l_bbox})
 
     return report, {token: preds}
 

@@ -271,9 +271,9 @@ def load_scene(scene_dir) -> SceneBundle:
 
     path = Path(scene_dir)
     manifest_path = path / "scene.json"
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
     try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
         files = manifest["files"]
         names = [files["radar"], files["lidar"], files["gt_boxes"], *files["features"]]
         cameras = [rig_from_json(d) for d in manifest["cameras"]]
@@ -292,6 +292,10 @@ def load_scene(scene_dir) -> SceneBundle:
         if f.ndim != 3 or f.size == 0 or f.shape != features[0].shape:
             raise ValueError(f"{path / name}: features must be non-empty (C, H, W) tensors "
                              f"of one shape, got {f.shape} (camera 0: {features[0].shape})")
+    gt_boxes = load_boxes(path / files["gt_boxes"])
+    if list(gt_boxes) != [token]:
+        raise ValueError(f"{path / files['gt_boxes']}: ground truth must hold exactly the "
+                         f"sample token {token!r} of scene.json, found {list(gt_boxes)}")
     return SceneBundle(
         manifest=manifest,
         cameras=cameras,
@@ -299,6 +303,6 @@ def load_scene(scene_dir) -> SceneBundle:
         radar=read_pc4d(path / files["radar"]).points,
         lidar=read_pc4d(path / files["lidar"]).points,
         features=features,
-        gt_boxes=load_boxes(path / files["gt_boxes"]),
+        gt_boxes=gt_boxes,
         path=path,
     )

@@ -9,8 +9,9 @@ Three implementations with one contract:
   scatter-adds blocks into the shared grid under a mutex (the lossless
   "atomic add" contract); block interleaving may reassociate sums.
 
-Cells are half-open: a point exactly on the max edge of either range is
-dropped. Every kernel sums the features that land in a cell.
+BEVGridConfig.cell_ids is the one cell rule: cells are half-open, so a
+point exactly on the max edge of either range is dropped. Every kernel sums
+the features that land in a cell.
 
 splat pools lift-splat features without materializing them: it sums
 depth weights into rows of H weights, one per (image column, occupied
@@ -47,6 +48,19 @@ class BEVGridConfig:
         return ((self.x_range[1] - self.x_range[0]) / self.nx,
                 (self.y_range[1] - self.y_range[0]) / self.ny)
 
+    def cell_ids(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(in-range mask, flat cell id iy*nx+ix of each in-range point).
+
+        Cell (ix, iy) holds floor((x - x0) / dx), floor((y - y0) / dy); only
+        the first two columns of positions are read. Indices are compared as
+        floats, so a far-off or non-finite position is out of range, never cast.
+        """
+        dx, dy = self.cell_size
+        ix = np.floor((positions[:, 0] - self.x_range[0]) / dx)
+        iy = np.floor((positions[:, 1] - self.y_range[0]) / dy)
+        inside = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
+        return inside, (iy[inside] * self.nx + ix[inside]).astype(np.int64)
+
     def cell_center(self, ix, iy) -> np.ndarray:
         dx, dy = self.cell_size
         return np.stack([self.x_range[0] + (np.asarray(ix) + 0.5) * dx,
@@ -81,16 +95,8 @@ class BEVGrid:
 
 
 def cell_ids(points: FeaturedPoints, cfg: BEVGridConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(in-range mask, flat cell id iy*nx+ix computed for in-range points)."""
-    return _cell_ids_of(points.positions, cfg)
-
-
-def _cell_ids_of(positions: np.ndarray, cfg: BEVGridConfig) -> tuple[np.ndarray, np.ndarray]:
-    dx, dy = cfg.cell_size
-    ix = np.floor((positions[:, 0] - cfg.x_range[0]) / dx).astype(np.int64)
-    iy = np.floor((positions[:, 1] - cfg.y_range[0]) / dy).astype(np.int64)
-    inside = (ix >= 0) & (ix < cfg.nx) & (iy >= 0) & (iy < cfg.ny)
-    return inside, iy[inside] * cfg.nx + ix[inside]
+    """cfg.cell_ids of the points' positions."""
+    return cfg.cell_ids(points.positions)
 
 
 def _pool(points: FeaturedPoints, cfg: BEVGridConfig, id_sum) -> BEVGrid:
@@ -207,7 +213,7 @@ def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
     c, h, w = context.shape
     if not out.flags.c_contiguous:
         raise ValueError("splat output must be C-contiguous")
-    inside, ids = _cell_ids_of(positions, cfg)
+    inside, ids = cfg.cell_ids(positions)
     if not taps:
         return int(inside.size - ids.size)
     present = np.bincount(ids, minlength=cfg.ny * cfg.nx) > 0

@@ -251,6 +251,23 @@ def evaluate_oracle(preds_by_token, gts_by_token, classes=DETECTION_CLASSES):
     return {"per_class": per_class, "mean_ap": mean_ap, "mtp": mtp, "nds": nds}
 
 
+def gt_heatmap_oracle(boxes, grid):
+    """Per-class one-hot GT heatmap, one box at a time.
+
+    Each box sets 1 at its center's half-open cell in its class's channel;
+    centers off the grid set nothing. The cell size comes from the ranges here.
+    """
+    hm = np.zeros((len(DETECTION_CLASSES), grid.ny, grid.nx))
+    dx = (grid.x_range[1] - grid.x_range[0]) / grid.nx
+    dy = (grid.y_range[1] - grid.y_range[0]) / grid.ny
+    for b in boxes:
+        ix = int(np.floor((b.center[0] - grid.x_range[0]) / dx))
+        iy = int(np.floor((b.center[1] - grid.y_range[0]) / dy))
+        if 0 <= ix < grid.nx and 0 <= iy < grid.ny:
+            hm[b.class_id, iy, ix] = 1.0
+    return hm
+
+
 def decode_peaks_oracle(heatmap, grid, threshold):
     """Per cell: a peak when no 3x3 neighbour is larger and the score reaches threshold.
 
@@ -345,9 +362,15 @@ def wide_path_heatmap(bundle, cfg, weights, contexts, p_depths):
     return head(fused + conv_pointwise(q, weights.q_kernel, weights.q_bias))
 
 
+def pillar_size(cfg):
+    """(dx, dy) of a pillar grid, derived so the grid spans the ranges exactly."""
+    h, w = cfg.grid
+    return (cfg.x_range[1] - cfg.x_range[0]) / w, (cfg.y_range[1] - cfg.y_range[0]) / h
+
+
 def pillar_center(cfg, ix, iy):
     """(x, y) center of pillar cell (ix, iy)."""
-    dx, dy = cfg.pillar_size
+    dx, dy = pillar_size(cfg)
     return np.array([cfg.x_range[0] + (ix + 0.5) * dx, cfg.y_range[0] + (iy + 0.5) * dy])
 
 
@@ -377,7 +400,7 @@ def build_pillars_oracle(cloud, cfg, seed):
     """
     pts = cloud.points
     h, w = cfg.grid
-    dx, dy = cfg.pillar_size
+    dx, dy = pillar_size(cfg)
     t_cap = cfg.max_points
 
     ix = np.floor((pts[:, 0] - cfg.x_range[0]) / dx).astype(np.int64)

@@ -166,6 +166,10 @@ def _set_image_size(m):
     m["cameras"][0]["image_size"] = 5
 
 
+def _set_infinite_image_size(m):
+    m["cameras"][0]["image_size"] = [float("inf"), 704]
+
+
 def _set_features_string(m):
     m["files"]["features"] = m["files"]["features"][0]
 
@@ -306,8 +310,8 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "16 trailing bytes" in err and "radar.pc4d" in err
 
-    @pytest.mark.parametrize("edit", [_set_files, _set_image_size, _set_features_string,
-                                      _drop_features])
+    @pytest.mark.parametrize("edit", [_set_files, _set_image_size, _set_infinite_image_size,
+                                      _set_features_string, _drop_features])
     def test_malformed_manifest_validation_error(self, scene_dir, config_path, tmp_path,
                                                  capsys, edit):
         bad = tmp_path / "scene"
@@ -395,6 +399,55 @@ class TestRun:
         assert "malformed boxes file" in err and f"{key} must be" in err
         if isinstance(value, str):
             assert repr(value) in err
+
+    @pytest.mark.parametrize("tokens, found", [
+        (["other-token"], "['other-token']"),
+        (["sample-0", "sample-1"], "['sample-0', 'sample-1']"),
+    ])
+    def test_gt_tokens_must_be_the_manifest_token(self, scene_dir, config_path, tmp_path,
+                                                   capsys, tokens, found):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        boxes = json.loads((bad / "gt_boxes.json").read_text())
+        (bad / "gt_boxes.json").write_text(
+            json.dumps({t: boxes.get(t, boxes["sample-0"]) for t in tokens}))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "stage 'load'" in err and "gt_boxes.json" in err
+        assert "'sample-0'" in err and found in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonfinite_tensor_names_the_file(self, seed3_dir, tmp_path, capsys):
+        bad = tmp_path / "scene"
+        shutil.copytree(seed3_dir, bad)
+        tensor = bad / "features_cam0.tnsr"
+        blob = tensor.read_bytes()
+        at = 8 + 4 * 3  # first value after the magic, the rank and three extents
+        tensor.write_bytes(blob[:at] + np.array(np.nan, dtype="<f8").tobytes() + blob[at + 8:])
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "non-finite" in err and "features_cam0.tnsr" in err
+
+    @pytest.mark.parametrize("blob", [b"{'files': 1}", b'{"seed": 3', b'\xff\xfe{}'])
+    def test_undecodable_manifest_names_the_file(self, scene_dir, config_path, tmp_path,
+                                                 capsys, blob):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        (bad / "scene.json").write_bytes(blob)
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "scene.json" in err
 
     @pytest.mark.parametrize("value, want", [(0.0, EXIT_VALIDATION), (0.01, EXIT_OK)])
     def test_retired_match_iou_thresh(self, scene_dir, config_path, tmp_path, capsys,

@@ -21,6 +21,7 @@ from bevkit.pillars import (
     vfe_forward,
     write_pc4d,
 )
+from bevkit.voxelpool import BEVGridConfig
 
 
 def small_cfg(t=3, max_pillars=4096):
@@ -422,3 +423,10 @@ class TestTypes:
             PillarGridConfig((3.0, -3.0), (-3.0, 3.0), (4, 4), 5)
         with pytest.raises(ValueError):
             PillarGridConfig((-3.0, 3.0), (-3.0, 3.0), (4, 4), 0)
+
+    def test_bev_view_is_the_same_grid(self):
+        cfg = PillarGridConfig((-8.0, 8.0), (-6.0, 10.0), (4, 8), 5)
+        assert cfg.bev == BEVGridConfig((-8.0, 8.0), (-6.0, 10.0), nx=8, ny=4)
+        for bad in [((-3.0, 3.0), (2.0, 2.0), (4, 4)), ((-3.0, 3.0), (-3.0, 3.0), (0, 4))]:
+            with pytest.raises(ValueError):
+                PillarGridConfig(*bad, 5)

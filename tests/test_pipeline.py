@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from oracles import (
     brute_force_match, brute_force_pool, build_pillars_oracle, cell_box, decode_peaks_oracle,
-    lift_refine_pool, wide_path_heatmap,
+    greedy_match_oracle, gt_heatmap_oracle, lift_refine_pool, wide_path_heatmap,
 )
 
+from bevkit import fusion as fu
 from bevkit import geometry as geo
 from bevkit import pipeline as pl
 from bevkit import scene as sc
@@ -206,6 +207,45 @@ class TestRunPipeline:
             want.add("logits_radar")
         assert set(report.checksums) == want
 
+    def test_losses_take_oracle_heatmap_and_greedy_pairs(self, scene_dir):
+        """detection_loss gets the per-box GT heatmap and the 2 m greedy pairs, class by class."""
+        cfg = PipelineConfig(**SMALL)
+        bundles, calls = [], []
+        load, loss = pl.load_scene, fu.detection_loss
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl, "load_scene", lambda d: bundles.append(load(d)) or bundles[-1])
+            mp.setattr(fu, "detection_loss", lambda *a: calls.append(a) or loss(*a))
+            report, preds = run_pipeline(scene_dir, cfg)
+        (_, gt_hm, pairs_p, pairs_g), = calls
+        preds, gts = preds["sample-0"], bundles[0].gt_boxes["sample-0"]
+        np.testing.assert_array_equal(gt_hm, gt_heatmap_oracle(gts, cfg.bev_grid))
+        assert gt_hm.sum() > 0
+        want = []
+        for ci in range(pl.N_CLASSES):
+            cls_p = [p for p in preds if p.class_id == ci]
+            cls_g = [g for g in gts if g.class_id == ci]
+            order, assigned = greedy_match_oracle(cls_p, cls_g, pl.me.TP_THRESHOLD)
+            want += [(cls_p[i], cls_g[assigned[i]]) for i in order if i in assigned]
+        assert want and len(pairs_p) == len(pairs_g) == len(want)
+        for p, g, (want_p, want_g) in zip(pairs_p, pairs_g, want):
+            assert p is want_p and g is want_g
+        assert report.losses["l_bbox"] > 0
+
+    def test_gt_heatmap_matches_box_loop(self):
+        grid = vp.BEVGridConfig((-3.0, 5.0), (-2.0, 2.5), 8, 5)
+        rng = np.random.default_rng(31)
+        edges = [(-3.0, -2.0), (-3.0, 0.1), (0.1, -2.0), (5.0, 0.0), (0.0, 2.5), (5.0, 2.5),
+                 (4.999999, 2.499999), (-3.000001, 0.0), (1e300, 0.0), (0.0, -1e300)]
+        for trial in range(20):
+            centers = rng.uniform((-4.0, -3.0), (6.0, 3.5), (int(rng.integers(0, 30)), 2))
+            if trial % 2:
+                centers = np.vstack([centers, edges])
+            boxes = [fu.DetectionBox(center=(x, y, 0.5), size=(1.0, 1.0, 1.0), yaw=0.0,
+                                     velocity=(0.0, 0.0), class_id=int(rng.integers(10)),
+                                     score=0.0) for x, y in centers.tolist()]
+            np.testing.assert_array_equal(pl._gt_heatmap(boxes, grid),
+                                          gt_heatmap_oracle(boxes, grid))
+
     def test_weights_reproducible(self, scene_dir):
         cfg = PipelineConfig(**SMALL, sequential=True)
         a = PipelineWeights.create(cfg, 16)
@@ -297,8 +337,7 @@ class TestPerCameraPooling:
     def test_frustum_drops_reported(self, three_cameras):
         cfg, _, report, _, positions = three_cameras
         for k, pts in enumerate(positions):
-            inside, _ = vp.cell_ids(vp.FeaturedPoints(pts, np.zeros((len(pts), 0))),
-                                    cfg.bev_grid)
+            inside, _ = cfg.bev_grid.cell_ids(pts)
             assert 0 < report.dropped_points[f"frustum_cam{k}"] == int((~inside).sum())
 
 
@@ -388,6 +427,11 @@ class TestPipelineConfig:
         assert json.loads(path.read_text())["bev"] == {"range": 32.0, "cells": 64}
         back = PipelineConfig.from_json(path)
         assert back == cfg
+
+    @pytest.mark.parametrize("kwargs", [{}, SMALL, {"bev_range": 10.0, "bev_cells": 3}])
+    def test_pillar_grid_is_the_bev_grid(self, kwargs):
+        cfg = PipelineConfig(**kwargs)
+        assert cfg.pillar_grid.bev == cfg.bev_grid
 
     def test_default_pooling_is_reference(self):
         assert PipelineConfig().pooling == "reference"

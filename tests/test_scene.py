@@ -1,9 +1,16 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bevkit.geometry import CameraRig, EgoPose
 from bevkit.scene import (
+    SAMPLE_TOKEN,
     SceneSpec,
     default_scene_spec,
     forward_camera,
@@ -84,3 +91,94 @@ class TestSceneSpec:
         out = generate_scene(default_scene_spec(seed=8), tmp_path / "s")
         text = (out / "scene.json").read_text()
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rotations(draw):
+    """Products of three elementary rotations: orthonormal to rounding."""
+    a, b, c = (draw(st.floats(-4.0, 4.0)) for _ in range(3))
+    rz = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0, 0, 1]])
+    ry = np.array([[np.cos(b), 0.0, np.sin(b)], [0, 1, 0], [-np.sin(b), 0.0, np.cos(b)]])
+    rx = np.array([[1, 0, 0], [0.0, np.cos(c), -np.sin(c)], [0.0, np.sin(c), np.cos(c)]])
+    return rz @ ry @ rx
+
+
+@st.composite
+def rigs(draw):
+    fx, fy = (draw(st.floats(1e-3, 1e6)) for _ in range(2))
+    skew, cx, cy = (draw(st.floats(-1e6, 1e6)) for _ in range(3))
+    k = np.array([[fx, skew, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
+    size = (draw(st.integers(1, 10_000)), draw(st.integers(1, 10_000)))
+    return CameraRig(k, draw(rotations()), np.array(draw(st.lists(FINITE, min_size=3,
+                                                                  max_size=3))), size)
+
+
+@st.composite
+def poses(draw):
+    return EgoPose(draw(rotations()), np.array(draw(st.lists(FINITE, min_size=3, max_size=3))),
+                   draw(FINITE))
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).tobytes()  # signed zeros included
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    spec = default_scene_spec(seed=9, n_objects=3, n_cameras=2, radar_density=40.0,
+                              lidar_density=40.0, feature_shape=(2, 2, 3))
+    return generate_scene(spec, tmp_path_factory.mktemp("manifest") / "scene")
+
+
+class TestManifestProperties:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.lists(rigs(), min_size=1, max_size=6), st.lists(poses(), min_size=1, max_size=3),
+           st.integers(0, 2**63 - 1))
+    def test_roundtrip_bit_exact(self, cameras, trajectory, seed):
+        spec = SceneSpec(seed=seed, cameras=cameras, ego_trajectory=trajectory, objects=[],
+                         radar_density=0.0, lidar_density=0.0, feature_shape=(1, 1, 2))
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = load_scene(generate_scene(spec, tmp))
+        assert bundle.manifest["seed"] == seed and type(bundle.manifest["seed"]) is int
+        assert bundle.manifest["sample_token"] == SAMPLE_TOKEN
+        assert list(bundle.gt_boxes) == [SAMPLE_TOKEN]
+        assert len(bundle.cameras) == len(cameras)
+        for got, want in zip(bundle.cameras, cameras):
+            for name in ("intrinsics", "rotation", "translation"):
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+            assert got.image_size == want.image_size
+        assert len(bundle.ego_trajectory) == len(trajectory)
+        for got, want in zip(bundle.ego_trajectory, trajectory):
+            assert _bits(got.rotation) == _bits(want.rotation)
+            assert _bits(got.translation) == _bits(want.translation)
+            assert _bits(got.timestamp) == _bits(want.timestamp)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_corrupted_manifest_raises_only_value_or_os_error(self, small_bundle, data):
+        original = (small_bundle / "scene.json").read_bytes()
+        blob = bytearray(original)
+        truncated = data.draw(st.booleans(), label="truncate")
+        if truncated:
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            for _ in range(data.draw(st.integers(1, 4), label="flips")):
+                at = data.draw(st.integers(0, len(blob) - 1), label="at")
+                blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = Path(tmp) / "scene"
+            shutil.copytree(small_bundle, scene)
+            (scene / "scene.json").write_bytes(blob)
+            try:
+                bundle = load_scene(scene)
+            except (ValueError, OSError) as err:
+                # the message names scene.json or the bundle file it led to
+                assert str(scene) in str(err)
+                return
+        # a cut file loads only if the cut took no more than the trailing newline
+        assert not truncated or len(blob) >= len(original.rstrip())
+        assert list(bundle.gt_boxes) == [bundle.manifest["sample_token"]]
+        assert len(bundle.features) == len(bundle.cameras)

@@ -65,6 +65,14 @@ class TestPoolReference:
         out = pool_reference(pts, cfg)
         assert out.data.sum() == 1.0
 
+    def test_far_and_non_finite_positions_out_of_range(self):
+        cfg = grid(nx=4, ny=4, extent=2.0)
+        pts = np.array([[1e300, 0.0], [0.0, -1e300], [np.inf, 0.0], [0.0, np.nan],
+                        [1.9, 1.9]])
+        inside, ids = cfg.cell_ids(pts)
+        np.testing.assert_array_equal(inside, [False, False, False, False, True])
+        np.testing.assert_array_equal(ids, [15])
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(62)
         pts = random_points(rng, m=2000, c=3)
@@ -195,7 +203,7 @@ class TestSplat:
             dropped = splat(pts, ctx, refine_taps(p, kernel + IDENTITY), cfg, camera_bev)
             want_bev, want_depth = lift_refine_pool([pts], [ctx], [p], kernel, cfg)
             assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
-            inside, _ = cell_ids(FeaturedPoints(pts, np.zeros((len(pts), 0))), cfg)
+            inside, _ = cfg.cell_ids(pts)
             assert dropped == int((~inside).sum())
             cases_with_drops += 0 < dropped < len(pts)
             # taps with weight at every column: a column shifted off the map adds nothing
@@ -220,7 +228,7 @@ class TestSplat:
         got = np.zeros((h * w, cfg.ny, cfg.nx))
         splat(pts, np.eye(h * w).reshape(h * w, h, w), taps, cfg, got)
         # the same slots, in tap-then-sample order, through sum_reference
-        inside, ids = cell_ids(FeaturedPoints(pts, np.zeros((len(pts), 0))), cfg)
+        inside, ids = cfg.cell_ids(pts)
         cells, occ = np.unique(ids, return_inverse=True)
         sample = np.flatnonzero(inside)
         slots, values = [], []
@@ -243,7 +251,7 @@ class TestSplat:
         rng = np.random.default_rng(4043)
         frustum = FrustumGrid.regular((h, w), cfg.depth_bins.centers())
         pts = unproject_frustum(forward_camera().scaled(h / 256, w / 704), frustum)
-        inside, ids = cell_ids(FeaturedPoints(pts, np.zeros((len(pts), 0))), grid_cfg)
+        inside, ids = grid_cfg.cell_ids(pts)
         col = np.flatnonzero(inside) % w
         seen = np.unique(np.column_stack([ids, col]), axis=0)
         assert np.bincount(seen[:, 0]).max() >= 4
