@@ -4,7 +4,9 @@ Sums the camera and radar class-logit BEV grids cell by cell (the head's
 1x1 conv is already folded into each source), gates radar proposal cells
 with the heatmap prior, and computes the composite detection loss
 (heatmap binary cross-entropy plus box L1) and the depth-distribution BCE
-against a rasterized ground-truth depth map.
+against a rasterized ground-truth depth map. It also defines the box types:
+BoxSet, boxes as columns, which a run carries from decoding to the losses,
+and DetectionBox, the view of one box.
 """
 
 from __future__ import annotations
@@ -40,9 +42,22 @@ class Heatmap:
             raise ValueError("heatmap scores must lie in [0, 1]")
 
 
+# the names a box's class_id and attribute_id index
+DETECTION_CLASSES = (
+    "car", "truck", "bus", "trailer", "construction_vehicle",
+    "pedestrian", "motorcycle", "bicycle", "traffic_cone", "barrier",
+)
+
+ATTRIBUTES = (
+    "", "vehicle.moving", "vehicle.parked", "vehicle.stopped",
+    "cycle.with_rider", "cycle.without_rider",
+    "pedestrian.moving", "pedestrian.standing", "pedestrian.sitting_lying_down",
+)
+
+
 @dataclass
 class DetectionBox:
-    """3-D box in ego coordinates with class, score, and attribute."""
+    """One 3-D box in ego coordinates: the per-box view of a BoxSet row."""
 
     center: tuple[float, float, float]
     size: tuple[float, float, float]  # (w, l, h); w spans x, l spans y in BEV
@@ -58,9 +73,83 @@ class DetectionBox:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError("score must lie in [0, 1]")
 
-    def param_vector(self) -> np.ndarray:
-        """9-D regression target: center, size, yaw, velocity."""
-        return np.array([*self.center, *self.size, self.yaw, *self.velocity])
+
+# BoxSet column -> shape of one row
+_BOX_COLUMNS = {"center": (3,), "size": (3,), "yaw": (), "velocity": (2,),
+                "class_id": (), "score": (), "attribute_id": ()}
+_ID_LIMITS = {"class_id": len(DETECTION_CLASSES), "attribute_id": len(ATTRIBUTES)}
+
+
+@dataclass(eq=False)
+class BoxSet:
+    """N boxes as columns: one array per DetectionBox field, row i being box i.
+
+    Ids are int64, the rest float64. Construction checks all rows at once,
+    at least as strictly as DetectionBox (equal lengths, finite values, known
+    ids too), and names the failing column. Iterating yields DetectionBoxes.
+    """
+
+    center: np.ndarray
+    size: np.ndarray
+    yaw: np.ndarray
+    velocity: np.ndarray
+    class_id: np.ndarray
+    score: np.ndarray
+    attribute_id: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.center) if np.ndim(self.center) else 0
+        for name, row in _BOX_COLUMNS.items():
+            col = np.asarray(getattr(self, name))
+            if name in _ID_LIMITS:
+                if col.size and col.dtype.kind not in "iu":
+                    raise ValueError(f"BoxSet.{name} must hold integers, got {col.dtype}")
+                col = col.astype(np.int64)
+                if col.size and not (0 <= col.min() and col.max() < _ID_LIMITS[name]):
+                    raise ValueError(f"BoxSet.{name} must lie in [0, {_ID_LIMITS[name]})")
+            else:
+                col = col.astype(np.float64, copy=False)
+                if not np.isfinite(col).all():
+                    raise ValueError(f"BoxSet.{name} must be finite")
+            if col.shape != (n, *row):
+                raise ValueError(f"BoxSet.{name} must have shape {(n, *row)} "
+                                 f"(one row per center), got {col.shape}")
+            setattr(self, name, col)
+        if not (self.size > 0).all():
+            raise ValueError("BoxSet.size must be positive")
+        if not ((0.0 <= self.score) & (self.score <= 1.0)).all():
+            raise ValueError("BoxSet.score must lie in [0, 1]")
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __iter__(self):
+        for c, s, y, v, k, p, a in zip(*(getattr(self, f).tolist() for f in _BOX_COLUMNS)):
+            yield DetectionBox(tuple(c), tuple(s), y, tuple(v), k, p, a)
+
+    def take(self, idx) -> "BoxSet":
+        """The rows idx (an index array or a mask), in that order."""
+        return BoxSet(*(getattr(self, f)[idx] for f in _BOX_COLUMNS))
+
+    def params(self) -> np.ndarray:
+        """(N, 9) regression targets: center, size, yaw, velocity."""
+        return np.column_stack([self.center, self.size, self.yaw, self.velocity])
+
+    @staticmethod
+    def from_boxes(boxes) -> "BoxSet":
+        boxes = list(boxes)
+        floats = np.array([(*b.center, *b.size, b.yaw, *b.velocity, b.score) for b in boxes],
+                          dtype=np.float64).reshape(-1, 10)
+        ids = np.array([(b.class_id, b.attribute_id) for b in boxes],
+                       dtype=np.int64).reshape(-1, 2)
+        return BoxSet(floats[:, :3], floats[:, 3:6], floats[:, 6], floats[:, 7:9], ids[:, 0],
+                      floats[:, 9], ids[:, 1])
+
+    @staticmethod
+    def concat(sets) -> "BoxSet":
+        """Rows of every set in turn; no sets give an empty set."""
+        sets = list(sets) or [BoxSet.from_boxes([])]
+        return BoxSet(*(np.concatenate([getattr(s, f) for s in sets]) for f in _BOX_COLUMNS))
 
 
 def fuse_bev_features(f_cam: np.ndarray, f_radar: np.ndarray) -> np.ndarray:
@@ -95,23 +184,21 @@ def _bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def detection_loss(heatmap_pred: np.ndarray, heatmap_gt: np.ndarray,
-                   boxes_pred: list[DetectionBox], boxes_gt: list[DetectionBox]
-                   ) -> tuple[float, float, float]:
+                   boxes_pred: BoxSet, boxes_gt: BoxSet) -> tuple[float, float, float]:
     """(L_det, L_heatmap, L_bbox): mean BCE over cells plus mean box L1.
 
-    boxes_pred and boxes_gt are matched pairs, aligned by index. With no
+    boxes_pred and boxes_gt are matched pairs, aligned by row. L_bbox
+    averages each pair's mean absolute difference of params(). With no
     matched pairs the box term is zero by definition (flagged in the log).
     """
     heatmap_pred, heatmap_gt = as_tensor(heatmap_pred), as_tensor(heatmap_gt)
     if heatmap_pred.shape != heatmap_gt.shape:
         raise ValueError("heatmap shapes must match")
     if len(boxes_pred) != len(boxes_gt):
-        raise ValueError("box lists must be matched pairs of equal length")
+        raise ValueError("box sets must be matched pairs of equal length")
     l_heatmap = float(_bce(heatmap_pred, heatmap_gt).mean())
-    if boxes_pred:
-        diffs = [np.abs(p.param_vector() - g.param_vector()).mean()
-                 for p, g in zip(boxes_pred, boxes_gt)]
-        l_bbox = float(np.mean(diffs))
+    if len(boxes_pred):
+        l_bbox = float(np.abs(boxes_pred.params() - boxes_gt.params()).mean(axis=1).mean())
     else:
         logger.warning("detection_loss: no matched box pairs, L_bbox = 0 by definition")
         l_bbox = 0.0

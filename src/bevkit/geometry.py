@@ -91,6 +91,8 @@ class EgoPose:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(t)):
             raise ValueError("ego translation must be finite")
+        if not np.isfinite(self.timestamp):
+            raise ValueError(f"ego timestamp must be finite, got {self.timestamp!r}")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)
 

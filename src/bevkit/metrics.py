@@ -5,7 +5,8 @@ thresholds of 0.5/1/2/4 meters, per-class AP comes from 101-point recall
 interpolation of the rank-accumulated precision-recall curve, and the five
 true-positive error metrics are computed on the 2-meter matches.
 
-Matching works on arrays: per class and sample, one (P, G) distance matrix
+Evaluation reads box columns (fusion.BoxSet); lists of DetectionBox are
+converted once per sample. Per class and sample, one (P, G) distance matrix
 over the score-ranked predictions serves all four thresholds, and the greedy
 loop visits only predictions with a ground truth within the threshold,
 stopping once every ground truth is taken. Samples are merged for the
@@ -27,18 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import DetectionBox
-
-DETECTION_CLASSES = (
-    "car", "truck", "bus", "trailer", "construction_vehicle",
-    "pedestrian", "motorcycle", "bicycle", "traffic_cone", "barrier",
-)
-
-ATTRIBUTES = (
-    "", "vehicle.moving", "vehicle.parked", "vehicle.stopped",
-    "cycle.with_rider", "cycle.without_rider",
-    "pedestrian.moving", "pedestrian.standing", "pedestrian.sitting_lying_down",
-)
+from .fusion import ATTRIBUTES, DETECTION_CLASSES, BoxSet, DetectionBox
 
 AP_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TP_THRESHOLD = 2.0  # TP errors use the 2 m matches
@@ -74,21 +64,15 @@ class MatchResult:
         return int(np.count_nonzero(self.tp_flags))
 
 
-def bev_distance(a: DetectionBox, b: DetectionBox) -> float:
-    return float(np.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]))
-
-
-def _ranked_distances(preds: list[DetectionBox], gts: list[DetectionBox]
+def _ranked_distances(scores: np.ndarray, pred_xy: np.ndarray, gt_xy: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prediction order, ranked scores and (P, G) BEV center distances.
 
     Predictions are ranked by descending score, input order breaking ties;
     row r of the distance matrix belongs to the prediction of rank r.
     """
-    scores = np.array([p.score for p in preds], dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    pred_xy = np.array([preds[i].center[:2] for i in order], dtype=np.float64).reshape(-1, 2)
-    gt_xy = np.array([g.center[:2] for g in gts], dtype=np.float64).reshape(-1, 2)
+    pred_xy = pred_xy[order]
     dist = np.hypot(gt_xy[None, :, 0] - pred_xy[:, None, 0],
                     gt_xy[None, :, 1] - pred_xy[:, None, 1])
     return order, scores[order], dist
@@ -125,8 +109,9 @@ def match_center_distance(preds: list[DetectionBox], gts: list[DetectionBox],
     ties); each takes the nearest unmatched ground truth within the
     threshold, equal distances resolving to the lower gt index.
     """
-    order, _, dist = _ranked_distances(preds, gts)
-    return MatchResult(order, _greedy_match(dist, threshold), len(gts))
+    pred, gt = BoxSet.from_boxes(preds), BoxSet.from_boxes(gts)
+    order, _, dist = _ranked_distances(pred.score, pred.center[:, :2], gt.center[:, :2])
+    return MatchResult(order, _greedy_match(dist, threshold), len(gt))
 
 
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -166,57 +151,55 @@ def class_mean_ap(ap_per_threshold) -> float | None:
     return float(sum(vals)) / len(ap_per_threshold)
 
 
-def _aligned_size_iou(pred: DetectionBox, gt: DetectionBox) -> float:
-    """3-D IOU after aligning centers and yaw: shape similarity only."""
-    mins = np.minimum(pred.size, gt.size)
-    inter = float(np.prod(mins))
-    union = float(np.prod(pred.size)) + float(np.prod(gt.size)) - inter
-    return inter / union
+def _tp_errors(pred: BoxSet, gt: BoxSet, class_name: str | None = None
+               ) -> dict[str, float | None]:
+    """Mean TP errors over the aligned rows of pred and gt (the 2 m matches).
 
-
-def _yaw_diff(a: float, b: float) -> float:
-    """Absolute yaw difference wrapped into [0, pi]."""
-    d = abs(a - b) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
+    ate: BEV center distance; ase: 1 - IOU of the sizes with centers and yaw
+    aligned; aoe: yaw difference wrapped into [0, pi]; ave: velocity
+    difference; aae: 1 - attribute accuracy. Values are None when there are
+    no matches or the metric does not apply to the class.
+    """
+    applicable = CLASS_TP_METRICS.get(class_name, TP_METRICS) if class_name else TP_METRICS
+    out: dict[str, float | None] = {m: None for m in TP_METRICS}
+    if not len(pred):
+        return out
+    if "ate" in applicable:
+        d = pred.center - gt.center
+        out["ate"] = float(np.mean(np.hypot(d[:, 0], d[:, 1])))
+    if "ase" in applicable:
+        inter = np.prod(np.minimum(pred.size, gt.size), axis=1)
+        union = np.prod(pred.size, axis=1) + np.prod(gt.size, axis=1) - inter
+        out["ase"] = float(np.mean(1.0 - inter / union))
+    if "aoe" in applicable:
+        d = np.abs(pred.yaw - gt.yaw) % (2.0 * np.pi)
+        out["aoe"] = float(np.mean(np.minimum(d, 2.0 * np.pi - d)))
+    if "ave" in applicable:
+        d = pred.velocity - gt.velocity
+        out["ave"] = float(np.mean(np.hypot(d[:, 0], d[:, 1])))
+    if "aae" in applicable:
+        out["aae"] = float(1.0 - np.mean(pred.attribute_id == gt.attribute_id))
+    return out
 
 
 def tp_errors(matched_pairs: list[tuple[DetectionBox, DetectionBox]],
               class_name: str | None = None) -> dict[str, float | None]:
-    """Mean TP errors over (pred, gt) matches from the 2 m threshold.
-
-    Values are None when there are no matches or the metric does not apply
-    to the class.
-    """
-    applicable = CLASS_TP_METRICS.get(class_name, TP_METRICS) if class_name else TP_METRICS
-    out: dict[str, float | None] = {m: None for m in TP_METRICS}
-    if not matched_pairs:
-        return out
-    if "ate" in applicable:
-        out["ate"] = float(np.mean([bev_distance(p, g) for p, g in matched_pairs]))
-    if "ase" in applicable:
-        out["ase"] = float(np.mean([1.0 - _aligned_size_iou(p, g) for p, g in matched_pairs]))
-    if "aoe" in applicable:
-        out["aoe"] = float(np.mean([_yaw_diff(p.yaw, g.yaw) for p, g in matched_pairs]))
-    if "ave" in applicable:
-        out["ave"] = float(np.mean([np.hypot(p.velocity[0] - g.velocity[0],
-                                             p.velocity[1] - g.velocity[1])
-                                    for p, g in matched_pairs]))
-    if "aae" in applicable:
-        correct = [p.attribute_id == g.attribute_id for p, g in matched_pairs]
-        out["aae"] = float(1.0 - np.mean(correct))
-    return out
+    """_tp_errors over a list of (pred, gt) DetectionBox pairs."""
+    return _tp_errors(BoxSet.from_boxes(p for p, _ in matched_pairs),
+                      BoxSet.from_boxes(g for _, g in matched_pairs), class_name)
 
 
 @dataclass
 class ClassEval:
     """One class's APs across thresholds, its TP errors and the 2 m (pred, gt)
-    pairs they came from: samples in token order, each in rank order.
-    EvalSummary.to_dict leaves the pairs out."""
+    pairs they came from, as two row-aligned box sets: samples in token
+    order, each in rank order. EvalSummary.to_dict leaves the pairs out."""
 
     class_name: str
     ap_per_threshold: list[float | None]
     tp: dict[str, float | None] = field(default_factory=dict)
-    tp_pairs: list[tuple[DetectionBox, DetectionBox]] = field(default_factory=list)
+    tp_pairs: tuple[BoxSet, BoxSet] = field(
+        default_factory=lambda: (BoxSet.from_boxes([]), BoxSet.from_boxes([])))
 
     @property
     def mean_ap(self) -> float | None:
@@ -289,46 +272,61 @@ def aggregate_summary(per_class: list[ClassEval], eval_time: float = 0.0) -> Eva
     return EvalSummary(per_class, global_map, mtp, nds, eval_time)
 
 
-def group_by_class(boxes: list[DetectionBox]) -> dict[int, list[DetectionBox]]:
-    """Boxes keyed by class id, input order kept within each class."""
-    out: dict[int, list[DetectionBox]] = {}
-    for b in boxes:
-        out.setdefault(b.class_id, []).append(b)
-    return out
+def _stacked(boxes_by_token: dict, tokens: list[str], n_classes: int
+             ) -> tuple[BoxSet, np.ndarray, np.ndarray]:
+    """Every token's boxes as one BoxSet, tokens in order, plus its groups.
+
+    Each token's boxes (a BoxSet or a list of DetectionBox) are converted
+    once. One stable argsort by (class, token) lists the rows of group
+    k = class * len(tokens) + token at order[bounds[k]:bounds[k + 1]], in
+    input order; class ids from n_classes on fall in no group.
+    """
+    sets = [b if isinstance(b, BoxSet) else BoxSet.from_boxes(b)
+            for b in map(boxes_by_token.get, tokens)]
+    boxes = BoxSet.concat(sets)
+    token = np.repeat(np.arange(len(tokens)), [len(b) for b in sets])
+    key = boxes.class_id * len(tokens) + token
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(n_classes * len(tokens) + 1))
+    return boxes, order, bounds
 
 
-def evaluate_detections(preds_by_token: dict[str, list[DetectionBox]],
-                        gts_by_token: dict[str, list[DetectionBox]],
+def evaluate_detections(preds_by_token: dict[str, BoxSet | list[DetectionBox]],
+                        gts_by_token: dict[str, BoxSet | list[DetectionBox]],
                         classes=DETECTION_CLASSES, eval_time: float = 0.0) -> EvalSummary:
     """Full evaluation over samples; matching never crosses sample tokens."""
     if set(preds_by_token) != set(gts_by_token):
         raise ValueError("prediction and ground-truth sample tokens differ")
     tokens = sorted(gts_by_token)
-    preds_of = [group_by_class(preds_by_token[t]) for t in tokens]
-    gts_of = [group_by_class(gts_by_token[t]) for t in tokens]
+    preds, p_order, p_bounds = _stacked(preds_by_token, tokens, len(classes))
+    gts, g_order, g_bounds = _stacked(gts_by_token, tokens, len(classes))
+    pred_xy, gt_xy = preds.center[:, :2], gts.center[:, :2]
     per_class = []
     for ci, name in enumerate(classes):
         # Rank accumulation needs one global score ordering per class, so
         # per-token matches are merged before the PR sweep.
-        tp_pairs: list[tuple[DetectionBox, DetectionBox]] = []
+        pair_p, pair_g = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         n_gt_total = 0
         scores = [np.zeros(0)]
         matched = [np.zeros((len(AP_THRESHOLDS), 0), dtype=bool)]  # threshold x rank
-        for preds, gts in zip(preds_of, gts_of):
-            preds, gts = preds.get(ci, []), gts.get(ci, [])
-            n_gt_total += len(gts)
-            order, ranked_scores, dist = _ranked_distances(preds, gts)
+        for k in range(ci * len(tokens), (ci + 1) * len(tokens)):
+            p = p_order[p_bounds[k]:p_bounds[k + 1]]
+            g = g_order[g_bounds[k]:g_bounds[k + 1]]
+            n_gt_total += len(g)
+            order, ranked_scores, dist = _ranked_distances(preds.score[p], pred_xy[p], gt_xy[g])
             ranked_gts = [_greedy_match(dist, thr) for thr in AP_THRESHOLDS]
             scores.append(ranked_scores)
             matched.append(np.array(ranked_gts) >= 0)
             ranked_gt = ranked_gts[AP_THRESHOLDS.index(TP_THRESHOLD)]
-            tp_pairs.extend((preds[pi], gts[gi])
-                            for pi, gi in zip(order.tolist(), ranked_gt.tolist()) if gi >= 0)
+            hit = ranked_gt >= 0
+            pair_p.append(p[order[hit]])
+            pair_g.append(g[ranked_gt[hit]])
         merged = np.argsort(-np.concatenate(scores), kind="stable")
         flags = np.concatenate(matched, axis=1)[:, merged]
         aps = [average_precision(MatchResult(merged, np.where(f, 0, -1), n_gt_total))
                for f in flags]
-        per_class.append(ClassEval(name, aps, tp_errors(tp_pairs, name), tp_pairs))
+        pairs = (preds.take(np.concatenate(pair_p)), gts.take(np.concatenate(pair_g)))
+        per_class.append(ClassEval(name, aps, _tp_errors(*pairs, name), pairs))
     return aggregate_summary(per_class, eval_time)
 
 
@@ -376,7 +374,7 @@ def box_from_json(d: dict) -> DetectionBox:
     )
 
 
-def save_boxes(path, boxes_by_token: dict[str, list[DetectionBox]],
+def save_boxes(path, boxes_by_token: dict[str, BoxSet | list[DetectionBox]],
                with_score: bool = True) -> None:
     payload = {token: [box_to_json(b, with_score) for b in boxes]
                for token, boxes in boxes_by_token.items()}

@@ -345,11 +345,11 @@ def _hint_depth_logits(logits: np.ndarray, radar_xyz: np.ndarray, frig: geo.Came
     return out
 
 
-def _gt_heatmap(boxes: list[fu.DetectionBox], grid: vp.BEVGridConfig) -> np.ndarray:
+def _gt_heatmap(boxes: fu.BoxSet, grid: vp.BEVGridConfig) -> np.ndarray:
     """1 at each GT center's cell in its class's channel; centers off the grid are dropped."""
     hm = np.zeros((N_CLASSES, grid.ny * grid.nx))
-    inside, cells = grid.cell_ids(np.array([b.center for b in boxes]).reshape(-1, 3))
-    hm[np.array([b.class_id for b in boxes], dtype=np.int64)[inside], cells] = 1.0
+    inside, cells = grid.cell_ids(boxes.center)
+    hm[boxes.class_id[inside], cells] = 1.0
     return hm.reshape(N_CLASSES, grid.ny, grid.nx)
 
 
@@ -360,13 +360,12 @@ _CLASS_ATTRIBUTE_IDS = np.array([me.ATTRIBUTES.index(CLASS_ATTRIBUTES[n])
 
 
 def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
-                  threshold: float) -> list[fu.DetectionBox]:
+                  threshold: float) -> fu.BoxSet:
     """3x3 local maxima above threshold become boxes with nominal sizes.
 
     Peaks are found on the whole (classes, ny, nx) heatmap at once and
     ranked by one stable argsort of descending score, so equal scores keep
-    (class, row, column) order. Centers, sizes and attributes are looked up
-    as arrays; only the returned boxes are built one by one.
+    (class, row, column) order. Each box column is one array lookup.
     """
     n_classes, ny, nx = heatmap.shape
     padded = np.full((n_classes, ny + 2, nx + 2), -np.inf)
@@ -381,18 +380,15 @@ def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
     scores = heatmap[ci, iy, ix]
     order = np.argsort(-scores, kind="stable")
     ci, iy, ix = ci[order], iy[order], ix[order]
-    centers = grid.cell_center(ix, iy)
     sizes = _CLASS_SIZE_TABLE[ci]
-    return [fu.DetectionBox(center=(cx, cy, h / 2.0), size=(w, length, h), yaw=0.0,
-                            velocity=(0.0, 0.0), class_id=c, score=score, attribute_id=a)
-            for (cx, cy), (w, length, h), c, score, a in zip(
-                centers.tolist(), sizes.tolist(), ci.tolist(), scores[order].tolist(),
-                _CLASS_ATTRIBUTE_IDS[ci].tolist())]
+    return fu.BoxSet(center=np.column_stack([grid.cell_center(ix, iy), sizes[:, 2] / 2.0]),
+                     size=sizes, yaw=np.zeros(len(ci)), velocity=np.zeros((len(ci), 2)),
+                     class_id=ci, score=scores[order], attribute_id=_CLASS_ATTRIBUTE_IDS[ci])
 
 
 def run_pipeline(scene_dir, cfg: PipelineConfig,
                  weights: PipelineWeights | None = None
-                 ) -> tuple[RunReport, dict[str, list[fu.DetectionBox]]]:
+                 ) -> tuple[RunReport, dict[str, fu.BoxSet]]:
     """Execute every stage on a bundle; returns the report and predictions.
 
     The head's kernel is applied to each source before the BEV sum, which is
@@ -501,8 +497,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             iy, ix = np.divmod(matched, cfg.bev_cells)
             q_grid = np.zeros((4, cfg.bev_cells, cfg.bev_cells))
             q_grid[:2, iy, ix] = cfg.bev_grid.cell_center(ix, iy).T
-            report.matches = [{"cell": [y, x], "q": q_grid[:, y, x].tolist()}
-                              for y, x in zip(iy.tolist(), ix.tolist())]
+            report.matches = [{"cell": [y, x], "q": q} for y, x, q in zip(
+                iy.tolist(), ix.tolist(), q_grid[:, iy, ix].T.tolist())]
             final_scores = kan.sigmoid(logits + conv_pointwise(
                 q_grid, head @ weights.q_kernel, head @ weights.q_bias))
         report.checksums["heatmap"] = checksum(final_scores)
@@ -517,23 +513,24 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
         preds = _decode_peaks(final_scores, cfg.bev_grid, cfg.peak_threshold)
 
     with _StageTimer(report, "evaluate"):
+        gts = fu.BoxSet.from_boxes(bundle.gt_boxes[token])
         t0 = time.perf_counter()
-        summary = me.evaluate_detections({token: preds}, bundle.gt_boxes)
+        summary = me.evaluate_detections({token: preds}, {token: gts})
         summary.eval_time = time.perf_counter() - t0
         report.eval_summary = summary
 
     with _StageTimer(report, "head"):
-        gt_hm = _gt_heatmap(bundle.gt_boxes[token], cfg.bev_grid)
-        pairs = [pair for ce in summary.per_class for pair in ce.tp_pairs]
+        gt_hm = _gt_heatmap(gts, cfg.bev_grid)
+        pred_pairs, gt_pairs = zip(*(ce.tp_pairs for ce in summary.per_class))
         l_det, l_heatmap, l_bbox = fu.detection_loss(
-            final_scores, gt_hm, [p for p, _ in pairs], [g for _, g in pairs])
+            final_scores, gt_hm, fu.BoxSet.concat(pred_pairs), fu.BoxSet.concat(gt_pairs))
         report.losses.update({"l_det": l_det, "l_heatmap": l_heatmap, "l_bbox": l_bbox})
 
     return report, {token: preds}
 
 
 def save_run_outputs(out_dir, report: RunReport,
-                     predictions: dict[str, list[fu.DetectionBox]]) -> tuple[Path, Path]:
+                     predictions: dict[str, fu.BoxSet]) -> tuple[Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pred_path = out / "predictions.json"

@@ -340,6 +340,19 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
         assert "scene.json" in err and "translation must be finite" in err
 
+    def test_nonfinite_ego_timestamp_validation_error(self, seed3_dir, tmp_path, capsys):
+        bad = tmp_path / "scene"
+        shutil.copytree(seed3_dir, bad)
+        manifest = json.loads((bad / "scene.json").read_text())
+        manifest["ego_trajectory"][0]["timestamp"] = float("nan")
+        (bad / "scene.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "scene.json" in err and "timestamp must be finite" in err
+
     @pytest.mark.parametrize("keep", [0, 6, 14, -8, -1])
     def test_truncated_features_validation_error(self, seed3_dir, tmp_path, capsys, keep):
         bad = tmp_path / "scene"

@@ -3,6 +3,7 @@ import pytest
 from oracles import brute_force_match, cell_box, iou_bev
 
 from bevkit.fusion import (
+    BoxSet,
     DetectionBox,
     Heatmap,
     depth_bce_loss,
@@ -148,7 +149,8 @@ class TestDetectionLoss:
         gt = np.zeros((2, 4, 4))
         gt[0, 1, 1] = 1.0
         b = box(0.0, 0.0)
-        l_det, l_hm, l_bbox = detection_loss(gt, gt, [b], [b])
+        l_det, l_hm, l_bbox = detection_loss(gt, gt, BoxSet.from_boxes([b]),
+                                             BoxSet.from_boxes([b]))
         assert l_det <= 1e-6
         assert l_hm <= 1e-6
         assert l_bbox == 0.0
@@ -164,14 +166,17 @@ class TestDetectionLoss:
         gt = (rng.uniform(0, 1, (2, 3, 3)) > 0.7).astype(float)
         boxes_p = [box(*rng.uniform(-3, 3, 2), vx=1.0) for _ in range(4)]
         boxes_g = [box(*rng.uniform(-3, 3, 2)) for _ in range(4)]
-        l_det, l_hm, l_bbox = detection_loss(pred, gt, boxes_p, boxes_g)
+        l_det, l_hm, l_bbox = detection_loss(pred, gt, BoxSet.from_boxes(boxes_p),
+                                             BoxSet.from_boxes(boxes_g))
         bce = 0.0
         for i in np.ndindex(pred.shape):
             p = min(max(pred[i], 1e-7), 1 - 1e-7)
             bce += -(gt[i] * np.log(p) + (1 - gt[i]) * np.log(1 - p))
         bce /= pred.size
-        l1 = np.mean([np.abs(p.param_vector() - g.param_vector()).mean()
-                      for p, g in zip(boxes_p, boxes_g)])
+        def params(b):
+            return np.array([*b.center, *b.size, b.yaw, *b.velocity])
+
+        l1 = np.mean([np.abs(params(p) - params(g)).mean() for p, g in zip(boxes_p, boxes_g)])
         assert abs(l_hm - bce) < 1e-10
         assert abs(l_bbox - l1) < 1e-10
         assert abs(l_det - (bce + l1)) < 1e-10

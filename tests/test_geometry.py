@@ -59,6 +59,11 @@ class TestCameraRig:
         with pytest.raises(ValueError, match=f"ego {field} must be finite"):
             EgoPose(**fields)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ego_pose_rejects_nonfinite_timestamp(self, bad):
+        with pytest.raises(ValueError, match="ego timestamp must be finite"):
+            EgoPose(np.eye(3), np.zeros(3), bad)
+
     def test_rejects_nonpositive_image(self):
         with pytest.raises(ValueError):
             CameraRig(np.eye(3), np.eye(3), np.zeros(3), (0, 4))

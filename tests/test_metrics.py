@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ap_oracle, evaluate_oracle, greedy_match_oracle, tp_errors_oracle
 
-from bevkit.fusion import DetectionBox
+from bevkit.fusion import BoxSet, DetectionBox
 from bevkit.metrics import (
     AP_THRESHOLDS,
     ATTRIBUTES,
@@ -346,6 +346,19 @@ class TestEvaluateDetections:
             assert got["per_class"]["traffic_cone"]["ap_per_threshold"] == [None] * 4
             assert got["per_class"]["barrier"]["ap_per_threshold"] == [None] * 4
 
+    def test_list_and_column_input_agree(self):
+        """Lists of DetectionBox and BoxSets give the same summary and the same 2 m pairs."""
+        rng = np.random.default_rng(97)
+        for case in range(12):
+            preds, gts = self.random_samples(rng, int(rng.integers(0, 5)))
+            from_lists = evaluate_detections(preds, gts)
+            columns = [{t: BoxSet.from_boxes(bs) for t, bs in d.items()} for d in (preds, gts)]
+            for p, g in [columns, (columns[0], gts), (preds, columns[1])]:
+                got = evaluate_detections(p, g)
+                assert got.to_dict() == from_lists.to_dict(), case
+                for a, b in zip(got.per_class, from_lists.per_class):
+                    assert [list(s) for s in a.tp_pairs] == [list(s) for s in b.tp_pairs]
+
     def test_token_mismatch_rejected(self):
         with pytest.raises(ValueError, match="token"):
             evaluate_detections({"a": []}, {"b": []})
@@ -364,6 +377,78 @@ def _box_bits(b):
     """A box's numbers as float64 bytes (signed zeros count), class and attribute."""
     numbers = np.array([*b.center, *b.size, b.yaw, *b.velocity, b.score])
     return numbers.tobytes(), b.class_id, b.attribute_id
+
+
+def _set_bits(boxes):
+    """Each column's dtype and bytes."""
+    return [(col.dtype, col.tobytes()) for col in
+            (boxes.center, boxes.size, boxes.yaw, boxes.velocity, boxes.class_id,
+             boxes.score, boxes.attribute_id)]
+
+
+class TestBoxSet:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_valid_box, max_size=6).map(BoxSet.from_boxes), st.booleans())
+    def test_json_roundtrip_bit_exact(self, boxes, with_score):
+        """BoxSet -> save_boxes -> load_boxes -> BoxSet.from_boxes, and its list view."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path, via_list = os.path.join(tmp, "set.json"), os.path.join(tmp, "list.json")
+            save_boxes(path, {"s": boxes}, with_score)
+            save_boxes(via_list, {"s": list(boxes)}, with_score)
+            with open(path, "rb") as a, open(via_list, "rb") as b:
+                assert a.read() == b.read()
+            back = BoxSet.from_boxes(load_boxes(path)["s"])
+        if not with_score:  # a file without scores loads them as 0
+            boxes = BoxSet(boxes.center, boxes.size, boxes.yaw, boxes.velocity,
+                           boxes.class_id, np.zeros(len(boxes)), boxes.attribute_id)
+        assert _set_bits(back) == _set_bits(boxes)
+        assert list(map(_box_bits, back)) == list(map(_box_bits, boxes))
+
+    def test_take_concat_and_views(self):
+        rng = np.random.default_rng(41)
+        boxes = [box(*rng.uniform(-5, 5, 2), score=float(rng.uniform()), yaw=float(rng.normal()),
+                     cls=int(rng.integers(10)), attr=int(rng.integers(9))) for _ in range(7)]
+        bs = BoxSet.from_boxes(boxes)
+        assert len(bs) == 7 and list(bs) == boxes
+        idx = np.array([5, 0, 3])
+        assert list(bs.take(idx)) == [boxes[i] for i in idx]
+        parts = BoxSet.concat([bs.take(slice(0, 2)), bs.take(slice(2, 2)), bs.take(slice(2, 7))])
+        assert _set_bits(parts) == _set_bits(bs)
+        assert len(BoxSet.concat([])) == 0 and list(BoxSet.from_boxes([])) == []
+
+    @staticmethod
+    def columns():
+        rng = np.random.default_rng(42)
+        return {"center": rng.uniform(-5, 5, (3, 3)), "size": rng.uniform(0.5, 3, (3, 3)),
+                "yaw": rng.uniform(-3, 3, 3), "velocity": rng.normal(0, 1, (3, 2)),
+                "class_id": np.array([0, 4, 9]), "score": np.array([0.0, 0.5, 1.0]),
+                "attribute_id": np.array([0, 3, 8])}
+
+    @pytest.mark.parametrize("column, at, value, says", [
+        ("size", (1, 0), 0.0, "positive"), ("size", (2, 2), -1.0, "positive"),
+        ("score", 0, -1e-9, r"\[0, 1\]"), ("score", 2, 1.5, r"\[0, 1\]"),
+        ("center", (0, 1), np.nan, "finite"), ("size", (0, 2), np.inf, "finite"),
+        ("yaw", 1, -np.inf, "finite"), ("velocity", (2, 0), np.nan, "finite"),
+        ("score", 1, np.nan, "finite"), ("class_id", 1, 10, "lie in"),
+        ("class_id", 0, -1, "lie in"), ("attribute_id", 2, 9, "lie in")])
+    def test_rejects_bad_values_naming_the_column(self, column, at, value, says):
+        cols = self.columns()
+        cols[column][at] = value
+        with pytest.raises(ValueError, match=rf"BoxSet\.{column} .*{says}"):
+            BoxSet(**cols)
+
+    @pytest.mark.parametrize("column, value", [
+        ("yaw", np.zeros(2)), ("velocity", np.zeros((4, 2))), ("center", np.zeros((3, 2))),
+        ("class_id", np.zeros((3, 1), dtype=int)), ("attribute_id", np.array([0.0, 1.0, 2.0]))])
+    def test_rejects_ragged_or_misshapen_columns(self, column, value):
+        cols = self.columns()
+        cols[column] = value
+        with pytest.raises(ValueError, match=rf"BoxSet\.{column} "):
+            BoxSet(**cols)
+
+    def test_valid_columns_build(self):
+        bs = BoxSet(**self.columns())
+        assert len(bs) == 3 and bs.class_id.dtype == np.int64
 
 
 class TestBoxJson:
@@ -410,7 +495,8 @@ class TestBoxJson:
         # and every box that loads is a valid box
         assert not truncated or len(blob) >= len(original.rstrip())
         for b in (b for bs in back.values() for b in bs):
-            assert np.all(np.isfinite(b.param_vector())) and 0.0 <= b.score <= 1.0
+            assert np.all(np.isfinite([*b.center, *b.size, b.yaw, *b.velocity]))
+            assert 0.0 <= b.score <= 1.0
             assert min(b.size) > 0
 
     def test_roundtrip(self, tmp_path):

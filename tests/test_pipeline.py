@@ -227,9 +227,33 @@ class TestRunPipeline:
             order, assigned = greedy_match_oracle(cls_p, cls_g, pl.me.TP_THRESHOLD)
             want += [(cls_p[i], cls_g[assigned[i]]) for i in order if i in assigned]
         assert want and len(pairs_p) == len(pairs_g) == len(want)
-        for p, g, (want_p, want_g) in zip(pairs_p, pairs_g, want):
-            assert p is want_p and g is want_g
+        assert list(pairs_p) == [p for p, _ in want] and list(pairs_g) == [g for _, g in want]
         assert report.losses["l_bbox"] > 0
+
+    def test_matches_are_the_per_match_q_lookup(self, scene_dir):
+        """report.matches lists each gated cell with its q grid column, in gate order."""
+        cfg = PipelineConfig(**SMALL)
+        seen, match = [], fu.match_radar_to_heatmap
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fu, "match_radar_to_heatmap", lambda *a: seen.append(match(*a)) or seen[-1])
+            report, _ = run_pipeline(scene_dir, cfg)
+        (matched,) = seen
+        iy, ix = np.divmod(matched, cfg.bev_cells)
+        q_grid = np.zeros((4, cfg.bev_cells, cfg.bev_cells))
+        q_grid[:2, iy, ix] = cfg.bev_grid.cell_center(ix, iy).T
+        want = [{"cell": [y, x], "q": q_grid[:, y, x].tolist()}
+                for y, x in zip(iy.tolist(), ix.tolist())]
+        assert len(want) > 1 and report.matches == want
+
+    def test_no_prediction_box_objects_on_the_op_path(self, scene_dir):
+        """A camera+radar run builds one DetectionBox per GT box read, and no other."""
+        n_gt = len(sc.load_scene(scene_dir).gt_boxes["sample-0"])
+        built, init = [], fu.DetectionBox.__post_init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fu.DetectionBox, "__post_init__", lambda b: built.append(b) or init(b))
+            report, preds = run_pipeline(scene_dir, PipelineConfig(**SMALL))
+        assert report.fusion_stats["n_matches"] > 0 and len(preds["sample-0"]) > n_gt > 0
+        assert len(built) == n_gt
 
     def test_gt_heatmap_matches_box_loop(self):
         grid = vp.BEVGridConfig((-3.0, 5.0), (-2.0, 2.5), 8, 5)
@@ -243,7 +267,7 @@ class TestRunPipeline:
             boxes = [fu.DetectionBox(center=(x, y, 0.5), size=(1.0, 1.0, 1.0), yaw=0.0,
                                      velocity=(0.0, 0.0), class_id=int(rng.integers(10)),
                                      score=0.0) for x, y in centers.tolist()]
-            np.testing.assert_array_equal(pl._gt_heatmap(boxes, grid),
+            np.testing.assert_array_equal(pl._gt_heatmap(fu.BoxSet.from_boxes(boxes), grid),
                                           gt_heatmap_oracle(boxes, grid))
 
     def test_weights_reproducible(self, scene_dir):
@@ -527,12 +551,12 @@ class TestDecodePeaks:
         for hm, thr in self.heatmaps():
             _, ny, nx = hm.shape
             grid = vp.BEVGridConfig((-3.0, 5.0), (-2.0, 7.0), nx, ny)
-            got = pl._decode_peaks(hm, grid, thr)
+            got = list(pl._decode_peaks(hm, grid, thr))
             assert got == decode_peaks_oracle(hm, grid, thr)
             assert [b.score for b in got] == sorted((b.score for b in got), reverse=True)
 
     def test_threshold_above_maximum_gives_no_boxes(self):
         hm = np.random.default_rng(32).uniform(0.0, 0.9, (10, 6, 7))
         grid = vp.BEVGridConfig((-3.0, 3.0), (-3.0, 3.0), 7, 6)
-        assert pl._decode_peaks(hm, grid, 0.95) == []
+        assert len(pl._decode_peaks(hm, grid, 0.95)) == 0
         assert decode_peaks_oracle(hm, grid, 0.95) == []
