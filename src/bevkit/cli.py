@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 
 from . import metrics as me
 from . import tables
@@ -100,9 +99,7 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     preds = me.load_boxes(args.pred)
     gts = me.load_boxes(args.gt)
-    t0 = time.perf_counter()
     summary = me.evaluate_detections(preds, gts)
-    summary.eval_time = time.perf_counter() - t0
     print(me.render_summary_table({"evaluated": summary}))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

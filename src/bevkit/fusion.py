@@ -5,8 +5,8 @@ Sums the camera and radar class-logit BEV grids cell by cell (the head's
 with the heatmap prior, and computes the composite detection loss
 (heatmap binary cross-entropy plus box L1) and the depth-distribution BCE
 against a rasterized ground-truth depth map. It also defines the box types:
-BoxSet, boxes as columns, which a run carries from decoding to the losses,
-and DetectionBox, the view of one box.
+BoxSet, boxes as columns, the one type that boxes files load into and that
+runs and evaluation take, and DetectionBox, the view of one box.
 """
 
 from __future__ import annotations

@@ -5,11 +5,11 @@ thresholds of 0.5/1/2/4 meters, per-class AP comes from 101-point recall
 interpolation of the rank-accumulated precision-recall curve, and the five
 true-positive error metrics are computed on the 2-meter matches.
 
-Evaluation reads box columns (fusion.BoxSet); lists of DetectionBox are
-converted once per sample. Per class and sample, one (P, G) distance matrix
-over the score-ranked predictions serves all four thresholds, and the greedy
-loop visits only predictions with a ground truth within the threshold,
-stopping once every ground truth is taken. Samples are merged for the
+Boxes files load straight into box columns (fusion.BoxSet), and evaluation
+reads only those. Per class and sample, one (P, G) distance matrix over the
+score-ranked predictions serves all four thresholds, and the greedy loop
+visits only predictions with a ground truth within the threshold, stopping
+once every ground truth is taken. Samples are merged for the
 precision-recall sweep by one stable argsort of the concatenated scores, and
 AP reads the 101 recall points off a suffix maximum of precision. Aggregation
 follows two distinct missing-value rules, both verified against published
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +160,9 @@ def _tp_errors(pred: BoxSet, gt: BoxSet, class_name: str | None = None
     aligned; aoe: yaw difference wrapped into [0, pi]; ave: velocity
     difference; aae: 1 - attribute accuracy. Values are None when there are
     no matches or the metric does not apply to the class.
+    The IOU divides each axis of a pair by the power of two of its smaller
+    side, exactly: the intersection is then in [1/8, 1), so finite sides of
+    any scale give no 0/0 or inf - inf, at worst an inf union (IOU 0).
     """
     applicable = CLASS_TP_METRICS.get(class_name, TP_METRICS) if class_name else TP_METRICS
     out: dict[str, float | None] = {m: None for m in TP_METRICS}
@@ -168,8 +172,12 @@ def _tp_errors(pred: BoxSet, gt: BoxSet, class_name: str | None = None
         d = pred.center - gt.center
         out["ate"] = float(np.mean(np.hypot(d[:, 0], d[:, 1])))
     if "ase" in applicable:
-        inter = np.prod(np.minimum(pred.size, gt.size), axis=1)
-        union = np.prod(pred.size, axis=1) + np.prod(gt.size, axis=1) - inter
+        smaller = np.minimum(pred.size, gt.size)
+        exp = -np.frexp(smaller)[1]
+        inter = np.prod(np.ldexp(smaller, exp), axis=1)
+        with np.errstate(over="ignore"):  # an inf union is an IOU below 1e-308
+            union = (np.prod(np.ldexp(pred.size, exp), axis=1)
+                     + np.prod(np.ldexp(gt.size, exp), axis=1) - inter)
         out["ase"] = float(np.mean(1.0 - inter / union))
     if "aoe" in applicable:
         d = np.abs(pred.yaw - gt.yaw) % (2.0 * np.pi)
@@ -258,7 +266,7 @@ def compose_nds(mean_ap: float, mtps) -> float:
     return total / 10.0
 
 
-def aggregate_summary(per_class: list[ClassEval], eval_time: float = 0.0) -> EvalSummary:
+def aggregate_summary(per_class: list[ClassEval]) -> EvalSummary:
     """Combine class results under the two documented missing-value rules."""
     if not per_class:
         raise ValueError("need at least one class")
@@ -269,20 +277,18 @@ def aggregate_summary(per_class: list[ClassEval], eval_time: float = 0.0) -> Eva
         present = [ce.tp[metric] for ce in per_class if ce.tp.get(metric) is not None]
         mtp[metric] = float(np.mean(present)) if present else None
     nds = compose_nds(global_map, [mtp[m] for m in TP_METRICS])
-    return EvalSummary(per_class, global_map, mtp, nds, eval_time)
+    return EvalSummary(per_class, global_map, mtp, nds)
 
 
-def _stacked(boxes_by_token: dict, tokens: list[str], n_classes: int
+def _stacked(boxes_by_token: dict[str, BoxSet], tokens: list[str], n_classes: int
              ) -> tuple[BoxSet, np.ndarray, np.ndarray]:
     """Every token's boxes as one BoxSet, tokens in order, plus its groups.
 
-    Each token's boxes (a BoxSet or a list of DetectionBox) are converted
-    once. One stable argsort by (class, token) lists the rows of group
+    One stable argsort by (class, token) lists the rows of group
     k = class * len(tokens) + token at order[bounds[k]:bounds[k + 1]], in
     input order; class ids from n_classes on fall in no group.
     """
-    sets = [b if isinstance(b, BoxSet) else BoxSet.from_boxes(b)
-            for b in map(boxes_by_token.get, tokens)]
+    sets = [boxes_by_token[t] for t in tokens]
     boxes = BoxSet.concat(sets)
     token = np.repeat(np.arange(len(tokens)), [len(b) for b in sets])
     key = boxes.class_id * len(tokens) + token
@@ -291,10 +297,10 @@ def _stacked(boxes_by_token: dict, tokens: list[str], n_classes: int
     return boxes, order, bounds
 
 
-def evaluate_detections(preds_by_token: dict[str, BoxSet | list[DetectionBox]],
-                        gts_by_token: dict[str, BoxSet | list[DetectionBox]],
-                        classes=DETECTION_CLASSES, eval_time: float = 0.0) -> EvalSummary:
-    """Full evaluation over samples; matching never crosses sample tokens."""
+def evaluate_detections(preds_by_token: dict[str, BoxSet], gts_by_token: dict[str, BoxSet],
+                        classes=DETECTION_CLASSES) -> EvalSummary:
+    """Full evaluation over samples, timed into eval_time; matches never cross tokens."""
+    t0 = time.perf_counter()
     if set(preds_by_token) != set(gts_by_token):
         raise ValueError("prediction and ground-truth sample tokens differ")
     tokens = sorted(gts_by_token)
@@ -327,7 +333,9 @@ def evaluate_detections(preds_by_token: dict[str, BoxSet | list[DetectionBox]],
                for f in flags]
         pairs = (preds.take(np.concatenate(pair_p)), gts.take(np.concatenate(pair_g)))
         per_class.append(ClassEval(name, aps, _tp_errors(*pairs, name), pairs))
-    return aggregate_summary(per_class, eval_time)
+    summary = aggregate_summary(per_class)
+    summary.eval_time = time.perf_counter() - t0
+    return summary
 
 
 def box_to_json(box: DetectionBox, with_score: bool = True) -> dict:
@@ -348,7 +356,7 @@ def finite_floats(value, n: int, what: str) -> tuple[float, ...]:
     """A list of n numbers as finite floats; ValueError naming what otherwise."""
     try:
         out = tuple(map(float, value)) if isinstance(value, (list, tuple)) else ()
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = ()
     if len(out) != n or not all(map(math.isfinite, out)):
         raise ValueError(f"{what} must be {n} finite number{'s' * (n != 1)}, got {value!r}")
@@ -362,18 +370,6 @@ def name_index(names: tuple[str, ...], value, what: str) -> int:
     return names.index(value)
 
 
-def box_from_json(d: dict) -> DetectionBox:
-    return DetectionBox(
-        center=finite_floats(d["translation"], 3, "translation"),
-        size=finite_floats(d["size"], 3, "size"),
-        yaw=finite_floats([d["yaw"]], 1, "yaw")[0],
-        velocity=finite_floats(d["velocity"], 2, "velocity"),
-        class_id=name_index(DETECTION_CLASSES, d["detection_name"], "detection_name"),
-        score=float(d.get("detection_score", 0.0)),
-        attribute_id=name_index(ATTRIBUTES, d.get("attribute_name", ""), "attribute_name"),
-    )
-
-
 def save_boxes(path, boxes_by_token: dict[str, BoxSet | list[DetectionBox]],
                with_score: bool = True) -> None:
     payload = {token: [box_to_json(b, with_score) for b in boxes]
@@ -383,12 +379,74 @@ def save_boxes(path, boxes_by_token: dict[str, BoxSet | list[DetectionBox]],
         fh.write("\n")
 
 
-def load_boxes(path) -> dict[str, list[DetectionBox]]:
+# boxes-file keys in BoxSet column order -> (numbers per box, 0 for one bare
+# number, or the names an id indexes; the default, None when required)
+_BOX_KEYS = {"translation": (3, None), "size": (3, None), "yaw": (0, None),
+             "velocity": (2, None), "detection_name": (DETECTION_CLASSES, None),
+             "detection_score": (0, 0.0), "attribute_name": (ATTRIBUTES, "")}
+
+
+def _check_box(d) -> None:
+    """ValueError naming the first key of box d that a BoxSet row cannot hold."""
+    if not isinstance(d, dict):
+        raise ValueError(f"box must be an object, got {d!r}")
+    for key, (kind, default) in _BOX_KEYS.items():
+        if default is None and key not in d:
+            raise ValueError(f"{key} must be given")
+        value = d.get(key, default)
+        if isinstance(kind, tuple):
+            name_index(kind, value, key)
+            continue
+        x = finite_floats(value if kind else [value], kind or 1, key)
+        if key == "size" and min(x) <= 0:
+            raise ValueError(f"size must be positive, got {value!r}")
+        if key == "detection_score" and not 0 <= x[0] <= 1:
+            raise ValueError(f"detection_score must be in [0, 1], got {value!r}")
+
+
+def _box_set(token: str, boxes) -> BoxSet:
+    """One token's boxes, each key gathered over all boxes and converted at once.
+
+    When that fails, the error names the first box that fails _check_box,
+    or else repeats the conversion's own error.
+    """
+    if not isinstance(boxes, list):
+        raise ValueError(f"sample {token!r}: boxes must be a list, got {boxes!r}")
+    if not boxes:  # an empty list converts to no row shape
+        return BoxSet.from_boxes([])
+    try:
+        cols = []
+        for key, (kind, default) in _BOX_KEYS.items():
+            values = ([d[key] for d in boxes] if default is None
+                      else [d.get(key, default) for d in boxes])
+            if isinstance(kind, tuple):
+                index = dict(zip(kind, range(len(kind))))
+                cols.append(np.array([index[v] for v in values], dtype=np.int64))
+            else:
+                cols.append(np.array(values, dtype=np.float64))
+        return BoxSet(*cols)
+    except (TypeError, KeyError, ValueError, OverflowError) as err:
+        for i, d in enumerate(boxes):
+            try:
+                _check_box(d)
+            except ValueError as bad:
+                raise ValueError(f"sample {token!r}, box {i}: {bad}") from None
+        raise ValueError(f"sample {token!r}: {err}") from err
+
+
+def load_boxes(path) -> dict[str, BoxSet]:
+    """A boxes file as one BoxSet per sample token.
+
+    A ValueError names the file and, for a bad box, its token, index and key.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        return {token: [box_from_json(d) for d in boxes] for token, boxes in payload.items()}
-    except (TypeError, AttributeError, KeyError, ValueError) as err:
+        if not isinstance(payload, dict):
+            raise ValueError("the top level must map sample tokens to box lists, "
+                             f"got a {type(payload).__name__}")
+        return {token: _box_set(token, boxes) for token, boxes in payload.items()}
+    except (ValueError, RecursionError) as err:  # json.load recurses per nesting level
         raise ValueError(f"malformed boxes file {path}: {err}") from err
 
 

@@ -513,10 +513,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
         preds = _decode_peaks(final_scores, cfg.bev_grid, cfg.peak_threshold)
 
     with _StageTimer(report, "evaluate"):
-        gts = fu.BoxSet.from_boxes(bundle.gt_boxes[token])
-        t0 = time.perf_counter()
+        gts = bundle.gt_boxes[token]
         summary = me.evaluate_detections({token: preds}, {token: gts})
-        summary.eval_time = time.perf_counter() - t0
         report.eval_summary = summary
 
     with _StageTimer(report, "head"):

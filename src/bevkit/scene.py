@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import DetectionBox
+from .fusion import BoxSet, DetectionBox
 from .geometry import CameraRig, EgoPose
 from .metrics import ATTRIBUTES, DETECTION_CLASSES, name_index, save_boxes
 from .nnprims import write_tensor
@@ -260,7 +260,7 @@ class SceneBundle:
     radar: np.ndarray
     lidar: np.ndarray
     features: list[np.ndarray]
-    gt_boxes: dict[str, list[DetectionBox]]
+    gt_boxes: dict[str, BoxSet]
     path: Path
 
 

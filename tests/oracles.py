@@ -4,12 +4,16 @@ Everything here is written the slow, definitional way on purpose: explicit
 loops, textbook recursions, no reuse of the library's vectorized paths.
 """
 
+import json
+from fractions import Fraction
+
 import numpy as np
 
 from bevkit.fusion import DetectionBox
 from bevkit.geometry import FrustumGrid, unproject_frustum
 from bevkit.metrics import (
     AP_THRESHOLDS, ATTRIBUTES, CLASS_TP_METRICS, DETECTION_CLASSES, TP_METRICS, TP_THRESHOLD,
+    finite_floats, name_index,
 )
 from bevkit.nnprims import conv_pointwise, depth_refine, lift_outer_product
 from bevkit.pillars import PillarTensor, RadarPointCloud, scatter_to_pseudo_image, vfe_forward
@@ -204,6 +208,48 @@ def tp_errors_oracle(pairs):
         aae += 0.0 if p.attribute_id == g.attribute_id else 1.0
     n = len(pairs)
     return {"ate": ate / n, "ase": ase / n, "aoe": aoe / n, "ave": ave / n, "aae": aae / n}
+
+
+def ase_exact(pred_size, gt_size):
+    """1 - IOU of two aligned boxes' sizes, in exact rational arithmetic."""
+    inter = vol_p = vol_g = Fraction(1)
+    for p, g in zip(map(Fraction, pred_size), map(Fraction, gt_size)):
+        inter, vol_p, vol_g = inter * min(p, g), vol_p * p, vol_g * g
+    return 1 - inter / (vol_p + vol_g - inter)
+
+
+def box_from_json(d: dict) -> DetectionBox:
+    """One boxes-file box, field by field."""
+    return DetectionBox(
+        center=finite_floats(d["translation"], 3, "translation"),
+        size=finite_floats(d["size"], 3, "size"),
+        yaw=finite_floats([d["yaw"]], 1, "yaw")[0],
+        velocity=finite_floats(d["velocity"], 2, "velocity"),
+        class_id=name_index(DETECTION_CLASSES, d["detection_name"], "detection_name"),
+        score=float(d.get("detection_score", 0.0)),
+        attribute_id=name_index(ATTRIBUTES, d.get("attribute_name", ""), "attribute_name"),
+    )
+
+
+def load_boxes_oracle(path):
+    """A boxes file box by box: {token: [DetectionBox]}; ValueError when malformed.
+
+    The file must map each token to a list of box objects, and every box
+    must pass box_from_json.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("the top level is no object")
+    out = {}
+    for token, boxes in payload.items():
+        if not isinstance(boxes, list) or not all(isinstance(d, dict) for d in boxes):
+            raise ValueError(f"{token!r} holds no list of box objects")
+        try:
+            out[token] = [box_from_json(d) for d in boxes]
+        except (KeyError, TypeError, OverflowError) as err:
+            raise ValueError(f"{token!r}: {err!r}") from err
+    return out
 
 
 def evaluate_oracle(preds_by_token, gts_by_token, classes=DETECTION_CLASSES):

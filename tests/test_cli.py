@@ -11,6 +11,7 @@ from bevkit.pipeline import PipelineConfig
 
 SMALL = dict(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
              kan_hidden=(16,), radar_channels=8)
+DROP = object()  # a malformed-box case's value that deletes the key
 
 
 @pytest.fixture(scope="module")
@@ -395,13 +396,26 @@ class TestRun:
         ("translation", [1.0]), ("size", [1.9, float("nan"), 1.6]),
         ("velocity", [0.0, 0.0, 0.0]), ("yaw", float("-inf")),
         ("detection_name", "lorry"), ("attribute_name", "vehicle.flying"),
+        ("size", [1.9, -4.6, 1.6]), ("detection_score", 1.5),
+        ("translation", [0.0, 10 ** 400, 0.0]),  # an integer no float can hold
+        ("yaw", DROP),  # box 0 lacks the key
+        ("box", [1, 2]),  # box 0 is a list
+        ("boxes", "car"), ("boxes", {"translation": [0, 0, 0]}),  # the token's value
     ])
     def test_malformed_gt_box_validation_error(self, scene_dir, config_path, tmp_path,
                                                capsys, key, value):
         bad = tmp_path / "scene"
         shutil.copytree(scene_dir, bad)
         boxes = json.loads((bad / "gt_boxes.json").read_text())
-        next(iter(boxes.values()))[0][key] = value
+        (token,) = boxes
+        if key == "boxes":
+            boxes[token] = value
+        elif key == "box":
+            boxes[token][0] = value
+        elif value is DROP:
+            del boxes[token][0][key]
+        else:
+            boxes[token][0][key] = value
         (bad / "gt_boxes.json").write_text(json.dumps(boxes))
         capsys.readouterr()
         rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
@@ -412,6 +426,7 @@ class TestRun:
         assert "malformed boxes file" in err and f"{key} must be" in err
         if isinstance(value, str):
             assert repr(value) in err
+        assert f"sample {token!r}" in err and ("box 0:" in err) == (key != "boxes")
 
     @pytest.mark.parametrize("tokens, found", [
         (["other-token"], "['other-token']"),
@@ -517,6 +532,19 @@ class TestEval:
         direct = evaluate_detections(load_boxes(pred), load_boxes(gt))
         assert abs(direct.nds - s1["nds"]) < 1e-12
 
+    def test_huge_matched_boxes_score_zero_scale_error(self, tmp_path, capsys):
+        """One matched pair of 1e308-sided boxes: ASE 0 and NDS 1, in the table and --out."""
+        huge = {"translation": [0.0, 0.0, 0.0], "size": [1e308] * 3, "yaw": 0.0,
+                "velocity": [0.0, 0.0], "detection_name": "car",
+                "attribute_name": "vehicle.moving"}
+        pred, gt, out = tmp_path / "pred.json", tmp_path / "gt.json", tmp_path / "sum.json"
+        pred.write_text(json.dumps({"s": [dict(huge, detection_score=0.9)]}))
+        gt.write_text(json.dumps({"s": [huge]}))
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == EXIT_OK
+        assert "nan" not in capsys.readouterr().out
+        summary = json.loads(out.read_text())
+        assert summary["mtp"]["ase"] == 0.0 and summary["nds"] == 1.0
+
     def test_empty_predictions_zero_map(self, scene_dir, tmp_path):
         pred = tmp_path / "empty.json"
         pred.write_text(json.dumps({"sample-0": []}))
@@ -536,6 +564,15 @@ class TestEval:
         rc = main(["eval", "--pred", str(tmp_path / "nope.json"),
                    "--gt", str(tmp_path / "nope.json")])
         assert rc == EXIT_IO
+
+    def test_deeply_nested_predictions_one_line_error(self, scene_dir, tmp_path, capsys):
+        pred = tmp_path / "pred.json"
+        pred.write_text('{"sample-0": ' + "[" * 5000 + "]" * 5000 + "}")
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(pred), "--gt",
+                     str(scene_dir / "gt_boxes.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"malformed boxes file {pred}" in err
 
     @pytest.mark.parametrize("keep", [0, 1, 40, -3])
     def test_truncated_predictions_one_line_error(self, scene_dir, tmp_path, capsys, keep):

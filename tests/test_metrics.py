@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import tempfile
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ap_oracle, evaluate_oracle, greedy_match_oracle, tp_errors_oracle
+from oracles import (
+    ap_oracle, ase_exact, evaluate_oracle, greedy_match_oracle, load_boxes_oracle,
+    tp_errors_oracle,
+)
 
 from bevkit.fusion import BoxSet, DetectionBox
 from bevkit.metrics import (
@@ -16,6 +20,7 @@ from bevkit.metrics import (
     MatchResult,
     aggregate_summary,
     average_precision,
+    box_to_json,
     class_mean_ap,
     compose_nds,
     evaluate_detections,
@@ -25,6 +30,11 @@ from bevkit.metrics import (
     save_boxes,
     tp_errors,
 )
+
+
+def sets(boxes_by_token):
+    """Each token's list of DetectionBox as a BoxSet, the type evaluation takes."""
+    return {token: BoxSet.from_boxes(boxes) for token, boxes in boxes_by_token.items()}
 
 
 def box(cx, cy, score=0.5, yaw=0.0, vx=0.0, vy=0.0, size=(2.0, 4.0, 1.5),
@@ -199,6 +209,23 @@ class TestTpErrors:
         for name in expect:
             assert abs(got[name] - expect[name]) < 1e-10
 
+    _side = st.floats(1e-100, 1e300)
+    _sizes = st.tuples(_side, _side, _side)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(_sizes, _sizes), min_size=1, max_size=3))
+    @example([((1e308, 1e308, 1e308), (1e308, 1e308, 1e308))])  # identical huge boxes
+    @example([((1e-100, 1e300, 1e300), (1e300, 1e-100, 1e300))])  # ratios of 1e400
+    @example([((1e-200, 1e-200, 1e-200), (2e-200, 1e-200, 1e-200))])  # volumes below 1e-308
+    def test_ase_matches_exact_iou_at_any_scale(self, sizes):
+        """ASE of finite sides, tiny to huge, against exact rational IOU (no NaN, no warning)."""
+        pairs = [(box(0, 0, size=p), box(0, 0, size=g)) for p, g in sizes]
+        want = sum(ase_exact(p, g) for p, g in sizes) / len(sizes)
+        got = tp_errors(pairs)["ase"]
+        assert abs(got - float(want)) <= 1e-12
+        if all(p == g for p, g in sizes):
+            assert got == 0.0
+
     def test_class_applicability(self):
         b = box(0, 0)
         cone = tp_errors([(b, b)], "traffic_cone")
@@ -225,7 +252,7 @@ class TestAggregation:
         assert abs(agg.mtp["ave"] - 0.4244) <= 5e-4
 
     def test_single_class_passthrough(self):
-        ce = evaluate_detections({"s": [box(0, 0, score=0.9)]}, {"s": [box(0, 0)]},
+        ce = evaluate_detections(sets({"s": [box(0, 0, score=0.9)]}), sets({"s": [box(0, 0)]}),
                                  classes=("car",)).per_class[0]
         agg = aggregate_summary([ce])
         assert agg.mean_ap == pytest.approx(ce.mean_ap)
@@ -282,7 +309,7 @@ class TestEvaluateDetections:
                                     b.class_id, 0.9, b.attribute_id)
                        for b in boxes]
                  for tok, boxes in gts.items()}
-        summary = evaluate_detections(preds, gts)
+        summary = evaluate_detections(sets(preds), sets(gts))
         assert summary.mean_ap == pytest.approx(1.0)
         assert summary.nds == pytest.approx(1.0)
         summary.check()
@@ -290,7 +317,7 @@ class TestEvaluateDetections:
     def test_empty_predictions_zero_map(self):
         gts = {"s0": [box(0, 0, cls=0)]}
         preds = {"s0": []}
-        summary = evaluate_detections(preds, gts)
+        summary = evaluate_detections(sets(preds), sets(gts))
         assert summary.mean_ap == 0.0
 
     @staticmethod
@@ -336,7 +363,7 @@ class TestEvaluateDetections:
         rng = np.random.default_rng(97)
         for case in range(12):
             preds, gts = self.random_samples(rng, int(rng.integers(0, 5)))
-            got = evaluate_detections(preds, gts).to_dict()
+            got = evaluate_detections(sets(preds), sets(gts)).to_dict()
             got.pop("eval_time")
             expect = evaluate_oracle(preds, gts)
             assert close(got, expect), case
@@ -346,22 +373,9 @@ class TestEvaluateDetections:
             assert got["per_class"]["traffic_cone"]["ap_per_threshold"] == [None] * 4
             assert got["per_class"]["barrier"]["ap_per_threshold"] == [None] * 4
 
-    def test_list_and_column_input_agree(self):
-        """Lists of DetectionBox and BoxSets give the same summary and the same 2 m pairs."""
-        rng = np.random.default_rng(97)
-        for case in range(12):
-            preds, gts = self.random_samples(rng, int(rng.integers(0, 5)))
-            from_lists = evaluate_detections(preds, gts)
-            columns = [{t: BoxSet.from_boxes(bs) for t, bs in d.items()} for d in (preds, gts)]
-            for p, g in [columns, (columns[0], gts), (preds, columns[1])]:
-                got = evaluate_detections(p, g)
-                assert got.to_dict() == from_lists.to_dict(), case
-                for a, b in zip(got.per_class, from_lists.per_class):
-                    assert [list(s) for s in a.tp_pairs] == [list(s) for s in b.tp_pairs]
-
     def test_token_mismatch_rejected(self):
         with pytest.raises(ValueError, match="token"):
-            evaluate_detections({"a": []}, {"b": []})
+            evaluate_detections(sets({"a": []}), sets({"b": []}))
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -390,14 +404,14 @@ class TestBoxSet:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(st.lists(_valid_box, max_size=6).map(BoxSet.from_boxes), st.booleans())
     def test_json_roundtrip_bit_exact(self, boxes, with_score):
-        """BoxSet -> save_boxes -> load_boxes -> BoxSet.from_boxes, and its list view."""
+        """BoxSet -> save_boxes -> load_boxes, and its list view."""
         with tempfile.TemporaryDirectory() as tmp:
             path, via_list = os.path.join(tmp, "set.json"), os.path.join(tmp, "list.json")
             save_boxes(path, {"s": boxes}, with_score)
             save_boxes(via_list, {"s": list(boxes)}, with_score)
             with open(path, "rb") as a, open(via_list, "rb") as b:
                 assert a.read() == b.read()
-            back = BoxSet.from_boxes(load_boxes(path)["s"])
+            back = load_boxes(path)["s"]
         if not with_score:  # a file without scores loads them as 0
             boxes = BoxSet(boxes.center, boxes.size, boxes.yaw, boxes.velocity,
                            boxes.class_id, np.zeros(len(boxes)), boxes.attribute_id)
@@ -467,6 +481,70 @@ class TestBoxJson:
         for token, want in boxes.items():
             assert list(map(_box_bits, back[token])) == list(map(_box_bits, want))
 
+    # values a box key may be set to, "drop" deleting the key
+    _ODD_VALUES = st.sampled_from([
+        "drop", None, True, 0, -1.0, 0.5, 2.0, 10 ** 400, 1e300, "0.5", " 1.5 ", "1_0", "nan",
+        "car", "lorry", "", "vehicle.moving", [], [1.0], [0.0, 1.0], [1.0, 2.0, 3.0],
+        [1.0, "2", 3.0], [1.0, None, 3.0], [1.0, 2.0, -3.0], [[1.0], 2.0, 3.0], {}, {"x": 1}])
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), st.lists(_valid_box, max_size=4), min_size=1,
+                           max_size=3), st.booleans(), st.data())
+    def test_matches_box_by_box_oracle(self, boxes, with_score, data):
+        """load_boxes and the per-box oracle accept the same files, with the same columns.
+
+        Files are valid, have one box key set to an odd value (or dropped),
+        one box or token value replaced, or a few bytes flipped. A rejected
+        box or token is named in the message, with the key.
+        """
+        payload = json.loads(json.dumps({t: [box_to_json(b, with_score) for b in bs]
+                                         for t, bs in boxes.items()}))
+        how = data.draw(st.sampled_from(["valid", "key", "key", "box", "token", "bytes"]),
+                        label="how")
+        boxed = [(t, i) for t, bs in payload.items() for i in range(len(bs))]
+        says = None  # what a rejection must name
+        if how == "key" and boxed:
+            t, i = data.draw(st.sampled_from(boxed), label="box")
+            key = data.draw(st.sampled_from(sorted(payload[t][i])), label="key")
+            value = data.draw(self._ODD_VALUES, label="value")
+            if value == "drop":
+                del payload[t][i][key]
+            else:
+                payload[t][i][key] = value
+            says = f"sample {t!r}, box {i}: {key} must be"
+        elif how == "box" and boxed:
+            t, i = data.draw(st.sampled_from(boxed), label="box")
+            payload[t][i] = data.draw(self._ODD_VALUES, label="value")
+            says = f"sample {t!r}, box {i}: "
+        elif how == "token":
+            t = data.draw(st.sampled_from(sorted(payload)), label="token")
+            payload[t] = data.draw(self._ODD_VALUES, label="value")
+            says = f"sample {t!r}"
+        blob = bytearray(json.dumps(payload, indent=2).encode())
+        if how == "bytes" and blob:
+            for _ in range(data.draw(st.integers(1, 3), label="flips")):
+                at = data.draw(st.integers(0, len(blob) - 1), label="at")
+                blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "boxes.json")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            results, message = [], ""
+            for read in (load_boxes, load_boxes_oracle):
+                try:
+                    results.append(read(path))
+                except ValueError as err:
+                    results.append(None)
+                    message = message or str(err)
+        got, want = results
+        assert (got is None) == (want is None)
+        if got is None and says:
+            assert says in message
+        if got is not None:
+            assert got.keys() == want.keys()
+            for token, boxes_ in want.items():
+                assert _set_bits(got[token]) == _set_bits(BoxSet.from_boxes(boxes_))
+
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(st.data())
     def test_corrupted_boxes_raise_only_value_or_os_error(self, data):
@@ -503,16 +581,15 @@ class TestBoxJson:
         boxes = {"s0": [box(1.5, -2.0, score=0.7, yaw=0.3, vx=1.0, cls=3, attr=2)]}
         path = tmp_path / "boxes.json"
         save_boxes(path, boxes)
-        back = load_boxes(path)
-        b0, b1 = boxes["s0"][0], back["s0"][0]
+        (b0,), (b1,) = boxes["s0"], load_boxes(path)["s0"]
         assert b1.center == b0.center
         assert b1.class_id == b0.class_id
         assert b1.score == b0.score
         assert b1.attribute_id == b0.attribute_id
 
     def test_table_rendering(self):
-        summary = evaluate_detections({"s": [box(0, 0, score=0.9)]}, {"s": [box(0, 0)]},
-                                      classes=("car",))
+        summary = evaluate_detections(sets({"s": [box(0, 0, score=0.9)]}),
+                                      sets({"s": [box(0, 0)]}), classes=("car",))
         text = render_summary_table({"demo": summary})
         assert "demo" in text and "NDS" in text
 

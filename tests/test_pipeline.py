@@ -245,15 +245,34 @@ class TestRunPipeline:
                 for y, x in zip(iy.tolist(), ix.tolist())]
         assert len(want) > 1 and report.matches == want
 
-    def test_no_prediction_box_objects_on_the_op_path(self, scene_dir):
-        """A camera+radar run builds one DetectionBox per GT box read, and no other."""
-        n_gt = len(sc.load_scene(scene_dir).gt_boxes["sample-0"])
+    @staticmethod
+    def count_box_objects(fn, *args):
+        """fn(*args) and the number of DetectionBox objects it built."""
         built, init = [], fu.DetectionBox.__post_init__
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fu.DetectionBox, "__post_init__", lambda b: built.append(b) or init(b))
-            report, preds = run_pipeline(scene_dir, PipelineConfig(**SMALL))
+            out = fn(*args)
+        return out, len(built)
+
+    def test_no_prediction_box_objects_on_the_op_path(self, scene_dir):
+        """A camera+radar run builds no DetectionBox, for predictions or ground truth."""
+        n_gt = len(sc.load_scene(scene_dir).gt_boxes["sample-0"])
+        (report, preds), built = self.count_box_objects(
+            run_pipeline, scene_dir, PipelineConfig(**SMALL))
         assert report.fusion_stats["n_matches"] > 0 and len(preds["sample-0"]) > n_gt > 0
-        assert len(built) == n_gt
+        assert built == 0
+
+    def test_no_box_objects_evaluating_boxes_files(self, scene_dir, tmp_path):
+        """load_boxes on a predictions and a ground-truth file, then evaluate_detections."""
+        _, preds = run_pipeline(scene_dir, PipelineConfig(**SMALL))
+        pl.me.save_boxes(tmp_path / "predictions.json", preds)
+
+        def evaluate(pred_path, gt_path):
+            return pl.me.evaluate_detections(pl.me.load_boxes(pred_path),
+                                             pl.me.load_boxes(gt_path))
+        summary, built = self.count_box_objects(
+            evaluate, tmp_path / "predictions.json", scene_dir / "gt_boxes.json")
+        assert summary.mean_ap > 0 and built == 0
 
     def test_gt_heatmap_matches_box_loop(self):
         grid = vp.BEVGridConfig((-3.0, 5.0), (-2.0, 2.5), 8, 5)
