@@ -121,34 +121,39 @@ class DepthMap:
 
 @dataclass
 class FrustumGrid:
-    """(u, v, d) samples on a regular pixel x depth-bin grid.
+    """(u, v) pixels, each sampled at every depth; samples are depth-major.
 
-    Sample order is depth-major: all pixels of bin 0 first, row-major
-    within a bin, matching the flattening of lifted (C_D, H, W) features.
+    All pixels at depth 0 come first, in pixel order (row-major for a
+    regular grid), matching the flattening of lifted (C_D, H, W) features.
     """
 
-    samples: np.ndarray
+    pixels: np.ndarray
+    depths: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1, 3)
+        self.pixels = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
+        self.depths = np.asarray(self.depths, dtype=np.float64)
+        if self.depths.ndim != 1 or self.depths.size < 1:
+            raise ValueError("depths must be a non-empty 1-D array")
+        if np.any(np.diff(self.depths) <= 0):
+            raise ValueError("depth bins must be strictly increasing")
+
+    @property
+    def samples(self) -> np.ndarray:
+        """(D*P, 3) (u, v, d) triples in sample order."""
+        return np.column_stack([np.tile(self.pixels, (self.depths.size, 1)),
+                                np.repeat(self.depths, len(self.pixels))])
 
     @staticmethod
     def regular(feature_size: tuple[int, int], depths: np.ndarray) -> "FrustumGrid":
-        """Samples at every feature-map pixel center and each given depth bin.
+        """Every feature-map pixel center at each given depth bin.
 
         The samples are in feature-map pixels, so they pair with a rig
         scaled to the feature map (CameraRig.scaled).
         """
-        depths = np.asarray(depths, dtype=np.float64)
-        if depths.ndim != 1 or depths.size < 1:
-            raise ValueError("depths must be a non-empty 1-D array")
-        if np.any(np.diff(depths) <= 0):
-            raise ValueError("depth bins must be strictly increasing")
         rows, cols = feature_size
-        u = np.arange(cols) + 0.5
-        v = np.arange(rows) + 0.5
-        dd, vv, uu = np.meshgrid(depths, v, u, indexing="ij")
-        return FrustumGrid(np.stack([uu.ravel(), vv.ravel(), dd.ravel()], axis=1))
+        vv, uu = np.meshgrid(np.arange(rows) + 0.5, np.arange(cols) + 0.5, indexing="ij")
+        return FrustumGrid(np.column_stack([uu.ravel(), vv.ravel()]), depths)
 
 
 def project_points(points: np.ndarray, rig: CameraRig) -> np.ndarray:
@@ -210,15 +215,14 @@ def unproject_frustum(rig: CameraRig, frustum: FrustumGrid) -> np.ndarray:
     """Lift (u, v, d) frustum samples back to ego-frame 3-D points.
 
     Inverse of project_points up to the depth scaling: the camera ray for
-    pixel (u, v) is K^-1 (u, v, 1), stretched to depth d, then moved from
-    the camera frame to ego.
+    pixel (u, v) is K^-1 (u, v, 1), taken once per pixel and stretched to
+    each depth d, then moved from the camera frame to ego.
     """
     det = np.linalg.det(rig.intrinsics)
     if abs(det) < 1e-12:
         raise ValueError("singular intrinsics cannot be unprojected")
     k_inv = np.linalg.inv(rig.intrinsics)
-    s = frustum.samples
-    homog = np.column_stack([s[:, 0], s[:, 1], np.ones(len(s))])
-    cam = (homog @ k_inv.T) * s[:, 2:3]
+    px = frustum.pixels
+    rays = np.column_stack([px, np.ones(len(px))]) @ k_inv.T
+    cam = (frustum.depths[:, None, None] * rays).reshape(-1, 3)
     return (cam - rig.translation) @ rig.rotation
-

@@ -74,8 +74,9 @@ def _ranked_distances(scores: np.ndarray, pred_xy: np.ndarray, gt_xy: np.ndarray
     """
     order = np.argsort(-scores, kind="stable")
     pred_xy = pred_xy[order]
-    dist = np.hypot(gt_xy[None, :, 0] - pred_xy[:, None, 0],
-                    gt_xy[None, :, 1] - pred_xy[:, None, 1])
+    with np.errstate(over="ignore"):  # centers too far apart to subtract are inf apart
+        dist = np.hypot(gt_xy[None, :, 0] - pred_xy[:, None, 0],
+                        gt_xy[None, :, 1] - pred_xy[:, None, 1])
     return order, scores[order], dist
 
 

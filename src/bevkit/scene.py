@@ -279,7 +279,7 @@ def load_scene(scene_dir) -> SceneBundle:
         cameras = [rig_from_json(d) for d in manifest["cameras"]]
         ego_trajectory = [pose_from_json(d) for d in manifest["ego_trajectory"]]
         seed, token = manifest["seed"], manifest["sample_token"]
-    except (TypeError, AttributeError, KeyError, ValueError) as err:
+    except (TypeError, AttributeError, KeyError, ValueError, RecursionError) as err:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
     if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
             and len(files["features"]) == len(cameras) >= 1

@@ -13,10 +13,10 @@ BEVGridConfig.cell_ids is the one cell rule: cells are half-open, so a
 point exactly on the max edge of either range is dropped. Every kernel sums
 the features that land in a cell.
 
-splat pools lift-splat features without materializing them: it sums
-depth weights into rows of H weights, one per (image column, occupied
-cell) pair, with np.bincount in the order pool_reference would add them,
-and multiplies each image column's rows by that column of the context.
+splat pools lift-splat features without building them, on one geometry
+plan per camera (as in BEVPoolv2): each sample is paired once with its
+(image column, occupied cell), every tap's depth weights are summed into
+that pair's row, and one product per image column applies the context.
 """
 
 from __future__ import annotations
@@ -202,13 +202,15 @@ def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
     weights. It stands for the lifted features
     sum_t weights_t[l, h, w] * context[:, h, w + shift_t] at sample (l, h, w);
     a shifted column off the map contributes nothing. That is linear in the
-    context, and a cell sees few image columns, so sample (l, h, w) adds its
-    weights to entry h of a row keyed by (column w + shift, occupied cell).
-    np.bincount adds them in tap-then-sample order, as sum_reference would, so
-    every entry is bit-identical to sum_reference's. Column j's rows take one
-    product with context[:, :, j].T into (cells, C) sums, added once into out,
-    a C-contiguous (C, ny, nx) array. Returns the number of samples outside
-    the grid.
+    context, and a cell sees few image columns, so sample (l, h, w) owns slot
+    h of the row of its (column w, occupied cell) pair for every tap. Each
+    tap's weights go by np.bincount into its own H-wide block of the rows, in
+    sample order, so each block is bit-identical to sum_reference over that
+    tap's slots. Column j's rows take one product with the taps' context
+    columns j + shift, stacked into (taps*H, C) from a zero-padded context;
+    it re-associates the sum across taps (1e-9). The (cells, C) sums are
+    added once into out, a C-contiguous (C, ny, nx) array. Returns the number
+    of samples outside the grid.
     """
     c, h, w = context.shape
     if not out.flags.c_contiguous:
@@ -219,27 +221,24 @@ def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
     present = np.bincount(ids, minlength=cfg.ny * cfg.nx) > 0
     cells = np.flatnonzero(present)
     n = cells.size
-    occ = (np.cumsum(present) - 1)[ids]
     sample = np.flatnonzero(inside)
-    col, row = sample % w, sample // w % h
-    pairs, entries, values = [], [], []
-    for shift, weights in taps:
-        keep = (col + shift >= 0) & (col + shift < w)
-        pairs.append((col[keep] + shift) * n + occ[keep])
-        entries.append(row[keep])
-        values.append(weights.reshape(-1)[sample[keep]])
-    pairs = np.concatenate(pairs)
+    pairs = sample % w * n + (np.cumsum(present) - 1)[ids]
     reached = np.zeros(w * n, dtype=bool)
     reached[pairs] = True
     keys = np.flatnonzero(reached)  # column-major: column j, then cell
-    rank = np.cumsum(reached) - 1
-    rows = np.bincount(rank[pairs] * h + np.concatenate(entries),
-                       weights=np.concatenate(values),
-                       minlength=keys.size * h).reshape(keys.size, h)
+    slots = (np.cumsum(reached) - 1)[pairs] * h + sample // w % h
+    rows = np.hstack([np.bincount(slots, weights=weights.reshape(-1)[sample],
+                                  minlength=keys.size * h).reshape(keys.size, h)
+                      for _, weights in taps])
+    pad = max(abs(shift) for shift, _ in taps)
+    padded = np.pad(context, ((0, 0), (0, 0), (pad, pad)))
+    # stacked[j] is (taps*H, C): row t*H + r is context[:, r, j + shift_t]
+    stacked = np.ascontiguousarray(np.concatenate(
+        [padded[:, :, pad + shift:pad + shift + w] for shift, _ in taps], axis=1).T)
     bounds = np.searchsorted(keys, np.arange(w + 1) * n)
     sums = np.zeros((n, c))
     for j in range(w):
         lo, hi = bounds[j], bounds[j + 1]
-        sums[keys[lo:hi] - j * n] += rows[lo:hi] @ context[:, :, j].T
+        sums[keys[lo:hi] - j * n] += rows[lo:hi] @ stacked[j]
     out.reshape(c, -1)[:, cells] += sums.T
     return int(inside.size - ids.size)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from bevkit.fusion import DetectionBox
-from bevkit.geometry import FrustumGrid, unproject_frustum
+from bevkit.geometry import FrustumGrid
 from bevkit.metrics import (
     AP_THRESHOLDS, ATTRIBUTES, CLASS_TP_METRICS, DETECTION_CLASSES, TP_METRICS, TP_THRESHOLD,
     finite_floats, name_index,
@@ -343,6 +343,18 @@ def decode_peaks_oracle(heatmap, grid, threshold):
     return sorted(boxes, key=lambda b: -b.score)
 
 
+def unproject_frustum_oracle(rig, samples: np.ndarray) -> np.ndarray:
+    """Ego points of (N, 3) (u, v, d) samples, K^-1 applied to every sample.
+
+    The per-sample form of geometry.unproject_frustum, which takes one ray
+    K^-1 (u, v, 1) per pixel and scales it to each depth.
+    """
+    k_inv = np.linalg.inv(rig.intrinsics)
+    homog = np.column_stack([samples[:, 0], samples[:, 1], np.ones(len(samples))])
+    cam = (homog @ k_inv.T) * samples[:, 2:3]
+    return (cam - rig.translation) @ rig.rotation
+
+
 def lift_refine_pool(positions, contexts, p_depths, kernel, cfg):
     """(f_bev, f_depth) by the materialized lift, one row per frustum point.
 
@@ -378,7 +390,7 @@ def wide_path_heatmap(bundle, cfg, weights, contexts, p_depths):
     h, w = bundle.cameras[0].image_size
     fh, fw = contexts[0].shape[1:]
     frustum = FrustumGrid.regular((fh, fw), cfg.depth_bins.centers())
-    positions = [unproject_frustum(rig.scaled(fh / h, fw / w), frustum)
+    positions = [unproject_frustum_oracle(rig.scaled(fh / h, fw / w), frustum.samples)
                  for rig in bundle.cameras]
     fused = np.add(*lift_refine_pool(positions, contexts, p_depths, weights.refine_kernel,
                                      grid))

@@ -328,6 +328,19 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "scene.json" in err
 
+    def test_deeply_nested_manifest_one_line_error(self, scene_dir, config_path, tmp_path,
+                                                   capsys):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        (bad / "scene.json").write_text("[" * 5000 + "]" * 5000)
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"malformed {bad / 'scene.json'}" in err
+
     def test_nonfinite_camera_translation_validation_error(self, seed3_dir, tmp_path, capsys):
         bad = tmp_path / "scene"
         shutil.copytree(seed3_dir, bad)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import unproject_frustum_oracle
 
 from bevkit.geometry import (
     DEPTH_SENTINEL,
@@ -13,6 +14,8 @@ from bevkit.geometry import (
     rasterize_depth_map,
     unproject_frustum,
 )
+from bevkit.pipeline import PipelineConfig
+from bevkit.scene import forward_camera
 
 
 def identity_rig(image_size=(10, 10)):
@@ -157,7 +160,7 @@ class TestRasterizeDepthMap:
 
 class TestUnprojectFrustum:
     def test_identity_inverse_example(self):
-        fr = FrustumGrid(np.array([[0.2, 0.4, 5.0]]))
+        fr = FrustumGrid(np.array([[0.2, 0.4]]), [5.0])
         out = unproject_frustum(identity_rig(), fr)
         np.testing.assert_allclose(out[0], [1.0, 2.0, 5.0], atol=1e-12)
 
@@ -173,6 +176,25 @@ class TestUnprojectFrustum:
         err = np.abs(np.column_stack([u, v, proj[:, 2]]) - fr.samples).max()
         assert err < 1e-9
 
+    def test_positions_and_cells_match_per_sample_oracle(self, perfbench):
+        # exact: a sample one ulp across a cell edge lands a whole cell away
+        cfg = PipelineConfig()
+        grid = cfg.bev_grid
+        frustum = FrustumGrid.regular((16, 44), cfg.depth_bins.centers())
+        rng = np.random.default_rng(25)
+        rigs = [forward_camera(), *perfbench("workloads").surround_rig()]
+        cases = [(rig.scaled(16 / 256, 44 / 704), frustum) for rig in rigs]
+        for _ in range(40):
+            h, w = (int(v) for v in rng.integers(1, 12, 2))
+            depths = np.cumsum(rng.uniform(0.1, 3.0, int(rng.integers(1, 40))))
+            cases.append((random_rig(rng), FrustumGrid.regular((h, w), depths)))
+        for rig, fr in cases:
+            got = unproject_frustum(rig, fr)
+            want = unproject_frustum_oracle(rig, fr.samples)
+            assert np.array_equal(got, want)
+            for a, b in zip(grid.cell_ids(got), grid.cell_ids(want)):
+                assert np.array_equal(a, b)
+
     def test_monotone_in_depth(self):
         depths = np.linspace(2.0, 30.0, 6)
         fr = FrustumGrid.regular((1, 1), depths)
@@ -186,7 +208,7 @@ class TestUnprojectFrustum:
         rig = identity_rig()
         object.__setattr__(rig, "intrinsics", np.diag([1.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="singular"):
-            unproject_frustum(rig, FrustumGrid(np.array([[0.0, 0.0, 1.0]])))
+            unproject_frustum(rig, FrustumGrid(np.array([[0.0, 0.0]]), [1.0]))
 
     def test_depth_bins_validated(self):
         with pytest.raises(ValueError, match="increasing"):

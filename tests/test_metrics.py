@@ -320,6 +320,12 @@ class TestEvaluateDetections:
         summary = evaluate_detections(sets(preds), sets(gts))
         assert summary.mean_ap == 0.0
 
+    def test_centers_too_far_apart_to_subtract_never_match(self):
+        # 1e308 - (-1e308) overflows to an inf distance, without a RuntimeWarning
+        preds, gts = [box(1e308, 0.0, score=0.9)], [box(-1e308, 0.0)]
+        assert match_center_distance(preds, gts, 4.0).n_matched == 0
+        assert evaluate_detections(sets({"s0": preds}), sets({"s0": gts})).mean_ap == 0.0
+
     @staticmethod
     def random_samples(rng, n_tokens):
         """Boxes by token: class 8 never in the ground truth, class 9 never predicted.

@@ -6,26 +6,16 @@ traced counts disagree with the report.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 from bevkit.pipeline import PipelineConfig, run_pipeline
 from bevkit.scene import default_scene_spec, generate_scene
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
 
 @pytest.fixture
-def tracing(monkeypatch):
-    # load perfbench/tracing.py read-only: no bytecode cache, no sys.modules entry
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def tracing(perfbench):
+    return perfbench("tracing")
 
 
 def test_every_traced_target_resolves(tracing):
@@ -64,3 +54,17 @@ def test_traced_pillar_counts_and_spans(tracing, tmp_path):
                  "fusion.fuse", "geometry.unproject", "kan.depthnet", "nnprims.softmax",
                  "metrics.evaluate"):
         assert name in names, name
+
+
+def test_one_unproject_span_per_camera(tracing, tmp_path):
+    # geometry.unproject_s reads 0 if the camera branch stops calling
+    # geo.unproject_frustum once per camera
+    spec = default_scene_spec(seed=31, n_objects=3, n_cameras=2, feature_shape=(16, 8, 22),
+                              radar_density=400, lidar_density=1000)
+    scene = generate_scene(spec, tmp_path / "scene")
+    cfg = PipelineConfig(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
+                         kan_hidden=(16,), radar_channels=8, sequential=True)
+    tracer = tracing.Tracer()
+    tracer.run_op(0, lambda: run_pipeline(scene, cfg), "op")
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("geometry.unproject") == len(spec.cameras) == 2

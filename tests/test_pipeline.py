@@ -452,6 +452,37 @@ class TestMetamorphic:
         assert evals[0] == evals[1]
 
 
+    def test_raising_peak_threshold_keeps_a_prefix(self, scene_dir):
+        # peaks are ranked by descending score, and the threshold only cuts that ranking
+        cfg = PipelineConfig(**SMALL, peak_threshold=0.6, sequential=True)
+        (_, preds), (_, raised) = (run_pipeline(scene_dir, dataclasses.replace(cfg, **kw))
+                                   for kw in ({}, {"peak_threshold": 0.7}))
+        preds, raised = preds["sample-0"], raised["sample-0"]
+        assert 0 < len(raised) < len(preds)
+        for f in dataclasses.fields(fu.BoxSet):
+            assert np.array_equal(getattr(raised, f.name),
+                                  getattr(preds, f.name)[:len(raised)]), f.name
+
+    def test_raising_gate_threshold_keeps_a_subset_of_gated_cells(self, scene_dir):
+        gated = [[m["cell"] for m in run_pipeline(scene_dir, PipelineConfig(
+                     **SMALL, heatmap_score_thresh=t, sequential=True))[0].matches]
+                 for t in (0.5, 0.6, 0.7, 0.9)]
+        for loose, strict in zip(gated, gated[1:]):
+            assert 0 < len(strict) < len(loose)
+            assert strict == [cell for cell in loose if cell in strict]
+
+    def test_zero_radar_hint_gives_camera_only_depth_logits(self, scene_dir):
+        cam, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, modality="camera",
+                                                        sequential=True))
+        unhinted, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, radar_hint_strength=0.0,
+                                                             sequential=True))
+        keys = [k for k in cam.checksums if k.startswith("depth_logits_")]
+        assert keys
+        for key in keys:
+            assert unhinted.checksums[key] == cam.checksums[key]
+        assert unhinted.losses["depth_bce"] == cam.losses["depth_bce"]
+
+
 class TestPipelineConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = PipelineConfig(d_min=1.5, d_max=40.0, n_depth_bins=24, n_context=12,

@@ -217,31 +217,63 @@ class TestSplat:
 
     @pytest.mark.parametrize("seed", [1 << 20, 40])
     def test_slot_sums_bit_identical_to_sum_reference(self, seed):
-        # a one-hot context (C = H*W) makes the product exact, so each grid
-        # column is one cell's slot sums; each seed draws its own rig and weights
+        # a one-hot context (C = H*W) makes the product exact, so with one tap
+        # each grid column is one cell's slot sums for that tap; each seed
+        # draws its own rig and weights. Across taps the product re-associates
+        # (the 1e-9 tests above and below cover that).
         rng = np.random.default_rng(seed)
         h, w, d = 5, 7, 30
         cfg = BEVGridConfig((-6.0, 6.0), (-4.0, 8.0), 9, 7)
         bins = DepthBinSpec(0.5, 12.0, d)
         pts = unproject_frustum(random_rig(rng), FrustumGrid.regular((h, w), bins.centers()))
-        taps = [(s, rng.lognormal(0, 3, (d, h, w))) for s in (0, -1, 1)]
-        got = np.zeros((h * w, cfg.ny, cfg.nx))
-        splat(pts, np.eye(h * w).reshape(h * w, h, w), taps, cfg, got)
-        # the same slots, in tap-then-sample order, through sum_reference
         inside, ids = cfg.cell_ids(pts)
         cells, occ = np.unique(ids, return_inverse=True)
         sample = np.flatnonzero(inside)
-        slots, values = [], []
-        for shift, weights in taps:
+        for shift in (0, -1, 1):
+            weights = rng.lognormal(0, 3, (d, h, w))
+            got = np.zeros((h * w, cfg.ny, cfg.nx))
+            splat(pts, np.eye(h * w).reshape(h * w, h, w), [(shift, weights)], cfg, got)
+            # the same slots, in sample order, through sum_reference
             keep = (0 <= sample % w + shift) & (sample % w + shift < w)
-            slots.append(occ[keep] * h * w + sample[keep] % (h * w) + shift)
-            values.append(weights.reshape(-1)[sample[keep]])
-        slots, values = np.concatenate(slots), np.concatenate(values)
-        assert np.bincount(slots).max() > len(taps)  # slots collect many samples
-        sums = vp.sum_reference(slots, values[:, None], cells.size * h * w)
-        want = np.zeros_like(got)
-        want[:, cells // cfg.nx, cells % cfg.nx] = sums.reshape(cells.size, h * w).T
-        assert np.array_equal(got, want)
+            slots = occ[keep] * h * w + sample[keep] % (h * w) + shift
+            assert np.bincount(slots).max() > 1  # slots collect many samples
+            sums = vp.sum_reference(slots, weights.reshape(-1)[sample[keep], None],
+                                    cells.size * h * w)
+            want = np.zeros_like(got)
+            want[:, cells // cfg.nx, cells % cfg.nx] = sums.reshape(cells.size, h * w).T
+            assert np.array_equal(got, want)
+
+    def test_matches_lift_refine_pool_on_surround_rig(self, perfbench):
+        # six cameras at the 16x44 map, each with in-range samples at columns 0
+        # and W-1: the refine taps' weights vanish where a shift leaves the map,
+        # the random taps' weights do not
+        cfg = PipelineConfig()
+        grid_cfg, c, h, w = cfg.bev_grid, 8, 16, 44
+        rng = np.random.default_rng(4044)
+        frustum = FrustumGrid.regular((h, w), cfg.depth_bins.centers())
+        positions = [unproject_frustum(rig.scaled(h / 256, w / 704), frustum)
+                     for rig in perfbench("workloads").surround_rig()]
+        contexts = [rng.uniform(0, 1, (c, h, w)) for _ in positions]
+        p_depths = [softmax_over_depth(rng.normal(0, 1, (cfg.n_depth_bins, h, w)))
+                    for _ in positions]
+        kernel = PipelineWeights.create(cfg, 16).refine_kernel
+        camera_bev = np.zeros((c, grid_cfg.ny, grid_cfg.nx))
+        got, lifted = np.zeros_like(camera_bev), []
+        for pts, ctx, p in zip(positions, contexts, p_depths):
+            inside, _ = grid_cfg.cell_ids(pts)
+            assert {0, w - 1} <= set((np.flatnonzero(inside) % w).tolist())
+            taps = refine_taps(p, kernel + IDENTITY)
+            assert [shift for shift, _ in taps] == [-1, 0, 1]
+            splat(pts, ctx, taps, grid_cfg, camera_bev)
+            taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
+            splat(pts, ctx, taps, grid_cfg, got)
+            lifted.append(shifted_lift(ctx, taps).reshape(c, -1).T)
+        want_bev, want_depth = lift_refine_pool(positions, contexts, p_depths, kernel,
+                                                grid_cfg)
+        assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
+        want = pool_reference(FeaturedPoints(np.vstack(positions), np.vstack(lifted)),
+                              grid_cfg).data
+        assert np.abs(got - want).max() <= 1e-9
 
     def test_matches_lift_refine_pool_at_benchmark_shape(self):
         # one forward camera at the 16x44 map, 112 bins and 128 cells: the cells
