@@ -163,6 +163,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -86,7 +86,8 @@ class BoxSet:
 
     Ids are int64, the rest float64. Construction checks all rows at once,
     at least as strictly as DetectionBox (equal lengths, finite values, known
-    ids too), and names the failing column. Iterating yields DetectionBoxes.
+    ids too), and names the failing column; take and concat, which cut
+    checked columns, skip it. Iterating yields DetectionBoxes.
     """
 
     center: np.ndarray
@@ -127,9 +128,16 @@ class BoxSet:
         for c, s, y, v, k, p, a in zip(*(getattr(self, f).tolist() for f in _BOX_COLUMNS)):
             yield DetectionBox(tuple(c), tuple(s), y, tuple(v), k, p, a)
 
+    @staticmethod
+    def _unchecked(columns) -> "BoxSet":
+        """A BoxSet of columns cut from checked sets, so the rows need no second check."""
+        out = object.__new__(BoxSet)
+        out.__dict__.update(zip(_BOX_COLUMNS, columns))
+        return out
+
     def take(self, idx) -> "BoxSet":
-        """The rows idx (an index array or a mask), in that order."""
-        return BoxSet(*(getattr(self, f)[idx] for f in _BOX_COLUMNS))
+        """The rows idx (an index array, a slice or a mask), in that order."""
+        return BoxSet._unchecked(getattr(self, f)[idx] for f in _BOX_COLUMNS)
 
     def params(self) -> np.ndarray:
         """(N, 9) regression targets: center, size, yaw, velocity."""
@@ -149,7 +157,8 @@ class BoxSet:
     def concat(sets) -> "BoxSet":
         """Rows of every set in turn; no sets give an empty set."""
         sets = list(sets) or [BoxSet.from_boxes([])]
-        return BoxSet(*(np.concatenate([getattr(s, f) for s in sets]) for f in _BOX_COLUMNS))
+        return BoxSet._unchecked(np.concatenate([getattr(s, f) for s in sets])
+                                 for f in _BOX_COLUMNS)
 
 
 def fuse_bev_features(f_cam: np.ndarray, f_radar: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ basis of every input of a layer comes from one array Cox-de Boor recursion
 derivatives need. The depth network embeds each camera's calibration as a
 plain 27-vector, maps it through a small KAN stack to per-channel gates,
 excites the backbone features with those gates, and splits the result into
-depth logits and context features with a 1x1 convolution.
+depth logits and context features with a 1x1 convolution. The pipeline
+runs it with the BEV head's 1x1 conv folded into the split's context rows,
+so there the "context" it returns is 10 class-logit rows.
 
 Analytic Jacobians are provided for both the layer and the feature path of
 the depth network (a Kronecker product: the path is per-pixel linear once

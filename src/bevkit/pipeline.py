@@ -6,26 +6,28 @@ the fused heatmap, evaluates them against the bundle's ground truth, and
 computes the losses.
 
 Stage wiring, where the configuration leaves the sensors on. The head's
-1x1 conv K_h is applied to each source, so every BEV grid holds class logits:
+1x1 conv K_h is applied to each source, so every BEV grid holds class
+logits and no array is n_context channels wide:
 
     radar cloud -> pillars -> VFE -> 1x1 conv by K_h @ radar projection at
       the occupied cells, its bias elsewhere -> logits_radar
-    camera features + rig -> gates -> depth logits + context
+    camera features + rig -> gates -> split conv with K_h folded into its
+      context rows -> depth logits + class logits
     radar projections -> depth-logit hints (camera+radar only)
     per camera: softmax -> depth weights p; p refined by refine_kernel plus
       a one-hot centre (the plain lift), one kernel column at a time -> column
       taps; frustum -> BEV cells; taps summed into (image column, cell) rows
-      @ (K_h @ context) -> added into logits_camera (no (C, D, H, W) lift)
+      @ class logits -> added into logits_camera (no (C, D, H, W) lift)
     logits_camera + logits_radar + head bias -> sigmoid -> heatmap prior
-    radar-occupied BEV cells -> cells the prior accepts -> their centers
-      (x, y, 0, 0) in the q grid -> 1x1 conv by K_h @ q kernel, added to the
-      logits -> final heatmap -> peak decoding -> evaluation, whose 2 m
-      class-wise matches are the L_bbox pairs
+    radar-occupied BEV cells -> cells the prior accepts -> q rows (x, y, 0, 0)
+      at their centers -> 1x1 conv by K_h @ q kernel at those cells, its bias
+      elsewhere, added to the logits -> final heatmap -> peak decoding ->
+      evaluation, whose 2 m class-wise matches are the L_bbox pairs
     GT centers -> BEV cells by BEVGridConfig.cell_ids, the one cell rule
       (the pillar grid is the BEV grid) -> GT heatmap -> L_heatmap
 
 Radar carries no velocity here (PC4D rows are x, y, z, reflectivity), so
-the q grid's vx, vy channels and every decoded box's velocity are zero.
+the q rows' vx, vy channels and every decoded box's velocity are zero.
 The zero channels stay so the q kernel keeps its shape and its seeded
 draw.
 
@@ -40,7 +42,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +388,23 @@ def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
                      class_id=ci, score=scores[order], attribute_id=_CLASS_ATTRIBUTE_IDS[ci])
 
 
+def _head_first_depthnet(net: kan.DepthNetParams, head: np.ndarray) -> kan.DepthNetParams:
+    """net with the head's 1x1 conv K_h folded into the split's context rows, which then
+    emit N_CLASSES class logits: K_h (S x + b) = (K_h S) x + K_h b. Exact only while the
+    head is one 1x1 conv before the sigmoid; with n_context < N_CLASSES the split grows."""
+    d, kernel, bias = net.n_depth_bins, net.split_kernel, net.split_bias
+    return replace(net, split_kernel=np.vstack([kernel[:d], head @ kernel[d:]]),
+                   split_bias=np.concatenate([bias[:d], head @ bias[d:]]), n_context=N_CLASSES)
+
+
+def _conv_at_cells(rows, cells, kernel, bias, grid: vp.BEVGridConfig) -> np.ndarray:
+    """1x1 conv of a grid that is zero but for rows (P, C_in) at the flat cells: the bias
+    elsewhere, there the conv of a contiguous (C_in, 1, P) input (the full-grid sums)."""
+    out = np.repeat(bias[:, None], grid.ny * grid.nx, axis=1)
+    out[:, cells] = conv_pointwise(np.ascontiguousarray(rows.T)[:, None, :], kernel, bias)[:, 0]
+    return out.reshape(len(bias), grid.ny, grid.nx)
+
+
 def run_pipeline(scene_dir, cfg: PipelineConfig,
                  weights: PipelineWeights | None = None
                  ) -> tuple[RunReport, dict[str, fu.BoxSet]]:
@@ -431,14 +450,10 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
                 encoded = pi.vfe_forward(tensor, weights.vfe)
             except ValueError as err:
                 raise _stage_error("pillars", err) from err
-            # the 1x1 conv of an empty cell is its bias, so only occupied cells
-            # are convolved; a contiguous (C, 1, P) input keeps the full-grid sums
-            bias = head @ weights.radar_proj_bias
             cell_x, cell_y = tensor.pillar_coords.T
-            radar_logits[:] = bias[:, None, None]
-            radar_logits[:, cell_y, cell_x] = conv_pointwise(
-                np.ascontiguousarray(encoded.T)[:, None, :], head @ weights.radar_proj_kernel,
-                bias)[:, 0, :]
+            radar_logits = _conv_at_cells(encoded, cell_y * cfg.bev_cells + cell_x,
+                                          head @ weights.radar_proj_kernel,
+                                          head @ weights.radar_proj_bias, cfg.bev_grid)
             radar_cells = cfg.bev_grid.cell_ids(bundle.radar)[1]  # one per point in range
             report.pillars = {"points_in_range": len(radar_cells),
                               "kept": len(tensor.point_counts),
@@ -449,7 +464,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     with _StageTimer(report, "depthnet"):
         try:
             outputs = kan.depthnet_forward(bundle.features, bundle.cameras,
-                                           weights.depthnet)
+                                           _head_first_depthnet(weights.depthnet, head))
         except ValueError as err:
             raise _stage_error("depthnet", err) from err
         depth_logits = outputs.depth_logits
@@ -460,7 +475,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
         p_depth = [softmax_over_depth(lg) for lg in depth_logits]
         for i in range(len(bundle.cameras)):
             report.checksums[f"gates_cam{i}"] = checksum(outputs.gates[i])
-            report.checksums[f"context_cam{i}"] = checksum(outputs.context[i])
+            report.checksums[f"class_logits_cam{i}"] = checksum(outputs.context[i])
             report.checksums[f"depth_logits_cam{i}"] = checksum(depth_logits[i])
 
     with _StageTimer(report, "depth_loss"):
@@ -474,13 +489,13 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     # the identity tap is the plain lift: lift + refine(lift, K) = refine(lift, K + delta)
     kernel = weights.refine_kernel + np.pad([[1.0]], 1)
     camera_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
-    for i, (frig, ctx, pd) in enumerate(zip(frigs, outputs.context, p_depth)):
+    for i, (frig, class_logits, pd) in enumerate(zip(frigs, outputs.context, p_depth)):
         with _StageTimer(report, "lift"):
             taps = refine_taps(pd, kernel)
         with _StageTimer(report, "voxelpool"):
             pts = geo.unproject_frustum(frig, frustum)
             report.dropped_points[f"frustum_cam{i}"] = vp.splat(
-                pts, np.tensordot(head, ctx, 1), taps, cfg.bev_grid, camera_logits)
+                pts, class_logits, taps, cfg.bev_grid, camera_logits)
     report.checksums["logits_camera"] = checksum(camera_logits)
 
     # Fusion, heatmap prior, radar cell gating, final heatmap.
@@ -495,12 +510,11 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             proposals = np.unique(radar_cells)
             matched = fu.match_radar_to_heatmap(proposals, prior, cfg.heatmap_score_thresh)
             iy, ix = np.divmod(matched, cfg.bev_cells)
-            q_grid = np.zeros((4, cfg.bev_cells, cfg.bev_cells))
-            q_grid[:2, iy, ix] = cfg.bev_grid.cell_center(ix, iy).T
-            report.matches = [{"cell": [y, x], "q": q} for y, x, q in zip(
-                iy.tolist(), ix.tolist(), q_grid[:, iy, ix].T.tolist())]
-            final_scores = kan.sigmoid(logits + conv_pointwise(
-                q_grid, head @ weights.q_kernel, head @ weights.q_bias))
+            q = np.column_stack([cfg.bev_grid.cell_center(ix, iy), np.zeros((len(ix), 2))])
+            report.matches = [{"cell": [y, x], "q": row} for y, x, row in zip(
+                iy.tolist(), ix.tolist(), q.tolist())]
+            final_scores = kan.sigmoid(logits + _conv_at_cells(
+                q, matched, head @ weights.q_kernel, head @ weights.q_bias, cfg.bev_grid))
         report.checksums["heatmap"] = checksum(final_scores)
         report.fusion_stats = {
             "n_radar_boxes": float(len(proposals)),

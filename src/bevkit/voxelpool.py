@@ -170,11 +170,15 @@ def pool_cumsum(points: FeaturedPoints, cfg: BEVGridConfig) -> BEVGrid:
 
     The stable sort keeps within-cell input order, so each segment sums in
     the same order as pool_reference and only the cross-segment prefix
-    subtraction can reassociate; the error grows with the prefix
-    magnitude. At 473,088 points with C=80 U[0,1) features (the frustum
-    points of six 16x44 cameras with 112 depth bins) that error was
-    3.5e-10 against pool_reference, a third of the 1e-9 equivalence
-    bound. The sort copies every in-range feature row: at that shape on a
+    subtraction can reassociate: a segment's sum carries the rounding of the
+    prefix it rides on. For M rows of U[0, s) features over n cells, with
+    M >= n, the error stays below 2 eps (M s / 2) sqrt(M / n). Its limit
+    under the 1e-9 equivalence bound, on a 128x128 grid with C=1: at s = 1
+    it passes at 1e6 rows (5.4e-10) and fails at 4e6 (5.4e-9); at 1e5 rows
+    it passes at s = 10 (2e-10) and fails at s = 100 (2.5e-9). At 473,088
+    points with C=80 U[0,1) features (the frustum points of six 16x44
+    cameras with 112 depth bins) it was 3.5e-10. The sort copies every
+    in-range feature row: at that shape on a
     2-core VM (numpy 2.4) a call took a median 0.82 s and a 524 MB traced
     peak, against 0.68 s and 267 MB for pool_reference.
     """

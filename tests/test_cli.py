@@ -526,6 +526,21 @@ class TestRun:
         assert "bev_cells" in err
 
 
+    def test_unallocatable_grid_one_line_error(self, scene_dir, tmp_path, capsys):
+        # 10**8 cells a side is 8e17 bytes a grid, more than any 64-bit
+        # address space holds, so the allocation fails at once whatever the
+        # overcommit policy; never try a size that could be allocated
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"bev": {"cells": 10**8}}))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestEval:
     def test_eval_roundtrip_idempotent(self, scene_dir, config_path, tmp_path):
         main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "run"),

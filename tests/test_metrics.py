@@ -436,6 +436,25 @@ class TestBoxSet:
         assert _set_bits(parts) == _set_bits(bs)
         assert len(BoxSet.concat([])) == 0 and list(BoxSet.from_boxes([])) == []
 
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.lists(_valid_box, max_size=5).map(BoxSet.from_boxes), min_size=1,
+                    max_size=4), st.data())
+    def test_unchecked_take_and_concat_equal_checked_sets(self, parts, data):
+        """take and concat skip the row check; their columns are those of BoxSet(*cols)."""
+        fields = [f.name for f in dataclasses.fields(BoxSet)]
+        joined = BoxSet.concat(parts)
+        want = BoxSet(*(np.concatenate([getattr(p, f) for p in parts]) for f in fields))
+        assert _set_bits(joined) == _set_bits(want)
+        n = len(joined)
+        idx = data.draw(st.one_of(
+            st.lists(st.integers(0, max(n - 1, 0)), max_size=6 * (n > 0)).map(np.array),
+            st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+            st.builds(slice, st.integers(-n - 1, n + 1), st.integers(-n - 1, n + 1))))
+        if isinstance(idx, np.ndarray) and idx.dtype != bool:
+            idx = idx.astype(np.int64)
+        taken = joined.take(idx)
+        assert _set_bits(taken) == _set_bits(BoxSet(*(getattr(joined, f)[idx] for f in fields)))
+
     @staticmethod
     def columns():
         rng = np.random.default_rng(42)

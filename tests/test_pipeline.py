@@ -65,7 +65,7 @@ class TestRunPipeline:
         fused, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, modality="camera+radar",
                                                           sequential=True))
         # the camera path is untouched by the radar stream
-        for key in ("image_features_cam0", "gates_cam0", "context_cam0"):
+        for key in ("image_features_cam0", "gates_cam0", "class_logits_cam0"):
             assert cam.checksums[key] == fused.checksums[key]
         # radar hints reach the depth logits and everything downstream
         assert cam.checksums["depth_logits_cam0"] != fused.checksums["depth_logits_cam0"]
@@ -188,8 +188,11 @@ class TestRunPipeline:
         heatmap = seen["heads"][-1]
         assert report.checksums["heatmap"] == pl.checksum(heatmap)
         assert (report.fusion_stats["n_matches"] > 0) == (modality == "camera+radar")
-        want = wide_path_heatmap(sc.load_scene(scene), cfg, weights,
-                                 seen["depthnet"][0].context, seen["softmax"])
+        bundle = sc.load_scene(scene)
+        # the run's depth net emits class logits; the wide path takes the n_context rows
+        contexts = pl.kan.depthnet_forward(bundle.features, bundle.cameras,
+                                           weights.depthnet).context
+        want = wide_path_heatmap(bundle, cfg, weights, contexts, seen["softmax"])
         assert np.abs(heatmap - want).max() <= 1e-9
 
     @pytest.mark.parametrize("modality", MODALITIES)
@@ -200,7 +203,7 @@ class TestRunPipeline:
         scene = generate_scene(spec, tmp_path / "scene")
         report, _ = run_pipeline(scene, PipelineConfig(**SMALL, modality=modality,
                                                        sequential=True))
-        want = {f"{key}_cam{i}" for key in ("image_features", "gates", "context",
+        want = {f"{key}_cam{i}" for key in ("image_features", "gates", "class_logits",
                                              "depth_logits") for i in range(2)}
         want |= {"logits_camera", "heatmap"}
         if modality == "camera+radar":
@@ -262,6 +265,15 @@ class TestRunPipeline:
         assert report.fusion_stats["n_matches"] > 0 and len(preds["sample-0"]) > n_gt > 0
         assert built == 0
 
+    def test_only_decoded_and_loaded_box_sets_are_checked(self, scene_dir):
+        """take and concat build unchecked sets: a run checks its decoded peaks and its GT."""
+        checked, init = [], fu.BoxSet.__post_init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fu.BoxSet, "__post_init__", lambda b: checked.append(b) or init(b))
+            report, preds = run_pipeline(scene_dir, PipelineConfig(**SMALL))
+        assert report.losses["l_bbox"] > 0
+        assert len(checked) == 2 and checked[1] is preds["sample-0"]
+
     def test_no_box_objects_evaluating_boxes_files(self, scene_dir, tmp_path):
         """load_boxes on a predictions and a ground-truth file, then evaluate_detections."""
         _, preds = run_pipeline(scene_dir, PipelineConfig(**SMALL))
@@ -297,14 +309,56 @@ class TestRunPipeline:
         np.testing.assert_array_equal(a.depthnet.split_kernel, b.depthnet.split_kernel)
 
 
+class TestHeadFirstDepthNet:
+    """The run's depth net emits class logits: no n_context-wide array, no q grid."""
+
+    def test_run_builds_no_context_rows_and_no_q_grid(self, scene_dir):
+        cfg = PipelineConfig(**SMALL, sequential=True)
+        splits, convs = [], []
+        split_conv, conv = pl.kan.conv_pointwise, pl.conv_pointwise
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl.kan, "conv_pointwise",
+                       lambda *a: splits.append(split_conv(*a)) or splits[-1])
+            mp.setattr(pl, "conv_pointwise", lambda *a: convs.append(a[0]) or conv(*a))
+            report, _ = run_pipeline(scene_dir, cfg)
+        assert cfg.modality == "camera+radar" and cfg.n_context == 12
+        assert report.fusion_stats["n_matches"] > 0
+        assert splits and all(len(s) == cfg.n_depth_bins + pl.N_CLASSES for s in splits)
+        # the radar projection and the q term each convolve only their cells
+        assert [x.shape for x in convs] == [(cfg.radar_channels, 1, report.pillars["kept"]),
+                                            (4, 1, report.fusion_stats["n_matches"])]
+
+    @pytest.mark.parametrize("n_context", [3, 12])
+    def test_folded_split_against_the_unfolded_net(self, n_context):
+        cfg = PipelineConfig(**{**SMALL, "n_context": n_context})
+        weights = PipelineWeights.create(cfg, 16)
+        net, head = weights.depthnet, weights.head_kernel
+        folded = pl._head_first_depthnet(net, head)
+        assert folded.n_context == pl.N_CLASSES and folded.kan_layers is net.kan_layers
+        rng = np.random.default_rng(57)
+        feats = [rng.normal(0.0, 1.0, (16, 8, 22)) for _ in range(2)]
+        rigs = yawed_rigs((0.0, 120.0))
+        d, b_ctx = cfg.n_depth_bins, net.split_bias[cfg.n_depth_bins:]
+        assert np.all(b_ctx != 0)
+        bare = dataclasses.replace(net, split_bias=np.r_[net.split_bias[:d], np.zeros(n_context)])
+        want, bare_out, got = (pl.kan.depthnet_forward(feats, rigs, n)
+                               for n in (net, bare, folded))
+        for i in range(2):
+            np.testing.assert_array_equal(got.depth_logits[i], want.depth_logits[i])
+            np.testing.assert_array_equal(got.gates[i], want.gates[i])
+            logits = np.tensordot(head, bare_out.context[i], 1) + (head @ b_ctx)[:, None, None]
+            assert got.context[i].shape == logits.shape == (pl.N_CLASSES, 8, 22)
+            assert np.abs(got.context[i] - logits).max() <= 1e-12
+
+
 def run_recorded(scene, cfg, weights=None):
     """run_pipeline plus what its stages saw.
 
-    seen holds the depth net's outputs, each camera's depth weights, the
-    two grids each fuse_bev_features call summed and every sigmoid taken
-    over the BEV grid, in call order.
+    seen holds each camera's depth weights, the two grids each
+    fuse_bev_features call summed and every sigmoid taken over the BEV
+    grid, in call order.
     """
-    seen = {"depthnet": [], "softmax": [], "fuse": [], "heads": []}
+    seen = {"softmax": [], "fuse": [], "heads": []}
 
     def record(name, fn, keep_args=False):
         def wrapped(*args):
@@ -315,7 +369,6 @@ def run_recorded(scene, cfg, weights=None):
         return wrapped
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pl.kan, "depthnet_forward", record("depthnet", pl.kan.depthnet_forward))
         mp.setattr(pl, "softmax_over_depth", record("softmax", pl.softmax_over_depth))
         mp.setattr(pl.fu, "fuse_bev_features",
                    record("fuse", pl.fu.fuse_bev_features, keep_args=True))
@@ -358,10 +411,12 @@ class TestPerCameraPooling:
                      for rig in bundle.cameras]
         return cfg, weights, report, seen, positions
 
-    def test_camera_sum_matches_stacked_pool(self, three_cameras):
+    def test_camera_sum_matches_stacked_pool(self, three_cameras, yawed_scene):
         cfg, weights, _, seen, positions = three_cameras
         camera_logits, _ = seen["fuse"][0]
-        contexts = seen["depthnet"][0].context
+        bundle = sc.load_scene(yawed_scene)
+        contexts = pl.kan.depthnet_forward(bundle.features, bundle.cameras,
+                                           weights.depthnet).context
         p_depths = seen["softmax"]
         assert len(positions) == len(contexts) == len(p_depths) == 3
         kernel, head = weights.refine_kernel, weights.head_kernel
@@ -404,9 +459,9 @@ class TestMetamorphic:
         (permuted / "scene.json").write_text(json.dumps(manifest))
         cfg = PipelineConfig(**SMALL, sequential=True)
         (a, preds_a), (b, preds_b) = run_pipeline(scene, cfg), run_pipeline(permuted, cfg)
-        # each camera keeps its own rig, context and depth
+        # each camera keeps its own rig, class logits and depth
         for i, k in enumerate(order):
-            for key in ("gates", "context", "depth_logits"):
+            for key in ("gates", "class_logits", "depth_logits"):
                 assert a.checksums[f"{key}_cam{k}"] == b.checksums[f"{key}_cam{i}"]
             for key in ("supervision", "frustum"):
                 assert a.dropped_points[f"{key}_cam{k}"] == b.dropped_points[f"{key}_cam{i}"]

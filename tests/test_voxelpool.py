@@ -109,6 +109,22 @@ class TestPoolCumsum:
         assert np.abs(pool_cumsum(pts, cfg).data - ref.data).max() < 1e-9
 
 
+    def test_error_limit_in_the_docstring(self):
+        # the rounding of the prefix, U[0, s) rows at one feature per row
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(66)
+
+        def error(m, scale, n):
+            pts = FeaturedPoints(rng.uniform(-1, 1, (m, 3)), rng.uniform(0, scale, (m, 1)))
+            cfg = grid(nx=n, ny=n, extent=1.0)
+            return np.abs(pool_cumsum(pts, cfg).data - pool_reference(pts, cfg).data).max()
+
+        for m, scale, n in ((10**3, 100.0, 16), (10**4, 1.0, 2), (10**4, 100.0, 64),
+                            (10**5, 1.0, 128), (10**5, 10.0, 4)):
+            assert error(m, scale, n) < 2 * eps * (m * scale / 2) * np.sqrt(m / n**2)
+        assert error(10**5, 10.0, 128) < 1e-9 < error(10**5, 100.0, 128)
+
+
 class TestPoolConcurrent:
     def test_single_worker_bit_identical(self):
         rng = np.random.default_rng(65)
