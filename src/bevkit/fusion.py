@@ -188,8 +188,10 @@ def match_radar_to_heatmap(radar_cells: np.ndarray, heatmap: Heatmap,
 
 
 def _bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return -(target * np.log(p) + (1.0 - target) * np.log1p(-p))
+    p, hot = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP), target != 0
+    out = -np.log1p(-p)  # the BCE, bit for bit, where the target is 0
+    out[hot] = -(target[hot] * np.log(p[hot]) + (1.0 - target[hot]) * np.log1p(-p[hot]))
+    return out
 
 
 def detection_loss(heatmap_pred: np.ndarray, heatmap_gt: np.ndarray,

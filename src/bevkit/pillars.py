@@ -1,9 +1,9 @@
-"""Radar pillar stream: voxelize, augment to 9-D, encode, scatter.
+"""Radar pillar stream: voxelize, encode, scatter.
 
 Points are binned into vertical (x, y) pillars, each pillar capped at T
-points by seeded sampling, padded with zeros below T, run through a small
-voxel feature encoder, and scattered into a dense C x H x W pseudo image
-whose cells line up with the BEV grid.
+points by seeded sampling and kept as rows, run through a small voxel
+feature encoder in factored form (no padded 9-D tensor), and scattered into
+a dense C x H x W pseudo image whose cells line up with the BEV grid.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,18 +66,54 @@ class PillarGridConfig:
             raise ValueError("max_points (T) must be >= 1")
 
 
+# the raw column that each offset column (4-8 of a 9-D row) is taken from
+_OFFSET_OF = [0, 1, 2, 0, 1]
+
+
 @dataclass
 class PillarTensor:
-    """Padded per-pillar features plus cell coordinates and real counts.
+    """Kept radar points as (N, 4) rows, pillar by pillar in rank order.
 
-    features: (P, T, 9), pillar_coords: (P, 2) int (x-index, y-index),
-    point_counts: (P,). Rows at or beyond a pillar's count are all-zero.
+    point_counts (P,) lie in [1, max_points] and sum to N; pillar_coords (P, 2) are int
+    (x, y) indices and centers (P, 2) their cell centers. points_in_range and occupied_cells
+    (sorted flat ids) count every binned point and cell, truncated pillars included.
     """
 
-    features: np.ndarray
-    pillar_coords: np.ndarray
+    points: np.ndarray
     point_counts: np.ndarray
-    truncated_pillars: int = 0
+    pillar_coords: np.ndarray
+    centers: np.ndarray
+    max_points: int
+    truncated_pillars: int
+    points_in_range: int
+    occupied_cells: np.ndarray
+
+    def __post_init__(self):
+        pts, counts, n = self.points, self.point_counts, len(self.pillar_coords)
+        if pts.ndim != 2 or pts.shape[1] != 4:
+            raise ValueError(f"pillar points must be (N, 4), got {pts.shape}")
+        if (counts.shape != (n,) or n and (counts.min() < 1 or counts.max() > self.max_points)
+                or counts.sum() != len(pts)):
+            raise ValueError(f"point counts of shape {counts.shape} for {n} pillars must lie "
+                             f"in [1, {self.max_points}] and sum to the {len(pts)} points")
+
+    def offsets(self) -> np.ndarray:
+        """(P, 5) pillar constants of the offset columns: mean (x, y, z), whose sums add
+        the points one by one in rank order (add.reduceat rounds otherwise), and center."""
+        counts = self.point_counts
+        pillar = np.repeat(np.arange(len(counts)), counts)
+        mean = [np.bincount(pillar, self.points[:, k], len(counts)) / counts for k in range(3)]
+        return np.column_stack(mean + [self.centers])
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """(P, T, 9) padded view: (x, y, z, r), the offset from the pillar mean and
+        the (x, y) offset from the cell center; rows at or beyond a count are zero."""
+        real = np.arange(self.max_points) < self.point_counts[:, None]
+        out = np.zeros(real.shape + (9,))
+        out[real] = np.hstack([self.points, self.points[:, _OFFSET_OF]
+                               - np.repeat(self.offsets(), self.point_counts, axis=0)])
+        return out
 
 
 @dataclass
@@ -122,16 +159,15 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
     Points are grouped by one stable sort on their flat cell, so each
     pillar's points keep input order and take their row from their rank in
     the group. Only pillars over T are visited one by one, for their draw.
-    Each point's 9-D row holds (x, y, z, r), its offset from the mean of
-    the pillar's kept points and its (x, y) offset from the cell center.
     """
     t_cap = cfg.max_points
     inside, flat = cfg.bev.cell_ids(cloud.points)
     pts = cloud.points[inside]
 
-    by_cell = np.argsort(flat, kind="stable")
-    cells, first, counts = np.unique(flat, return_index=True, return_counts=True)
-    starts = np.cumsum(counts) - counts
+    by_cell = np.argsort(flat, kind="stable")  # also gives np.unique's cells, first, counts
+    starts = np.flatnonzero(np.diff(flat[by_cell], prepend=-1))
+    first, counts = by_cell[starts], np.diff(starts, append=len(flat))
+    cells = flat[first]
     truncated = max(0, len(cells) - cfg.max_pillars)
     kept = np.arange(len(cells))
     if truncated:
@@ -139,54 +175,41 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
         logger.warning("dropped %d pillars beyond the %d most populated",
                        truncated, cfg.max_pillars)
     kept = kept[np.argsort(first[kept])]
-    n_pillars = len(kept)
+    n_kept = np.minimum(counts[kept], t_cap)
+    offset = np.cumsum(n_kept) - n_kept
 
-    # pillar and row of every point in cell order; dropped cells get pillar -1
+    # pillar and rank of every point in cell order; dropped cells get pillar -1
     pillar_of = np.full(len(cells), -1)
-    pillar_of[kept] = np.arange(n_pillars)
+    pillar_of[kept] = np.arange(len(kept))
     pillar = np.repeat(pillar_of, counts)
     rank = np.arange(len(flat)) - np.repeat(starts, counts)
     take = (pillar >= 0) & (rank < t_cap)
-    features = np.zeros((n_pillars, t_cap, 9))
-    xyzr = features[:, :, :4]
-    xyzr[pillar[take], rank[take]] = pts[by_cell[take]]
+    # source row of each kept point, pillar by pillar in rank order
+    src = np.empty(int(n_kept.sum()), dtype=np.int64)
+    src[offset[pillar[take]] + rank[take]] = by_cell[take]
     for p in np.flatnonzero(counts[kept] > t_cap).tolist():
         cell = kept[p]
         rng = np.random.default_rng([seed, int(cells[cell])])
         chosen = np.sort(rng.choice(int(counts[cell]), size=t_cap, replace=False))
-        xyzr[p] = pts[by_cell[starts[cell] + chosen]]
+        src[offset[p]:offset[p] + t_cap] = by_cell[starts[cell] + chosen]
 
-    n_kept = np.minimum(counts[kept], t_cap)
-    real = np.arange(t_cap) < n_kept[:, None]
-    # adds each pillar's points in rank order (padding adds +0.0), as a
-    # per-pillar mean would
-    mean = xyzr[:, :, :3].sum(axis=1) / n_kept[:, None]
     cell_iy, cell_ix = np.divmod(cells[kept], cfg.bev.nx)
-    center = cfg.bev.cell_center(cell_ix, cell_iy)
-    features[:, :, 4:7] = np.where(real[:, :, None], xyzr[:, :, :3] - mean[:, None], 0.0)
-    features[:, :, 7:9] = np.where(real[:, :, None], xyzr[:, :, :2] - center[:, None], 0.0)
-    return PillarTensor(features, np.column_stack([cell_ix, cell_iy]), n_kept, truncated)
+    return PillarTensor(pts[src], n_kept, np.column_stack([cell_ix, cell_iy]),
+                        cfg.bev.cell_center(cell_ix, cell_iy), t_cap, truncated,
+                        len(flat), cells)
 
 
 def vfe_forward(pillars: PillarTensor, weights: VfeWeights) -> np.ndarray:
     """Encode each pillar to a C-vector: affine, relu, max over its real points.
 
-    Only the real rows (rank below the pillar's count) are encoded, so zero
-    padding cannot dominate pillars whose real activations are all negative
-    pre-rectifier. They are contiguous per pillar in (pillar, rank) order,
-    and one max reduction at the count offsets gives every pillar's vector.
+    Offset columns are the point minus a pillar constant, so W.f + b = W'.(x, y, z, r) + c,
+    with W's offset columns folded into W' and c = b - W[:, 4:].offsets. Max and relu
+    commute with adding c: one (C, 4) @ (4, N) product, one max per pillar, relu(max + c).
     """
-    feats, counts = pillars.features, pillars.point_counts
-    if feats.ndim != 3 or feats.shape[2] != 9:
-        raise ValueError(f"pillar features must be (P, T, 9), got {feats.shape}")
-    if counts.shape != feats.shape[:1]:
-        raise ValueError(f"point counts of shape {counts.shape} for {feats.shape[0]} pillars")
-    if counts.size and (counts.min() < 1 or counts.max() > feats.shape[1]):
-        raise ValueError(f"point counts must lie in [1, {feats.shape[1]}]")
-    real = feats[np.arange(feats.shape[1]) < counts[:, None]]
-    # einsum, not a BLAS matmul, which would round the 9-term sums differently
-    mapped = np.maximum(0.0, np.einsum("nd,cd->nc", real, weights.weight) + weights.bias)
-    return np.maximum.reduceat(mapped, np.cumsum(counts) - counts, axis=0)
+    w, counts = weights.weight, pillars.point_counts
+    folded = w[:, :4] + w[:, 4:] @ np.eye(4)[_OFFSET_OF]
+    peak = np.maximum.reduceat(folded @ pillars.points.T, np.cumsum(counts) - counts, axis=1)
+    return np.maximum(0.0, peak + weights.bias[:, None] - w[:, 4:] @ pillars.offsets().T).T
 
 
 def scatter_to_pseudo_image(features: np.ndarray, coords: np.ndarray,

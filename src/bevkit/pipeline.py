@@ -438,8 +438,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             gt_maps.append(dm)
             report.dropped_points[f"supervision_cam{i}"] = dropped
 
-    # Radar pillar stream. The pillar grid is the BEV grid, so the radar
-    # points' BEV cells also give the points in range and, later, the proposals.
+    # Radar pillar stream. The pillar grid is the BEV grid, so the pillars'
+    # binning also gives the points in range and, later, the proposals.
     head = weights.head_kernel
     radar_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
     if use_radar:
@@ -454,8 +454,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             radar_logits = _conv_at_cells(encoded, cell_y * cfg.bev_cells + cell_x,
                                           head @ weights.radar_proj_kernel,
                                           head @ weights.radar_proj_bias, cfg.bev_grid)
-            radar_cells = cfg.bev_grid.cell_ids(bundle.radar)[1]  # one per point in range
-            report.pillars = {"points_in_range": len(radar_cells),
+            report.pillars = {"points_in_range": tensor.points_in_range,
                               "kept": len(tensor.point_counts),
                               "truncated": int(tensor.truncated_pillars)}
             report.checksums["logits_radar"] = checksum(radar_logits)
@@ -507,7 +506,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
         proposals = matched = np.zeros(0, dtype=np.int64)
         final_scores = prior_scores  # without radar the logits are unchanged
         if use_radar:
-            proposals = np.unique(radar_cells)
+            proposals = tensor.occupied_cells
             matched = fu.match_radar_to_heatmap(proposals, prior, cfg.heatmap_score_thresh)
             iy, ix = np.divmod(matched, cfg.bev_cells)
             q = np.column_stack([cfg.bev_grid.cell_center(ix, iy), np.zeros((len(ix), 2))])

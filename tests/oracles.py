@@ -455,6 +455,9 @@ def build_pillars_oracle(cloud, cfg, seed):
     pillar order, the most populated max_pillars cells kept (ties to the
     earlier first occurrence), and each pillar over T sampled by
     ``default_rng([seed, flat cell])`` with the survivors in input order.
+    The padded (P, T, 9) tensor is built point by point and compacted at
+    the end; it stays on the result as its ``features``, so a comparison
+    of ``features`` checks the library's padded view against this one.
     """
     pts = cloud.points
     h, w = cfg.grid
@@ -474,6 +477,7 @@ def build_pillars_oracle(cloud, cfg, seed):
             order.append(cell)
         members[cell].append(i)
 
+    occupied = np.array(sorted(order), dtype=np.int64)
     truncated = 0
     if len(order) > cfg.max_pillars:
         pos = {cell: i for i, cell in enumerate(order)}
@@ -483,6 +487,7 @@ def build_pillars_oracle(cloud, cfg, seed):
 
     features = np.zeros((len(order), t_cap, 9))
     coords = np.zeros((len(order), 2), dtype=np.int64)
+    centers = np.zeros((len(order), 2))
     counts = np.zeros(len(order), dtype=np.int64)
     for p, cell in enumerate(order):
         idx = members[cell]
@@ -491,7 +496,27 @@ def build_pillars_oracle(cloud, cfg, seed):
                                                                 replace=False)
             idx = [idx[i] for i in sorted(chosen.tolist())]
         cell_iy, cell_ix = divmod(cell, w)
-        features[p, : len(idx)] = augment_points(pts[idx], pillar_center(cfg, cell_ix, cell_iy))
+        centers[p] = pillar_center(cfg, cell_ix, cell_iy)
+        features[p, : len(idx)] = augment_points(pts[idx], centers[p])
         coords[p] = (cell_ix, cell_iy)
         counts[p] = len(idx)
-    return PillarTensor(features, coords, counts, truncated)
+    real = features[np.arange(t_cap) < counts[:, None]]  # (N, 9), pillar by pillar
+    tensor = PillarTensor(real[:, :4], counts, coords, centers, t_cap, truncated, len(flat),
+                          occupied)
+    tensor.features = features
+    return tensor
+
+
+def vfe_oracle(tensor, weights):
+    """VFE by its definition: relu(W f + b) of each real 9-D row of the padded
+    features, the nine products added one by one, and the max over the pillar."""
+    out = np.zeros((len(tensor.point_counts), len(weights.bias)))
+    for p, n in enumerate(tensor.point_counts.tolist()):
+        best = np.full(len(weights.bias), -np.inf)
+        for f in tensor.features[p, :n]:
+            acc = weights.bias.copy()
+            for k in range(9):
+                acc = acc + weights.weight[:, k] * f[k]
+            best = np.maximum(best, np.maximum(0.0, acc))
+        out[p] = best
+    return out

@@ -3,9 +3,11 @@ import pytest
 from oracles import brute_force_match, cell_box, iou_bev
 
 from bevkit.fusion import (
+    BCE_CLAMP,
     BoxSet,
     DetectionBox,
     Heatmap,
+    _bce,
     depth_bce_loss,
     detection_loss,
     fuse_bev_features,
@@ -180,6 +182,17 @@ class TestDetectionLoss:
         assert abs(l_hm - bce) < 1e-10
         assert abs(l_bbox - l1) < 1e-10
         assert abs(l_det - (bce + l1)) < 1e-10
+
+    def test_bce_is_the_two_term_expression_bit_for_bit(self):
+        # _bce takes log(p) only where the target is not 0
+        rng = np.random.default_rng(82)
+        pred = np.r_[rng.uniform(0, 1, 395), 0.0, 1.0, 1e-9, 1 - 1e-9, 0.5].reshape(4, 10, 10)
+        one_hot = np.zeros_like(pred)
+        one_hot[rng.integers(0, 4, 20), rng.integers(0, 10, 20), rng.integers(0, 10, 20)] = 1.0
+        for target in (np.zeros_like(pred), one_hot, rng.uniform(0, 1, pred.shape)):
+            p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
+            full = -(target * np.log(p) + (1.0 - target) * np.log1p(-p))
+            assert _bce(pred, target).tobytes() == full.tobytes()
 
     def test_nonnegative_and_zero_only_when_perfect(self):
         rng = np.random.default_rng(80)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import augment_points, build_pillars_oracle
+from oracles import augment_points, build_pillars_oracle, vfe_oracle
 
 from bevkit.pillars import (
     PillarGridConfig,
@@ -38,10 +38,12 @@ def cloud_of(xy, rng):
 def assert_matches_oracle(cloud, cfg, seed):
     got = build_pillars(cloud, cfg, seed)
     want = build_pillars_oracle(cloud, cfg, seed)
-    for name in ("features", "pillar_coords", "point_counts"):
+    for name in ("features", "points", "pillar_coords", "point_counts", "centers",
+                 "occupied_cells"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert got.truncated_pillars == want.truncated_pillars
+    assert got.points_in_range == want.points_in_range
     return got
 
 
@@ -272,25 +274,48 @@ class TestVfeForward:
             VfeWeights(np.zeros((0, 9)), np.zeros(0))
 
     def test_no_pillars(self):
-        tensor = PillarTensor(np.zeros((0, 4, 9)), np.zeros((0, 2), dtype=np.int64),
+        tensor = PillarTensor(np.zeros((0, 4)), np.zeros(0, dtype=np.int64),
+                              np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)), 4, 0, 0,
                               np.zeros(0, dtype=np.int64))
+        assert tensor.features.shape == (0, 4, 9)
         out = vfe_forward(tensor, VfeWeights.random(np.random.default_rng(43), 6))
         assert out.shape == (0, 6)
 
+    # features are the tensor's point rows, the encoder's input; the pillar
+    # cells are fixed at two
     @pytest.mark.parametrize("features, counts, says", [
-        (np.zeros((2, 4)), [1, 1], r"\(P, T, 9\)"),
-        (np.zeros((2, 4, 8)), [1, 1], r"\(P, T, 9\)"),
-        (np.zeros((2, 4, 9)), [1, 1, 1], "point counts"),
-        (np.zeros((2, 4, 9)), [[1, 1]], "point counts"),
-        (np.zeros((2, 4, 9)), [1, 0], r"\[1, 4\]"),
-        (np.zeros((2, 4, 9)), [5, 1], r"\[1, 4\]"),
-        (np.zeros((2, 4, 9)), [-1, 2], r"\[1, 4\]"),
+        (np.zeros((2, 4, 9)), [1, 1], r"\(N, 4\)"),
+        (np.zeros((2, 3)), [1, 1], r"\(N, 4\)"),
+        (np.zeros((2, 4)), [1, 1, 1], "point counts"),
+        (np.zeros((2, 4)), [[1, 1]], "point counts"),
+        (np.zeros((1, 4)), [1, 0], r"\[1, 4\]"),
+        (np.zeros((6, 4)), [5, 1], r"\[1, 4\]"),
+        (np.zeros((1, 4)), [-1, 2], r"\[1, 4\]"),
+        (np.zeros((3, 4)), [1, 1], "sum to the 3 points"),
     ])
     def test_malformed_tensor_rejected(self, features, counts, says):
         # a zero count would otherwise read the next pillar's row
-        tensor = PillarTensor(features, np.zeros((2, 2), dtype=np.int64), np.array(counts))
         with pytest.raises(ValueError, match=says):
-            vfe_forward(tensor, VfeWeights.random(np.random.default_rng(44), 3))
+            PillarTensor(features, np.array(counts), np.zeros((2, 2), dtype=np.int64),
+                         np.zeros((2, 2)), 4, 0, len(features), np.zeros(1, dtype=np.int64))
+
+    # BEV-range clouds: raw coordinates up to 50 m, where the folded product
+    # and the per-pillar constant cancel most. Lattice values crowd cells
+    # past T; few max_pillars truncate.
+    _coord = st.one_of(st.integers(-8, 8).map(lambda k: k * 6.25),
+                       st.floats(-50.0, 50.0, allow_nan=False))
+    _point = st.tuples(_coord, _coord, st.floats(-5.0, 5.0), st.floats(0.0, 2.0))
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_point, max_size=80), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 5), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_factored_matches_nine_term_oracle(self, points, h, w, t, max_pillars, seed):
+        cloud = RadarPointCloud(np.array(points, dtype=np.float64).reshape(-1, 4))
+        cfg = PillarGridConfig((-50.0, 50.0), (-50.0, 50.0), (h, w), t, max_pillars)
+        tensor = build_pillars(cloud, cfg, seed)
+        weights = VfeWeights.random(np.random.default_rng(seed), 4)
+        np.testing.assert_allclose(vfe_forward(tensor, weights), vfe_oracle(tensor, weights),
+                                   rtol=0, atol=1e-12)
 
 
 class TestScatter:

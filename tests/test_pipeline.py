@@ -106,6 +106,21 @@ class TestRunPipeline:
         report_path, _ = save_run_outputs(tmp_path, report, preds)
         assert json.loads(report_path.read_text())["pillars"] == report.pillars
 
+    def test_run_keeps_pillars_compact(self, scene_dir):
+        """The run reads no padded (P, T, 9) view, and the pillars' binning gives the
+        proposals: every occupied radar cell, truncated pillars included."""
+        cfg = PipelineConfig(**SMALL, pillar_max_pillars=50, sequential=True)
+        built, build = [], pl.pi.build_pillars
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl.pi, "build_pillars", lambda *a, **k: built.append(build(*a, **k))
+                       or built[-1])
+            report, _ = run_pipeline(scene_dir, cfg)
+        assert len(built) == 1 and "features" not in vars(built[0])
+        radar = sc.load_scene(scene_dir).radar
+        occupied = np.unique(cfg.bev_grid.cell_ids(radar)[1])
+        np.testing.assert_array_equal(built[0].occupied_cells, occupied)
+        assert report.fusion_stats["n_radar_boxes"] == len(occupied) > 50
+
     def test_radar_projection_equals_full_grid_conv(self, scene_dir):
         """Convolving only the occupied cells gives the full-grid 1x1 conv bit for bit.
 
