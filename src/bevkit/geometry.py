@@ -225,4 +225,5 @@ def unproject_frustum(rig: CameraRig, frustum: FrustumGrid) -> np.ndarray:
     px = frustum.pixels
     rays = np.column_stack([px, np.ones(len(px))]) @ k_inv.T
     cam = (frustum.depths[:, None, None] * rays).reshape(-1, 3)
-    return (cam - rig.translation) @ rig.rotation
+    cam -= rig.translation
+    return cam @ rig.rotation

@@ -37,12 +37,12 @@ def silu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function, equal bit for bit to the two-branch form
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: with
+    e = exp(-|x|), the numerator max(e, x >= 0) is 1 or e. Neither exp can
+    overflow, and NaN stays NaN."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Framework-free numeric primitives for the BEV pipeline.
 
 Dense tensors are plain float64 numpy arrays in row-major layout. All
-operations here are pure, single-threaded, and deterministic: calling them
-from many threads is safe, and there is no internal parallelism that could
-reassociate floating-point sums.
+operations here are pure and deterministic, and calling them from many
+threads is safe. Only conv_pointwise has internal parallelism: its one
+matrix product goes to BLAS, which may use several threads, but each
+output element's sum does not depend on the thread count.
 
 Canonical layouts used throughout the package:
     image features      (C, H, W)
@@ -69,9 +70,10 @@ def softmax_over_depth(logits: np.ndarray) -> np.ndarray:
     logits = as_tensor(logits)
     if logits.ndim != 3:
         raise ValueError(f"expected (C_D, H, W) logits, got shape {logits.shape}")
-    z = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    e = logits - logits.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 def lift_outer_product(context: np.ndarray, p_depth: np.ndarray) -> np.ndarray:
@@ -103,9 +105,10 @@ def se_excite(features: np.ndarray, gates: np.ndarray) -> np.ndarray:
 
 
 def conv_pointwise(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """1x1 convolution: per-pixel matrix-vector product plus bias.
+    """1x1 convolution: one (C_out, C_in) @ (C_in, H*W) product plus bias.
 
-    x: (C_in, H, W), kernel: (C_out, C_in), bias: (C_out,).
+    x: (C_in, H, W), kernel: (C_out, C_in), bias: (C_out,). The reshapes
+    name every extent, so empty maps come back as the bias broadcast.
     """
     x = as_tensor(x)
     kernel = as_tensor(kernel)
@@ -116,7 +119,8 @@ def conv_pointwise(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nd
         raise ValueError(
             f"shape mismatch: x {x.shape}, kernel {kernel.shape}, bias {bias.shape}"
         )
-    return np.einsum("oi,ihw->ohw", kernel, x) + bias[:, None, None]
+    c_in, h, w = x.shape
+    return (kernel @ x.reshape(c_in, h * w)).reshape(kernel.shape[0], h, w) + bias[:, None, None]
 
 
 def depth_refine(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -154,15 +158,25 @@ def refine_taps(p_depth: np.ndarray, kernel: np.ndarray) -> list[tuple[int, np.n
     is the sum over the kernel's nonzero columns b of
     q_b[l, h, w] * context[:, h, w + b - 1], where q_b is p_depth refined
     by column b alone; a column outside the map has q_b = 0 (zero padding).
-    This filters the (C_D, H, W) distribution, not the lift.
+    This filters the (C_D, H, W) distribution, not the lift. Every q_b sums
+    one zero-padded copy of p_depth over column b's nonzero entries in
+    depth_refine's order, so it equals depth_refine(p_depth[None], column
+    b alone)[0] bit for bit.
     """
     p_depth = as_tensor(p_depth)
     kernel = as_tensor(kernel)
+    if p_depth.ndim != 3 or p_depth.shape[0] < 3 or kernel.shape != (3, 3):
+        raise ValueError(f"need (C_D >= 3, H, W) depth weights and a 3x3 kernel, "
+                         f"got {p_depth.shape} and {kernel.shape}")
+    c_d, h, w = p_depth.shape
+    padded = np.zeros((c_d + 2, h, w + 2))
+    padded[1:-1, :, 1:-1] = p_depth
     taps = []
     for b in np.flatnonzero(kernel.any(axis=0)):
-        column = np.zeros_like(kernel)
-        column[:, b] = kernel[:, b]
-        taps.append((int(b) - 1, depth_refine(p_depth[None], column)[0]))
+        q = np.zeros(p_depth.shape)
+        for dj in np.flatnonzero(kernel[:, b]):
+            q += kernel[dj, b] * padded[dj : dj + c_d, :, b : b + w]
+        taps.append((int(b) - 1, q))
     return taps
 
 

@@ -343,6 +343,18 @@ def decode_peaks_oracle(heatmap, grid, threshold):
     return sorted(boxes, key=lambda b: -b.score)
 
 
+def sigmoid_oracle(x: np.ndarray) -> np.ndarray:
+    """The two-branch logistic: 1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x))
+    elsewhere (NaN included), each branch over its boolean-masked elements."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def unproject_frustum_oracle(rig, samples: np.ndarray) -> np.ndarray:
     """Ego points of (N, 3) (u, v, d) samples, K^-1 applied to every sample.
 

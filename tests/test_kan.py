@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import depthnet_jacobian_oracle, finite_diff_jacobian, naive_cox_de_boor, rel_err
+from oracles import (
+    depthnet_jacobian_oracle,
+    finite_diff_jacobian,
+    naive_cox_de_boor,
+    rel_err,
+    sigmoid_oracle,
+)
 
 from bevkit.geometry import CameraRig
 from bevkit.kan import (
@@ -280,3 +286,24 @@ def test_sigmoid_silu_shapes():
     s = sigmoid(x)
     assert np.all((s >= 0) & (s <= 1))
     assert np.abs(silu(x) - x * s).max() < 1e-12
+
+
+class TestSigmoid:
+    EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0,
+                      5e-324, -5e-324, 36.0, -36.0, 709.0, -709.0, 1e-300, -1e-300])
+
+    def test_two_branch_form_bit_for_bit(self):
+        rng = np.random.default_rng(60)
+        grids = [rng.normal(0, 1, (10, 16, 16)), rng.normal(0, 40, (3, 7, 5)),
+                 rng.uniform(-800, 800, 4096), self.EDGES, self.EDGES.reshape(1, -1, 1)]
+        grids += [np.array(v) for v in self.EDGES]  # 0-d inputs
+        for x in grids:
+            got = sigmoid(x)
+            assert np.shape(got) == x.shape
+            assert np.array_equal(got, sigmoid_oracle(x), equal_nan=True)
+
+    def test_approximate_form_fails(self):
+        # the tanh identity is the same function in exact arithmetic, not in float64
+        x = np.random.default_rng(61).normal(0, 3, 4096)
+        tanh_form = 0.5 * (1.0 + np.tanh(0.5 * x))
+        assert not np.array_equal(tanh_form, sigmoid_oracle(x))

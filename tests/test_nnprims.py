@@ -131,6 +131,15 @@ class TestConvPointwise:
                     expect[o, j, l] = float(np.dot(k[o], col)) + b[o]
         assert np.abs(conv_pointwise(x, k, b) - expect).max() < 1e-12
 
+    @pytest.mark.parametrize("shape", [(5, 0, 4), (5, 3, 0), (0, 3, 4)],
+                             ids=["no-rows", "no-columns", "no-channels"])
+    def test_empty_map_is_bias_broadcast(self, shape):
+        rng = np.random.default_rng(17)
+        k = rng.normal(0, 1, (7, shape[0]))
+        b = rng.normal(0, 1, 7)
+        out = conv_pointwise(np.zeros(shape), k, b)
+        assert np.array_equal(out, np.broadcast_to(b[:, None, None], (7,) + shape[1:]))
+
 
 IDENTITY_3X3 = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
@@ -211,6 +220,29 @@ class TestRefineTaps:
                     if 0 <= k + shift < w:
                         got[:, :, :, k] += ctx[:, None, :, k + shift] * q[None, :, :, k]
             assert np.abs(got - want).max() < 1e-12
+
+    def test_each_tap_is_depth_refine_of_its_column(self):
+        rng = np.random.default_rng(18)
+        kernels = [PIPELINE_REFINE_KERNEL + IDENTITY_3X3, IDENTITY_3X3, PIPELINE_REFINE_KERNEL]
+        kernels += [rng.normal(0, 1, (3, 3)) * (rng.uniform(size=(3, 3)) < 0.6)
+                    for _ in range(12)]
+        for i, kernel in enumerate(kernels):
+            d = 3 + i % 4
+            h, w = (int(v) for v in rng.integers(1, 7, 2))
+            p = softmax_over_depth(rng.normal(0, 2, (d, h, w)))
+            taps = refine_taps(p, kernel)
+            assert [s + 1 for s, _ in taps] == np.flatnonzero(kernel.any(axis=0)).tolist()
+            for shift, q in taps:
+                column = np.zeros((3, 3))
+                column[:, shift + 1] = kernel[:, shift + 1]
+                assert np.array_equal(q, depth_refine(p[None], column)[0])
+
+    def test_bad_shapes_rejected(self):
+        p = softmax_over_depth(np.zeros((4, 2, 3)))
+        for bad_p, bad_k in ((p[:2], IDENTITY_3X3), (p[0], IDENTITY_3X3),
+                             (p, np.eye(2))):
+            with pytest.raises(ValueError):
+                refine_taps(bad_p, bad_k)
 
     def test_zero_columns_skipped(self):
         p = softmax_over_depth(np.zeros((4, 2, 3)))
