@@ -188,9 +188,11 @@ def match_radar_to_heatmap(radar_cells: np.ndarray, heatmap: Heatmap,
 
 
 def _bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    p, hot = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP), target != 0
-    out = -np.log1p(-p)  # the BCE, bit for bit, where the target is 0
-    out[hot] = -(target[hot] * np.log(p[hot]) + (1.0 - target[hot]) * np.log1p(-p[hot]))
+    out, hot = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP), target != 0
+    p, t = out[hot], target[hot]
+    # -log1p(-p) in place: the BCE, bit for bit, where the target is 0
+    np.negative(np.log1p(np.negative(out, out=out), out=out), out=out)
+    out[hot] = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
     return out
 
 

@@ -40,9 +40,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, equal bit for bit to the two-branch form
     1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: with
     e = exp(-|x|), the numerator max(e, x >= 0) is 1 or e. Neither exp can
-    overflow, and NaN stays NaN."""
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    overflow, and NaN stays NaN. e and the result are worked in place."""
+    e = np.asarray(np.abs(x))  # abs of a 0-d array is a scalar
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 @dataclass(frozen=True)

@@ -372,12 +372,14 @@ def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
     n_classes, ny, nx = heatmap.shape
     padded = np.full((n_classes, ny + 2, nx + 2), -np.inf)
     padded[:, 1:-1, 1:-1] = heatmap
-    neigh = np.full(heatmap.shape, -np.inf)
-    for dj in range(3):
-        for dk in range(3):
-            if dj == 1 and dk == 1:
-                continue
-            neigh = np.maximum(neigh, padded[:, dj : dj + ny, dk : dk + nx])
+    # the 3x3 max with the centre, a row pass then a column pass: max never rounds,
+    # and x >= max(nbrs + [x]) exactly when x >= max(nbrs)
+    rows = np.maximum(padded[:, :, :-2], padded[:, :, 1:-1])
+    np.maximum(rows, padded[:, :, 2:], out=rows)
+    del padded
+    neigh = np.maximum(rows[:, :-2], rows[:, 1:-1])
+    np.maximum(neigh, rows[:, 2:], out=neigh)
+    del rows
     ci, iy, ix = np.nonzero((heatmap >= neigh) & (heatmap >= threshold))
     scores = heatmap[ci, iy, ix]
     order = np.argsort(-scores, kind="stable")
@@ -397,11 +399,16 @@ def _head_first_depthnet(net: kan.DepthNetParams, head: np.ndarray) -> kan.Depth
                    split_bias=np.concatenate([bias[:d], head @ bias[d:]]), n_context=N_CLASSES)
 
 
+def _conv_rows(rows, kernel, bias) -> np.ndarray:
+    """(C_out, P): 1x1 conv of rows (P, C_in) as a contiguous (C_in, 1, P) input."""
+    return conv_pointwise(np.ascontiguousarray(rows.T)[:, None, :], kernel, bias)[:, 0]
+
+
 def _conv_at_cells(rows, cells, kernel, bias, grid: vp.BEVGridConfig) -> np.ndarray:
     """1x1 conv of a grid that is zero but for rows (P, C_in) at the flat cells: the bias
-    elsewhere, there the conv of a contiguous (C_in, 1, P) input (the full-grid sums)."""
+    elsewhere, there _conv_rows, which gives the full-grid sums."""
     out = np.repeat(bias[:, None], grid.ny * grid.nx, axis=1)
-    out[:, cells] = conv_pointwise(np.ascontiguousarray(rows.T)[:, None, :], kernel, bias)[:, 0]
+    out[:, cells] = _conv_rows(rows, kernel, bias)
     return out.reshape(len(bias), grid.ny, grid.nx)
 
 
@@ -512,8 +519,12 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             q = np.column_stack([cfg.bev_grid.cell_center(ix, iy), np.zeros((len(ix), 2))])
             report.matches = [{"cell": [y, x], "q": row} for y, x, row in zip(
                 iy.tolist(), ix.tolist(), q.tolist())]
-            final_scores = kan.sigmoid(logits + _conv_at_cells(
-                q, matched, head @ weights.q_kernel, head @ weights.q_bias, cfg.bev_grid))
+            # logits + _conv_at_cells(q, matched, ...), in place
+            q_bias, flat = head @ weights.q_bias, logits.reshape(N_CLASSES, -1)
+            at_matched = flat[:, matched] + _conv_rows(q, head @ weights.q_kernel, q_bias)
+            flat += q_bias[:, None]
+            flat[:, matched] = at_matched
+            final_scores = kan.sigmoid(logits)
         report.checksums["heatmap"] = checksum(final_scores)
         report.fusion_stats = {
             "n_radar_boxes": float(len(proposals)),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import brute_force_match, cell_box, iou_bev
@@ -193,6 +195,33 @@ class TestDetectionLoss:
             p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
             full = -(target * np.log(p) + (1.0 - target) * np.log1p(-p))
             assert _bce(pred, target).tobytes() == full.tobytes()
+
+    def test_bce_leaves_its_inputs_unchanged(self):
+        rng = np.random.default_rng(83)
+        inside = rng.uniform(BCE_CLAMP, 1.0 - BCE_CLAMP, (3, 6, 6))  # clip changes nothing
+        wide = np.r_[rng.uniform(0, 1, 105), 0.0, 1.0, 1e-9].reshape(3, 6, 6)
+        hot = (rng.uniform(0, 1, wide.shape) > 0.8).astype(float)
+        for pred in (inside, wide):
+            for target in (np.zeros_like(pred), hot):
+                pred_before, target_before = pred.copy(), target.copy()
+                out = _bce(pred, target)
+                assert pred.tobytes() == pred_before.tobytes()
+                assert target.tobytes() == target_before.tobytes()
+                assert not np.shares_memory(out, pred)
+
+    def test_bce_allocation_budget(self):
+        # the clipped copy that becomes the result, plus the hot mask and cells
+        rng = np.random.default_rng(84)
+        pred = rng.uniform(0, 1, (10, 128, 128))
+        target = np.zeros_like(pred)
+        target[rng.integers(0, 10, 24), rng.integers(0, 128, 24), rng.integers(0, 128, 24)] = 1.0
+        tracemalloc.start()
+        try:
+            _bce(pred, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * pred.nbytes
 
     def test_nonnegative_and_zero_only_when_perfect(self):
         rng = np.random.default_rng(80)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,6 +303,32 @@ class TestSigmoid:
             got = sigmoid(x)
             assert np.shape(got) == x.shape
             assert np.array_equal(got, sigmoid_oracle(x), equal_nan=True)
+
+    def test_input_unchanged_and_result_fresh(self):
+        rng = np.random.default_rng(62)
+        for x in (rng.normal(0, 5, (10, 16, 16)), self.EDGES, np.array(-3.0), np.array(np.nan)):
+            before = x.copy()
+            got = sigmoid(x)
+            assert x.tobytes() == before.tobytes()
+            assert not np.shares_memory(got, x)
+
+    def test_non_contiguous_inputs_bit_for_bit(self):
+        x = np.random.default_rng(63).normal(0, 30, (17, 24))
+        x[3, : len(self.EDGES)] = self.EDGES
+        for view in (x[:, ::2], x.T, x[::-3, 1::5]):
+            assert not view.flags.c_contiguous
+            assert np.array_equal(sigmoid(view), sigmoid_oracle(view), equal_nan=True)
+
+    def test_allocation_budget(self):
+        # the result and e, plus the x >= 0 mask: under 2.5 grids of the input
+        x = np.random.default_rng(64).normal(0, 3, (10, 128, 128))
+        tracemalloc.start()
+        try:
+            sigmoid(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
 
     def test_approximate_form_fails(self):
         # the tanh identity is the same function in exact arithmetic, not in float64

@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import (
     brute_force_match, brute_force_pool, build_pillars_oracle, cell_box, decode_peaks_oracle,
-    greedy_match_oracle, gt_heatmap_oracle, lift_refine_pool, wide_path_heatmap,
+    greedy_match_oracle, gt_heatmap_oracle, lift_refine_pool, sigmoid_oracle,
+    wide_path_heatmap,
 )
 
 from bevkit import fusion as fu
@@ -209,6 +211,25 @@ class TestRunPipeline:
                                            weights.depthnet).context
         want = wide_path_heatmap(bundle, cfg, weights, contexts, seen["softmax"])
         assert np.abs(heatmap - want).max() <= 1e-9
+
+    def test_q_term_in_place_with_nonzero_biases(self, scene_dir):
+        """The q conv is added into the fused logits in place: its bias lands on every
+        unmatched cell, and the prior taken before stays the sigmoid of the fused grid."""
+        cfg = PipelineConfig(**SMALL, sequential=True)
+        weights = PipelineWeights.create(cfg, 16)
+        rng = np.random.default_rng(47)
+        weights.q_bias = rng.normal(0.0, 0.3, cfg.n_context)
+        weights.radar_proj_bias = rng.normal(0.0, 0.3, cfg.n_context)
+        report, _, seen = run_recorded(scene_dir, cfg, weights)
+        assert 0 < report.fusion_stats["n_matches"] < cfg.bev_cells ** 2
+        bundle = sc.load_scene(scene_dir)
+        contexts = pl.kan.depthnet_forward(bundle.features, bundle.cameras,
+                                           weights.depthnet).context
+        want = wide_path_heatmap(bundle, cfg, weights, contexts, seen["softmax"])
+        assert np.abs(seen["heads"][-1] - want).max() <= 1e-9
+        camera_logits, radar_logits = seen["fuse"][0]
+        fused = camera_logits + radar_logits + weights.head_bias[:, None, None]
+        assert np.array_equal(seen["heads"][0], sigmoid_oracle(fused))
 
     @pytest.mark.parametrize("modality", MODALITIES)
     def test_checksum_keys_are_pinned(self, tmp_path, modality):
@@ -674,6 +695,20 @@ class TestDecodePeaks:
             got = list(pl._decode_peaks(hm, grid, thr))
             assert got == decode_peaks_oracle(hm, grid, thr)
             assert [b.score for b in got] == sorted((b.score for b in got), reverse=True)
+
+    def test_allocation_budget(self):
+        # the padded copy and the row pass, then the row pass and the 3x3 max, all
+        # released before the ~18,000 boxes of a random grid are built
+        hm = np.random.default_rng(33).uniform(0.0, 1.0, (10, 128, 128))
+        grid = vp.BEVGridConfig((-51.2, 51.2), (-51.2, 51.2), 128, 128)
+        tracemalloc.start()
+        try:
+            boxes = pl._decode_peaks(hm, grid, 0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(boxes) > 10_000
+        assert peak <= 3.5 * hm.nbytes
 
     def test_threshold_above_maximum_gives_no_boxes(self):
         hm = np.random.default_rng(32).uniform(0.0, 0.9, (10, 6, 7))
