@@ -9,7 +9,9 @@ output element's sum does not depend on the thread count.
 Canonical layouts used throughout the package:
     image features      (C, H, W)
     depth distribution  (C_D, H, W)
-    lifted features     (C_ctx, C_D, H, W)
+The run never builds the lifted (C_ctx, C_D, H, W) layout. Only
+lift_outer_product and depth_refine use it; they stay as the test oracles'
+reference and as names the benchmark's tracer patches.
 """
 
 from __future__ import annotations

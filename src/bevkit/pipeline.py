@@ -11,14 +11,17 @@ logits and no array is n_context channels wide:
 
     radar cloud -> pillars -> VFE -> 1x1 conv by K_h @ radar projection at
       the occupied cells, its bias elsewhere -> logits_radar
-    camera features + rig -> gates -> split conv with K_h folded into its
-      context rows -> depth logits + class logits
-    radar projections -> depth-logit hints (camera+radar only)
-    per camera: softmax -> depth weights p; p refined by refine_kernel plus
-      a one-hot centre (the plain lift), one kernel column at a time -> column
-      taps; frustum -> BEV cells; taps summed into (image column, cell) rows
-      @ class logits -> added into logits_camera (no (C, D, H, W) lift)
+    camera by camera, in one loop that hands on only the BEV sum and a BCE term:
+      lidar + radar -> depth target; features + rig -> gates -> split conv
+        with K_h folded into its context rows -> depth logits + class logits
+      radar projections -> depth-logit hints added in place (camera+radar)
+      softmax -> depth weights p -> BCE against the target; p refined by
+        refine_kernel plus a one-hot centre (the plain lift), one kernel
+        column at a time -> column taps; frustum -> BEV cells; taps summed
+        into (image column, cell) rows @ class logits -> added into
+        logits_camera (no (C, D, H, W) lift)
     logits_camera + logits_radar + head bias -> sigmoid -> heatmap prior
+      (camera+radar only; camera-only runs take the sigmoid once, below)
     radar-occupied BEV cells -> cells the prior accepts -> q rows (x, y, 0, 0)
       at their centers -> 1x1 conv by K_h @ q kernel at those cells, its bias
       elsewhere, added to the logits -> final heatmap -> peak decoding ->
@@ -34,6 +37,10 @@ draw.
 The depth supervision target is always rasterized from the lidar and radar
 clouds together, so camera-only and camera+radar runs report BCE against
 the same target and stay comparable.
+
+The camera-branch stages are timed once per camera, so
+timings.{supervision,depthnet,depth_loss,lift,voxelpool} are sums over
+cameras; supervision also holds the one stacking of the two clouds.
 """
 
 from __future__ import annotations
@@ -331,20 +338,15 @@ def _feature_rig(rig: geo.CameraRig, feature_hw: tuple[int, int]) -> geo.CameraR
 
 
 def _hint_depth_logits(logits: np.ndarray, radar_xyz: np.ndarray, frig: geo.CameraRig,
-                       bins: DepthBinSpec, strength: float) -> np.ndarray:
-    """Logits with strength added at each radar-seen pixel's nearest-depth bin.
+                       bins: DepthBinSpec, strength: float) -> None:
+    """Add strength, in place, at each radar-seen pixel's nearest-depth bin.
 
-    frig is the rig at feature resolution; logits come back unchanged when
-    no radar point lands on the feature map.
+    frig is the rig at feature resolution; each pixel gets at most one hint.
     """
     dm, _ = geo.depth_map_from_points(radar_xyz, frig, logits.shape[1:])
     covered = dm.coverage_mask()
-    if not covered.any():
-        return logits
     rows, cols = np.nonzero(covered)
-    out = logits.copy()
-    out[bins.index_of(dm.values[covered]), rows, cols] += strength
-    return out
+    logits[bins.index_of(dm.values[covered]), rows, cols] += strength
 
 
 def _gt_heatmap(boxes: fu.BoxSet, grid: vp.BEVGridConfig) -> np.ndarray:
@@ -435,16 +437,6 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     for i, f in enumerate(bundle.features):
         report.checksums[f"image_features_cam{i}"] = checksum(f)
 
-    # Supervision target: lidar + radar union, rasterized at feature scale.
-    with _StageTimer(report, "supervision"):
-        frigs = [_feature_rig(rig, feature_hw) for rig in bundle.cameras]
-        supervision = np.vstack([bundle.lidar[:, :3], bundle.radar[:, :3]])
-        gt_maps = []
-        for i, frig in enumerate(frigs):
-            dm, dropped = geo.depth_map_from_points(supervision, frig, feature_hw)
-            gt_maps.append(dm)
-            report.dropped_points[f"supervision_cam{i}"] = dropped
-
     # Radar pillar stream. The pillar grid is the BEV grid, so the pillars'
     # binning also gives the points in range and, later, the proposals.
     head = weights.head_kernel
@@ -466,53 +458,53 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
                               "truncated": int(tensor.truncated_pillars)}
             report.checksums["logits_radar"] = checksum(radar_logits)
 
-    # Camera-aware depth estimation.
-    with _StageTimer(report, "depthnet"):
-        try:
-            outputs = kan.depthnet_forward(bundle.features, bundle.cameras,
-                                           _head_first_depthnet(weights.depthnet, head))
-        except ValueError as err:
-            raise _stage_error("depthnet", err) from err
-        depth_logits = outputs.depth_logits
-        if use_radar:
-            depth_logits = [_hint_depth_logits(logits, bundle.radar[:, :3], frig, bins,
-                                               cfg.radar_hint_strength)
-                            for logits, frig in zip(depth_logits, frigs)]
-        p_depth = [softmax_over_depth(lg) for lg in depth_logits]
-        for i in range(len(bundle.cameras)):
-            report.checksums[f"gates_cam{i}"] = checksum(outputs.gates[i])
-            report.checksums[f"class_logits_cam{i}"] = checksum(outputs.context[i])
-            report.checksums[f"depth_logits_cam{i}"] = checksum(depth_logits[i])
-
-    with _StageTimer(report, "depth_loss"):
-        bce = [fu.depth_bce_loss(pd, dm, bins)
-               for pd, dm in zip(p_depth, gt_maps) if dm.coverage_mask().any()]
-        report.losses["depth_bce"] = float(np.mean(bce)) if bce else float("nan")
-
-    # Lift-splat one camera at a time through depth weights; cell sums add
-    # across cameras. "lift" builds the weights, "voxelpool" places and pools them.
+    # Camera branch, camera by camera (see "Stage wiring"). "lift" builds the depth
+    # weights' taps, "voxelpool" places and pools them into logits_camera.
+    with _StageTimer(report, "supervision"):
+        supervision = np.vstack([bundle.lidar[:, :3], bundle.radar[:, :3]])
+    net = _head_first_depthnet(weights.depthnet, head)
     frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
     # the identity tap is the plain lift: lift + refine(lift, K) = refine(lift, K + delta)
     kernel = weights.refine_kernel + np.pad([[1.0]], 1)
     camera_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
-    for i, (frig, class_logits, pd) in enumerate(zip(frigs, outputs.context, p_depth)):
+    bce = []  # one float per supervised camera; np.mean keeps its summation order
+    for i, (feats, rig) in enumerate(zip(bundle.features, bundle.cameras)):
+        with _StageTimer(report, "supervision"):
+            frig = _feature_rig(rig, feature_hw)
+            gt_map, report.dropped_points[f"supervision_cam{i}"] = geo.depth_map_from_points(
+                supervision, frig, feature_hw)
+        with _StageTimer(report, "depthnet"):
+            try:
+                out = kan.depthnet_forward([feats], [rig], net)
+            except ValueError as err:
+                raise _stage_error("depthnet", err) from err
+            (depth_logits,), (class_logits,), (gates,) = out.depth_logits, out.context, out.gates
+            if use_radar:
+                _hint_depth_logits(depth_logits, bundle.radar[:, :3], frig, bins,
+                                   cfg.radar_hint_strength)
+            p_depth = softmax_over_depth(depth_logits)
+            report.checksums[f"gates_cam{i}"] = checksum(gates)
+            report.checksums[f"class_logits_cam{i}"] = checksum(class_logits)
+            report.checksums[f"depth_logits_cam{i}"] = checksum(depth_logits)
+        with _StageTimer(report, "depth_loss"):
+            if gt_map.coverage_mask().any():
+                bce.append(fu.depth_bce_loss(p_depth, gt_map, bins))
         with _StageTimer(report, "lift"):
-            taps = refine_taps(pd, kernel)
+            taps = refine_taps(p_depth, kernel)
         with _StageTimer(report, "voxelpool"):
             pts = geo.unproject_frustum(frig, frustum)
             report.dropped_points[f"frustum_cam{i}"] = vp.splat(
                 pts, class_logits, taps, cfg.bev_grid, camera_logits)
+    report.losses["depth_bce"] = float(np.mean(bce)) if bce else float("nan")
     report.checksums["logits_camera"] = checksum(camera_logits)
 
     # Fusion, heatmap prior, radar cell gating, final heatmap.
     with _StageTimer(report, "fusion"):
         logits = fu.fuse_bev_features(camera_logits, radar_logits)
         logits += weights.head_bias[:, None, None]
-        prior_scores = kan.sigmoid(logits)
-        prior = fu.Heatmap(prior_scores, cfg.bev_grid)
         proposals = matched = np.zeros(0, dtype=np.int64)
-        final_scores = prior_scores  # without radar the logits are unchanged
-        if use_radar:
+        if use_radar:  # without radar the logits go to the head unchanged
+            prior = fu.Heatmap(kan.sigmoid(logits), cfg.bev_grid)
             proposals = tensor.occupied_cells
             matched = fu.match_radar_to_heatmap(proposals, prior, cfg.heatmap_score_thresh)
             iy, ix = np.divmod(matched, cfg.bev_cells)
@@ -524,7 +516,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             at_matched = flat[:, matched] + _conv_rows(q, head @ weights.q_kernel, q_bias)
             flat += q_bias[:, None]
             flat[:, matched] = at_matched
-            final_scores = kan.sigmoid(logits)
+        final_scores = kan.sigmoid(logits)
         report.checksums["heatmap"] = checksum(final_scores)
         report.fusion_stats = {
             "n_radar_boxes": float(len(proposals)),

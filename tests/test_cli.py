@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bevkit
 from bevkit.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from bevkit.metrics import evaluate_detections, load_boxes
 from bevkit.nnprims import write_tensor
@@ -226,6 +231,35 @@ class TestRun:
         a = (tmp_path / "r1" / "predictions.json").read_bytes()
         b = (tmp_path / "r2" / "predictions.json").read_bytes()
         assert a == b
+
+    def test_run_outputs_independent_of_blas_threads_and_allocator(self, scene_dir,
+                                                                   config_path, tmp_path):
+        """`bevkit run` in a fresh process: 1 or 2 BLAS threads, or glibc's heap kept
+        rather than trimmed and mapped, give the same predictions and report."""
+        src = str(Path(bevkit.__file__).resolve().parent.parent)
+        envs = {"blas1": {"OPENBLAS_NUM_THREADS": "1"},
+                "blas2": {"OPENBLAS_NUM_THREADS": "2"},
+                "heap": {"OPENBLAS_NUM_THREADS": "1", "MALLOC_MMAP_THRESHOLD_": str(1 << 25),
+                         "MALLOC_TRIM_THRESHOLD_": str(1 << 30)}}
+        outputs = {}
+        for name, extra in envs.items():
+            env = {**os.environ, **extra,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "bevkit.cli", "run", "--scene", str(scene_dir),
+                 "--out", str(out), "--config", str(config_path)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            report = json.loads((out / "report.json").read_text())
+            del report["timings"], report["eval"]["eval_time"]
+            outputs[name] = (report, (out / "predictions.json").read_bytes())
+        want = outputs.pop("blas1")
+        assert want[0]["fusion_stats"]["n_matches"] > 0
+        assert all(json.loads(want[1]).values())  # boxes for every sample
+        for name, got in outputs.items():
+            assert got[0] == want[0], name
+            assert got[1] == want[1], name
 
     def test_run_missing_scene_fails(self, tmp_path, config_path):
         rc = main(["run", "--scene", str(tmp_path / "missing"), "--out",

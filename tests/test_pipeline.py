@@ -468,6 +468,30 @@ class TestPerCameraPooling:
                                               kernel, cfg.bev_grid))
             assert np.abs(camera_logits - np.tensordot(head, others, 1)).max() > 1e-3
 
+    def test_each_camera_equals_its_own_run(self, three_cameras, yawed_scene, tmp_path):
+        """Camera k of the 3-camera run gives what a bundle of camera k alone gives, so
+        nothing one camera leaves behind reaches the next; splat only adds into
+        logits_camera, so the cameras' grids sum to it in camera order, bit for bit."""
+        cfg, weights, report, seen, _ = three_cameras
+        manifest = json.loads((yawed_scene / "scene.json").read_text())
+        camera_sum, bce = np.zeros((pl.N_CLASSES, cfg.bev_cells, cfg.bev_cells)), []
+        for k in range(3):
+            alone = tmp_path / f"cam{k}"
+            shutil.copytree(yawed_scene, alone)
+            files = {**manifest["files"], "features": [manifest["files"]["features"][k]]}
+            (alone / "scene.json").write_text(json.dumps(
+                {**manifest, "cameras": [manifest["cameras"][k]], "files": files}))
+            single, _, single_seen = run_recorded(alone, cfg, weights)
+            for key in ("gates", "class_logits", "depth_logits"):
+                assert single.checksums[f"{key}_cam0"] == report.checksums[f"{key}_cam{k}"]
+            for key in ("supervision", "frustum"):
+                assert (single.dropped_points[f"{key}_cam0"]
+                        == report.dropped_points[f"{key}_cam{k}"])
+            camera_sum += single_seen["fuse"][0][0]
+            bce.append(single.losses["depth_bce"])
+        assert np.array_equal(seen["fuse"][0][0], camera_sum)
+        assert report.losses["depth_bce"] == np.mean(bce)
+
     def test_frustum_drops_reported(self, three_cameras):
         cfg, _, report, _, positions = three_cameras
         for k, pts in enumerate(positions):
