@@ -163,10 +163,11 @@ def project_points(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     rasterization. Non-finite input points are rejected with their indices.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    bad = ~np.all(np.isfinite(points), axis=1)
-    if np.any(bad):
+    if not np.isfinite(points).all():
+        bad = ~np.isfinite(points).all(axis=1)
         raise ValueError(f"non-finite points at indices {np.flatnonzero(bad).tolist()}")
-    cam = points @ rig.rotation.T + rig.translation
+    cam = points @ rig.rotation.T
+    cam += rig.translation
     return cam @ rig.intrinsics.T
 
 
@@ -216,7 +217,7 @@ def unproject_frustum(rig: CameraRig, frustum: FrustumGrid) -> np.ndarray:
 
     Inverse of project_points up to the depth scaling: the camera ray for
     pixel (u, v) is K^-1 (u, v, 1), taken once per pixel and stretched to
-    each depth d, then moved from the camera frame to ego.
+    each depth d as one flat (P*3) row, then moved from the camera frame to ego.
     """
     det = np.linalg.det(rig.intrinsics)
     if abs(det) < 1e-12:
@@ -224,6 +225,6 @@ def unproject_frustum(rig: CameraRig, frustum: FrustumGrid) -> np.ndarray:
     k_inv = np.linalg.inv(rig.intrinsics)
     px = frustum.pixels
     rays = np.column_stack([px, np.ones(len(px))]) @ k_inv.T
-    cam = (frustum.depths[:, None, None] * rays).reshape(-1, 3)
-    cam -= rig.translation
-    return cam @ rig.rotation
+    cam = np.multiply.outer(frustum.depths, rays.reshape(-1))
+    cam -= np.tile(rig.translation, len(px))
+    return cam.reshape(-1, 3) @ rig.rotation

@@ -282,10 +282,10 @@ def load_scene(scene_dir) -> SceneBundle:
     except (TypeError, AttributeError, KeyError, ValueError, RecursionError) as err:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
     if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
-            and len(files["features"]) == len(cameras) >= 1
+            and len(files["features"]) == len(cameras) and 1 <= len(cameras) <= 6
             and type(seed) is int and seed >= 0 and isinstance(token, str)):
         raise ValueError(f"{manifest_path}: files must name the radar, lidar and gt_boxes "
-                         "files and list one features file per camera (at least one), seed "
+                         "files and list one features file per camera (1 to 6), seed "
                          "must be an integer >= 0 and sample_token a string")
     features = [read_tensor(path / f) for f in files["features"]]
     for f, name in zip(features, files["features"]):

@@ -15,8 +15,9 @@ the features that land in a cell.
 
 splat pools lift-splat features without building them, on one geometry
 plan per camera (as in BEVPoolv2): each sample is paired once with its
-(image column, occupied cell), every tap's depth weights are summed into
-that pair's row, and one product per image column applies the context.
+(image column, occupied cell), cells and pairs are ranked by np.arange
+lookups (no prefix sums), every tap's depth weights are summed into that
+pair's row, and one product per image column applies the context.
 """
 
 from __future__ import annotations
@@ -56,10 +57,19 @@ class BEVGridConfig:
         floats, so a far-off or non-finite position is out of range, never cast.
         """
         dx, dy = self.cell_size
-        ix = np.floor((positions[:, 0] - self.x_range[0]) / dx)
-        iy = np.floor((positions[:, 1] - self.y_range[0]) / dy)
-        inside = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
-        return inside, (iy[inside] * self.nx + ix[inside]).astype(np.int64)
+        ix = positions[:, 0] - self.x_range[0]
+        iy = positions[:, 1] - self.y_range[0]
+        np.floor(np.divide(ix, dx, out=ix), out=ix)
+        np.floor(np.divide(iy, dy, out=iy), out=iy)
+        inside = ix >= 0
+        inside &= ix < self.nx
+        inside &= iy >= 0
+        inside &= iy < self.ny
+        # out-of-range rows may overflow or meet inf - inf; only in-range ones are kept
+        with np.errstate(over="ignore", invalid="ignore"):
+            iy *= self.nx
+            iy += ix
+        return inside, iy[inside].astype(np.int64)
 
     def cell_center(self, ix, iy) -> np.ndarray:
         dx, dy = self.cell_size
@@ -207,14 +217,15 @@ def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
     sum_t weights_t[l, h, w] * context[:, h, w + shift_t] at sample (l, h, w);
     a shifted column off the map contributes nothing. That is linear in the
     context, and a cell sees few image columns, so sample (l, h, w) owns slot
-    h of the row of its (column w, occupied cell) pair for every tap. Each
-    tap's weights go by np.bincount into its own H-wide block of the rows, in
-    sample order, so each block is bit-identical to sum_reference over that
-    tap's slots. Column j's rows take one product with the taps' context
-    columns j + shift, stacked into (taps*H, C) from a zero-padded context;
-    it re-associates the sum across taps (1e-9). The (cells, C) sums are
-    added once into out, a C-contiguous (C, ny, nx) array. Returns the number
-    of samples outside the grid.
+    h of the row of its (column w, occupied cell) pair for every tap. Cells,
+    then pairs in column-major order, are ranked by writing np.arange into a
+    lookup at their flat ids. Each tap's weights go by np.bincount into its
+    own H-wide block of the rows, in sample order, so each block is
+    bit-identical to sum_reference over that tap's slots. Column j's rows take
+    one product with the taps' context columns j + shift, stacked into
+    (taps*H, C) from a zero-padded context; it re-associates the sum across
+    taps (1e-9). The (cells, C) sums are added once into out, a C-contiguous
+    (C, ny, nx) array. Returns the number of samples outside the grid.
     """
     c, h, w = context.shape
     if not out.flags.c_contiguous:
@@ -222,18 +233,26 @@ def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
     inside, ids = cfg.cell_ids(positions)
     if not taps:
         return int(inside.size - ids.size)
-    present = np.bincount(ids, minlength=cfg.ny * cfg.nx) > 0
+    present = np.zeros(cfg.ny * cfg.nx, dtype=bool)
+    present[ids] = True
     cells = np.flatnonzero(present)
     n = cells.size
-    sample = np.flatnonzero(inside)
-    pairs = sample % w * n + (np.cumsum(present) - 1)[ids]
+    cell_rank = np.empty(present.size, dtype=np.int64)
+    cell_rank[cells] = np.arange(n)
+    mask = inside.reshape(-1, h, w)  # in-range columns and rows come off index grids
+    col = np.broadcast_to(np.arange(w), mask.shape)[mask]
+    row = np.broadcast_to(np.arange(h)[:, None], mask.shape)[mask]
+    pairs = col * n + cell_rank[ids]
     reached = np.zeros(w * n, dtype=bool)
     reached[pairs] = True
     keys = np.flatnonzero(reached)  # column-major: column j, then cell
-    slots = (np.cumsum(reached) - 1)[pairs] * h + sample // w % h
-    rows = np.hstack([np.bincount(slots, weights=weights.reshape(-1)[sample],
-                                  minlength=keys.size * h).reshape(keys.size, h)
-                      for _, weights in taps])
+    pair_rank = np.empty(reached.size, dtype=np.int64)
+    pair_rank[keys] = np.arange(keys.size)
+    slots = pair_rank[pairs] * h + row
+    rows = np.empty((keys.size, len(taps) * h))
+    for t, (_, weights) in enumerate(taps):
+        rows[:, t * h:(t + 1) * h] = np.bincount(slots, weights=weights.reshape(-1)[inside],
+                                                 minlength=keys.size * h).reshape(keys.size, h)
     pad = max(abs(shift) for shift, _ in taps)
     padded = np.pad(context, ((0, 0), (0, 0), (pad, pad)))
     # stacked[j] is (taps*H, C): row t*H + r is context[:, r, j + shift_t]

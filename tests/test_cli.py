@@ -362,6 +362,21 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "scene.json" in err
 
+    def test_seven_cameras_one_line_error(self, scene_dir, config_path, tmp_path, capsys):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        manifest = json.loads((bad / "scene.json").read_text())
+        manifest["cameras"] *= 7
+        manifest["files"]["features"] *= 7
+        (bad / "scene.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc in (EXIT_VALIDATION, EXIT_IO)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "scene.json" in err and "(1 to 6)" in err
+
     def test_deeply_nested_manifest_one_line_error(self, scene_dir, config_path, tmp_path,
                                                    capsys):
         bad = tmp_path / "scene"

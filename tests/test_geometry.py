@@ -105,6 +105,22 @@ class TestProjectPoints:
         with pytest.raises(ValueError, match=r"\[1\]"):
             project_points(pts, identity_rig())
 
+    def test_finite_clouds_equal_matrix_form(self):
+        # the whole-array finiteness test and the in-place shift change no bit
+        rng = np.random.default_rng(24)
+        for n in (0, 1, 7, 5000):
+            rig = random_rig(rng)
+            pts = rng.normal(0, 30, (n, 3))
+            expect = (pts @ rig.rotation.T + rig.translation) @ rig.intrinsics.T
+            np.testing.assert_array_equal(project_points(pts, rig), expect)
+
+    def test_every_nonfinite_row_named(self):
+        pts = np.zeros((5, 3))
+        pts[1, 2] = np.nan
+        pts[3, 0] = -np.inf
+        with pytest.raises(ValueError, match=r"indices \[1, 3\]$"):
+            project_points(pts, identity_rig())
+
 
 class TestRasterizeDepthMap:
     def test_min_depth_policy(self):

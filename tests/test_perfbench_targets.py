@@ -9,6 +9,7 @@ import importlib
 
 import pytest
 
+from bevkit import pipeline as pl
 from bevkit.pipeline import PipelineConfig, run_pipeline
 from bevkit.scene import default_scene_spec, generate_scene
 
@@ -68,3 +69,35 @@ def test_one_unproject_span_per_camera(tracing, tmp_path):
     tracer.run_op(0, lambda: run_pipeline(scene, cfg), "op")
     names = [s["name"] for s in tracer.spans]
     assert names.count("geometry.unproject") == len(spec.cameras) == 2
+
+
+# PATCHES entries that the pipeline no longer calls; their per-layer metrics read 0
+DEAD_TARGETS = {("bevkit.pillars", "scatter_to_pseudo_image"),
+                ("bevkit.pipeline", "lift_outer_product"),
+                ("bevkit.pipeline", "depth_refine"),
+                ("bevkit.voxelpool", "pool_reference"),
+                ("bevkit.voxelpool", "pool_cumsum"),
+                ("bevkit.voxelpool", "pool_concurrent"),
+                ("bevkit.metrics", "match_center_distance")}
+
+
+def test_every_live_traced_target_records_a_span(tracing, tmp_path, monkeypatch):
+    # a change that stops calling a traced function through its patched name
+    # blinds that layer's metric; only the known-dead entries may stay silent
+    spec = default_scene_spec(seed=37, n_objects=3, n_cameras=2, feature_shape=(16, 8, 22),
+                              radar_density=400, lidar_density=1000)
+    scene = generate_scene(spec, tmp_path / "scene")
+    cfg = PipelineConfig(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
+                         kan_hidden=(16,), radar_channels=8, modality="camera+radar")
+    # one span name per entry: several entries share a layer's name
+    monkeypatch.setattr(tracing, "PATCHES", [(module, attr, f"{module}.{attr}", *rest)
+                                             for module, attr, _, *rest in tracing.PATCHES])
+    tracer = tracing.Tracer()
+    tracer.run_op(0, lambda: pl.run_pipeline(scene, cfg), "op")
+    names = [s["name"] for s in tracer.spans]
+    recorded = set(names)
+    targets = {(module, attr) for module, attr, *_ in tracing.PATCHES}
+    silent = {t for t in targets if ".".join(t) not in recorded}
+    assert silent == DEAD_TARGETS
+    # the supervision map and the radar hint each rasterize once per camera
+    assert names.count("bevkit.geometry.depth_map_from_points") == 2 * len(spec.cameras)

@@ -67,6 +67,18 @@ class TestGenerateScene:
         with pytest.raises(FileNotFoundError):
             load_scene(tmp_path)
 
+    def test_more_than_six_cameras_rejected(self, tmp_path):
+        scene = generate_scene(default_scene_spec(seed=4, n_objects=1, radar_density=40.0,
+                                                  lidar_density=40.0, feature_shape=(2, 2, 3)),
+                               tmp_path / "s")
+        manifest = json.loads((scene / "scene.json").read_text())
+        manifest["cameras"] *= 7
+        manifest["files"]["features"] *= 7
+        (scene / "scene.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"scene\.json: .*one features file per camera "
+                                             r"\(1 to 6\)"):
+            load_scene(scene)
+
     def test_lidar_range_cap_respected(self, tmp_path):
         spec = default_scene_spec(seed=7)
         bundle = load_scene(generate_scene(spec, tmp_path / "s"))

@@ -73,6 +73,16 @@ class TestPoolReference:
         np.testing.assert_array_equal(inside, [False, False, False, False, True])
         np.testing.assert_array_equal(ids, [15])
 
+    def test_out_of_range_flat_ids_raise_no_warning(self):
+        # iy*nx + ix is formed for every row before the in-range gather: it may
+        # overflow or meet inf - inf there, which must stay silent
+        cfg = grid(nx=4, ny=4, extent=2.0)
+        pts = np.array([[-np.inf, np.inf], [np.inf, -np.inf], [1e308, 1e308],
+                        [-1e308, 1e308], [np.nan, np.inf], [-1.5, 1.5]])
+        inside, ids = cfg.cell_ids(pts)
+        np.testing.assert_array_equal(inside, [False] * 5 + [True])
+        np.testing.assert_array_equal(ids, [12])
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(62)
         pts = random_points(rng, m=2000, c=3)
