@@ -12,6 +12,7 @@ import sys
 
 from . import metrics as me
 from . import tables
+from .pillars import read_cloud_csv, write_pc4d
 from .pipeline import MODALITIES, PipelineConfig, run_pipeline, save_run_outputs
 from .scene import SceneSpec, default_scene_spec, generate_scene
 from .scene import pose_from_json, rig_from_json, SceneObject
@@ -62,25 +63,20 @@ def cmd_gen(args) -> int:
             seed=args.seed if args.seed is not None else 0,
             n_objects=args.objects, n_cameras=args.cameras,
             radar_density=args.radar_density, lidar_density=args.lidar_density)
+    # externally captured clouds may replace the synthetic ones; read them before writing
+    clouds = {name: read_cloud_csv(path) for name, path in
+              (("radar", args.radar_csv), ("lidar", args.lidar_csv)) if path}
     out = generate_scene(spec, args.out)
-    # externally captured clouds may replace the synthetic ones
-    from .pillars import read_cloud_csv, write_pc4d
-    if args.radar_csv:
-        write_pc4d(out / "radar.pc4d", read_cloud_csv(args.radar_csv).points)
-    if args.lidar_csv:
-        write_pc4d(out / "lidar.pc4d", read_cloud_csv(args.lidar_csv).points)
+    for name, cloud in clouds.items():
+        write_pc4d(out / f"{name}.pc4d", cloud.points)
     print(f"scene bundle written to {out}")
     return EXIT_OK
 
 
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
-    if args.modality:
-        cfg.modality = args.modality
-    if args.sequential:
-        cfg.sequential = True
-    cfg.__post_init__()  # re-validate after overrides
-    return cfg
+    return dataclasses.replace(cfg, modality=args.modality or cfg.modality,
+                               sequential=args.sequential or cfg.sequential)
 
 
 def cmd_run(args) -> int:

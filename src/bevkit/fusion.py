@@ -2,9 +2,10 @@
 
 Sums the camera and radar class-logit BEV grids cell by cell (the head's
 1x1 conv is already folded into each source), gates radar proposal cells
-with the heatmap prior, and computes the composite detection loss
-(heatmap binary cross-entropy plus box L1) and the depth-distribution BCE
-against a rasterized ground-truth depth map. It also defines the box types:
+with the heatmap prior, the sigmoid of the fused logits at those cells
+only, and computes the composite detection loss (heatmap binary
+cross-entropy plus box L1) and the depth-distribution BCE against a
+rasterized ground-truth depth map. It also defines the box types:
 BoxSet, boxes as columns, the one type that boxes files load into and that
 runs and evaluation take, and DetectionBox, the view of one box.
 """
@@ -17,29 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DepthMap
+from .kan import sigmoid
 from .nnprims import DepthBinSpec, as_tensor
-from .voxelpool import BEVGridConfig
 
 logger = logging.getLogger(__name__)
 
 BCE_CLAMP = 1e-7
-
-
-@dataclass
-class Heatmap:
-    """Per-class cell scores in [0, 1] over a BEV grid."""
-
-    scores: np.ndarray
-    config: BEVGridConfig
-
-    def __post_init__(self):
-        self.scores = as_tensor(self.scores)
-        if self.scores.ndim != 3:
-            raise ValueError("heatmap must be (n_classes, ny, nx)")
-        if self.scores.shape[1:] != (self.config.ny, self.config.nx):
-            raise ValueError("heatmap shape does not match its grid config")
-        if self.scores.min() < 0 or self.scores.max() > 1:
-            raise ValueError("heatmap scores must lie in [0, 1]")
 
 
 # the names a box's class_id and attribute_id index
@@ -169,22 +153,22 @@ def fuse_bev_features(f_cam: np.ndarray, f_radar: np.ndarray) -> np.ndarray:
     return f_cam + f_radar
 
 
-def match_radar_to_heatmap(radar_cells: np.ndarray, heatmap: Heatmap,
+def match_radar_to_heatmap(radar_cells: np.ndarray, logits: np.ndarray,
                            score_thresh: float) -> np.ndarray:
     """Radar proposal cells whose best class score reaches score_thresh.
 
-    Proposals are flat cell ids iy*nx + ix of radar-occupied cells of the
-    heatmap's grid. A proposal and a confident cell are both one grid cell,
-    so a proposal overlaps no confident cell but its own: the prior is one
-    mask lookup. Matches keep the proposals' order.
+    logits are the (n_classes, cells) flat fused logits, proposals flat cell
+    ids iy*nx + ix of radar-occupied cells. A proposal and a confident cell
+    are both one grid cell, so the prior is the sigmoid at the proposals
+    alone, each score bit for bit the full-grid heatmap's. Matches keep the
+    proposals' order.
     """
     if not 0.0 <= score_thresh <= 1.0:
         raise ValueError("score_thresh must lie in [0, 1]")
     cells = np.asarray(radar_cells, dtype=np.int64)
-    confident = heatmap.scores.max(axis=0).ravel() >= score_thresh
-    if cells.size and not (0 <= cells.min() and cells.max() < confident.size):
-        raise ValueError("radar cells must be flat ids of the heatmap's grid")
-    return cells[confident[cells]]
+    if cells.size and not (0 <= cells.min() and cells.max() < logits.shape[1]):
+        raise ValueError("radar cells must be flat ids of the logits' grid")
+    return cells[sigmoid(logits[:, cells]).max(axis=0) >= score_thresh]
 
 
 def _bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -266,12 +266,15 @@ def read_pc4d(path) -> RadarPointCloud:
 
 
 def read_cloud_csv(path) -> RadarPointCloud:
-    """CSV import with an x,y,z,r header row."""
+    """CSV import with an x,y,z,r header row; a malformed file raises a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().lower().replace(" ", "")
-        if header != "x,y,z,r":
-            raise ValueError(f"expected 'x,y,z,r' header, got {header!r}")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
-    if rows.size == 0:
-        rows = np.zeros((0, 4))
-    return RadarPointCloud(rows)
+        try:
+            header = fh.readline().strip().lower().replace(" ", "")
+            if header != "x,y,z,r":
+                raise ValueError(f"expected 'x,y,z,r' header, got {header!r}")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
+            if rows.size and rows.shape[1] != 4:
+                raise ValueError(f"expected 4 columns, got {rows.shape[1]}")
+            return RadarPointCloud(rows if rows.size else np.zeros((0, 4)))
+        except ValueError as err:
+            raise ValueError(f"point cloud CSV {path}: {err}") from err

@@ -20,12 +20,12 @@ logits and no array is n_context channels wide:
         column at a time -> column taps; frustum -> BEV cells; taps summed
         into (image column, cell) rows @ class logits -> added into
         logits_camera (no (C, D, H, W) lift)
-    logits_camera + logits_radar + head bias -> sigmoid -> heatmap prior
-      (camera+radar only; camera-only runs take the sigmoid once, below)
-    radar-occupied BEV cells -> cells the prior accepts -> q rows (x, y, 0, 0)
-      at their centers -> 1x1 conv by K_h @ q kernel at those cells, its bias
-      elsewhere, added to the logits -> final heatmap -> peak decoding ->
-      evaluation, whose 2 m class-wise matches are the L_bbox pairs
+    logits_camera + logits_radar + head bias -> fused logits; camera+radar:
+      the heatmap prior is their sigmoid at the radar-occupied cells only ->
+      gated cells, those the prior accepts -> q rows (x, y, 0, 0) at their
+      centers -> 1x1 conv by K_h @ q kernel there, its bias elsewhere, added
+      into the logits -> the one full-grid sigmoid, the final heatmap -> peak
+      decoding -> evaluation, whose 2 m class-wise matches are the L_bbox pairs
     GT centers -> BEV cells by BEVGridConfig.cell_ids, the one cell rule
       (the pillar grid is the BEV grid) -> GT heatmap -> L_heatmap
 
@@ -113,6 +113,11 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
         if self.d_max <= self.d_min:
             raise ValueError("d_max must exceed d_min")
+        try:
+            self.bev_grid
+        except ValueError as err:
+            raise ValueError(f"bev_range {self.bev_range!r} over {self.bev_cells} cells "
+                             f"gives no grid: {err}") from err
 
     @property
     def depth_bins(self) -> DepthBinSpec:
@@ -284,7 +289,7 @@ class RunReport:
     timings: dict[str, float] = field(default_factory=dict)
     losses: dict[str, float] = field(default_factory=dict)
     fusion_stats: dict[str, float] = field(default_factory=dict)
-    matches: list[dict] = field(default_factory=list)
+    gated_cells: list[int] = field(default_factory=list)  # flat ids iy*nx + ix, gate order
     dropped_points: dict[str, int] = field(default_factory=dict)
     pillars: dict[str, int] = field(default_factory=dict)
     eval_summary: me.EvalSummary | None = None
@@ -295,7 +300,7 @@ class RunReport:
             "timings": self.timings,
             "losses": self.losses,
             "fusion_stats": self.fusion_stats,
-            "matches": self.matches,
+            "gated_cells": self.gated_cells,
             "dropped_points": self.dropped_points,
         }
         if self.pillars:
@@ -401,17 +406,14 @@ def _head_first_depthnet(net: kan.DepthNetParams, head: np.ndarray) -> kan.Depth
                    split_bias=np.concatenate([bias[:d], head @ bias[d:]]), n_context=N_CLASSES)
 
 
-def _conv_rows(rows, kernel, bias) -> np.ndarray:
-    """(C_out, P): 1x1 conv of rows (P, C_in) as a contiguous (C_in, 1, P) input."""
-    return conv_pointwise(np.ascontiguousarray(rows.T)[:, None, :], kernel, bias)[:, 0]
-
-
-def _conv_at_cells(rows, cells, kernel, bias, grid: vp.BEVGridConfig) -> np.ndarray:
-    """1x1 conv of a grid that is zero but for rows (P, C_in) at the flat cells: the bias
-    elsewhere, there _conv_rows, which gives the full-grid sums."""
-    out = np.repeat(bias[:, None], grid.ny * grid.nx, axis=1)
-    out[:, cells] = _conv_rows(rows, kernel, bias)
-    return out.reshape(len(bias), grid.ny, grid.nx)
+def _add_conv_at_cells(flat, rows, cells, kernel, bias) -> None:
+    """Add, into the (C_out, cells) grid flat in place, the 1x1 conv of a grid that is
+    zero but for rows (P, C_in) at the flat cells: the bias elsewhere, there the conv of
+    the rows as one contiguous (C_in, 1, P) input, which gives the full-grid sums."""
+    at = flat[:, cells] + conv_pointwise(np.ascontiguousarray(rows.T)[:, None, :],
+                                         kernel, bias)[:, 0]
+    flat += bias[:, None]
+    flat[:, cells] = at
 
 
 def run_pipeline(scene_dir, cfg: PipelineConfig,
@@ -450,9 +452,9 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             except ValueError as err:
                 raise _stage_error("pillars", err) from err
             cell_x, cell_y = tensor.pillar_coords.T
-            radar_logits = _conv_at_cells(encoded, cell_y * cfg.bev_cells + cell_x,
-                                          head @ weights.radar_proj_kernel,
-                                          head @ weights.radar_proj_bias, cfg.bev_grid)
+            _add_conv_at_cells(radar_logits.reshape(N_CLASSES, -1), encoded,
+                               cell_y * cfg.bev_cells + cell_x,
+                               head @ weights.radar_proj_kernel, head @ weights.radar_proj_bias)
             report.pillars = {"points_in_range": tensor.points_in_range,
                               "kept": len(tensor.point_counts),
                               "truncated": int(tensor.truncated_pillars)}
@@ -498,30 +500,23 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     report.losses["depth_bce"] = float(np.mean(bce)) if bce else float("nan")
     report.checksums["logits_camera"] = checksum(camera_logits)
 
-    # Fusion, heatmap prior, radar cell gating, final heatmap.
+    # Fusion, heatmap prior at the radar cells, radar cell gating, final heatmap.
     with _StageTimer(report, "fusion"):
         logits = fu.fuse_bev_features(camera_logits, radar_logits)
         logits += weights.head_bias[:, None, None]
         proposals = matched = np.zeros(0, dtype=np.int64)
         if use_radar:  # without radar the logits go to the head unchanged
-            prior = fu.Heatmap(kan.sigmoid(logits), cfg.bev_grid)
+            flat = logits.reshape(N_CLASSES, -1)
             proposals = tensor.occupied_cells
-            matched = fu.match_radar_to_heatmap(proposals, prior, cfg.heatmap_score_thresh)
+            matched = fu.match_radar_to_heatmap(proposals, flat, cfg.heatmap_score_thresh)
+            report.gated_cells = matched.tolist()
             iy, ix = np.divmod(matched, cfg.bev_cells)
             q = np.column_stack([cfg.bev_grid.cell_center(ix, iy), np.zeros((len(ix), 2))])
-            report.matches = [{"cell": [y, x], "q": row} for y, x, row in zip(
-                iy.tolist(), ix.tolist(), q.tolist())]
-            # logits + _conv_at_cells(q, matched, ...), in place
-            q_bias, flat = head @ weights.q_bias, logits.reshape(N_CLASSES, -1)
-            at_matched = flat[:, matched] + _conv_rows(q, head @ weights.q_kernel, q_bias)
-            flat += q_bias[:, None]
-            flat[:, matched] = at_matched
+            _add_conv_at_cells(flat, q, matched, head @ weights.q_kernel, head @ weights.q_bias)
         final_scores = kan.sigmoid(logits)
         report.checksums["heatmap"] = checksum(final_scores)
-        report.fusion_stats = {
-            "n_radar_boxes": float(len(proposals)),
-            "n_matches": float(len(matched)),
-        }
+        report.fusion_stats = {"n_radar_boxes": float(len(proposals)),
+                               "n_matches": float(len(matched))}
 
     # Decode, evaluation, losses. L_bbox pairs are evaluate's 2 m matches,
     # taken class by class; "head" times decode and losses.

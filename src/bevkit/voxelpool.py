@@ -43,6 +43,8 @@ class BEVGridConfig:
             raise ValueError("grid must have at least one cell per axis")
         if self.x_range[1] <= self.x_range[0] or self.y_range[1] <= self.y_range[0]:
             raise ValueError("ranges must be increasing")
+        if not all(0.0 < d < np.inf for d in self.cell_size):
+            raise ValueError(f"cell size must be positive and finite, got {self.cell_size}")
 
     @property
     def cell_size(self) -> tuple[float, float]:
@@ -57,16 +59,16 @@ class BEVGridConfig:
         floats, so a far-off or non-finite position is out of range, never cast.
         """
         dx, dy = self.cell_size
-        ix = positions[:, 0] - self.x_range[0]
-        iy = positions[:, 1] - self.y_range[0]
-        np.floor(np.divide(ix, dx, out=ix), out=ix)
-        np.floor(np.divide(iy, dy, out=iy), out=iy)
-        inside = ix >= 0
-        inside &= ix < self.nx
-        inside &= iy >= 0
-        inside &= iy < self.ny
         # out-of-range rows may overflow or meet inf - inf; only in-range ones are kept
         with np.errstate(over="ignore", invalid="ignore"):
+            ix = positions[:, 0] - self.x_range[0]
+            iy = positions[:, 1] - self.y_range[0]
+            np.floor(np.divide(ix, dx, out=ix), out=ix)
+            np.floor(np.divide(iy, dy, out=iy), out=iy)
+            inside = ix >= 0
+            inside &= ix < self.nx
+            inside &= iy >= 0
+            inside &= iy < self.ny
             iy *= self.nx
             iy += ix
         return inside, iy[inside].astype(np.int64)

@@ -116,20 +116,19 @@ def cell_box(cfg, iy, ix):
                         velocity=(0.0, 0.0), class_id=0)
 
 
-def brute_force_match(boxes, heatmap, score_thresh, iou_thresh):
-    """Per box, the (cell, IOU) of its highest-IOU confident cell, or None.
+def brute_force_match(boxes, scores, cfg, score_thresh, iou_thresh):
+    """Per box, the (cell, IOU) of its highest-IOU confident cell of the grid cfg, or None.
 
-    Confident cells are those whose best class score reaches score_thresh;
-    all pairs are scored, ties go to the lower flat index, and a best IOU
-    below iou_thresh is no match.
+    scores are (n_classes, ny, nx); confident cells are those whose best
+    class score reaches score_thresh. All pairs are scored, ties go to the
+    lower flat index, and a best IOU below iou_thresh is no match.
     """
-    cfg = heatmap.config
     results = []
     for b in boxes:
         best_iou, best_cell = -1.0, None
         for iy in range(cfg.ny):
             for ix in range(cfg.nx):
-                if heatmap.scores[:, iy, ix].max() < score_thresh:
+                if scores[:, iy, ix].max() < score_thresh:
                     continue
                 iou = iou_bev(b, cell_box(cfg, iy, ix))
                 if iou > best_iou + 1e-15:

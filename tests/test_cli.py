@@ -13,6 +13,7 @@ from bevkit.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from bevkit.metrics import evaluate_detections, load_boxes
 from bevkit.nnprims import write_tensor
 from bevkit.pipeline import PipelineConfig
+from bevkit.scene import generate_scene
 
 SMALL = dict(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
              kan_hidden=(16,), radar_channels=8)
@@ -124,6 +125,23 @@ class TestGen:
         assert says in err
         if "lorry" in json.dumps(spec):
             assert "'lorry'" in err
+
+    @pytest.mark.parametrize("flag, text, rc", [
+        ("--radar-csv", "x,y,z,r\n1.0,2.0,0.1,0.5\nnan,1.0,0.2,0.9\n", EXIT_VALIDATION),
+        ("--radar-csv", "x,y,z\n1.0,2.0,0.1\n", EXIT_VALIDATION),
+        ("--lidar-csv", "x,y,z,r\n" + "1.0,2.0,0.1\n" * 4, EXIT_VALIDATION),
+        ("--lidar-csv", None, EXIT_IO),
+    ], ids=["nan-row", "bad-header", "three-columns", "missing-file"])
+    def test_bad_csv_named_before_writing(self, tmp_path, capsys, flag, text, rc):
+        """A CSV cloud that cannot be read ends the run before the bundle is written."""
+        csv, out = tmp_path / "cloud.csv", tmp_path / "scene"
+        if text is not None:
+            csv.write_text(text)
+        capsys.readouterr()
+        assert main(["gen", "--out", str(out), "--objects", "1", flag, str(csv)]) == rc
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(csv) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, says", [
         (["--cameras", "0"], "--cameras must be an integer in [1, 6], got 0"),
@@ -590,7 +608,51 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("bev_range, grid", [(9e307, "(inf, inf)"), (5e-324, "(0.0, 0.0)")],
+                             ids=["infinite-cells", "empty-cells"])
+    def test_unusable_grid_names_bev_range(self, scene_dir, tmp_path, capsys, bev_range, grid):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"bev": {"range": bev_range}}))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: bev_range") and err.count("\n") == 1 and grid in err
+        assert not (tmp_path / "out").exists()
+
+    def test_tiny_cells_put_every_point_out_of_range(self, scene_dir, tmp_path):
+        """Positions over a 1e-312 m cell overflow to inf, out of range by design, and
+        warn of nothing (pytest turns a RuntimeWarning into an error)."""
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"bev": {"range": 1e-310}}))
+        assert main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["pillars"] == {"points_in_range": 0, "kept": 0, "truncated": 0}
+        assert report["gated_cells"] == []
+
+
 class TestEval:
+    def test_report_eval_equals_eval_of_the_run_files(self, perfbench, tmp_path):
+        """`bevkit eval` on a run's own predictions.json and gt_boxes.json gives the
+        report's eval. Most scores tie at exactly 1.0; equal scores keep file order,
+        which is the run's (class, row, column) order, so both rank them alike."""
+        spec = perfbench("workloads").scene_specs("radar_dense", 11)[0]
+        scene, run = generate_scene(spec, tmp_path / "scene"), tmp_path / "run"
+        assert main(["run", "--scene", str(scene), "--out", str(run)]) == EXIT_OK
+        preds = json.loads((run / "predictions.json").read_text())
+        scores = [box["detection_score"] for boxes in preds.values() for box in boxes]
+        assert scores.count(1.0) > len(scores) // 2
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--pred", str(run / "predictions.json"),
+                     "--gt", str(scene / "gt_boxes.json"), "--out", str(out)]) == EXIT_OK
+        report, evaluated = (json.loads(p.read_text())
+                             for p in (run / "report.json", out))
+        report = report["eval"]
+        del report["eval_time"], evaluated["eval_time"]
+        assert report == evaluated
+
     def test_eval_roundtrip_idempotent(self, scene_dir, config_path, tmp_path):
         main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "run"),
               "--config", str(config_path), "--sequential"])

@@ -2,13 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import brute_force_match, cell_box, iou_bev
+from oracles import brute_force_match, cell_box, iou_bev, sigmoid_oracle
 
 from bevkit.fusion import (
     BCE_CLAMP,
     BoxSet,
     DetectionBox,
-    Heatmap,
     _bce,
     depth_bce_loss,
     detection_loss,
@@ -23,10 +22,6 @@ from bevkit.voxelpool import BEVGridConfig
 def box(cx, cy, w=2.0, l=2.0, score=0.5, vx=0.0, vy=0.0, cls=0):
     return DetectionBox(center=(cx, cy, 0.5), size=(w, l, 1.0), yaw=0.0,
                         velocity=(vx, vy), class_id=cls, score=score)
-
-
-def grid(nx=8, ny=8, extent=4.0):
-    return BEVGridConfig((-extent, extent), (-extent, extent), nx, ny)
 
 
 class TestFuseBevFeatures:
@@ -81,54 +76,54 @@ class TestIouBev:
 
 
 class TestMatchRadarToHeatmap:
+    """The gate takes (n_classes, cells) flat logits and scores only the proposals."""
+
     def test_cold_heatmap_no_matches(self):
-        hm = Heatmap(np.zeros((2, 8, 8)), grid())
-        got = match_radar_to_heatmap(np.arange(64), hm, 0.5)
+        got = match_radar_to_heatmap(np.arange(64), np.full((2, 64), -50.0), 0.5)
         assert got.dtype == np.int64 and got.size == 0
 
     def test_exact_cell_cover(self):
-        scores = np.zeros((2, 8, 8))
-        scores[1, 4, 4] = 0.9  # cell (iy=4, ix=4), flat id 36, spans [0, 1) x [0, 1)
-        hm = Heatmap(scores, grid())
+        logits = np.full((2, 64), -50.0)
+        logits[1, 36] = 2.5  # cell (iy=4, ix=4) of an 8x8 grid, score 0.924
         # its four edge neighbours and the cell itself are proposed
-        got = match_radar_to_heatmap(np.array([28, 35, 36, 37, 44]), hm, 0.5)
+        got = match_radar_to_heatmap(np.array([28, 35, 36, 37, 44]), logits, 0.5)
         np.testing.assert_array_equal(got, [36])
-        np.testing.assert_array_equal(match_radar_to_heatmap([36], hm, 0.9), [36])
-        assert match_radar_to_heatmap([36], hm, 0.95).size == 0
+        np.testing.assert_array_equal(match_radar_to_heatmap([36], logits, 0.9), [36])
+        assert match_radar_to_heatmap([36], logits, 0.95).size == 0
 
     def test_every_match_clears_threshold(self):
         rng = np.random.default_rng(77)
-        hm = Heatmap(rng.uniform(0, 1, (2, 8, 8)), grid())
+        logits = rng.normal(0.0, 2.0, (2, 64))
         cells = np.arange(64)
-        got = match_radar_to_heatmap(cells, hm, 0.4)
-        best = hm.scores.max(axis=0).ravel()
+        got = match_radar_to_heatmap(cells, logits, 0.4)
+        best = sigmoid_oracle(logits).max(axis=0)
         assert np.all(best[got] >= 0.4)
         assert np.all(best[np.setdiff1d(cells, got)] < 0.4)
 
     def test_keeps_proposal_order(self):
         rng = np.random.default_rng(82)
-        hm = Heatmap(rng.uniform(0, 1, (2, 8, 8)), grid())
+        logits = rng.normal(0.0, 2.0, (2, 64))
         cells = rng.permutation(64)
-        got = match_radar_to_heatmap(cells, hm, 0.5)
-        confident = hm.scores.max(axis=0).ravel() >= 0.5
+        got = match_radar_to_heatmap(cells, logits, 0.5)
+        confident = sigmoid_oracle(logits).max(axis=0) >= 0.5
         assert got.tolist() == [c for c in cells.tolist() if confident[c]]
 
     def test_deterministic(self):
         rng = np.random.default_rng(78)
-        hm = Heatmap(rng.uniform(0, 1, (2, 8, 8)), grid())
+        logits = rng.normal(0.0, 2.0, (2, 64))
         cells = np.unique(rng.integers(0, 64, 20))
-        a = match_radar_to_heatmap(cells, hm, 0.5)
-        b = match_radar_to_heatmap(cells, hm, 0.5)
+        a = match_radar_to_heatmap(cells, logits, 0.5)
+        b = match_radar_to_heatmap(cells, logits, 0.5)
         np.testing.assert_array_equal(a, b)
 
     def test_thresholds_validated(self):
-        hm = Heatmap(np.zeros((1, 8, 8)), grid())
+        logits = np.zeros((1, 64))
         for thresh in (1.5, -0.1):
             with pytest.raises(ValueError, match="score_thresh"):
-                match_radar_to_heatmap([], hm, thresh)
+                match_radar_to_heatmap([], logits, thresh)
         for cells in ([64], [-1]):
             with pytest.raises(ValueError, match="flat ids"):
-                match_radar_to_heatmap(cells, hm, 0.5)
+                match_radar_to_heatmap(cells, logits, 0.5)
 
     def test_matches_brute_force_oracle(self):
         """One-cell boxes at proposal cells, matched by IOU argmax: the same cells."""
@@ -138,14 +133,16 @@ class TestMatchRadarToHeatmap:
             x0, y0 = rng.uniform(-60.0, 60.0, 2)
             cfg = BEVGridConfig((x0, x0 + rng.uniform(0.5, 40.0)),
                                 (y0, y0 + rng.uniform(0.5, 40.0)), nx, ny)
-            hm = Heatmap(rng.uniform(0, 1, (3, ny, nx)), cfg)
+            logits = rng.normal(0.0, 2.0, (3, ny * nx))
             score_thresh = float(rng.uniform(0.05, 0.95))
             iou_thresh = float(10.0 ** rng.uniform(-12.0, np.log10(0.99)))
             cells = np.unique(rng.integers(0, nx * ny, int(rng.integers(1, nx * ny + 1))))
             boxes = [cell_box(cfg, *divmod(int(c), nx)) for c in cells]
+            scores = sigmoid_oracle(logits).reshape(3, ny, nx)
             expect = [iy * nx + ix for (iy, ix), _ in
-                      filter(None, brute_force_match(boxes, hm, score_thresh, iou_thresh))]
-            assert match_radar_to_heatmap(cells, hm, score_thresh).tolist() == expect
+                      filter(None, brute_force_match(boxes, scores, cfg, score_thresh,
+                                                     iou_thresh))]
+            assert match_radar_to_heatmap(cells, logits, score_thresh).tolist() == expect
 
 
 class TestDetectionLoss:
@@ -280,16 +277,6 @@ class TestDepthBceLoss:
         dm = DepthMap(np.full((2, 2), -1.0))
         with pytest.raises(ValueError, match="supervised"):
             depth_bce_loss(np.full((4, 2, 2), 0.25), dm, self.bins())
-
-
-class TestHeatmapType:
-    def test_range_validated(self):
-        with pytest.raises(ValueError):
-            Heatmap(np.full((1, 8, 8), 1.5), grid())
-
-    def test_shape_against_config(self):
-        with pytest.raises(ValueError):
-            Heatmap(np.zeros((1, 4, 4)), grid())
 
 
 class TestDetectionBoxType:

@@ -86,11 +86,10 @@ class TestRunPipeline:
         payload = json.loads(report_path.read_text())
         assert "checksums" in payload and "eval" in payload
         assert json.loads(pred_path.read_text())
-        # matched radar outputs ride along in the report
-        assert payload["fusion_stats"]["n_matches"] == len(payload["matches"])
-        if payload["matches"]:
-            match = payload["matches"][0]
-            assert len(match["q"]) == 4 and len(match["cell"]) == 2
+        # the gated radar cells ride along in the report, as flat cell ids
+        gated = payload["gated_cells"]
+        assert payload["fusion_stats"]["n_matches"] == len(gated) > 0
+        assert all(type(c) is int and 0 <= c < SMALL["bev_cells"] ** 2 for c in gated)
 
     def test_pillar_counts_reported(self, scene_dir, tmp_path):
         cfg = PipelineConfig(**SMALL, pillar_max_points=3, pillar_max_pillars=50,
@@ -154,45 +153,49 @@ class TestRunPipeline:
             run_pipeline(tmp_path / "nope", PipelineConfig(**SMALL))
 
     def test_radar_gate_matches_brute_force_oracle(self, scene_dir):
-        """Proposals, matches and q rows against one-cell boxes matched by IOU."""
+        """Proposals, gated cells and q rows against one-cell boxes matched by IOU."""
         cfg = PipelineConfig(**{**SMALL, "bev_cells": 12}, sequential=True)
-        seen = []
+        seen, convs = [], []
 
-        def capture(cells, heatmap, thresh):
-            seen.append((cells, heatmap))
-            return match(cells, heatmap, thresh)
+        def capture(cells, logits, thresh):
+            # the q term then adds into these logits in place
+            seen.append((cells, logits.copy()))
+            return match(cells, logits, thresh)
 
-        match = pl.fu.match_radar_to_heatmap
+        match, conv = pl.fu.match_radar_to_heatmap, pl.conv_pointwise
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pl.fu, "match_radar_to_heatmap", capture)
+            mp.setattr(pl, "conv_pointwise", lambda *a: convs.append(a[0]) or conv(*a))
             run_pipeline(scene_dir, cfg)
             # the proposals' median prior score, so the gate drops some of them
-            cells, prior = seen[0]
-            cfg.heatmap_score_thresh = float(np.median(prior.scores.max(axis=0).ravel()[cells]))
+            cells, logits = seen[0]
+            prior = sigmoid_oracle(logits[:, cells]).max(axis=0)
+            cfg.heatmap_score_thresh = float(np.median(prior))
             report, _ = run_pipeline(scene_dir, cfg)
         radar = sc.load_scene(scene_dir).radar[:, :3]
         counts = brute_force_pool(vp.FeaturedPoints(radar, np.ones((len(radar), 1))),
                                   cfg.bev_grid)[0]
         boxes = [cell_box(cfg.bev_grid, iy, ix) for iy, ix in zip(*np.nonzero(counts))]
-        found = brute_force_match(boxes, seen[1][1], cfg.heatmap_score_thresh, 0.01)
-        want = [(list(f[0]), [b.center[0], b.center[1], 0.0, 0.0])
+        n = cfg.bev_cells
+        scores = sigmoid_oracle(seen[1][1]).reshape(pl.N_CLASSES, n, n)
+        found = brute_force_match(boxes, scores, cfg.bev_grid, cfg.heatmap_score_thresh, 0.01)
+        want = [(f[0], [b.center[0], b.center[1], 0.0, 0.0])
                 for b, f in zip(boxes, found) if f]
         assert 0 < len(want) < len(boxes)
         assert report.fusion_stats == {"n_radar_boxes": len(boxes), "n_matches": len(want)}
-        assert [m["cell"] for m in report.matches] == [cell for cell, _ in want]
-        for m, (_, q) in zip(report.matches, want):
-            np.testing.assert_allclose(m["q"], q, rtol=0, atol=1e-12)
+        assert report.gated_cells == [iy * n + ix for (iy, ix), _ in want]
+        # the last conv is the q term's, over the gated cells' q rows
+        np.testing.assert_allclose(convs[-1][:, 0].T, [q for _, q in want], rtol=0, atol=1e-12)
 
     def test_heatmap_is_head_over_final_fused_grid(self, scene_dir):
-        """Camera-only the prior is the heatmap; radar matches make a second head pass."""
+        """One sigmoid over the whole grid in either modality: the gate's prior is taken
+        at the radar cells alone."""
         cfg = PipelineConfig(**{**SMALL, "bev_cells": 12}, sequential=True)
-        for modality, n_heads in (("camera", 1), ("camera+radar", 2)):
+        for modality in MODALITIES:
             report, _, seen = run_recorded(scene_dir, dataclasses.replace(cfg, modality=modality))
-            heads = seen["heads"]
-            assert len(heads) == n_heads
-            assert report.checksums["heatmap"] == pl.checksum(heads[-1])
+            (head,) = seen["heads"]
+            assert report.checksums["heatmap"] == pl.checksum(head)
         assert report.fusion_stats["n_matches"] > 0
-        assert not np.array_equal(heads[0], heads[1])
 
     @pytest.mark.parametrize("modality", MODALITIES)
     @pytest.mark.parametrize("scene", ["scene_dir", "yawed_scene"])
@@ -214,13 +217,17 @@ class TestRunPipeline:
 
     def test_q_term_in_place_with_nonzero_biases(self, scene_dir):
         """The q conv is added into the fused logits in place: its bias lands on every
-        unmatched cell, and the prior taken before stays the sigmoid of the fused grid."""
+        unmatched cell, and the gate's scores, taken before, are the sigmoid of the fused
+        grid at the proposals."""
         cfg = PipelineConfig(**SMALL, sequential=True)
         weights = PipelineWeights.create(cfg, 16)
         rng = np.random.default_rng(47)
         weights.q_bias = rng.normal(0.0, 0.3, cfg.n_context)
         weights.radar_proj_bias = rng.normal(0.0, 0.3, cfg.n_context)
-        report, _, seen = run_recorded(scene_dir, cfg, weights)
+        gate_scores, sigmoid = [], fu.sigmoid
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fu, "sigmoid", lambda x: gate_scores.append(sigmoid(x)) or gate_scores[-1])
+            report, _, seen = run_recorded(scene_dir, cfg, weights)
         assert 0 < report.fusion_stats["n_matches"] < cfg.bev_cells ** 2
         bundle = sc.load_scene(scene_dir)
         contexts = pl.kan.depthnet_forward(bundle.features, bundle.cameras,
@@ -229,7 +236,9 @@ class TestRunPipeline:
         assert np.abs(seen["heads"][-1] - want).max() <= 1e-9
         camera_logits, radar_logits = seen["fuse"][0]
         fused = camera_logits + radar_logits + weights.head_bias[:, None, None]
-        assert np.array_equal(seen["heads"][0], sigmoid_oracle(fused))
+        proposals = np.unique(cfg.bev_grid.cell_ids(bundle.radar)[1])
+        (scores,) = gate_scores
+        assert np.array_equal(scores, sigmoid_oracle(fused.reshape(pl.N_CLASSES, -1)[:, proposals]))
 
     @pytest.mark.parametrize("modality", MODALITIES)
     def test_checksum_keys_are_pinned(self, tmp_path, modality):
@@ -270,19 +279,22 @@ class TestRunPipeline:
         assert report.losses["l_bbox"] > 0
 
     def test_matches_are_the_per_match_q_lookup(self, scene_dir):
-        """report.matches lists each gated cell with its q grid column, in gate order."""
+        """report.gated_cells lists the gate's cells as flat ids, in gate order, and the q
+        conv reads each one's q grid column, (cell centre, 0, 0)."""
         cfg = PipelineConfig(**SMALL)
-        seen, match = [], fu.match_radar_to_heatmap
+        seen, convs, match, conv = [], [], fu.match_radar_to_heatmap, pl.conv_pointwise
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fu, "match_radar_to_heatmap", lambda *a: seen.append(match(*a)) or seen[-1])
+            mp.setattr(pl, "conv_pointwise", lambda *a: convs.append(a[0]) or conv(*a))
             report, _ = run_pipeline(scene_dir, cfg)
         (matched,) = seen
+        assert len(matched) > 1 and report.gated_cells == matched.tolist()
+        payload = report.to_dict()
+        assert payload["gated_cells"] == report.gated_cells and "matches" not in payload
         iy, ix = np.divmod(matched, cfg.bev_cells)
         q_grid = np.zeros((4, cfg.bev_cells, cfg.bev_cells))
         q_grid[:2, iy, ix] = cfg.bev_grid.cell_center(ix, iy).T
-        want = [{"cell": [y, x], "q": q_grid[:, y, x].tolist()}
-                for y, x in zip(iy.tolist(), ix.tolist())]
-        assert len(want) > 1 and report.matches == want
+        np.testing.assert_array_equal(convs[-1][:, 0], q_grid[:, iy, ix])
 
     @staticmethod
     def count_box_objects(fn, *args):
@@ -555,7 +567,7 @@ class TestMetamorphic:
                 == (tmp_path / "camera+radar" / "predictions.json").read_bytes())
         assert cam.losses == fused.losses
         assert cam.fusion_stats == fused.fusion_stats
-        assert cam.matches == fused.matches == []
+        assert cam.gated_cells == fused.gated_cells == []
         radar_only = {"logits_radar"}
         assert set(fused.checksums) - set(cam.checksums) == radar_only
         assert cam.checksums == {k: v for k, v in fused.checksums.items()
@@ -579,8 +591,8 @@ class TestMetamorphic:
                                   getattr(preds, f.name)[:len(raised)]), f.name
 
     def test_raising_gate_threshold_keeps_a_subset_of_gated_cells(self, scene_dir):
-        gated = [[m["cell"] for m in run_pipeline(scene_dir, PipelineConfig(
-                     **SMALL, heatmap_score_thresh=t, sequential=True))[0].matches]
+        gated = [run_pipeline(scene_dir, PipelineConfig(
+                     **SMALL, heatmap_score_thresh=t, sequential=True))[0].gated_cells
                  for t in (0.5, 0.6, 0.7, 0.9)]
         for loose, strict in zip(gated, gated[1:]):
             assert 0 < len(strict) < len(loose)

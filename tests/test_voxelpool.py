@@ -187,6 +187,9 @@ class TestInvariants:
             BEVGridConfig((1.0, -1.0), (-1.0, 1.0), 4, 4)
         with pytest.raises(ValueError):
             BEVGridConfig((-1.0, 1.0), (-1.0, 1.0), 0, 4)
+        for bad in ((-9e307, 9e307), (0.0, 5e-324), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="cell size must be positive and finite"):
+                BEVGridConfig((-1.0, 1.0), bad, 4, 4)
 
 
 def random_rig(rng):
