@@ -14,10 +14,14 @@ from . import metrics as me
 from . import tables
 from .pillars import read_cloud_csv, write_pc4d
 from .pipeline import MODALITIES, PipelineConfig, run_pipeline, save_run_outputs
-from .scene import SceneSpec, default_scene_spec, generate_scene
+from .scene import MAX_CAMERAS, SceneSpec, default_scene_spec, generate_scene
 from .scene import pose_from_json, rig_from_json, SceneObject
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 1, 2
+
+# optional scene spec keys -> their conversion; absent ones keep SceneSpec's defaults
+_SPEC_OPTIONAL = {"radar_density": float, "lidar_density": float, "radar_max_range": float,
+                  "lidar_max_range": float, "feature_shape": tuple}
 
 
 def _spec_from_json(path) -> SceneSpec:
@@ -29,11 +33,7 @@ def _spec_from_json(path) -> SceneSpec:
             cameras=[rig_from_json(r) for r in d["cameras"]],
             ego_trajectory=[pose_from_json(p) for p in d["ego_trajectory"]],
             objects=[_object_from_json(o) for o in d.get("objects", [])],
-            radar_density=float(d.get("radar_density", 2000.0)),
-            lidar_density=float(d.get("lidar_density", 8000.0)),
-            radar_max_range=float(d.get("radar_max_range", 55.0)),
-            lidar_max_range=float(d.get("lidar_max_range", 25.0)),
-            feature_shape=tuple(d.get("feature_shape", (64, 16, 44))),
+            **{key: convert(d[key]) for key, convert in _SPEC_OPTIONAL.items() if key in d},
         )
     except (TypeError, AttributeError, KeyError, ValueError) as err:
         raise ValueError(f"malformed scene spec {path}: {err}") from err
@@ -55,8 +55,9 @@ def cmd_gen(args) -> int:
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
     else:
-        if not 1 <= args.cameras <= 6:
-            raise ValueError(f"--cameras must be an integer in [1, 6], got {args.cameras}")
+        if not 1 <= args.cameras <= MAX_CAMERAS:
+            raise ValueError(f"--cameras must be an integer in [1, {MAX_CAMERAS}], "
+                             f"got {args.cameras}")
         if args.objects < 0:
             raise ValueError(f"--objects must be an integer >= 0, got {args.objects}")
         spec = default_scene_spec(
@@ -122,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--spec", default=None, help="SceneSpec JSON path")
     p_gen.add_argument("--cameras", type=int, default=1)
     p_gen.add_argument("--objects", type=int, default=8)
-    p_gen.add_argument("--radar-density", type=float, default=2000.0)
-    p_gen.add_argument("--lidar-density", type=float, default=8000.0)
+    p_gen.add_argument("--radar-density", type=float, default=SceneSpec.radar_density)
+    p_gen.add_argument("--lidar-density", type=float, default=SceneSpec.lidar_density)
     p_gen.add_argument("--radar-csv", default=None,
                        help="x,y,z,r CSV replacing the synthetic radar cloud")
     p_gen.add_argument("--lidar-csv", default=None,

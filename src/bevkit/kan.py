@@ -49,6 +49,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+_LO, _HI = -1.0, 1.0  # the spline domain
+
+
 @dataclass(frozen=True)
 class BSplineBasis:
     """Uniformly extended B-spline basis of the given degree on [-1, 1].
@@ -60,7 +63,6 @@ class BSplineBasis:
 
     degree: int = 3
     n_intervals: int = 8
-    domain: tuple[float, float] = (-1.0, 1.0)
     knots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -68,12 +70,9 @@ class BSplineBasis:
             raise ValueError("degree must be >= 1")
         if self.n_intervals < 1:
             raise ValueError("need at least one knot interval")
-        lo, hi = self.domain
-        if not hi > lo:
-            raise ValueError("degenerate domain")
-        step = (hi - lo) / self.n_intervals
+        step = (_HI - _LO) / self.n_intervals
         idx = np.arange(-self.degree, self.n_intervals + self.degree + 1)
-        object.__setattr__(self, "knots", lo + idx * step)
+        object.__setattr__(self, "knots", _LO + idx * step)
 
     @property
     def n_basis(self) -> int:
@@ -88,11 +87,10 @@ def _basis_levels(basis: BSplineBasis, x: np.ndarray) -> list[np.ndarray]:
     higher degree follows from the one below by the Cox-de Boor recursion
     over all knots at once. The knots are uniform, so no denominator is zero.
     """
-    lo, hi = basis.domain
     t = basis.knots
-    x = np.clip(x, lo, hi)
-    step = (hi - lo) / basis.n_intervals
-    span = np.minimum(((x - lo) / step).astype(np.int64), basis.n_intervals - 1) + basis.degree
+    x = np.clip(x, _LO, _HI)
+    step = (_HI - _LO) / basis.n_intervals
+    span = np.minimum(((x - _LO) / step).astype(np.int64), basis.n_intervals - 1) + basis.degree
     level = np.zeros((len(x), len(t) - 1))
     level[np.arange(len(x)), span] = 1.0
     levels = [level]
@@ -115,8 +113,7 @@ def _basis_grads(basis: BSplineBasis, x: np.ndarray) -> np.ndarray:
     lower = _basis_levels(basis, x)[k - 1]
     grads = k * (lower[:, :-1] / (t[k : k + n] - t[:n])
                  - lower[:, 1:] / (t[k + 1 :] - t[1 : n + 1]))
-    lo, hi = basis.domain
-    grads[(x < lo) | (x > hi)] = 0.0
+    grads[(x < _LO) | (x > _HI)] = 0.0
     return grads
 
 
@@ -162,13 +159,12 @@ class KanLayer:
         return self.shortcut_weights.shape[0]
 
     @staticmethod
-    def random(rng: np.random.Generator, in_dim: int, out_dim: int,
-               basis: BSplineBasis | None = None, scale: float = 0.3) -> "KanLayer":
-        basis = basis or BSplineBasis()
+    def random(rng: np.random.Generator, in_dim: int, out_dim: int) -> "KanLayer":
+        basis = BSplineBasis()
         return KanLayer(
             basis=basis,
-            spline_coeffs=rng.normal(0.0, scale, (out_dim, in_dim, basis.n_basis)),
-            shortcut_weights=rng.normal(0.0, scale, (out_dim, in_dim)),
+            spline_coeffs=rng.normal(0.0, 0.3, (out_dim, in_dim, basis.n_basis)),
+            shortcut_weights=rng.normal(0.0, 0.3, (out_dim, in_dim)),
         )
 
 
@@ -243,10 +239,9 @@ class DepthNetParams:
 
     @staticmethod
     def random(rng: np.random.Generator, n_features: int, n_depth_bins: int,
-               n_context: int, hidden: tuple[int, ...] = (64,),
-               basis: BSplineBasis | None = None) -> "DepthNetParams":
+               n_context: int, hidden: tuple[int, ...] = (64,)) -> "DepthNetParams":
         widths = (CAMERA_PARAM_DIM,) + hidden + (n_features,)
-        layers = [KanLayer.random(rng, widths[i], widths[i + 1], basis)
+        layers = [KanLayer.random(rng, widths[i], widths[i + 1])
                   for i in range(len(widths) - 1)]
         n_out = n_depth_bins + n_context
         return DepthNetParams(

@@ -225,9 +225,9 @@ class EvalSummary:
     nds: float
     eval_time: float = 0.0
 
-    def check(self, tol: float = 1e-6) -> None:
+    def check(self) -> None:
         expect = compose_nds(self.mean_ap, [self.mtp[m] for m in TP_METRICS])
-        if abs(expect - self.nds) > tol:
+        if abs(expect - self.nds) > 1e-6:
             raise ValueError(f"inconsistent NDS: stored {self.nds}, recomputed {expect}")
 
     def to_dict(self) -> dict:
@@ -281,35 +281,35 @@ def aggregate_summary(per_class: list[ClassEval]) -> EvalSummary:
     return EvalSummary(per_class, global_map, mtp, nds)
 
 
-def _stacked(boxes_by_token: dict[str, BoxSet], tokens: list[str], n_classes: int
+def _stacked(boxes_by_token: dict[str, BoxSet], tokens: list[str]
              ) -> tuple[BoxSet, np.ndarray, np.ndarray]:
     """Every token's boxes as one BoxSet, tokens in order, plus its groups.
 
     One stable argsort by (class, token) lists the rows of group
     k = class * len(tokens) + token at order[bounds[k]:bounds[k + 1]], in
-    input order; class ids from n_classes on fall in no group.
+    input order, for each of the DETECTION_CLASSES.
     """
     sets = [boxes_by_token[t] for t in tokens]
     boxes = BoxSet.concat(sets)
     token = np.repeat(np.arange(len(tokens)), [len(b) for b in sets])
     key = boxes.class_id * len(tokens) + token
     order = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[order], np.arange(n_classes * len(tokens) + 1))
+    bounds = np.searchsorted(key[order], np.arange(len(DETECTION_CLASSES) * len(tokens) + 1))
     return boxes, order, bounds
 
 
-def evaluate_detections(preds_by_token: dict[str, BoxSet], gts_by_token: dict[str, BoxSet],
-                        classes=DETECTION_CLASSES) -> EvalSummary:
+def evaluate_detections(preds_by_token: dict[str, BoxSet], gts_by_token: dict[str, BoxSet]
+                        ) -> EvalSummary:
     """Full evaluation over samples, timed into eval_time; matches never cross tokens."""
     t0 = time.perf_counter()
     if set(preds_by_token) != set(gts_by_token):
         raise ValueError("prediction and ground-truth sample tokens differ")
     tokens = sorted(gts_by_token)
-    preds, p_order, p_bounds = _stacked(preds_by_token, tokens, len(classes))
-    gts, g_order, g_bounds = _stacked(gts_by_token, tokens, len(classes))
+    preds, p_order, p_bounds = _stacked(preds_by_token, tokens)
+    gts, g_order, g_bounds = _stacked(gts_by_token, tokens)
     pred_xy, gt_xy = preds.center[:, :2], gts.center[:, :2]
     per_class = []
-    for ci, name in enumerate(classes):
+    for ci, name in enumerate(DETECTION_CLASSES):
         # Rank accumulation needs one global score ordering per class, so
         # per-token matches are merged before the PR sweep.
         pair_p, pair_g = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]

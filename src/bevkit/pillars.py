@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -141,9 +142,8 @@ class VfeWeights:
         object.__setattr__(self, "bias", b)
 
     @staticmethod
-    def random(rng: np.random.Generator, channels: int, scale: float = 0.5) -> "VfeWeights":
-        return VfeWeights(rng.normal(0.0, scale, (channels, 9)),
-                          rng.normal(0.0, scale, channels))
+    def random(rng: np.random.Generator, channels: int) -> "VfeWeights":
+        return VfeWeights(rng.normal(0.0, 0.5, (channels, 9)), rng.normal(0.0, 0.5, channels))
 
 
 def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> PillarTensor:
@@ -272,7 +272,9 @@ def read_cloud_csv(path) -> RadarPointCloud:
             header = fh.readline().strip().lower().replace(" ", "")
             if header != "x,y,z,r":
                 raise ValueError(f"expected 'x,y,z,r' header, got {header!r}")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
+            with warnings.catch_warnings():  # a header-only file is a valid, empty cloud
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
             if rows.size and rows.shape[1] != 4:
                 raise ValueError(f"expected 4 columns, got {rows.shape[1]}")
             return RadarPointCloud(rows if rows.size else np.zeros((0, 4)))

@@ -49,7 +49,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,49 +70,80 @@ MODALITIES = ("camera", "camera+radar")
 N_CLASSES = len(me.DETECTION_CLASSES)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
+
+
+def _at_least(low: int):
+    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+
+
+_POSITIVE = (lambda v: _is_real(v) and v > 0), "a positive number"
+_UNIT = (lambda v: _is_real(v) and 0 <= v <= 1), "a number in [0, 1]"
+
+
+def _setting(default, section: str, key: str, rule):
+    """A config field: its default, its (section, key) in the JSON file and its
+    (predicate, what the value must be) rule, checked by __post_init__."""
+    return field(default=default, metadata={"key": (section, key), "rule": rule})
+
+
 @dataclass
 class PipelineConfig:
     """Single stage-keyed configuration for a pipeline run.
 
-    Defaults are the desk-scale constants; none of them comes from a
-    published table.
+    Each field's default, JSON (section, key) and rule sit on its one
+    declaration. Defaults are the desk-scale constants; none of them comes
+    from a published table.
     """
 
     # depth discretization and head widths
-    d_min: float = 2.0
-    d_max: float = 58.0
-    n_depth_bins: int = 112
-    n_context: int = 80
-    kan_hidden: tuple[int, ...] = (64,)
+    d_min: float = _setting(2.0, "depth", "d_min", _POSITIVE)
+    d_max: float = _setting(58.0, "depth", "d_max", _POSITIVE)
+    # depth_refine's 3x3 kernel spans three bins
+    n_depth_bins: int = _setting(112, "depth", "n_bins", _at_least(3))
+    n_context: int = _setting(80, "depth", "n_context", _at_least(1))
+    kan_hidden: tuple[int, ...] = _setting(
+        (64,), "depth", "kan_hidden",
+        ((lambda v: isinstance(v, tuple) and all(_is_int(h) and h >= 1 for h in v)),
+         "a list of integers >= 1"))
     # BEV grid (shared by pillars and pooling)
-    bev_range: float = 51.2
-    bev_cells: int = 128
+    bev_range: float = _setting(51.2, "bev", "range", _POSITIVE)
+    bev_cells: int = _setting(128, "bev", "cells", _at_least(1))
     # pillar stream
-    pillar_max_points: int = 20
-    pillar_max_pillars: int = 4096
-    radar_channels: int = 32
+    pillar_max_points: int = _setting(20, "pillars", "max_points", _at_least(1))
+    pillar_max_pillars: int = _setting(4096, "pillars", "max_pillars", _at_least(1))
+    radar_channels: int = _setting(32, "pillars", "channels", _at_least(1))
     # fusion and head
-    heatmap_score_thresh: float = 0.55
-    peak_threshold: float = 0.6
+    heatmap_score_thresh: float = _setting(0.55, "fusion", "heatmap_score_thresh", _UNIT)
+    peak_threshold: float = _setting(0.6, "fusion", "peak_threshold", _UNIT)
     # moderate prior weight: a hard boost would backfire at pixels where
     # lidar sees a nearer surface than the radar return
-    radar_hint_strength: float = 2.0
+    radar_hint_strength: float = _setting(2.0, "fusion", "radar_hint_strength",
+                                          ((lambda v: _is_real(v) and v >= 0), "a number >= 0"))
     # execution. splat sums slot weights one way, so every run is
     # sequential and deterministic: pooling accepts only "reference" and
     # sequential changes nothing. Both stay so older files and callers load.
-    weight_seed: int = 7
-    pooling: str = "reference"
-    modality: str = "camera+radar"
-    sequential: bool = False
+    weight_seed: int = _setting(7, "run", "weight_seed", _at_least(0))
+    pooling: str = _setting("reference", "run", "pooling",
+                            ((lambda v: v == "reference"), '"reference"'))
+    modality: str = _setting("camera+radar", "run", "modality",
+                             ((lambda v: v in MODALITIES), f"one of {MODALITIES}"))
+    sequential: bool = _setting(False, "run", "sequential",
+                                ((lambda v: isinstance(v, bool)), "true or false"))
 
     def __post_init__(self):
         if isinstance(self.kan_hidden, list):
             self.kan_hidden = tuple(self.kan_hidden)
-        for name, (ok, what) in _RULES.items():
-            if not ok(getattr(self, name)):
-                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
-        if self.d_max <= self.d_min:
-            raise ValueError("d_max must exceed d_min")
+        for f in fields(self):
+            ok, what = f.metadata["rule"]
+            if not ok(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be {what}, got {getattr(self, f.name)!r}")
+        self.depth_bins  # DepthBinSpec raises unless d_max > d_min
         try:
             self.bev_grid
         except ValueError as err:
@@ -152,7 +183,7 @@ class PipelineConfig:
         """Inverse of to_dict; absent keys keep their defaults, unknown ones raise."""
         if not isinstance(d, dict):
             raise ValueError("config must be a JSON object")
-        fields = {}
+        kwargs = {}
         for section, values in d.items():
             if section not in _SECTIONS:
                 raise ValueError(f"unknown config section {section!r}")
@@ -168,8 +199,8 @@ class PipelineConfig:
                     continue
                 if (section, key) not in _FIELD_OF:
                     raise ValueError(f"unknown config key {section}.{key}")
-                fields[_FIELD_OF[section, key]] = value
-        return PipelineConfig(**fields)
+                kwargs[_FIELD_OF[section, key]] = value
+        return PipelineConfig(**kwargs)
 
     @staticmethod
     def from_json(path) -> "PipelineConfig":
@@ -178,25 +209,7 @@ class PipelineConfig:
 
 
 # field -> (section, key) in the JSON layout written by PipelineConfig.to_json
-CONFIG_KEYS = {
-    "d_min": ("depth", "d_min"),
-    "d_max": ("depth", "d_max"),
-    "n_depth_bins": ("depth", "n_bins"),
-    "n_context": ("depth", "n_context"),
-    "kan_hidden": ("depth", "kan_hidden"),
-    "bev_range": ("bev", "range"),
-    "bev_cells": ("bev", "cells"),
-    "pillar_max_points": ("pillars", "max_points"),
-    "pillar_max_pillars": ("pillars", "max_pillars"),
-    "radar_channels": ("pillars", "channels"),
-    "heatmap_score_thresh": ("fusion", "heatmap_score_thresh"),
-    "peak_threshold": ("fusion", "peak_threshold"),
-    "radar_hint_strength": ("fusion", "radar_hint_strength"),
-    "weight_seed": ("run", "weight_seed"),
-    "pooling": ("run", "pooling"),
-    "modality": ("run", "modality"),
-    "sequential": ("run", "sequential"),
-}
+CONFIG_KEYS = {f.name: f.metadata["key"] for f in fields(PipelineConfig)}
 _FIELD_OF = {where: name for name, where in CONFIG_KEYS.items()}
 _SECTIONS = {section for section, _ in CONFIG_KEYS.values()}
 
@@ -206,44 +219,6 @@ RETIRED_KEYS = {
     ("fusion", "n_classes"): N_CLASSES,
     ("fusion", "match_iou_thresh"): 0.01,
     ("run", "workers"): 4,
-}
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
-
-
-def _at_least(low: int):
-    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
-
-
-_POSITIVE = (lambda v: _is_real(v) and v > 0), "a positive number"
-_UNIT = (lambda v: _is_real(v) and 0 <= v <= 1), "a number in [0, 1]"
-
-# field -> (predicate, what the value must be); checked by PipelineConfig.__post_init__
-_RULES = {
-    "d_min": _POSITIVE,
-    "d_max": _POSITIVE,
-    "n_depth_bins": _at_least(3),  # depth_refine's 3x3 kernel spans three bins
-    "n_context": _at_least(1),
-    "kan_hidden": ((lambda v: isinstance(v, tuple) and all(_is_int(h) and h >= 1 for h in v)),
-                   "a list of integers >= 1"),
-    "bev_range": _POSITIVE,
-    "bev_cells": _at_least(1),
-    "pillar_max_points": _at_least(1),
-    "pillar_max_pillars": _at_least(1),
-    "radar_channels": _at_least(1),
-    "heatmap_score_thresh": _UNIT,
-    "peak_threshold": _UNIT,
-    "radar_hint_strength": ((lambda v: _is_real(v) and v >= 0), "a number >= 0"),
-    "weight_seed": _at_least(0),
-    "pooling": ((lambda v: v == "reference"), '"reference"'),
-    "modality": ((lambda v: v in MODALITIES), f"one of {MODALITIES}"),
-    "sequential": ((lambda v: isinstance(v, bool)), "true or false"),
 }
 
 

@@ -28,6 +28,7 @@ from .nnprims import write_tensor
 from .pillars import write_pc4d
 
 SAMPLE_TOKEN = "sample-0"
+MAX_CAMERAS = 6
 
 # Nominal per-class (w, l, h) box sizes and default attribute, meters.
 CLASS_SIZES = {
@@ -85,8 +86,8 @@ class SceneSpec:
     def __post_init__(self):
         if not self.cameras:
             raise ValueError("a scene needs at least one camera")
-        if len(self.cameras) > 6:
-            raise ValueError("at most 6 cameras supported")
+        if len(self.cameras) > MAX_CAMERAS:
+            raise ValueError(f"at most {MAX_CAMERAS} cameras supported")
         if not self.ego_trajectory:
             raise ValueError("a scene needs at least one ego pose")
         shape = list(self.feature_shape)
@@ -102,23 +103,22 @@ class SceneSpec:
                                  f"got {v!r}")
 
 
-def forward_camera(focal: float = 380.0, image_size: tuple[int, int] = (256, 704),
-                   height: float = 1.6) -> CameraRig:
+def forward_camera(image_size: tuple[int, int] = (256, 704)) -> CameraRig:
+    """Focal length 380 px, mounted 1.5 m ahead of the ego origin and 1.6 m up."""
     h, w = image_size
-    k = np.array([[focal, 0.0, w / 2.0], [0.0, focal, h / 2.0], [0.0, 0.0, 1.0]])
-    mount = np.array([1.5, 0.0, height])
+    k = np.array([[380.0, 0.0, w / 2.0], [0.0, 380.0, h / 2.0], [0.0, 0.0, 1.0]])
+    mount = np.array([1.5, 0.0, 1.6])
     return CameraRig(k, FORWARD_CAM_ROTATION, -FORWARD_CAM_ROTATION @ mount, image_size)
 
 
 def default_scene_spec(seed: int, n_objects: int = 8, n_cameras: int = 1,
-                       radar_density: float = 2000.0, lidar_density: float = 8000.0,
-                       feature_shape: tuple[int, int, int] = (64, 16, 44)) -> SceneSpec:
-    """Randomized but fully seed-determined scene in front of the ego."""
+                       **fields) -> SceneSpec:
+    """Randomized but fully seed-determined scene in front of the ego; other
+    SceneSpec fields (densities, ranges, feature_shape) pass through by keyword."""
     poses = [EgoPose(np.eye(3), np.array([2.0 * t, 0.0, 0.0]), float(t))
              for t in range(3)]
     spec = SceneSpec(seed=seed, cameras=[forward_camera()] * n_cameras, ego_trajectory=poses,
-                     objects=[], radar_density=radar_density, lidar_density=lidar_density,
-                     feature_shape=feature_shape)
+                     objects=[], **fields)
     rng = np.random.default_rng([seed, 0])
     for _ in range(n_objects):
         name = DETECTION_CLASSES[int(rng.integers(len(DETECTION_CLASSES)))]
@@ -282,11 +282,11 @@ def load_scene(scene_dir) -> SceneBundle:
     except (TypeError, AttributeError, KeyError, ValueError, RecursionError) as err:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
     if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
-            and len(files["features"]) == len(cameras) and 1 <= len(cameras) <= 6
+            and len(files["features"]) == len(cameras) and 1 <= len(cameras) <= MAX_CAMERAS
             and type(seed) is int and seed >= 0 and isinstance(token, str)):
         raise ValueError(f"{manifest_path}: files must name the radar, lidar and gt_boxes "
-                         "files and list one features file per camera (1 to 6), seed "
-                         "must be an integer >= 0 and sample_token a string")
+                         f"files and list one features file per camera (1 to {MAX_CAMERAS}), "
+                         "seed must be an integer >= 0 and sample_token a string")
     features = [read_tensor(path / f) for f in files["features"]]
     for f, name in zip(features, files["features"]):
         if f.ndim != 3 or f.size == 0 or f.shape != features[0].shape:

@@ -79,6 +79,16 @@ class TestGen:
         assert len(cloud) == 2
         np.testing.assert_allclose(cloud.points[0], [1.0, 2.0, 0.1, 0.5], atol=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_gen_with_header_only_csv(self, tmp_path):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("x,y,z,r\n")
+        out = tmp_path / "scene"
+        rc = main(["gen", "--out", str(out), "--objects", "1", "--radar-csv", str(csv)])
+        assert rc == EXIT_OK
+        from bevkit.pillars import read_pc4d
+        assert len(read_pc4d(out / "radar.pc4d")) == 0
+
     def test_gen_from_spec_json(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(ONE_CAMERA_SPEC))

@@ -252,8 +252,8 @@ class TestAggregation:
         assert abs(agg.mtp["ave"] - 0.4244) <= 5e-4
 
     def test_single_class_passthrough(self):
-        ce = evaluate_detections(sets({"s": [box(0, 0, score=0.9)]}), sets({"s": [box(0, 0)]}),
-                                 classes=("car",)).per_class[0]
+        ce = evaluate_detections(sets({"s": [box(0, 0, score=0.9)]}),
+                                 sets({"s": [box(0, 0)]})).per_class[0]
         agg = aggregate_summary([ce])
         assert agg.mean_ap == pytest.approx(ce.mean_ap)
         assert agg.mtp["ate"] == pytest.approx(ce.tp["ate"])
@@ -614,7 +614,7 @@ class TestBoxJson:
 
     def test_table_rendering(self):
         summary = evaluate_detections(sets({"s": [box(0, 0, score=0.9)]}),
-                                      sets({"s": [box(0, 0)]}), classes=("car",))
+                                      sets({"s": [box(0, 0)]}))
         text = render_summary_table({"demo": summary})
         assert "demo" in text and "NDS" in text
 

@@ -431,6 +431,12 @@ class TestCloudIO:
         np.testing.assert_allclose(cloud.points,
                                    [[1.0, 2.0, 3.0, 0.5], [-1.0, 0.0, 0.25, 0.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_csv_is_a_silent_empty_cloud(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("x,y,z,r\n")
+        assert read_cloud_csv(p).points.shape == (0, 4)
+
     def test_csv_header_required(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c,d\n1,2,3,4\n")

@@ -629,6 +629,22 @@ class TestPipelineConfig:
         back = PipelineConfig.from_json(path)
         assert back == cfg
 
+    def test_file_layout_and_defaults(self):
+        # every (section, key) and default as written; dumping both pins the JSON types too
+        layout = {
+            "depth": {"d_min": 2.0, "d_max": 58.0, "n_bins": 112, "n_context": 80,
+                      "kan_hidden": [64]},
+            "bev": {"range": 51.2, "cells": 128},
+            "pillars": {"max_points": 20, "max_pillars": 4096, "channels": 32},
+            "fusion": {"heatmap_score_thresh": 0.55, "peak_threshold": 0.6,
+                       "radar_hint_strength": 2.0},
+            "run": {"weight_seed": 7, "pooling": "reference", "modality": "camera+radar",
+                    "sequential": False},
+        }
+        assert sum(map(len, layout.values())) == 17
+        assert (json.dumps(PipelineConfig().to_dict(), sort_keys=True)
+                == json.dumps(layout, sort_keys=True))
+
     @pytest.mark.parametrize("kwargs", [{}, SMALL, {"bev_range": 10.0, "bev_cells": 3}])
     def test_pillar_grid_is_the_bev_grid(self, kwargs):
         cfg = PipelineConfig(**kwargs)
