@@ -28,13 +28,17 @@ def _spec_from_json(path) -> SceneSpec:
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     try:
-        return SceneSpec(
+        spec = SceneSpec(
             seed=d["seed"],
             cameras=[rig_from_json(r) for r in d["cameras"]],
             ego_trajectory=[pose_from_json(p) for p in d["ego_trajectory"]],
             objects=[_object_from_json(o) for o in d.get("objects", [])],
             **{key: convert(d[key]) for key, convert in _SPEC_OPTIONAL.items() if key in d},
         )
+        for key in d:
+            if key not in ("seed", "cameras", "ego_trajectory", "objects", *_SPEC_OPTIONAL):
+                raise ValueError(f"unknown key {key!r}")
+        return spec
     except (TypeError, AttributeError, KeyError, ValueError) as err:
         raise ValueError(f"malformed scene spec {path}: {err}") from err
 

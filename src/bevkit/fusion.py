@@ -58,10 +58,13 @@ class DetectionBox:
             raise ValueError("score must lie in [0, 1]")
 
 
-# BoxSet column -> shape of one row
-_BOX_COLUMNS = {"center": (3,), "size": (3,), "yaw": (), "velocity": (2,),
-                "class_id": (), "score": (), "attribute_id": ()}
-_ID_LIMITS = {"class_id": len(DETECTION_CLASSES), "attribute_id": len(ATTRIBUTES)}
+# The box schema, in DetectionBox field order: BoxSet column -> (boxes-file key, numbers
+# per row, 0 for a bare number, or the names an id indexes; file default, None if required)
+BOX_COLUMNS = {"center": ("translation", 3, None), "size": ("size", 3, None),
+               "yaw": ("yaw", 0, None), "velocity": ("velocity", 2, None),
+               "class_id": ("detection_name", DETECTION_CLASSES, None),
+               "score": ("detection_score", 0, 0.0),
+               "attribute_id": ("attribute_name", ATTRIBUTES, "")}
 
 
 @dataclass(eq=False)
@@ -84,18 +87,21 @@ class BoxSet:
 
     def __post_init__(self):
         n = len(self.center) if np.ndim(self.center) else 0
-        for name, row in _BOX_COLUMNS.items():
-            col = np.asarray(getattr(self, name))
-            if name in _ID_LIMITS:
+        for name, (_, kind, _) in BOX_COLUMNS.items():
+            col, row = np.asarray(getattr(self, name)), ()
+            if isinstance(kind, tuple):
                 if col.size and col.dtype.kind not in "iu":
                     raise ValueError(f"BoxSet.{name} must hold integers, got {col.dtype}")
                 col = col.astype(np.int64)
-                if col.size and not (0 <= col.min() and col.max() < _ID_LIMITS[name]):
-                    raise ValueError(f"BoxSet.{name} must lie in [0, {_ID_LIMITS[name]})")
+                if col.size and not (0 <= col.min() and col.max() < len(kind)):
+                    raise ValueError(f"BoxSet.{name} must lie in [0, {len(kind)})")
             else:
                 col = col.astype(np.float64, copy=False)
+                row = (kind,) if kind else ()
                 if not np.isfinite(col).all():
                     raise ValueError(f"BoxSet.{name} must be finite")
+            if not col.size:  # no boxes: any empty array is the empty column
+                col = col.reshape(-1, *row)
             if col.shape != (n, *row):
                 raise ValueError(f"BoxSet.{name} must have shape {(n, *row)} "
                                  f"(one row per center), got {col.shape}")
@@ -109,19 +115,20 @@ class BoxSet:
         return len(self.score)
 
     def __iter__(self):
-        for c, s, y, v, k, p, a in zip(*(getattr(self, f).tolist() for f in _BOX_COLUMNS)):
-            yield DetectionBox(tuple(c), tuple(s), y, tuple(v), k, p, a)
+        cols = (getattr(self, f) for f in BOX_COLUMNS)  # in DetectionBox field order
+        for row in zip(*(map(tuple, c.tolist()) if c.ndim > 1 else c.tolist() for c in cols)):
+            yield DetectionBox(*row)
 
     @staticmethod
     def _unchecked(columns) -> "BoxSet":
         """A BoxSet of columns cut from checked sets, so the rows need no second check."""
         out = object.__new__(BoxSet)
-        out.__dict__.update(zip(_BOX_COLUMNS, columns))
+        out.__dict__.update(zip(BOX_COLUMNS, columns))
         return out
 
     def take(self, idx) -> "BoxSet":
         """The rows idx (an index array, a slice or a mask), in that order."""
-        return BoxSet._unchecked(getattr(self, f)[idx] for f in _BOX_COLUMNS)
+        return BoxSet._unchecked(getattr(self, f)[idx] for f in BOX_COLUMNS)
 
     def params(self) -> np.ndarray:
         """(N, 9) regression targets: center, size, yaw, velocity."""
@@ -129,20 +136,16 @@ class BoxSet:
 
     @staticmethod
     def from_boxes(boxes) -> "BoxSet":
+        """DetectionBoxes as columns, one array per field, checked as any BoxSet."""
         boxes = list(boxes)
-        floats = np.array([(*b.center, *b.size, b.yaw, *b.velocity, b.score) for b in boxes],
-                          dtype=np.float64).reshape(-1, 10)
-        ids = np.array([(b.class_id, b.attribute_id) for b in boxes],
-                       dtype=np.int64).reshape(-1, 2)
-        return BoxSet(floats[:, :3], floats[:, 3:6], floats[:, 6], floats[:, 7:9], ids[:, 0],
-                      floats[:, 9], ids[:, 1])
+        return BoxSet(*(np.array([getattr(b, f) for b in boxes]) for f in BOX_COLUMNS))
 
     @staticmethod
     def concat(sets) -> "BoxSet":
         """Rows of every set in turn; no sets give an empty set."""
         sets = list(sets) or [BoxSet.from_boxes([])]
         return BoxSet._unchecked(np.concatenate([getattr(s, f) for s in sets])
-                                 for f in _BOX_COLUMNS)
+                                 for f in BOX_COLUMNS)
 
 
 def fuse_bev_features(f_cam: np.ndarray, f_radar: np.ndarray) -> np.ndarray:

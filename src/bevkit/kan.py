@@ -122,11 +122,6 @@ def bspline_basis_eval(basis: BSplineBasis, x: float) -> np.ndarray:
     return _basis_levels(basis, np.array([float(x)]))[-1][0]
 
 
-def bspline_basis_grad(basis: BSplineBasis, x: float) -> np.ndarray:
-    """Derivative of every basis function at scalar x (zero outside the domain)."""
-    return _basis_grads(basis, np.array([float(x)]))[0]
-
-
 @dataclass
 class KanLayer:
     """One KAN layer: per-edge spline activations plus a silu shortcut.

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import ATTRIBUTES, DETECTION_CLASSES, BoxSet, DetectionBox
+from .fusion import ATTRIBUTES, BOX_COLUMNS, DETECTION_CLASSES, BoxSet, DetectionBox
 
 AP_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TP_THRESHOLD = 2.0  # TP errors use the 2 m matches
@@ -340,16 +340,17 @@ def evaluate_detections(preds_by_token: dict[str, BoxSet], gts_by_token: dict[st
 
 
 def box_to_json(box: DetectionBox, with_score: bool = True) -> dict:
-    d = {
-        "translation": list(box.center),
-        "size": list(box.size),
-        "yaw": box.yaw,
-        "velocity": list(box.velocity),
-        "detection_name": DETECTION_CLASSES[box.class_id],
-        "attribute_name": ATTRIBUTES[box.attribute_id],
-    }
-    if with_score:
-        d["detection_score"] = box.score
+    """One box as a boxes-file object: a key per BOX_COLUMNS entry, ids as names."""
+    d = {}
+    for column, (key, kind, _) in BOX_COLUMNS.items():
+        value = getattr(box, column)
+        if isinstance(kind, tuple):
+            value = kind[value]
+        elif kind:
+            value = list(value)
+        d[key] = value
+    if not with_score:
+        del d["detection_score"]
     return d
 
 
@@ -373,25 +374,21 @@ def name_index(names: tuple[str, ...], value, what: str) -> int:
 
 def save_boxes(path, boxes_by_token: dict[str, BoxSet | list[DetectionBox]],
                with_score: bool = True) -> None:
-    payload = {token: [box_to_json(b, with_score) for b in boxes]
+    """Write boxes by sample token; a list is converted through BoxSet.from_boxes first,
+    so a box that load_boxes would reject raises here instead."""
+    payload = {token: [box_to_json(b, with_score) for b in
+                       (boxes if isinstance(boxes, BoxSet) else BoxSet.from_boxes(boxes))]
                for token, boxes in boxes_by_token.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-# boxes-file keys in BoxSet column order -> (numbers per box, 0 for one bare
-# number, or the names an id indexes; the default, None when required)
-_BOX_KEYS = {"translation": (3, None), "size": (3, None), "yaw": (0, None),
-             "velocity": (2, None), "detection_name": (DETECTION_CLASSES, None),
-             "detection_score": (0, 0.0), "attribute_name": (ATTRIBUTES, "")}
-
-
 def _check_box(d) -> None:
     """ValueError naming the first key of box d that a BoxSet row cannot hold."""
     if not isinstance(d, dict):
         raise ValueError(f"box must be an object, got {d!r}")
-    for key, (kind, default) in _BOX_KEYS.items():
+    for key, kind, default in BOX_COLUMNS.values():
         if default is None and key not in d:
             raise ValueError(f"{key} must be given")
         value = d.get(key, default)
@@ -413,13 +410,10 @@ def _box_set(token: str, boxes) -> BoxSet:
     """
     if not isinstance(boxes, list):
         raise ValueError(f"sample {token!r}: boxes must be a list, got {boxes!r}")
-    if not boxes:  # an empty list converts to no row shape
-        return BoxSet.from_boxes([])
     try:
         cols = []
-        for key, (kind, default) in _BOX_KEYS.items():
-            values = ([d[key] for d in boxes] if default is None
-                      else [d.get(key, default) for d in boxes])
+        for key, kind, default in BOX_COLUMNS.values():
+            values = [d[key] if default is None else d.get(key, default) for d in boxes]
             if isinstance(kind, tuple):
                 index = dict(zip(kind, range(len(kind))))
                 cols.append(np.array([index[v] for v in values], dtype=np.int64))

@@ -117,13 +117,6 @@ class PillarTensor:
         return out
 
 
-@dataclass
-class PseudoImage:
-    """Dense (C, H, W) grid of pillar features; empty cells stay zero."""
-
-    data: np.ndarray
-
-
 @dataclass(frozen=True)
 class VfeWeights:
     """Single affine + rectifier stage mapping 9-D points to C channels."""
@@ -213,8 +206,8 @@ def vfe_forward(pillars: PillarTensor, weights: VfeWeights) -> np.ndarray:
 
 
 def scatter_to_pseudo_image(features: np.ndarray, coords: np.ndarray,
-                            cfg: PillarGridConfig) -> PseudoImage:
-    """Write each pillar's C-vector at its grid cell; empty cells stay zero."""
+                            cfg: PillarGridConfig) -> np.ndarray:
+    """The (C, H, W) pseudo image: each pillar's C-vector at its cell, empty cells zero."""
     features = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     h, w = cfg.grid
@@ -224,15 +217,15 @@ def scatter_to_pseudo_image(features: np.ndarray, coords: np.ndarray,
                         or coords[:, 1].min() < 0 or coords[:, 1].max() >= h):
         raise ValueError("pillar coordinate outside the grid")
     c = features.shape[1]
-    data = np.zeros((c, h, w))
-    data[:, coords[:, 1], coords[:, 0]] = features.T
-    return PseudoImage(data)
+    image = np.zeros((c, h, w))
+    image[:, coords[:, 1], coords[:, 0]] = features.T
+    return image
 
 
-def gather_from_pseudo_image(image: PseudoImage, coords: np.ndarray) -> np.ndarray:
-    """Read back the C-vectors at the given (x, y) cells."""
+def gather_from_pseudo_image(image: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Read back the C-vectors at the given (x, y) cells of a (C, H, W) pseudo image."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
-    return image.data[:, coords[:, 1], coords[:, 0]].T
+    return image[:, coords[:, 1], coords[:, 0]].T
 
 
 def write_pc4d(path, points: np.ndarray) -> None:

@@ -38,13 +38,15 @@ The depth supervision target is always rasterized from the lidar and radar
 clouds together, so camera-only and camera+radar runs report BCE against
 the same target and stay comparable.
 
-The camera-branch stages are timed once per camera, so
-timings.{supervision,depthnet,depth_loss,lift,voxelpool} are sums over
-cameras; supervision also holds the one stacking of the two clouds.
+Every stage runs inside _stage, which names it in the errors it raises and
+sums its wall time into timings: timings.{supervision,depthnet,depth_loss,
+lift,voxelpool} are sums over cameras, and supervision also holds the one
+stacking of the two clouds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -290,25 +292,18 @@ def checksum(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64)).hexdigest()
 
 
-class _StageTimer:
-    def __init__(self, report: RunReport, name: str):
-        self.report, self.name = report, name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        # a stage entered more than once (once per camera) reports its total
-        elapsed = time.perf_counter() - self.t0
-        self.report.timings[self.name] = self.report.timings.get(self.name, 0.0) + elapsed
-        return False
-
-
-def _stage_error(stage: str, err: Exception) -> Exception:
-    # keep the I/O-vs-validation distinction so the CLI exit code survives
-    kind = OSError if isinstance(err, OSError) else RuntimeError
-    return kind(f"pipeline stage '{stage}' failed: {err}")
+@contextlib.contextmanager
+def _stage(report: RunReport, name: str):
+    """Sum the stage's wall time into report.timings[name], also when it raises. Its OSError
+    (CLI exit 2) and KeyError or ValueError (RuntimeError, exit 1) are re-raised naming it."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (OSError, KeyError, ValueError) as err:
+        kind = OSError if isinstance(err, OSError) else RuntimeError
+        raise kind(f"pipeline stage '{name}' failed: {err}") from err
+    finally:
+        report.timings[name] = report.timings.get(name, 0.0) + time.perf_counter() - t0
 
 
 def _feature_rig(rig: geo.CameraRig, feature_hw: tuple[int, int]) -> geo.CameraRig:
@@ -400,11 +395,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     exact only while the head is one 1x1 conv before the sigmoid.
     """
     report = RunReport()
-    with _StageTimer(report, "load"):
-        try:
-            bundle: SceneBundle = load_scene(scene_dir)
-        except (OSError, KeyError, ValueError) as err:
-            raise _stage_error("load", err) from err
+    with _stage(report, "load"):
+        bundle: SceneBundle = load_scene(scene_dir)
     token = bundle.manifest["sample_token"]
     use_radar = cfg.modality == "camera+radar"
     n_feat = bundle.features[0].shape[0]
@@ -419,13 +411,10 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     head = weights.head_kernel
     radar_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
     if use_radar:
-        with _StageTimer(report, "pillars"):
-            try:
-                cloud = pi.RadarPointCloud(bundle.radar)
-                tensor = pi.build_pillars(cloud, cfg.pillar_grid, seed=bundle.manifest["seed"])
-                encoded = pi.vfe_forward(tensor, weights.vfe)
-            except ValueError as err:
-                raise _stage_error("pillars", err) from err
+        with _stage(report, "pillars"):
+            cloud = pi.RadarPointCloud(bundle.radar)
+            tensor = pi.build_pillars(cloud, cfg.pillar_grid, seed=bundle.manifest["seed"])
+            encoded = pi.vfe_forward(tensor, weights.vfe)
             cell_x, cell_y = tensor.pillar_coords.T
             _add_conv_at_cells(radar_logits.reshape(N_CLASSES, -1), encoded,
                                cell_y * cfg.bev_cells + cell_x,
@@ -437,7 +426,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
 
     # Camera branch, camera by camera (see "Stage wiring"). "lift" builds the depth
     # weights' taps, "voxelpool" places and pools them into logits_camera.
-    with _StageTimer(report, "supervision"):
+    with _stage(report, "supervision"):
         supervision = np.vstack([bundle.lidar[:, :3], bundle.radar[:, :3]])
     net = _head_first_depthnet(weights.depthnet, head)
     frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
@@ -446,15 +435,12 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     camera_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
     bce = []  # one float per supervised camera; np.mean keeps its summation order
     for i, (feats, rig) in enumerate(zip(bundle.features, bundle.cameras)):
-        with _StageTimer(report, "supervision"):
+        with _stage(report, "supervision"):
             frig = _feature_rig(rig, feature_hw)
             gt_map, report.dropped_points[f"supervision_cam{i}"] = geo.depth_map_from_points(
                 supervision, frig, feature_hw)
-        with _StageTimer(report, "depthnet"):
-            try:
-                out = kan.depthnet_forward([feats], [rig], net)
-            except ValueError as err:
-                raise _stage_error("depthnet", err) from err
+        with _stage(report, "depthnet"):
+            out = kan.depthnet_forward([feats], [rig], net)
             (depth_logits,), (class_logits,), (gates,) = out.depth_logits, out.context, out.gates
             if use_radar:
                 _hint_depth_logits(depth_logits, bundle.radar[:, :3], frig, bins,
@@ -463,12 +449,12 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             report.checksums[f"gates_cam{i}"] = checksum(gates)
             report.checksums[f"class_logits_cam{i}"] = checksum(class_logits)
             report.checksums[f"depth_logits_cam{i}"] = checksum(depth_logits)
-        with _StageTimer(report, "depth_loss"):
+        with _stage(report, "depth_loss"):
             if gt_map.coverage_mask().any():
                 bce.append(fu.depth_bce_loss(p_depth, gt_map, bins))
-        with _StageTimer(report, "lift"):
+        with _stage(report, "lift"):
             taps = refine_taps(p_depth, kernel)
-        with _StageTimer(report, "voxelpool"):
+        with _stage(report, "voxelpool"):
             pts = geo.unproject_frustum(frig, frustum)
             report.dropped_points[f"frustum_cam{i}"] = vp.splat(
                 pts, class_logits, taps, cfg.bev_grid, camera_logits)
@@ -476,7 +462,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     report.checksums["logits_camera"] = checksum(camera_logits)
 
     # Fusion, heatmap prior at the radar cells, radar cell gating, final heatmap.
-    with _StageTimer(report, "fusion"):
+    with _stage(report, "fusion"):
         logits = fu.fuse_bev_features(camera_logits, radar_logits)
         logits += weights.head_bias[:, None, None]
         proposals = matched = np.zeros(0, dtype=np.int64)
@@ -495,15 +481,15 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
 
     # Decode, evaluation, losses. L_bbox pairs are evaluate's 2 m matches,
     # taken class by class; "head" times decode and losses.
-    with _StageTimer(report, "head"):
+    with _stage(report, "head"):
         preds = _decode_peaks(final_scores, cfg.bev_grid, cfg.peak_threshold)
 
-    with _StageTimer(report, "evaluate"):
+    with _stage(report, "evaluate"):
         gts = bundle.gt_boxes[token]
         summary = me.evaluate_detections({token: preds}, {token: gts})
         report.eval_summary = summary
 
-    with _StageTimer(report, "head"):
+    with _stage(report, "head"):
         gt_hm = _gt_heatmap(gts, cfg.bev_grid)
         pred_pairs, gt_pairs = zip(*(ce.tp_pairs for ce in summary.per_class))
         l_det, l_heatmap, l_bbox = fu.detection_loss(

@@ -416,7 +416,7 @@ def wide_path_heatmap(bundle, cfg, weights, contexts, p_depths):
                                    bundle.manifest["seed"])
     pseudo = scatter_to_pseudo_image(vfe_forward(pillars, weights.vfe), pillars.pillar_coords,
                                      cfg.pillar_grid)
-    fused = fused + conv_pointwise(pseudo.data, weights.radar_proj_kernel,
+    fused = fused + conv_pointwise(pseudo, weights.radar_proj_kernel,
                                    weights.radar_proj_bias)
     prior = head(fused)
     q = np.zeros((4, grid.ny, grid.nx))

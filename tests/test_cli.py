@@ -118,12 +118,14 @@ class TestGen:
                             ({"feature_shape": [64, 16]}, "feature_shape [64, 16]"),
                             ({"feature_shape": [64, 0, 44]}, "feature_shape [64, 0, 44]"),
                             ({"seed": 1.7}, "got seed 1.7 "),
-                            ({"seed": -1}, "got seed -1 "))),
+                            ({"seed": -1}, "got seed -1 "),
+                            ({"radar_densty": 5}, ": unknown key 'radar_densty'\n"))),
     ], ids=["list", "unknown-key", "unknown-object-key", "object-center-string",
             "object-center-length", "object-size-nan", "object-size-zero",
             "object-yaw-inf", "object-velocity-length", "object-class-unknown",
             "object-attribute-unknown", "feature-shape-string", "feature-shape-float",
-            "feature-shape-length", "feature-shape-zero", "seed-float", "seed-negative"])
+            "feature-shape-length", "feature-shape-zero", "seed-float", "seed-negative",
+            "misspelt-optional-key"])
     def test_malformed_spec_validation_error(self, tmp_path, capsys, spec, says):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -135,6 +137,7 @@ class TestGen:
         assert says in err
         if "lorry" in json.dumps(spec):
             assert "'lorry'" in err
+        assert not (tmp_path / "scene").exists()
 
     @pytest.mark.parametrize("flag, text, rc", [
         ("--radar-csv", "x,y,z,r\n1.0,2.0,0.1,0.5\nnan,1.0,0.2,0.9\n", EXIT_VALIDATION),

@@ -21,8 +21,8 @@ from bevkit.kan import (
     BSplineBasis,
     DepthNetParams,
     KanLayer,
+    _basis_grads,
     bspline_basis_eval,
-    bspline_basis_grad,
     camera_gates,
     depthnet_forward,
     depthnet_input_jacobian,
@@ -33,6 +33,11 @@ from bevkit.kan import (
     silu,
 )
 from bevkit.nnprims import conv_pointwise, softmax_over_depth
+
+
+def bspline_basis_grad(basis: BSplineBasis, x: float) -> np.ndarray:
+    """Derivative of every basis function at scalar x (zero outside the domain)."""
+    return _basis_grads(basis, np.array([float(x)]))[0]
 
 
 def identity_rig():

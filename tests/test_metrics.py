@@ -489,6 +489,20 @@ class TestBoxSet:
         bs = BoxSet(**self.columns())
         assert len(bs) == 3 and bs.class_id.dtype == np.int64
 
+    def test_mis_sized_box_raises_in_from_boxes_and_save_boxes(self, tmp_path):
+        """A box's fields are taken column by column, never shifted into a neighbour."""
+        bad = DetectionBox(center=(1.0, 2.0), size=(3.0, 4.0, 5.0, 6.0), yaw=0.0,
+                           velocity=(0.0, 0.0), class_id=0)
+        with pytest.raises(ValueError, match=r"BoxSet\.center must have shape \(1, 3\)"):
+            BoxSet.from_boxes([bad])
+        path = tmp_path / "boxes.json"
+        with pytest.raises(ValueError, match=r"BoxSet\.center "):
+            save_boxes(path, {"s": [bad]})
+        assert not path.exists()
+        empty = BoxSet.from_boxes([])
+        assert (empty.center.shape, empty.velocity.shape, empty.class_id.dtype) == (
+            (0, 3), (0, 2), np.int64)
+
 
 class TestBoxJson:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)

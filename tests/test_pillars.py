@@ -332,7 +332,7 @@ class TestScatter:
         # untouched cells are exactly zero
         mask = np.ones((8, 8), dtype=bool)
         mask[pillars.pillar_coords[:, 1], pillars.pillar_coords[:, 0]] = False
-        assert np.all(image.data[:, mask] == 0.0)
+        assert image.shape == (4, 8, 8) and np.all(image[:, mask] == 0.0)
 
     def test_out_of_grid_rejected(self):
         with pytest.raises(ValueError, match="outside"):

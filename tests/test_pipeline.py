@@ -139,7 +139,7 @@ class TestRunPipeline:
         pillars = pl.pi.build_pillars(pl.pi.RadarPointCloud(bundle.radar), cfg.pillar_grid,
                                       bundle.manifest["seed"])
         image = scatter(pl.pi.vfe_forward(pillars, weights.vfe), pillars.pillar_coords,
-                        cfg.pillar_grid).data
+                        cfg.pillar_grid)
         head = weights.head_kernel
         full = pl.conv_pointwise(image, head @ weights.radar_proj_kernel,
                                  head @ weights.radar_proj_bias)
@@ -151,6 +151,17 @@ class TestRunPipeline:
     def test_missing_scene_raises_staged_error(self, tmp_path):
         with pytest.raises(OSError, match="stage 'load'"):
             run_pipeline(tmp_path / "nope", PipelineConfig(**SMALL))
+
+    @pytest.mark.parametrize("stage, bad", [
+        ("pillars", lambda w, rng: dataclasses.replace(w, vfe=pl.pi.VfeWeights.random(rng, 5))),
+        ("fusion", lambda w, rng: dataclasses.replace(w, q_kernel=rng.normal(0.0, 0.2, (12, 3)))),
+    ], ids=["vfe-5-channels", "q-kernel-3-columns"])
+    def test_bad_weights_name_their_stage(self, scene_dir, stage, bad):
+        """A shape error deep in a stage's body ends as a RuntimeError naming the stage."""
+        cfg = PipelineConfig(**SMALL, sequential=True)
+        weights = bad(PipelineWeights.create(cfg, 16), np.random.default_rng(48))
+        with pytest.raises(RuntimeError, match=f"pipeline stage '{stage}' failed: shape"):
+            run_pipeline(scene_dir, cfg, weights)
 
     def test_radar_gate_matches_brute_force_oracle(self, scene_dir):
         """Proposals, gated cells and q rows against one-cell boxes matched by IOU."""
