@@ -14,48 +14,18 @@ from . import metrics as me
 from . import tables
 from .pillars import read_cloud_csv, write_pc4d
 from .pipeline import MODALITIES, PipelineConfig, run_pipeline, save_run_outputs
-from .scene import MAX_CAMERAS, SceneSpec, default_scene_spec, generate_scene
-from .scene import pose_from_json, rig_from_json, SceneObject
+from .scene import MAX_CAMERAS, SceneSpec, default_scene_spec, generate_scene, spec_from_json
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 1, 2
-
-# optional scene spec keys -> their conversion; absent ones keep SceneSpec's defaults
-_SPEC_OPTIONAL = {"radar_density": float, "lidar_density": float, "radar_max_range": float,
-                  "lidar_max_range": float, "feature_shape": tuple}
-
-
-def _spec_from_json(path) -> SceneSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    try:
-        spec = SceneSpec(
-            seed=d["seed"],
-            cameras=[rig_from_json(r) for r in d["cameras"]],
-            ego_trajectory=[pose_from_json(p) for p in d["ego_trajectory"]],
-            objects=[_object_from_json(o) for o in d.get("objects", [])],
-            **{key: convert(d[key]) for key, convert in _SPEC_OPTIONAL.items() if key in d},
-        )
-        for key in d:
-            if key not in ("seed", "cameras", "ego_trajectory", "objects", *_SPEC_OPTIONAL):
-                raise ValueError(f"unknown key {key!r}")
-        return spec
-    except (TypeError, AttributeError, KeyError, ValueError) as err:
-        raise ValueError(f"malformed scene spec {path}: {err}") from err
-
-
-def _object_from_json(o: dict) -> SceneObject:
-    obj = SceneObject(**o)
-    obj.center = me.finite_floats(obj.center, 3, "object center")
-    obj.size = me.finite_floats(obj.size, 3, "object size")
-    obj.yaw = me.finite_floats([obj.yaw], 1, "object yaw")[0]
-    obj.velocity = me.finite_floats(obj.velocity, 2, "object velocity")
-    obj.to_box()  # positive size, known class and attribute
-    return obj
 
 
 def cmd_gen(args) -> int:
     if args.spec:
-        spec = _spec_from_json(args.spec)
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            try:
+                spec = spec_from_json(json.load(fh))
+            except (TypeError, AttributeError, KeyError, ValueError, RecursionError) as err:
+                raise ValueError(f"malformed scene spec {args.spec}: {err}") from err
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
     else:

@@ -137,8 +137,13 @@ class BoxSet:
     @staticmethod
     def from_boxes(boxes) -> "BoxSet":
         """DetectionBoxes as columns, one array per field, checked as any BoxSet."""
-        boxes = list(boxes)
-        return BoxSet(*(np.array([getattr(b, f) for b in boxes]) for f in BOX_COLUMNS))
+        boxes, columns = list(boxes), []
+        for f in BOX_COLUMNS:
+            try:
+                columns.append(np.array([getattr(b, f) for b in boxes]))
+            except ValueError as err:  # rows of differing lengths
+                raise ValueError(f"BoxSet.{f} rows must be of one shape: {err}") from err
+        return BoxSet(*columns)
 
     @staticmethod
     def concat(sets) -> "BoxSet":

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .voxelpool import BEVGridConfig
+
 DEPTH_SENTINEL = -1.0
 
 _ORTHO_TOL = 1e-9
@@ -21,8 +23,9 @@ def _check_rotation(rot: np.ndarray, what: str) -> np.ndarray:
     rot = np.asarray(rot, dtype=np.float64)
     if rot.shape != (3, 3):
         raise ValueError(f"{what} rotation must be 3x3, got {rot.shape}")
-    if not np.all(np.isfinite(rot)):
-        raise ValueError(f"{what} rotation must be finite")
+    # entries of an orthonormal matrix lie in [-1, 1]; a larger one would overflow rot.T @ rot
+    if not np.all(np.abs(rot) <= 1.0 + _ORTHO_TOL):
+        raise ValueError(f"{what} rotation must be finite with entries in [-1, 1]")
     if np.max(np.abs(rot.T @ rot - np.eye(3))) > _ORTHO_TOL:
         raise ValueError(f"{what} rotation is not orthonormal")
     if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
@@ -59,8 +62,9 @@ class CameraRig:
         if not np.all(np.isfinite(t)):
             raise ValueError("camera translation must be finite")
         h, w = self.image_size
-        if not (0 < h < np.inf and 0 < w < np.inf):
-            raise ValueError(f"image_size must be positive and finite, got {self.image_size}")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+                   for v in (h, w)):
+            raise ValueError(f"image_size must be two integers >= 1, got {self.image_size}")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)
@@ -68,10 +72,11 @@ class CameraRig:
 
     def scaled(self, factor_y: float, factor_x: float) -> "CameraRig":
         """Rig for a resampled image, e.g. a stride-16 feature map."""
-        scale = np.diag([factor_x, factor_y, 1.0])
+        with np.errstate(over="ignore"):  # an entry that overflows fails the finite check
+            k = np.diag([factor_x, factor_y, 1.0]) @ self.intrinsics
         h, w = self.image_size
         return CameraRig(
-            intrinsics=scale @ self.intrinsics,
+            intrinsics=k,
             rotation=self.rotation,
             translation=self.translation,
             image_size=(max(1, round(h * factor_y)), max(1, round(w * factor_x))),
@@ -168,7 +173,8 @@ def project_points(points: np.ndarray, rig: CameraRig) -> np.ndarray:
         raise ValueError(f"non-finite points at indices {np.flatnonzero(bad).tolist()}")
     cam = points @ rig.rotation.T
     cam += rig.translation
-    return cam @ rig.intrinsics.T
+    with np.errstate(over="ignore"):  # overflow gives +-inf, which no pixel keeps as a depth
+        return cam @ rig.intrinsics.T
 
 
 def in_front_mask(projected: np.ndarray) -> np.ndarray:
@@ -189,18 +195,12 @@ def rasterize_depth_map(projected: np.ndarray, image_size: tuple[int, int]
         raise ValueError("rasterize_depth_map requires positive depths; filter first")
     h, w = image_size
     grid = np.full(h * w, np.inf)
-    if projected.shape[0]:
-        u = projected[:, 0] / d
-        v = projected[:, 1] / d
-        px = np.floor(u).astype(np.int64)
-        py = np.floor(v).astype(np.int64)
-        inside = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-        np.minimum.at(grid, py[inside] * w + px[inside], d[inside])
-        dropped = int(projected.shape[0] - np.count_nonzero(inside))
-    else:
-        dropped = 0
+    # pixel (floor(u), floor(v)) is the one cell rule on a grid of unit cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside, cells = BEVGridConfig((0, w), (0, h), w, h).cell_ids(projected[:, :2] / d[:, None])
+    np.minimum.at(grid, cells, d[inside])
     grid[~np.isfinite(grid)] = DEPTH_SENTINEL
-    return DepthMap(grid.reshape(h, w)), dropped
+    return DepthMap(grid.reshape(h, w)), int(len(d) - np.count_nonzero(inside))
 
 
 def depth_map_from_points(points: np.ndarray, rig: CameraRig,
@@ -219,8 +219,8 @@ def unproject_frustum(rig: CameraRig, frustum: FrustumGrid) -> np.ndarray:
     pixel (u, v) is K^-1 (u, v, 1), taken once per pixel and stretched to
     each depth d as one flat (P*3) row, then moved from the camera frame to ego.
     """
-    det = np.linalg.det(rig.intrinsics)
-    if abs(det) < 1e-12:
+    # log |det K| cannot overflow, unlike det K
+    if np.linalg.slogdet(rig.intrinsics)[1] < np.log(1e-12):
         raise ValueError("singular intrinsics cannot be unprojected")
     k_inv = np.linalg.inv(rig.intrinsics)
     px = frustum.pixels

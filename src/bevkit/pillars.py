@@ -242,8 +242,8 @@ def write_pc4d(path, points: np.ndarray) -> None:
 def read_pc4d(path) -> RadarPointCloud:
     with open(path, "rb") as fh:
         header = fh.read(PC4D_HEADER_BYTES)
-        if len(header) != PC4D_HEADER_BYTES or header[:4] != PC4D_MAGIC:
-            raise ValueError(f"bad point cloud header in {path}")
+        if len(header) != PC4D_HEADER_BYTES or header[:4] != PC4D_MAGIC or any(header[8:]):
+            raise ValueError(f"bad point cloud header (magic PC4D, count, 8 zero bytes) in {path}")
         (count,) = struct.unpack("<I", header[4:8])
         size, expected = os.fstat(fh.fileno()).st_size, PC4D_HEADER_BYTES + 16 * count
         if size < expected:

@@ -428,7 +428,6 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     # weights' taps, "voxelpool" places and pools them into logits_camera.
     with _stage(report, "supervision"):
         supervision = np.vstack([bundle.lidar[:, :3], bundle.radar[:, :3]])
-    net = _head_first_depthnet(weights.depthnet, head)
     frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
     # the identity tap is the plain lift: lift + refine(lift, K) = refine(lift, K + delta)
     kernel = weights.refine_kernel + np.pad([[1.0]], 1)
@@ -440,6 +439,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             gt_map, report.dropped_points[f"supervision_cam{i}"] = geo.depth_map_from_points(
                 supervision, frig, feature_hw)
         with _stage(report, "depthnet"):
+            net = _head_first_depthnet(weights.depthnet, head)
             out = kan.depthnet_forward([feats], [rig], net)
             (depth_logits,), (class_logits,), (gates,) = out.depth_logits, out.context, out.gates
             if use_radar:

@@ -2,7 +2,7 @@
 
 A scene bundle on disk stands in for one annotated driving sample:
 
-    scene.json          rigs, ego trajectory, densities, file references
+    scene.json          seed, sample token, rigs, ego trajectory, file names
     radar.pc4d          radar returns, (x, y, z, reflectivity) f32 rows
     lidar.pc4d          lidar returns, same format
     features_cam<i>.tnsr  synthetic backbone features per camera
@@ -10,20 +10,21 @@ A scene bundle on disk stands in for one annotated driving sample:
 
 Everything is a pure function of the SceneSpec, so one seed always yields
 byte-identical bundles. Point counts are Poisson draws whose means scale
-linearly with the emission densities.
+linearly with the emission densities. scene.json holds only what
+load_scene reads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .fusion import BoxSet, DetectionBox
 from .geometry import CameraRig, EgoPose
-from .metrics import ATTRIBUTES, DETECTION_CLASSES, name_index, save_boxes
+from .metrics import ATTRIBUTES, DETECTION_CLASSES, finite_floats, name_index, save_boxes
 from .nnprims import write_tensor
 from .pillars import write_pc4d
 
@@ -76,7 +77,7 @@ class SceneSpec:
     seed: int
     cameras: list[CameraRig]
     ego_trajectory: list[EgoPose]
-    objects: list[SceneObject]
+    objects: list[SceneObject] = field(default_factory=list)
     radar_density: float = 2000.0  # expected emitted points per sensor
     lidar_density: float = 8000.0
     radar_max_range: float = 55.0
@@ -95,9 +96,10 @@ class SceneSpec:
                 and all(type(v) is int and v >= 1 for v in shape)):
             raise ValueError("seed must be an integer >= 0 and feature_shape three integers "
                              f">= 1, got seed {self.seed!r} and feature_shape {shape}")
+        self.feature_shape = tuple(shape)
         for name in ("radar_density", "lidar_density", "radar_max_range", "lidar_max_range"):
             v, density = getattr(self, name), name.endswith("density")
-            if not (isinstance(v, (int, float)) and np.isfinite(v)
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
                     and (v >= 0 if density else v > 0)):
                 raise ValueError(f"{name} must be a finite number {'>=' if density else '>'} 0, "
                                  f"got {v!r}")
@@ -209,6 +211,31 @@ def pose_from_json(d: dict) -> EgoPose:
                    float(d["timestamp"]))
 
 
+def _object_from_json(o: dict) -> SceneObject:
+    obj = SceneObject(**o)
+    obj.center = finite_floats(obj.center, 3, "object center")
+    obj.size = finite_floats(obj.size, 3, "object size")
+    obj.yaw = finite_floats([obj.yaw], 1, "object yaw")[0]
+    obj.velocity = finite_floats(obj.velocity, 2, "object velocity")
+    obj.to_box()  # positive size, known class and attribute
+    return obj
+
+
+def spec_from_json(d: dict) -> SceneSpec:
+    """The SceneSpec of a gen --spec object: each key a SceneSpec field, rigs, poses and
+    objects as JSON objects, every other value as given, so SceneSpec alone checks it.
+    Absent fields keep their defaults; unknown keys raise."""
+    if not isinstance(d, dict):
+        raise ValueError("a scene spec must be a JSON object")
+    unknown = sorted(set(d) - {f.name for f in fields(SceneSpec)})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    readers = {"cameras": rig_from_json, "ego_trajectory": pose_from_json,
+               "objects": _object_from_json}
+    return SceneSpec(**{k: [readers[k](x) for x in v] if k in readers else v
+                        for k, v in d.items()})
+
+
 def generate_scene(spec: SceneSpec, out_dir) -> Path:
     """Write the bundle; returns the scene directory."""
     out = Path(out_dir)
@@ -234,9 +261,6 @@ def generate_scene(spec: SceneSpec, out_dir) -> Path:
         "sample_token": SAMPLE_TOKEN,
         "cameras": [rig_to_json(r) for r in spec.cameras],
         "ego_trajectory": [pose_to_json(p) for p in spec.ego_trajectory],
-        "densities": {"radar": spec.radar_density, "lidar": spec.lidar_density},
-        "max_range": {"radar": spec.radar_max_range, "lidar": spec.lidar_max_range},
-        "feature_shape": list(spec.feature_shape),
         "files": {
             "radar": "radar.pc4d",
             "lidar": "lidar.pc4d",
@@ -283,10 +307,11 @@ def load_scene(scene_dir) -> SceneBundle:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
     if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
             and len(files["features"]) == len(cameras) and 1 <= len(cameras) <= MAX_CAMERAS
-            and type(seed) is int and seed >= 0 and isinstance(token, str)):
+            and type(seed) is int and seed >= 0 and isinstance(token, str) and ego_trajectory):
         raise ValueError(f"{manifest_path}: files must name the radar, lidar and gt_boxes "
                          f"files and list one features file per camera (1 to {MAX_CAMERAS}), "
-                         "seed must be an integer >= 0 and sample_token a string")
+                         "seed must be an integer >= 0, sample_token a string and "
+                         "ego_trajectory at least one pose")
     features = [read_tensor(path / f) for f in files["features"]]
     for f, name in zip(features, files["features"]):
         if f.ndim != 3 or f.size == 0 or f.shape != features[0].shape:

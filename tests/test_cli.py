@@ -176,9 +176,9 @@ class TestGen:
 
     @pytest.mark.parametrize("edit, args, says", [
         ({}, ["--seed", "-3"], "got seed -3 "),
-        ({"radar_density": -5}, [], "radar_density must be a finite number >= 0, got -5.0"),
+        ({"radar_density": -5}, [], "radar_density must be a finite number >= 0, got -5\n"),
         ({"lidar_density": float("nan")}, [], "lidar_density must be a finite number >= 0"),
-        ({"radar_max_range": 0}, [], "radar_max_range must be a finite number > 0, got 0.0"),
+        ({"radar_max_range": 0}, [], "radar_max_range must be a finite number > 0, got 0\n"),
         ({"lidar_max_range": float("inf")}, [], "lidar_max_range must be a finite number > 0"),
     ], ids=["seed-negative", "radar-density-negative", "lidar-density-nan",
             "radar-max-range-zero", "lidar-max-range-inf"])
@@ -193,6 +193,24 @@ class TestGen:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert says in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, "2000", [2000], None])
+    def test_spec_numbers_are_json_numbers(self, tmp_path, capsys, value):
+        """A spec number is taken as written: no bool, string or list passes as one."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**ONE_CAMERA_SPEC, "radar_density": value}))
+        out = tmp_path / "scene"
+        capsys.readouterr()
+        assert main(["gen", "--out", str(out), "--spec", str(spec_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scene spec") and err.count("\n") == 1
+        assert f"radar_density must be a finite number >= 0, got {value!r}" in err
+        assert not out.exists()
+
+    def test_manifest_holds_what_load_scene_reads(self, seed3_dir):
+        manifest = json.loads((seed3_dir / "scene.json").read_text())
+        assert sorted(manifest) == ["cameras", "ego_trajectory", "files", "sample_token",
+                                    "seed"]
 
 
 def _set_files(m):
@@ -644,6 +662,53 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["pillars"] == {"points_in_range": 0, "kept": 0, "truncated": 0}
         assert report["gated_cells"] == []
+
+    @pytest.mark.parametrize("byte", [8, 12, 15])
+    def test_nonzero_reserved_pc4d_byte_one_line_error(self, scene_dir, config_path, tmp_path,
+                                                       capsys, byte):
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        cloud = bad / "radar.pc4d"
+        blob = bytearray(cloud.read_bytes())
+        blob[byte] = 0x5A
+        cloud.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "radar.pc4d" in err
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda m: m.update(ego_trajectory=[]), "ego_trajectory at least one pose"),
+        (lambda m: m["ego_trajectory"][0]["rotation"][0].__setitem__(1, 1e308),
+         "ego rotation must be finite with entries in [-1, 1]"),
+        (lambda m: m["cameras"][0]["intrinsics"][1].__setitem__(1, 1e20), None),
+        (lambda m: m["cameras"][0]["intrinsics"][2].__setitem__(2, 1e308), None),
+        (lambda m: m["cameras"][0]["translation"].__setitem__(2, 1e308), None),
+        (lambda m: m["cameras"][0].update(image_size=[1, 1], intrinsics=[
+            [1e308, 0.0, 352.0], [0.0, 380.0, 128.0], [0.0, 0.0, 1.0]]),
+         "stage 'supervision' failed: intrinsics must be finite"),
+    ], ids=["empty-ego-trajectory", "ego-rotation-1e308", "fy-1e20", "k22-1e308", "tz-1e308",
+            "feature-rig-overflow"])
+    def test_extreme_manifest_values_end_quietly(self, scene_dir, config_path, tmp_path,
+                                                 capsys, edit, says):
+        """A manifest value that overflows the geometry ends in one error line, or in a run
+        that prints nothing to stderr (pytest turns a RuntimeWarning into an error)."""
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        manifest = json.loads((bad / "scene.json").read_text())
+        edit(manifest)
+        (bad / "scene.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        err = capsys.readouterr().err
+        if says is None:
+            assert (rc, err) == (EXIT_OK, "")
+        else:
+            assert rc == EXIT_VALIDATION and err.startswith("error:") and err.count("\n") == 1
+            assert says in err
 
 
 class TestEval:

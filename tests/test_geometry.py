@@ -67,6 +67,18 @@ class TestCameraRig:
         with pytest.raises(ValueError, match="ego timestamp must be finite"):
             EgoPose(np.eye(3), np.zeros(3), bad)
 
+    @pytest.mark.parametrize("bad", [1e308, -1e308, 1.5])
+    def test_rejects_rotation_entry_beyond_one_before_the_product(self, bad):
+        rot = np.eye(3)
+        rot[0, 2] = bad
+        with pytest.raises(ValueError, match=r"entries in \[-1, 1\]"):
+            EgoPose(rot, np.zeros(3))
+
+    @pytest.mark.parametrize("size", [(0, 4), (1e-320, 4), (4.5, 4), (True, 4), (4, 1e20)])
+    def test_image_size_must_be_integers_of_one_or_more(self, size):
+        with pytest.raises(ValueError, match="image_size must be two integers >= 1"):
+            CameraRig(np.eye(3), np.eye(3), np.zeros(3), size)
+
     def test_rejects_nonpositive_image(self):
         with pytest.raises(ValueError):
             CameraRig(np.eye(3), np.eye(3), np.zeros(3), (0, 4))
@@ -113,6 +125,11 @@ class TestProjectPoints:
             pts = rng.normal(0, 30, (n, 3))
             expect = (pts @ rig.rotation.T + rig.translation) @ rig.intrinsics.T
             np.testing.assert_array_equal(project_points(pts, rig), expect)
+
+    def test_overflow_becomes_inf_quietly(self):
+        rig = CameraRig(np.diag([1e308, 1.0, 1.0]), np.eye(3), np.zeros(3), (4, 4))
+        proj = project_points(np.array([[10.0, 1.0, 2.0]]), rig)
+        np.testing.assert_array_equal(proj, [[np.inf, 1.0, 2.0]])
 
     def test_every_nonfinite_row_named(self):
         pts = np.zeros((5, 3))
@@ -173,6 +190,18 @@ class TestRasterizeDepthMap:
         with pytest.raises(ValueError):
             rasterize_depth_map(np.array([[0.0, 0.0, -1.0]]), (4, 4))
 
+    def test_far_and_nonfinite_pixels_dropped_without_a_cast(self):
+        """Pixels past int64, at +-inf or NaN are off-image by float comparison, with no
+        warning (pytest turns a RuntimeWarning into an error)."""
+        proj = np.array([[1.5, 2.5, 1.0], [1e20, 1.0, 1.0], [1.0, -1e300, 1e-300],
+                         [np.inf, 1.0, 2.0], [1.0, 1.0, np.inf], [np.nan, 1.0, 1.0],
+                         [np.inf, np.inf, np.inf], [3.0, 3.0, 1.0]])
+        dm, dropped = rasterize_depth_map(proj, (4, 4))
+        expect = np.full((4, 4), DEPTH_SENTINEL)
+        expect[2, 1] = expect[3, 3] = 1.0
+        np.testing.assert_array_equal(dm.values, expect)
+        assert dropped == 5  # the inf-depth row lands on pixel (0, 0) and leaves no depth
+
 
 class TestUnprojectFrustum:
     def test_identity_inverse_example(self):
@@ -225,6 +254,12 @@ class TestUnprojectFrustum:
         object.__setattr__(rig, "intrinsics", np.diag([1.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="singular"):
             unproject_frustum(rig, FrustumGrid(np.array([[0.0, 0.0]]), [1.0]))
+
+    def test_overflowing_intrinsics_unproject_quietly(self):
+        """log |det K| decides singularity, so a huge K entry overflows no determinant."""
+        rig = CameraRig(np.diag([380.0, 380.0, 1e308]), np.eye(3), np.zeros(3), (8, 8))
+        pts = unproject_frustum(rig, FrustumGrid(np.array([[0.0, 0.0]]), [1.0]))
+        assert np.isfinite(pts).all()
 
     def test_depth_bins_validated(self):
         with pytest.raises(ValueError, match="increasing"):

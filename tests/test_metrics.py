@@ -503,6 +503,20 @@ class TestBoxSet:
         assert (empty.center.shape, empty.velocity.shape, empty.class_id.dtype) == (
             (0, 3), (0, 2), np.int64)
 
+    def test_ragged_boxes_name_the_column_in_from_boxes_and_save_boxes(self, tmp_path):
+        """A 2-number center next to a 3-number one names the center column, not numpy's
+        inhomogeneous shape alone."""
+        good = DetectionBox(center=(1.0, 2.0, 0.5), size=(3.0, 4.0, 5.0), yaw=0.0,
+                            velocity=(0.0, 0.0), class_id=0)
+        short = DetectionBox(center=(1.0, 2.0), size=(3.0, 4.0, 5.0), yaw=0.0,
+                             velocity=(0.0, 0.0), class_id=0)
+        with pytest.raises(ValueError, match=r"^BoxSet\.center rows must be of one shape"):
+            BoxSet.from_boxes([good, short])
+        path = tmp_path / "boxes.json"
+        with pytest.raises(ValueError, match=r"^BoxSet\.center rows must be of one shape"):
+            save_boxes(path, {"s": [good, short]})
+        assert not path.exists()
+
 
 class TestBoxJson:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)

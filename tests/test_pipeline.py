@@ -163,6 +163,15 @@ class TestRunPipeline:
         with pytest.raises(RuntimeError, match=f"pipeline stage '{stage}' failed: shape"):
             run_pipeline(scene_dir, cfg, weights)
 
+    def test_bad_head_kernel_names_the_depthnet_stage(self, scene_dir):
+        """The head is folded into the depth net inside the depthnet stage, so a head that
+        does not fit n_context fails there, also in a camera-only run."""
+        cfg = PipelineConfig(**SMALL, modality="camera", sequential=True)
+        weights = dataclasses.replace(PipelineWeights.create(cfg, 16),
+                                      head_kernel=np.ones((pl.N_CLASSES, 11)))
+        with pytest.raises(RuntimeError, match="pipeline stage 'depthnet' failed: matmul"):
+            run_pipeline(scene_dir, cfg, weights)
+
     def test_radar_gate_matches_brute_force_oracle(self, scene_dir):
         """Proposals, gated cells and q rows against one-cell boxes matched by IOU."""
         cfg = PipelineConfig(**{**SMALL, "bev_cells": 12}, sequential=True)
