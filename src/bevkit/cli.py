@@ -24,7 +24,8 @@ def cmd_gen(args) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             try:
                 spec = spec_from_json(json.load(fh))
-            except (TypeError, AttributeError, KeyError, ValueError, RecursionError) as err:
+            except (TypeError, AttributeError, KeyError, ValueError, OverflowError,
+                    RecursionError) as err:
                 raise ValueError(f"malformed scene spec {args.spec}: {err}") from err
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)

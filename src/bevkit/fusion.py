@@ -96,7 +96,10 @@ class BoxSet:
                 if col.size and not (0 <= col.min() and col.max() < len(kind)):
                     raise ValueError(f"BoxSet.{name} must lie in [0, {len(kind)})")
             else:
-                col = col.astype(np.float64, copy=False)
+                try:
+                    col = col.astype(np.float64, copy=False)
+                except (TypeError, ValueError) as err:
+                    raise ValueError(f"BoxSet.{name} must hold numbers: {err}") from err
                 row = (kind,) if kind else ()
                 if not np.isfinite(col).all():
                     raise ValueError(f"BoxSet.{name} must be finite")

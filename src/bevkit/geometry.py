@@ -123,6 +123,11 @@ class DepthMap:
     def coverage_mask(self) -> np.ndarray:
         return self.values != DEPTH_SENTINEL
 
+    def nearest(self, other: "DepthMap") -> "DepthMap":
+        """Per-pixel nearest depth of two maps, the sentinel where neither covers a pixel."""
+        a, b = self.values, other.values
+        return DepthMap(np.where((a < 0) | (b < 0), np.maximum(a, b), np.minimum(a, b)))
+
 
 @dataclass
 class FrustumGrid:
@@ -171,10 +176,11 @@ def project_points(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     if not np.isfinite(points).all():
         bad = ~np.isfinite(points).all(axis=1)
         raise ValueError(f"non-finite points at indices {np.flatnonzero(bad).tolist()}")
-    cam = points @ rig.rotation.T
+    # a contiguous transpose takes numpy's fast matmul path; the transposed view does not
+    cam = points @ np.ascontiguousarray(rig.rotation.T)
     cam += rig.translation
     with np.errstate(over="ignore"):  # overflow gives +-inf, which no pixel keeps as a depth
-        return cam @ rig.intrinsics.T
+        return cam @ np.ascontiguousarray(rig.intrinsics.T)
 
 
 def in_front_mask(projected: np.ndarray) -> np.ndarray:

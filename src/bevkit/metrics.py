@@ -354,10 +354,25 @@ def box_to_json(box: DetectionBox, with_score: bool = True) -> dict:
     return d
 
 
+def is_number(v) -> bool:
+    """The number rule of every bevkit JSON file: an int or a float, not a bool, not a string."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def json_floats(value, what: str) -> np.ndarray:
+    """A parsed JSON number or nested lists of them as float64; ValueError naming what
+    otherwise. A parsed JSON leaf is_number exactly when its type is int or float."""
+    leaves = np.array(value, dtype=object)
+    if not {int, float}.issuperset(map(type, leaves.flat)):
+        raise ValueError(f"{what} must hold only numbers, got {value!r}")
+    return leaves.astype(np.float64)
+
+
 def finite_floats(value, n: int, what: str) -> tuple[float, ...]:
-    """A list of n numbers as finite floats; ValueError naming what otherwise."""
+    """A list of n numbers (is_number) as finite floats; ValueError naming what otherwise."""
     try:
-        out = tuple(map(float, value)) if isinstance(value, (list, tuple)) else ()
+        out = (tuple(map(float, value)) if isinstance(value, (list, tuple))
+               and all(map(is_number, value)) else ())
     except (TypeError, ValueError, OverflowError):
         out = ()
     if len(out) != n or not all(map(math.isfinite, out)):
@@ -418,7 +433,7 @@ def _box_set(token: str, boxes) -> BoxSet:
                 index = dict(zip(kind, range(len(kind))))
                 cols.append(np.array([index[v] for v in values], dtype=np.int64))
             else:
-                cols.append(np.array(values, dtype=np.float64))
+                cols.append(json_floats(values, key))
         return BoxSet(*cols)
     except (TypeError, KeyError, ValueError, OverflowError) as err:
         for i, d in enumerate(boxes):

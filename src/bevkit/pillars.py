@@ -157,7 +157,10 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
     inside, flat = cfg.bev.cell_ids(cloud.points)
     pts = cloud.points[inside]
 
-    by_cell = np.argsort(flat, kind="stable")  # also gives np.unique's cells, first, counts
+    # a stable sort has one result, so numpy's radix sort of narrow ids (uint16 on 128x128)
+    # serves; it also gives np.unique's cells, first, counts
+    by_cell = np.argsort(flat.astype(np.min_scalar_type(cfg.bev.nx * cfg.bev.ny - 1)),
+                         kind="stable")
     starts = np.flatnonzero(np.diff(flat[by_cell], prepend=-1))
     first, counts = by_cell[starts], np.diff(starts, append=len(flat))
     cells = flat[first]

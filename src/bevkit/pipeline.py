@@ -12,9 +12,10 @@ logits and no array is n_context channels wide:
     radar cloud -> pillars -> VFE -> 1x1 conv by K_h @ radar projection at
       the occupied cells, its bias elsewhere -> logits_radar
     camera by camera, in one loop that hands on only the BEV sum and a BCE term:
-      lidar + radar -> depth target; features + rig -> gates -> split conv
-        with K_h folded into its context rows -> depth logits + class logits
-      radar projections -> depth-logit hints added in place (camera+radar)
+      lidar, radar -> one depth map each -> their nearest depth, the depth target;
+        features + rig -> gates -> split conv with K_h folded into its context
+        rows -> depth logits + class logits
+      radar depth map -> depth-logit hints added in place (camera+radar)
       softmax -> depth weights p -> BCE against the target; p refined by
         refine_kernel plus a one-hot centre (the plain lift), one kernel
         column at a time -> column taps; frustum -> BEV cells; taps summed
@@ -34,14 +35,14 @@ the q rows' vx, vy channels and every decoded box's velocity are zero.
 The zero channels stay so the q kernel keeps its shape and its seeded
 draw.
 
-The depth supervision target is always rasterized from the lidar and radar
-clouds together, so camera-only and camera+radar runs report BCE against
-the same target and stay comparable.
+The depth supervision target always takes both clouds, so camera-only and
+camera+radar runs report BCE against the same target and stay comparable.
+Each cloud is projected and rasterized once per camera; the per-pixel min of
+the two maps is, bit for bit, the map of the stacked clouds.
 
 Every stage runs inside _stage, which names it in the errors it raises and
 sums its wall time into timings: timings.{supervision,depthnet,depth_loss,
-lift,voxelpool} are sums over cameras, and supervision also holds the one
-stacking of the two clouds.
+lift,voxelpool} are sums over cameras.
 """
 
 from __future__ import annotations
@@ -312,13 +313,9 @@ def _feature_rig(rig: geo.CameraRig, feature_hw: tuple[int, int]) -> geo.CameraR
     return rig.scaled(fh / h, fw / w)
 
 
-def _hint_depth_logits(logits: np.ndarray, radar_xyz: np.ndarray, frig: geo.CameraRig,
-                       bins: DepthBinSpec, strength: float) -> None:
-    """Add strength, in place, at each radar-seen pixel's nearest-depth bin.
-
-    frig is the rig at feature resolution; each pixel gets at most one hint.
-    """
-    dm, _ = geo.depth_map_from_points(radar_xyz, frig, logits.shape[1:])
+def _hint_depth_logits(logits: np.ndarray, dm: geo.DepthMap, bins: DepthBinSpec,
+                       strength: float) -> None:
+    """Add strength, in place, at each pixel that the radar depth map dm covers, in its bin."""
     covered = dm.coverage_mask()
     rows, cols = np.nonzero(covered)
     logits[bins.index_of(dm.values[covered]), rows, cols] += strength
@@ -346,18 +343,15 @@ def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
     ranked by one stable argsort of descending score, so equal scores keep
     (class, row, column) order. Each box column is one array lookup.
     """
-    n_classes, ny, nx = heatmap.shape
-    padded = np.full((n_classes, ny + 2, nx + 2), -np.inf)
-    padded[:, 1:-1, 1:-1] = heatmap
-    # the 3x3 max with the centre, a row pass then a column pass: max never rounds,
-    # and x >= max(nbrs + [x]) exactly when x >= max(nbrs)
-    rows = np.maximum(padded[:, :, :-2], padded[:, :, 1:-1])
-    np.maximum(rows, padded[:, :, 2:], out=rows)
-    del padded
-    neigh = np.maximum(rows[:, :-2], rows[:, 1:-1])
-    np.maximum(neigh, rows[:, 2:], out=neigh)
-    del rows
-    ci, iy, ix = np.nonzero((heatmap >= neigh) & (heatmap >= threshold))
+    # x >= its 3x3 max: vmax, the max over rows y-1..y+1, in place in one copy (max never
+    # rounds); x >= vmax at columns x-1, x and x+1 holds exactly when x >= their max
+    vmax = heatmap.copy()
+    np.maximum(vmax[:, 1:], heatmap[:, :-1], out=vmax[:, 1:])
+    np.maximum(vmax[:, :-1], heatmap[:, 1:], out=vmax[:, :-1])
+    peak = (heatmap >= vmax) & (heatmap >= threshold)
+    peak[:, :, 1:] &= heatmap[:, :, 1:] >= vmax[:, :, :-1]
+    peak[:, :, :-1] &= heatmap[:, :, :-1] >= vmax[:, :, 1:]
+    ci, iy, ix = np.nonzero(peak)
     scores = heatmap[ci, iy, ix]
     order = np.argsort(-scores, kind="stable")
     ci, iy, ix = ci[order], iy[order], ix[order]
@@ -426,8 +420,6 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
 
     # Camera branch, camera by camera (see "Stage wiring"). "lift" builds the depth
     # weights' taps, "voxelpool" places and pools them into logits_camera.
-    with _stage(report, "supervision"):
-        supervision = np.vstack([bundle.lidar[:, :3], bundle.radar[:, :3]])
     frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
     # the identity tap is the plain lift: lift + refine(lift, K) = refine(lift, K + delta)
     kernel = weights.refine_kernel + np.pad([[1.0]], 1)
@@ -436,15 +428,17 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     for i, (feats, rig) in enumerate(zip(bundle.features, bundle.cameras)):
         with _stage(report, "supervision"):
             frig = _feature_rig(rig, feature_hw)
-            gt_map, report.dropped_points[f"supervision_cam{i}"] = geo.depth_map_from_points(
-                supervision, frig, feature_hw)
+            (lidar_map, lidar_dropped), (radar_map, radar_dropped) = (
+                geo.depth_map_from_points(c[:, :3], frig, feature_hw)
+                for c in (bundle.lidar, bundle.radar))
+            gt_map = lidar_map.nearest(radar_map)
+            report.dropped_points[f"supervision_cam{i}"] = lidar_dropped + radar_dropped
         with _stage(report, "depthnet"):
             net = _head_first_depthnet(weights.depthnet, head)
             out = kan.depthnet_forward([feats], [rig], net)
             (depth_logits,), (class_logits,), (gates,) = out.depth_logits, out.context, out.gates
             if use_radar:
-                _hint_depth_logits(depth_logits, bundle.radar[:, :3], frig, bins,
-                                   cfg.radar_hint_strength)
+                _hint_depth_logits(depth_logits, radar_map, bins, cfg.radar_hint_strength)
             p_depth = softmax_over_depth(depth_logits)
             report.checksums[f"gates_cam{i}"] = checksum(gates)
             report.checksums[f"class_logits_cam{i}"] = checksum(class_logits)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .fusion import BoxSet, DetectionBox
 from .geometry import CameraRig, EgoPose
-from .metrics import ATTRIBUTES, DETECTION_CLASSES, finite_floats, name_index, save_boxes
+from .metrics import (ATTRIBUTES, DETECTION_CLASSES, finite_floats, is_number, json_floats,
+                      name_index, save_boxes)
 from .nnprims import write_tensor
 from .pillars import write_pc4d
 
@@ -99,8 +100,7 @@ class SceneSpec:
         self.feature_shape = tuple(shape)
         for name in ("radar_density", "lidar_density", "radar_max_range", "lidar_max_range"):
             v, density = getattr(self, name), name.endswith("density")
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
-                    and (v >= 0 if density else v > 0)):
+            if not (is_number(v) and np.isfinite(v) and (v >= 0 if density else v > 0)):
                 raise ValueError(f"{name} must be a finite number {'>=' if density else '>'} 0, "
                                  f"got {v!r}")
 
@@ -196,8 +196,8 @@ def rig_to_json(rig: CameraRig) -> dict:
 
 
 def rig_from_json(d: dict) -> CameraRig:
-    return CameraRig(np.array(d["intrinsics"]), np.array(d["rotation"]),
-                     np.array(d["translation"]), tuple(d["image_size"]))
+    return CameraRig(*(json_floats(d[k], f"camera {k}") for k in
+                       ("intrinsics", "rotation", "translation")), tuple(d["image_size"]))
 
 
 def pose_to_json(pose: EgoPose) -> dict:
@@ -207,8 +207,10 @@ def pose_to_json(pose: EgoPose) -> dict:
 
 
 def pose_from_json(d: dict) -> EgoPose:
-    return EgoPose(np.array(d["rotation"]), np.array(d["translation"]),
-                   float(d["timestamp"]))
+    if not is_number(d["timestamp"]):
+        raise ValueError(f"ego timestamp must be a number, got {d['timestamp']!r}")
+    return EgoPose(json_floats(d["rotation"], "ego rotation"),
+                   json_floats(d["translation"], "ego translation"), float(d["timestamp"]))
 
 
 def _object_from_json(o: dict) -> SceneObject:
@@ -303,7 +305,7 @@ def load_scene(scene_dir) -> SceneBundle:
         cameras = [rig_from_json(d) for d in manifest["cameras"]]
         ego_trajectory = [pose_from_json(d) for d in manifest["ego_trajectory"]]
         seed, token = manifest["seed"], manifest["sample_token"]
-    except (TypeError, AttributeError, KeyError, ValueError, RecursionError) as err:
+    except (TypeError, AttributeError, KeyError, ValueError, OverflowError, RecursionError) as err:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
     if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
             and len(files["features"]) == len(cameras) and 1 <= len(cameras) <= MAX_CAMERAS

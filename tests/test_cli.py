@@ -207,6 +207,25 @@ class TestGen:
         assert f"radar_density must be a finite number >= 0, got {value!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, value, says", [
+        ("translation", [True, 0, 0], "camera translation must hold only numbers"),
+        ("intrinsics", "x", "camera intrinsics must hold only numbers"),
+        ("translation", [10**400, 0, 0], "int too large to convert to float"),
+    ], ids=["translation-true", "intrinsics-string", "translation-huge-int"])
+    def test_spec_rig_numbers_are_json_numbers(self, tmp_path, capsys, where, value, says):
+        """A rig in a spec takes JSON numbers only, and an integer beyond float range ends
+        in the same one line, not a traceback."""
+        spec = json.loads(json.dumps(ONE_CAMERA_SPEC))
+        spec["cameras"][0][where] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert main(["gen", "--out", str(tmp_path / "scene"), "--spec", str(spec_path)]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scene spec") and err.count("\n") == 1
+        assert says in err
+
     def test_manifest_holds_what_load_scene_reads(self, seed3_dir):
         manifest = json.loads((seed3_dir / "scene.json").read_text())
         assert sorted(manifest) == ["cameras", "ego_trajectory", "files", "sample_token",
@@ -709,6 +728,35 @@ class TestRun:
         else:
             assert rc == EXIT_VALIDATION and err.startswith("error:") and err.count("\n") == 1
             assert says in err
+
+    @pytest.mark.parametrize("file, edit, says", [
+        ("gt_boxes.json", lambda m: next(iter(m.values()))[0].update(yaw=True),
+         "yaw must be 1 finite number, got [True]"),
+        ("scene.json", lambda m: m["ego_trajectory"][0].update(timestamp="5"),
+         "ego timestamp must be a number, got '5'"),
+        ("scene.json", lambda m: m["ego_trajectory"][0].update(translation=[True, 0, 0]),
+         "ego translation must hold only numbers"),
+        ("scene.json", lambda m: m["cameras"][0]["intrinsics"][0].__setitem__(0, "380"),
+         "camera intrinsics must hold only numbers"),
+        ("scene.json", lambda m: m["cameras"][0]["intrinsics"][0].__setitem__(0, 10**400),
+         "int too large to convert to float"),
+    ], ids=["box-yaw-true", "timestamp-string", "translation-true", "intrinsics-string",
+            "intrinsics-huge-int"])
+    def test_bundle_numbers_are_json_numbers(self, scene_dir, config_path, tmp_path, capsys,
+                                             file, edit, says):
+        """A bool or a numeric string where a bundle file needs a number ends in one error
+        line, as it does in a scene spec, instead of running as 1.0 or 5.0."""
+        bad = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad)
+        doc = json.loads((bad / file).read_text())
+        edit(doc)
+        (bad / file).write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                   "--config", str(config_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION and err.startswith("error:") and err.count("\n") == 1
+        assert says in err
 
 
 class TestEval:

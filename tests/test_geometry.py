@@ -276,6 +276,44 @@ class TestDepthMapType:
         np.testing.assert_array_equal(dm.coverage_mask(), [[False, True]])
 
 
+class TestNearestDepthMap:
+    """The depth target: one map per cloud, merged by DepthMap.nearest, against one
+    rasterization of the stacked clouds as the oracle."""
+
+    RIG = CameraRig(np.array([[8.0, 0.0, 8.0], [0.0, 8.0, 6.0], [0.0, 0.0, 1.0]]),
+                    np.eye(3), np.zeros(3), (12, 16))
+
+    @staticmethod
+    def clouds(rng):
+        # depths -2..10: some behind the camera; x, y up to 1.5 z: some off the image
+        z = rng.uniform(-2.0, 10.0, 300)
+        lidar = np.column_stack([rng.uniform(-1.5, 1.5, (300, 2)) * np.abs(z)[:, None], z])
+        # the first 150 lidar rays, each nearer or farther: pixels both clouds see
+        scale = np.where(rng.random(150) < 0.5, 0.8, 1.25)[:, None]
+        radar = np.vstack([lidar[:150] * scale, rng.uniform(-3.0, 3.0, (60, 3))])
+        return lidar, radar
+
+    @pytest.mark.parametrize("empty", [None, "lidar", "radar", "both"])
+    def test_equals_the_stacked_cloud_map(self, empty):
+        lidar, radar = self.clouds(np.random.default_rng(44))
+        if empty in ("lidar", "both"):
+            lidar = lidar[:0]
+        if empty in ("radar", "both"):
+            radar = radar[:0]
+        (lidar_map, n_lidar), (radar_map, n_radar) = (depth_map_from_points(c, self.RIG)
+                                                      for c in (lidar, radar))
+        oracle, n_oracle = depth_map_from_points(np.vstack([lidar, radar]), self.RIG)
+        merged = lidar_map.nearest(radar_map)
+        np.testing.assert_array_equal(merged.values, oracle.values)
+        assert n_lidar + n_radar == n_oracle
+        if empty is None:  # the case covers what it claims
+            lv, rv = lidar_map.values, radar_map.values
+            both = lidar_map.coverage_mask() & radar_map.coverage_mask()
+            assert (lv[both] < rv[both]).any() and (rv[both] < lv[both]).any()
+            assert (radar_map.coverage_mask() & ~lidar_map.coverage_mask()).any()
+            assert 0 < n_lidar and 0 < n_radar and (lidar[:, 2] <= 0).any()
+
+
 def test_full_depth_pipeline_helper():
     rng = np.random.default_rng(28)
     rig = random_rig(rng, image_size=(32, 40))

@@ -517,6 +517,13 @@ class TestBoxSet:
             save_boxes(path, {"s": [good, short]})
         assert not path.exists()
 
+    def test_string_column_named(self):
+        """A center of strings names the center column, not numpy's bare conversion error."""
+        box = DetectionBox(center=("a", "b", "c"), size=(3.0, 4.0, 5.0), yaw=0.0,
+                           velocity=(0.0, 0.0), class_id=0)
+        with pytest.raises(ValueError, match=r"^BoxSet\.center must hold numbers"):
+            BoxSet.from_boxes([box])
+
 
 class TestBoxJson:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)

@@ -148,6 +148,23 @@ class TestRunPipeline:
         wide = pl.conv_pointwise(image, weights.radar_proj_kernel, weights.radar_proj_bias)
         assert np.abs(radar_logits - np.tensordot(head, wide, 1)).max() <= 1e-9
 
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_depth_target_is_the_stacked_clouds_map(self, scene_dir, modality, monkeypatch):
+        # each cloud is rasterized on its own; the BCE target and the supervision drop
+        # count must equal one rasterization of the two clouds stacked
+        targets, bce = [], fu.depth_bce_loss
+        monkeypatch.setattr(pl.fu, "depth_bce_loss",
+                            lambda p, gt, bins: targets.append(gt.values) or bce(p, gt, bins))
+        report, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, modality=modality))
+        bundle = sc.load_scene(scene_dir)
+        hw = bundle.features[0].shape[1:]
+        stacked = np.vstack([bundle.lidar[:, :3], bundle.radar[:, :3]])
+        assert len(targets) == len(bundle.cameras)
+        for i, rig in enumerate(bundle.cameras):
+            oracle, dropped = geo.depth_map_from_points(stacked, pl._feature_rig(rig, hw), hw)
+            np.testing.assert_array_equal(targets[i], oracle.values)
+            assert report.dropped_points[f"supervision_cam{i}"] == dropped
+
     def test_missing_scene_raises_staged_error(self, tmp_path):
         with pytest.raises(OSError, match="stage 'load'"):
             run_pipeline(tmp_path / "nope", PipelineConfig(**SMALL))
