@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import metrics as me
 from . import tables
+from .nnprims import read_json, write_json
 from .pillars import read_cloud_csv, write_pc4d
 from .pipeline import MODALITIES, PipelineConfig, run_pipeline, save_run_outputs
 from .scene import MAX_CAMERAS, SceneSpec, default_scene_spec, generate_scene, spec_from_json
@@ -21,12 +21,11 @@ EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 1, 2
 
 def cmd_gen(args) -> int:
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            try:
-                spec = spec_from_json(json.load(fh))
-            except (TypeError, AttributeError, KeyError, ValueError, OverflowError,
-                    RecursionError) as err:
-                raise ValueError(f"malformed scene spec {args.spec}: {err}") from err
+        d = read_json(args.spec, "scene spec")
+        try:
+            spec = spec_from_json(d)
+        except (TypeError, AttributeError, KeyError, ValueError, OverflowError) as err:
+            raise ValueError(f"malformed scene spec {args.spec}: {err}") from err
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
     else:
@@ -74,9 +73,7 @@ def cmd_eval(args) -> int:
     summary = me.evaluate_detections(preds, gts)
     print(me.render_summary_table({"evaluated": summary}))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, summary.to_dict())
         print(f"summary written to {args.out}")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nnprims import is_int
 from .voxelpool import BEVGridConfig
 
 DEPTH_SENTINEL = -1.0
@@ -62,8 +63,7 @@ class CameraRig:
         if not np.all(np.isfinite(t)):
             raise ValueError("camera translation must be finite")
         h, w = self.image_size
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-                   for v in (h, w)):
+        if not all(is_int(v) and v >= 1 for v in (h, w)):
             raise ValueError(f"image_size must be two integers >= 1, got {self.image_size}")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "rotation", rot)

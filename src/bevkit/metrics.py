@@ -6,30 +6,30 @@ interpolation of the rank-accumulated precision-recall curve, and the five
 true-positive error metrics are computed on the 2-meter matches.
 
 Boxes files load straight into box columns (fusion.BoxSet), and evaluation
-reads only those. Per class and sample, one (P, G) distance matrix over the
-score-ranked predictions serves all four thresholds, and the greedy loop
-visits only predictions with a ground truth within the threshold, stopping
-once every ground truth is taken. Samples are merged for the
-precision-recall sweep by one stable argsort of the concatenated scores, and
-AP reads the 101 recall points off a suffix maximum of precision. Aggregation
-follows two distinct missing-value rules, both verified against published
-reference tables: a class's mean AP averages over all four thresholds with
-non-evaluable entries contributing zero, while the global mean of each TP
-error skips classes where the metric is absent.
+reads only those; the JSON I/O and the number rule they pass are nnprims'.
+Per class and sample, one (P, G) distance matrix over the score-ranked
+predictions serves all four thresholds, and the greedy loop visits only
+predictions with a ground truth within the threshold, stopping once every
+ground truth is taken. Samples are merged for the precision-recall sweep by
+one stable argsort of the concatenated scores, and AP reads the 101 recall
+points off a suffix maximum of precision. Aggregation follows two distinct
+missing-value rules, both verified against published reference tables: a
+class's mean AP averages over all four thresholds with non-evaluable entries
+contributing zero, while the global mean of each TP error skips classes
+where the metric is absent.
 
 No range or visibility filtering is applied before evaluation.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fusion import ATTRIBUTES, BOX_COLUMNS, DETECTION_CLASSES, BoxSet, DetectionBox
+from .nnprims import finite_floats, json_floats, name_index, read_json, write_json
 
 AP_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TP_THRESHOLD = 2.0  # TP errors use the 2 m matches
@@ -354,49 +354,13 @@ def box_to_json(box: DetectionBox, with_score: bool = True) -> dict:
     return d
 
 
-def is_number(v) -> bool:
-    """The number rule of every bevkit JSON file: an int or a float, not a bool, not a string."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def json_floats(value, what: str) -> np.ndarray:
-    """A parsed JSON number or nested lists of them as float64; ValueError naming what
-    otherwise. A parsed JSON leaf is_number exactly when its type is int or float."""
-    leaves = np.array(value, dtype=object)
-    if not {int, float}.issuperset(map(type, leaves.flat)):
-        raise ValueError(f"{what} must hold only numbers, got {value!r}")
-    return leaves.astype(np.float64)
-
-
-def finite_floats(value, n: int, what: str) -> tuple[float, ...]:
-    """A list of n numbers (is_number) as finite floats; ValueError naming what otherwise."""
-    try:
-        out = (tuple(map(float, value)) if isinstance(value, (list, tuple))
-               and all(map(is_number, value)) else ())
-    except (TypeError, ValueError, OverflowError):
-        out = ()
-    if len(out) != n or not all(map(math.isfinite, out)):
-        raise ValueError(f"{what} must be {n} finite number{'s' * (n != 1)}, got {value!r}")
-    return out
-
-
-def name_index(names: tuple[str, ...], value, what: str) -> int:
-    """Position of value in names; ValueError naming what and value otherwise."""
-    if not isinstance(value, str) or value not in names:
-        raise ValueError(f"{what} must be one of {', '.join(map(repr, names))}; got {value!r}")
-    return names.index(value)
-
-
 def save_boxes(path, boxes_by_token: dict[str, BoxSet | list[DetectionBox]],
                with_score: bool = True) -> None:
     """Write boxes by sample token; a list is converted through BoxSet.from_boxes first,
     so a box that load_boxes would reject raises here instead."""
-    payload = {token: [box_to_json(b, with_score) for b in
-                       (boxes if isinstance(boxes, BoxSet) else BoxSet.from_boxes(boxes))]
-               for token, boxes in boxes_by_token.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {token: [box_to_json(b, with_score) for b in
+                              (boxes if isinstance(boxes, BoxSet) else BoxSet.from_boxes(boxes))]
+                      for token, boxes in boxes_by_token.items()})
 
 
 def _check_box(d) -> None:
@@ -410,10 +374,10 @@ def _check_box(d) -> None:
         if isinstance(kind, tuple):
             name_index(kind, value, key)
             continue
-        x = finite_floats(value if kind else [value], kind or 1, key)
+        x = finite_floats(value, kind, key)
         if key == "size" and min(x) <= 0:
             raise ValueError(f"size must be positive, got {value!r}")
-        if key == "detection_score" and not 0 <= x[0] <= 1:
+        if key == "detection_score" and not 0 <= x <= 1:
             raise ValueError(f"detection_score must be in [0, 1], got {value!r}")
 
 
@@ -449,14 +413,13 @@ def load_boxes(path) -> dict[str, BoxSet]:
 
     A ValueError names the file and, for a bad box, its token, index and key.
     """
+    payload = read_json(path, "boxes file")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValueError("the top level must map sample tokens to box lists, "
                              f"got a {type(payload).__name__}")
         return {token: _box_set(token, boxes) for token, boxes in payload.items()}
-    except (ValueError, RecursionError) as err:  # json.load recurses per nesting level
+    except ValueError as err:
         raise ValueError(f"malformed boxes file {path}: {err}") from err
 
 

@@ -12,10 +12,14 @@ Canonical layouts used throughout the package:
 The run never builds the lifted (C_ctx, C_D, H, W) layout. Only
 lift_outer_product and depth_refine use it; they stay as the test oracles'
 reference and as names the benchmark's tracer patches.
+
+It imports nothing else from bevkit, so it also owns the one input-value rule
+(is_int, is_number and the converters on them) and the JSON reader and writer.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -24,6 +28,61 @@ from dataclasses import dataclass
 import numpy as np
 
 TNSR_MAGIC = b"TNSR"
+
+
+def is_int(v) -> bool:
+    """The integer rule of every bevkit input: an int, not a bool, so not a numpy integer."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """The number rule of every bevkit input, what JSON can carry: an int or a float, no bool."""
+    return is_int(v) or isinstance(v, float)
+
+
+def json_floats(value, what: str) -> np.ndarray:
+    """A parsed JSON number or nested lists of them as float64; ValueError naming what
+    otherwise. A parsed JSON leaf is_number exactly when its type is int or float."""
+    leaves = np.array(value, dtype=object)
+    if not {int, float}.issuperset(map(type, leaves.ravel())):  # .flat stops at 32 dims
+        raise ValueError(f"{what} must hold only numbers, got {value!r}")
+    return leaves.astype(np.float64)
+
+
+def finite_floats(value, n: int, what: str):
+    """A list of n JSON numbers as a tuple of finite floats, or for n = 0 one as a float."""
+    try:
+        x = json_floats(value, what)
+    except (ValueError, OverflowError):  # not numbers, or an int beyond float range
+        x = None
+    if x is None or x.shape != ((n,) if n else ()) or not np.isfinite(x).all():
+        raise ValueError(f"{what} must be {n or 'a'} finite number{'s' * (n > 1)}, got {value!r}")
+    return tuple(x.tolist()) if n else float(x)
+
+
+def name_index(names: tuple[str, ...], value, what: str) -> int:
+    """Position of value in names; ValueError naming what and value otherwise."""
+    if not isinstance(value, str) or value not in names:
+        raise ValueError(f"{what} must be one of {', '.join(map(repr, names))}; got {value!r}")
+    return names.index(value)
+
+
+def read_json(path, what: str = ""):
+    """The parsed JSON file at path. Bad UTF-8, bad JSON or nesting too deep to parse
+    raises one ValueError, "malformed <what> <path>: ..."; an OSError passes on."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as err:  # json recurses once per nesting level
+        raise ValueError(f"malformed {f'{what} ' if what else ''}{path}: {err}") from err
+
+
+def write_json(path, obj) -> None:
+    """obj as indented, key-sorted JSON and a newline. The text is built before the file
+    is opened, so an object that json cannot encode raises with the file untouched."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def as_tensor(data) -> np.ndarray:

@@ -63,7 +63,8 @@ from . import kan
 from . import metrics as me
 from . import pillars as pi
 from . import voxelpool as vp
-from .nnprims import DepthBinSpec, conv_pointwise, refine_taps, softmax_over_depth
+from .nnprims import (DepthBinSpec, conv_pointwise, is_int, is_number, read_json,
+                      refine_taps, softmax_over_depth, write_json)
 # The pipeline no longer lifts or refines the lift, but perfbench/tracing.py
 # patches these names here.
 from .nnprims import depth_refine, lift_outer_product  # noqa: F401
@@ -73,20 +74,13 @@ MODALITIES = ("camera", "camera+radar")
 N_CLASSES = len(me.DETECTION_CLASSES)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
-
-
 def _at_least(low: int):
-    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+    return (lambda v: is_int(v) and v >= low), f"an integer >= {low}"
 
 
-_POSITIVE = (lambda v: _is_real(v) and v > 0), "a positive number"
-_UNIT = (lambda v: _is_real(v) and 0 <= v <= 1), "a number in [0, 1]"
+# an int is finite however large; NaN fails every comparison
+_POSITIVE = (lambda v: is_number(v) and 0 < v < math.inf), "a positive number"
+_UNIT = (lambda v: is_number(v) and 0 <= v <= 1), "a number in [0, 1]"
 
 
 def _setting(default, section: str, key: str, rule):
@@ -112,7 +106,7 @@ class PipelineConfig:
     n_context: int = _setting(80, "depth", "n_context", _at_least(1))
     kan_hidden: tuple[int, ...] = _setting(
         (64,), "depth", "kan_hidden",
-        ((lambda v: isinstance(v, tuple) and all(_is_int(h) and h >= 1 for h in v)),
+        ((lambda v: isinstance(v, tuple) and all(is_int(h) and h >= 1 for h in v)),
          "a list of integers >= 1"))
     # BEV grid (shared by pillars and pooling)
     bev_range: float = _setting(51.2, "bev", "range", _POSITIVE)
@@ -126,8 +120,8 @@ class PipelineConfig:
     peak_threshold: float = _setting(0.6, "fusion", "peak_threshold", _UNIT)
     # moderate prior weight: a hard boost would backfire at pixels where
     # lidar sees a nearer surface than the radar return
-    radar_hint_strength: float = _setting(2.0, "fusion", "radar_hint_strength",
-                                          ((lambda v: _is_real(v) and v >= 0), "a number >= 0"))
+    radar_hint_strength: float = _setting(2.0, "fusion", "radar_hint_strength", (
+        (lambda v: is_number(v) and 0 <= v < math.inf), "a number >= 0"))
     # execution. splat sums slot weights one way, so every run is
     # sequential and deterministic: pooling accepts only "reference" and
     # sequential changes nothing. Both stay so older files and callers load.
@@ -170,9 +164,7 @@ class PipelineConfig:
                                    self.pillar_max_points, self.pillar_max_pillars)
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -207,8 +199,7 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return PipelineConfig.from_dict(json.load(fh))
+        return PipelineConfig.from_dict(read_json(path, "config"))
 
 
 # field -> (section, key) in the JSON layout written by PipelineConfig.to_json
@@ -425,6 +416,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     kernel = weights.refine_kernel + np.pad([[1.0]], 1)
     camera_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
     bce = []  # one float per supervised camera; np.mean keeps its summation order
+    with _stage(report, "depthnet"):
+        net = _head_first_depthnet(weights.depthnet, head)
     for i, (feats, rig) in enumerate(zip(bundle.features, bundle.cameras)):
         with _stage(report, "supervision"):
             frig = _feature_rig(rig, feature_hw)
@@ -434,7 +427,6 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             gt_map = lidar_map.nearest(radar_map)
             report.dropped_points[f"supervision_cam{i}"] = lidar_dropped + radar_dropped
         with _stage(report, "depthnet"):
-            net = _head_first_depthnet(weights.depthnet, head)
             out = kan.depthnet_forward([feats], [rig], net)
             (depth_logits,), (class_logits,), (gates,) = out.depth_logits, out.context, out.gates
             if use_radar:
@@ -500,7 +492,5 @@ def save_run_outputs(out_dir, report: RunReport,
     pred_path = out / "predictions.json"
     me.save_boxes(pred_path, predictions)
     report_path = out / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_path, report.to_dict())
     return report_path, pred_path

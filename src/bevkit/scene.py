@@ -16,7 +16,6 @@ load_scene reads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -24,10 +23,10 @@ import numpy as np
 
 from .fusion import BoxSet, DetectionBox
 from .geometry import CameraRig, EgoPose
-from .metrics import (ATTRIBUTES, DETECTION_CLASSES, finite_floats, is_number, json_floats,
-                      name_index, save_boxes)
-from .nnprims import write_tensor
-from .pillars import write_pc4d
+from .metrics import ATTRIBUTES, DETECTION_CLASSES, save_boxes
+from .nnprims import (finite_floats, is_int, is_number, json_floats, name_index, read_json,
+                      read_tensor, write_json, write_tensor)
+from .pillars import read_pc4d, write_pc4d
 
 SAMPLE_TOKEN = "sample-0"
 MAX_CAMERAS = 6
@@ -93,8 +92,8 @@ class SceneSpec:
         if not self.ego_trajectory:
             raise ValueError("a scene needs at least one ego pose")
         shape = list(self.feature_shape)
-        if not (type(self.seed) is int and self.seed >= 0 and len(shape) == 3
-                and all(type(v) is int and v >= 1 for v in shape)):
+        if not (is_int(self.seed) and self.seed >= 0 and len(shape) == 3
+                and all(is_int(v) and v >= 1 for v in shape)):
             raise ValueError("seed must be an integer >= 0 and feature_shape three integers "
                              f">= 1, got seed {self.seed!r} and feature_shape {shape}")
         self.feature_shape = tuple(shape)
@@ -187,12 +186,8 @@ def _sensor_cloud(spec: SceneSpec, density: float, max_range: float,
 
 
 def rig_to_json(rig: CameraRig) -> dict:
-    return {
-        "intrinsics": rig.intrinsics.tolist(),
-        "rotation": rig.rotation.tolist(),
-        "translation": rig.translation.tolist(),
-        "image_size": list(rig.image_size),
-    }
+    return {"intrinsics": rig.intrinsics.tolist(), "rotation": rig.rotation.tolist(),
+            "translation": rig.translation.tolist(), "image_size": list(rig.image_size)}
 
 
 def rig_from_json(d: dict) -> CameraRig:
@@ -201,8 +196,7 @@ def rig_from_json(d: dict) -> CameraRig:
 
 
 def pose_to_json(pose: EgoPose) -> dict:
-    return {"rotation": pose.rotation.tolist(),
-            "translation": pose.translation.tolist(),
+    return {"rotation": pose.rotation.tolist(), "translation": pose.translation.tolist(),
             "timestamp": pose.timestamp}
 
 
@@ -217,7 +211,7 @@ def _object_from_json(o: dict) -> SceneObject:
     obj = SceneObject(**o)
     obj.center = finite_floats(obj.center, 3, "object center")
     obj.size = finite_floats(obj.size, 3, "object size")
-    obj.yaw = finite_floats([obj.yaw], 1, "object yaw")[0]
+    obj.yaw = finite_floats(obj.yaw, 0, "object yaw")
     obj.velocity = finite_floats(obj.velocity, 2, "object velocity")
     obj.to_box()  # positive size, known class and attribute
     return obj
@@ -270,9 +264,7 @@ def generate_scene(spec: SceneSpec, out_dir) -> Path:
             "gt_boxes": "gt_boxes.json",
         },
     }
-    with open(out / "scene.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "scene.json", manifest)
     return out
 
 
@@ -291,25 +283,24 @@ class SceneBundle:
 
 
 def load_scene(scene_dir) -> SceneBundle:
+    # looked up at call time, so a patch of bevkit.metrics.load_boxes (perfbench's tracer)
+    # is seen; a module-level import would bind the unpatched function
     from .metrics import load_boxes
-    from .nnprims import read_tensor
-    from .pillars import read_pc4d
 
     path = Path(scene_dir)
     manifest_path = path / "scene.json"
+    manifest = read_json(manifest_path)
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
         files = manifest["files"]
         names = [files["radar"], files["lidar"], files["gt_boxes"], *files["features"]]
         cameras = [rig_from_json(d) for d in manifest["cameras"]]
         ego_trajectory = [pose_from_json(d) for d in manifest["ego_trajectory"]]
         seed, token = manifest["seed"], manifest["sample_token"]
-    except (TypeError, AttributeError, KeyError, ValueError, OverflowError, RecursionError) as err:
+    except (TypeError, AttributeError, KeyError, ValueError, OverflowError) as err:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
     if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
             and len(files["features"]) == len(cameras) and 1 <= len(cameras) <= MAX_CAMERAS
-            and type(seed) is int and seed >= 0 and isinstance(token, str) and ego_trajectory):
+            and is_int(seed) and seed >= 0 and isinstance(token, str) and ego_trajectory):
         raise ValueError(f"{manifest_path}: files must name the radar, lidar and gt_boxes "
                          f"files and list one features file per camera (1 to {MAX_CAMERAS}), "
                          "seed must be an integer >= 0, sample_token a string and "

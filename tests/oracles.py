@@ -13,9 +13,9 @@ from bevkit.fusion import DetectionBox
 from bevkit.geometry import FrustumGrid
 from bevkit.metrics import (
     AP_THRESHOLDS, ATTRIBUTES, CLASS_TP_METRICS, DETECTION_CLASSES, TP_METRICS, TP_THRESHOLD,
-    finite_floats, name_index,
 )
-from bevkit.nnprims import conv_pointwise, depth_refine, lift_outer_product
+from bevkit.nnprims import (conv_pointwise, depth_refine, finite_floats, lift_outer_product,
+                            name_index)
 from bevkit.pillars import PillarTensor, RadarPointCloud, scatter_to_pseudo_image, vfe_forward
 from bevkit.scene import CLASS_ATTRIBUTES, CLASS_SIZES
 from bevkit.voxelpool import FeaturedPoints, pool_reference
@@ -222,7 +222,7 @@ def box_from_json(d: dict) -> DetectionBox:
     return DetectionBox(
         center=finite_floats(d["translation"], 3, "translation"),
         size=finite_floats(d["size"], 3, "size"),
-        yaw=finite_floats([d["yaw"]], 1, "yaw")[0],
+        yaw=finite_floats(d["yaw"], 0, "yaw"),
         velocity=finite_floats(d["velocity"], 2, "velocity"),
         class_id=name_index(DETECTION_CLASSES, d["detection_name"], "detection_name"),
         score=float(d.get("detection_score", 0.0)),

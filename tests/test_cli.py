@@ -108,7 +108,7 @@ class TestGen:
                             ({"center": [10.0, 0.0]}, "object center must be 3"),
                             ({"size": [float("nan"), 4.6, 1.6]}, "object size must be 3"),
                             ({"size": [1.9, 0.0, 1.6]}, "sizes must be positive"),
-                            ({"yaw": float("inf")}, "object yaw must be 1 finite number,"),
+                            ({"yaw": float("inf")}, "object yaw must be a finite number,"),
                             ({"velocity": [1.0]}, "object velocity must be 2"),
                             ({"class_name": "lorry"}, "class_name must be one of"),
                             ({"attribute": "vehicle.flying"}, "attribute must be one of"))),
@@ -671,6 +671,19 @@ class TestRun:
         assert err.startswith("error: bev_range") and err.count("\n") == 1 and grid in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("blob", [b"{", b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000],
+                             ids=["bad-json", "not-utf8", "deep-nesting"])
+    def test_unreadable_config_names_the_file(self, scene_dir, tmp_path, capsys, blob):
+        cfg = tmp_path / "f.json"
+        cfg.write_bytes(blob)
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed config {cfg}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_tiny_cells_put_every_point_out_of_range(self, scene_dir, tmp_path):
         """Positions over a 1e-312 m cell overflow to inf, out of range by design, and
         warn of nothing (pytest turns a RuntimeWarning into an error)."""
@@ -731,7 +744,7 @@ class TestRun:
 
     @pytest.mark.parametrize("file, edit, says", [
         ("gt_boxes.json", lambda m: next(iter(m.values()))[0].update(yaw=True),
-         "yaw must be 1 finite number, got [True]"),
+         "yaw must be a finite number, got True"),
         ("scene.json", lambda m: m["ego_trajectory"][0].update(timestamp="5"),
          "ego timestamp must be a number, got '5'"),
         ("scene.json", lambda m: m["ego_trajectory"][0].update(translation=[True, 0, 0]),

@@ -74,7 +74,8 @@ class TestCameraRig:
         with pytest.raises(ValueError, match=r"entries in \[-1, 1\]"):
             EgoPose(rot, np.zeros(3))
 
-    @pytest.mark.parametrize("size", [(0, 4), (1e-320, 4), (4.5, 4), (True, 4), (4, 1e20)])
+    @pytest.mark.parametrize("size", [(0, 4), (1e-320, 4), (4.5, 4), (True, 4), (4, 1e20),
+                                      (np.int64(256), 704)])
     def test_image_size_must_be_integers_of_one_or_more(self, size):
         with pytest.raises(ValueError, match="image_size must be two integers >= 1"):
             CameraRig(np.eye(3), np.eye(3), np.zeros(3), size)

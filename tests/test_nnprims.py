@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 import tracemalloc
@@ -13,11 +14,13 @@ from bevkit.nnprims import (
     DepthBinSpec,
     conv_pointwise,
     depth_refine,
+    json_floats,
     lift_outer_product,
     read_tensor,
     refine_taps,
     se_excite,
     softmax_over_depth,
+    write_json,
     write_tensor,
 )
 from bevkit.pipeline import PipelineConfig, PipelineWeights
@@ -398,3 +401,20 @@ class TestTensorIO:
         # a tensor that reads spans the whole file, and every value is finite
         assert 8 + 4 * back.ndim + 8 * back.size == len(blob)
         assert back.dtype == np.float64 and np.all(np.isfinite(back))
+
+
+def test_write_json_raises_before_touching_the_file(tmp_path):
+    """The text is built first, so a value json cannot encode leaves the old file whole."""
+    path = tmp_path / "config.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError, match="int64"):
+        write_json(path, {"run": {"weight_seed": np.int64(7)}})
+    assert path.read_text() == "old\n"
+
+
+def test_json_floats_names_what_at_any_nesting_depth():
+    """numpy stops nesting at 64 dimensions, leaving lists as leaves, and its flat
+    iterator stops at 32; either way the error is a ValueError naming the value."""
+    with pytest.raises(ValueError, match="intrinsics must hold only numbers"):
+        json_floats(json.loads("[" * 500 + "1.0" + "]" * 500), "intrinsics")
+    assert json_floats(json.loads("[" * 40 + "1.0" + "]" * 40), "x").shape == (1,) * 40

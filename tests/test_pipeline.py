@@ -735,6 +735,7 @@ class TestPipelineConfig:
         ("radar_hint_strength", -1.0), ("weight_seed", -1), ("weight_seed", False),
         ("pooling", ["reference"]), ("pooling", "cumsum"), ("modality", None),
         ("sequential", "no"), ("sequential", 1),
+        ("weight_seed", np.int64(7)), ("d_min", np.float32(2.0)),
     ])
     def test_bad_values_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
