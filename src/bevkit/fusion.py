@@ -179,7 +179,7 @@ def match_radar_to_heatmap(radar_cells: np.ndarray, logits: np.ndarray,
     cells = np.asarray(radar_cells, dtype=np.int64)
     if cells.size and not (0 <= cells.min() and cells.max() < logits.shape[1]):
         raise ValueError("radar cells must be flat ids of the logits' grid")
-    return cells[sigmoid(logits[:, cells]).max(axis=0) >= score_thresh]
+    return cells[sigmoid(logits.take(cells, axis=1)).max(axis=0) >= score_thresh]
 
 
 def _bce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -8,11 +8,12 @@ with d <= 0 are behind the camera and never rasterized.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nnprims import is_int
+from .nnprims import is_int, is_number
 from .voxelpool import BEVGridConfig
 
 DEPTH_SENTINEL = -1.0
@@ -92,14 +93,17 @@ class EgoPose:
     timestamp: float = 0.0
 
     def __post_init__(self):
+        if not is_number(self.timestamp):
+            raise ValueError(f"ego timestamp must be a number, got {self.timestamp!r}")
+        if not abs(self.timestamp) <= sys.float_info.max:  # math.isfinite overflows on big ints
+            raise ValueError(f"ego timestamp must be finite, got {self.timestamp!r}")
         rot = _check_rotation(self.rotation, "ego")
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(t)):
             raise ValueError("ego translation must be finite")
-        if not np.isfinite(self.timestamp):
-            raise ValueError(f"ego timestamp must be finite, got {self.timestamp!r}")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "timestamp", float(self.timestamp))
 
     @staticmethod
     def identity(timestamp: float = 0.0) -> "EgoPose":
@@ -214,7 +218,7 @@ def depth_map_from_points(points: np.ndarray, rig: CameraRig,
                           ) -> tuple[DepthMap, int]:
     """Project, drop behind-camera rows, and rasterize in one step."""
     proj = project_points(points, rig)
-    proj = proj[in_front_mask(proj)]
+    proj = proj.compress(in_front_mask(proj), axis=0)
     return rasterize_depth_map(proj, image_size or rig.image_size)
 
 

@@ -73,10 +73,9 @@ def _ranked_distances(scores: np.ndarray, pred_xy: np.ndarray, gt_xy: np.ndarray
     row r of the distance matrix belongs to the prediction of rank r.
     """
     order = np.argsort(-scores, kind="stable")
-    pred_xy = pred_xy[order]
+    (px, py), (gx, gy) = pred_xy.take(order, axis=0).T, gt_xy.T
     with np.errstate(over="ignore"):  # centers too far apart to subtract are inf apart
-        dist = np.hypot(gt_xy[None, :, 0] - pred_xy[:, None, 0],
-                        gt_xy[None, :, 1] - pred_xy[:, None, 1])
+        dist = np.hypot(gx - px[:, None], gy - py[:, None])
     return order, scores[order], dist
 
 
@@ -90,7 +89,7 @@ def _greedy_match(dist: np.ndarray, threshold: float) -> np.ndarray:
     """
     ranked_gt = np.full(dist.shape[0], -1, dtype=np.int64)
     rows = np.flatnonzero((dist <= threshold).any(axis=1))
-    free = dist[rows]  # taken columns are set to inf
+    free = dist.take(rows, axis=0)  # taken columns are set to inf
     n_free = dist.shape[1]
     for k, rank in enumerate(rows.tolist()):
         gi = int(np.argmin(free[k]))  # first minimum = lowest gt index
@@ -307,7 +306,8 @@ def evaluate_detections(preds_by_token: dict[str, BoxSet], gts_by_token: dict[st
     tokens = sorted(gts_by_token)
     preds, p_order, p_bounds = _stacked(preds_by_token, tokens)
     gts, g_order, g_bounds = _stacked(gts_by_token, tokens)
-    pred_xy, gt_xy = preds.center[:, :2], gts.center[:, :2]
+    # contiguous, as take() first copies a strided source whole, on every call
+    pred_xy, gt_xy = (np.ascontiguousarray(b.center[:, :2]) for b in (preds, gts))
     per_class = []
     for ci, name in enumerate(DETECTION_CLASSES):
         # Rank accumulation needs one global score ordering per class, so
@@ -320,7 +320,8 @@ def evaluate_detections(preds_by_token: dict[str, BoxSet], gts_by_token: dict[st
             p = p_order[p_bounds[k]:p_bounds[k + 1]]
             g = g_order[g_bounds[k]:g_bounds[k + 1]]
             n_gt_total += len(g)
-            order, ranked_scores, dist = _ranked_distances(preds.score[p], pred_xy[p], gt_xy[g])
+            order, ranked_scores, dist = _ranked_distances(
+                preds.score[p], pred_xy.take(p, axis=0), gt_xy.take(g, axis=0))
             ranked_gts = [_greedy_match(dist, thr) for thr in AP_THRESHOLDS]
             scores.append(ranked_scores)
             matched.append(np.array(ranked_gts) >= 0)

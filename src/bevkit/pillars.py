@@ -155,7 +155,7 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
     """
     t_cap = cfg.max_points
     inside, flat = cfg.bev.cell_ids(cloud.points)
-    pts = cloud.points[inside]
+    pts = cloud.points.compress(inside, axis=0)
 
     # a stable sort has one result, so numpy's radix sort of narrow ids (uint16 on 128x128)
     # serves; it also gives np.unique's cells, first, counts
@@ -190,7 +190,7 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
         src[offset[p]:offset[p] + t_cap] = by_cell[starts[cell] + chosen]
 
     cell_iy, cell_ix = np.divmod(cells[kept], cfg.bev.nx)
-    return PillarTensor(pts[src], n_kept, np.column_stack([cell_ix, cell_iy]),
+    return PillarTensor(pts.take(src, axis=0), n_kept, np.column_stack([cell_ix, cell_iy]),
                         cfg.bev.cell_center(cell_ix, cell_iy), t_cap, truncated,
                         len(flat), cells)
 

@@ -346,7 +346,7 @@ def _decode_peaks(heatmap: np.ndarray, grid: vp.BEVGridConfig,
     scores = heatmap[ci, iy, ix]
     order = np.argsort(-scores, kind="stable")
     ci, iy, ix = ci[order], iy[order], ix[order]
-    sizes = _CLASS_SIZE_TABLE[ci]
+    sizes = _CLASS_SIZE_TABLE.take(ci, axis=0)
     return fu.BoxSet(center=np.column_stack([grid.cell_center(ix, iy), sizes[:, 2] / 2.0]),
                      size=sizes, yaw=np.zeros(len(ci)), velocity=np.zeros((len(ci), 2)),
                      class_id=ci, score=scores[order], attribute_id=_CLASS_ATTRIBUTE_IDS[ci])
@@ -365,8 +365,8 @@ def _add_conv_at_cells(flat, rows, cells, kernel, bias) -> None:
     """Add, into the (C_out, cells) grid flat in place, the 1x1 conv of a grid that is
     zero but for rows (P, C_in) at the flat cells: the bias elsewhere, there the conv of
     the rows as one contiguous (C_in, 1, P) input, which gives the full-grid sums."""
-    at = flat[:, cells] + conv_pointwise(np.ascontiguousarray(rows.T)[:, None, :],
-                                         kernel, bias)[:, 0]
+    at = flat.take(cells, axis=1) + conv_pointwise(np.ascontiguousarray(rows.T)[:, None, :],
+                                                   kernel, bias)[:, 0]
     flat += bias[:, None]
     flat[:, cells] = at
 

@@ -16,6 +16,7 @@ load_scene reads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -99,7 +100,8 @@ class SceneSpec:
         self.feature_shape = tuple(shape)
         for name in ("radar_density", "lidar_density", "radar_max_range", "lidar_max_range"):
             v, density = getattr(self, name), name.endswith("density")
-            if not (is_number(v) and np.isfinite(v) and (v >= 0 if density else v > 0)):
+            if not (is_number(v) and abs(v) <= sys.float_info.max  # no NaN, inf or huge int
+                    and (v >= 0 if density else v > 0)):
                 raise ValueError(f"{name} must be a finite number {'>=' if density else '>'} 0, "
                                  f"got {v!r}")
 
@@ -116,7 +118,7 @@ def default_scene_spec(seed: int, n_objects: int = 8, n_cameras: int = 1,
                        **fields) -> SceneSpec:
     """Randomized but fully seed-determined scene in front of the ego; other
     SceneSpec fields (densities, ranges, feature_shape) pass through by keyword."""
-    poses = [EgoPose(np.eye(3), np.array([2.0 * t, 0.0, 0.0]), float(t))
+    poses = [EgoPose(np.eye(3), np.array([2.0 * t, 0.0, 0.0]), t)
              for t in range(3)]
     spec = SceneSpec(seed=seed, cameras=[forward_camera()] * n_cameras, ego_trajectory=poses,
                      objects=[], **fields)
@@ -201,10 +203,8 @@ def pose_to_json(pose: EgoPose) -> dict:
 
 
 def pose_from_json(d: dict) -> EgoPose:
-    if not is_number(d["timestamp"]):
-        raise ValueError(f"ego timestamp must be a number, got {d['timestamp']!r}")
     return EgoPose(json_floats(d["rotation"], "ego rotation"),
-                   json_floats(d["translation"], "ego translation"), float(d["timestamp"]))
+                   json_floats(d["translation"], "ego translation"), d["timestamp"])
 
 
 def _object_from_json(o: dict) -> SceneObject:

@@ -154,6 +154,24 @@ def rasterize_min_oracle(u, v, d, image_size):
     return out
 
 
+def depth_map_oracle(points, rig):
+    """(depth values, dropped count) of geometry.depth_map_from_points, row by row: project
+    each row alone, keep d > 0, count rows off the image as dropped and min-scan the rest.
+    An inf depth leaves no depth, as the map keeps only finite ones."""
+    h, w = rig.image_size
+    rows = []
+    with np.errstate(over="ignore"):  # a huge K entry overflows a depth to inf
+        for p in np.asarray(points, dtype=np.float64).reshape(-1, 3):
+            x, y, d = rig.intrinsics @ (rig.rotation @ p + rig.translation)
+            if d > 0:
+                rows.append((x / d, y / d, d))
+    u, v, d = np.array(rows).reshape(-1, 3).T
+    on = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    out = rasterize_min_oracle(u[on], v[on], d[on], (h, w))
+    out[np.isinf(out)] = -1.0
+    return out, int(np.count_nonzero(~on))
+
+
 def greedy_match_oracle(preds, gts, threshold):
     """Definitional greedy matcher: explicit loops, explicit tie rules."""
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))

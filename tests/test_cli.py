@@ -13,7 +13,7 @@ from bevkit.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from bevkit.metrics import evaluate_detections, load_boxes
 from bevkit.nnprims import write_tensor
 from bevkit.pipeline import PipelineConfig
-from bevkit.scene import generate_scene
+from bevkit.scene import default_scene_spec, generate_scene
 
 SMALL = dict(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
              kan_hidden=(16,), radar_channels=8)
@@ -194,9 +194,13 @@ class TestGen:
         assert says in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", [True, "2000", [2000], None])
+    @pytest.mark.parametrize("value", [True, "2000", [2000], None,
+                                       pytest.param(10**400, id="huge-int")])
     def test_spec_numbers_are_json_numbers(self, tmp_path, capsys, value):
-        """A spec number is taken as written: no bool, string or list passes as one."""
+        """A spec number is taken as written: no bool, string or list passes as one, and an
+        integer beyond float range is not finite."""
+        with pytest.raises(ValueError, match="radar_density must be a finite number >= 0"):
+            default_scene_spec(0, radar_density=value)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({**ONE_CAMERA_SPEC, "radar_density": value}))
         out = tmp_path / "scene"
@@ -747,14 +751,16 @@ class TestRun:
          "yaw must be a finite number, got True"),
         ("scene.json", lambda m: m["ego_trajectory"][0].update(timestamp="5"),
          "ego timestamp must be a number, got '5'"),
+        ("scene.json", lambda m: m["ego_trajectory"][0].update(timestamp=10**400),
+         "ego timestamp must be finite"),
         ("scene.json", lambda m: m["ego_trajectory"][0].update(translation=[True, 0, 0]),
          "ego translation must hold only numbers"),
         ("scene.json", lambda m: m["cameras"][0]["intrinsics"][0].__setitem__(0, "380"),
          "camera intrinsics must hold only numbers"),
         ("scene.json", lambda m: m["cameras"][0]["intrinsics"][0].__setitem__(0, 10**400),
          "int too large to convert to float"),
-    ], ids=["box-yaw-true", "timestamp-string", "translation-true", "intrinsics-string",
-            "intrinsics-huge-int"])
+    ], ids=["box-yaw-true", "timestamp-string", "timestamp-huge-int", "translation-true",
+            "intrinsics-string", "intrinsics-huge-int"])
     def test_bundle_numbers_are_json_numbers(self, scene_dir, config_path, tmp_path, capsys,
                                              file, edit, says):
         """A bool or a numeric string where a bundle file needs a number ends in one error

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracles import unproject_frustum_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import depth_map_oracle, unproject_frustum_oracle
 
 from bevkit.geometry import (
     DEPTH_SENTINEL,
@@ -62,9 +64,12 @@ class TestCameraRig:
         with pytest.raises(ValueError, match=f"ego {field} must be finite"):
             EgoPose(**fields)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_ego_pose_rejects_nonfinite_timestamp(self, bad):
-        with pytest.raises(ValueError, match="ego timestamp must be finite"):
+    @pytest.mark.parametrize("bad, says", [
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (10**400, "finite"),
+        (True, "a number"), (np.float32(1.0), "a number"), ("5", "a number"), (None, "a number"),
+    ], ids=["nan", "inf", "-inf", "huge-int", "true", "float32", "string", "none"])
+    def test_ego_pose_rejects_nonfinite_timestamp(self, bad, says):
+        with pytest.raises(ValueError, match=f"ego timestamp must be {says}"):
             EgoPose(np.eye(3), np.zeros(3), bad)
 
     @pytest.mark.parametrize("bad", [1e308, -1e308, 1.5])
@@ -202,6 +207,30 @@ class TestRasterizeDepthMap:
         expect[2, 1] = expect[3, 3] = 1.0
         np.testing.assert_array_equal(dm.values, expect)
         assert dropped == 5  # the inf-depth row lands on pixel (0, 0) and leaves no depth
+
+
+class TestDepthMapFromPoints:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.booleans(), st.booleans())
+    @example(seed=0, n=0, aligned=False, overflow=False)
+    def test_equals_per_row_oracle(self, seed, n, aligned, overflow):
+        """Bit for bit and drop for drop against projecting, filtering and min-scanning each
+        row alone. About half the rows are behind the camera; an axis-aligned rig puts rows
+        at d = 0 exactly, and K[2][2] = 1e308 overflows far depths to inf."""
+        rng = np.random.default_rng(seed)
+        fx, fy = rng.uniform(2.0, 8.0, 2)
+        k = np.array([[fx, rng.uniform(-1, 1), rng.uniform(0, 8)],
+                      [0.0, fy, rng.uniform(0, 6)], [0.0, 0.0, 1e308 if overflow else 1.0]])
+        pts = rng.normal(0, 3, (n, 3))
+        if aligned:
+            rig = CameraRig(k, np.eye(3), np.append(rng.normal(0, 1, 2), 0.0), (6, 8))
+            pts[rng.random(n) < 0.3, 2] = 0.0
+        else:
+            rig = random_rig(rng, image_size=(6, 8))
+            rig = CameraRig(k, rig.rotation, rig.translation, (6, 8))
+        dm, dropped = depth_map_from_points(pts, rig)
+        values, n_dropped = depth_map_oracle(pts, rig)
+        assert dm.values.tobytes() == values.tobytes() and dropped == n_dropped
 
 
 class TestUnprojectFrustum:
