@@ -14,30 +14,33 @@ from . import tables
 from .nnprims import read_json, write_json
 from .pillars import read_cloud_csv, write_pc4d
 from .pipeline import MODALITIES, PipelineConfig, run_pipeline, save_run_outputs
-from .scene import MAX_CAMERAS, SceneSpec, default_scene_spec, generate_scene, spec_from_json
+from .scene import MAX_CAMERAS, default_scene_spec, generate_scene, spec_from_json
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 1, 2
 
 
 def cmd_gen(args) -> int:
+    # the flags default to None, so a given one is seen; seed and densities override a spec
+    given = {k: v for k, v in (("seed", args.seed), ("radar_density", args.radar_density),
+                               ("lidar_density", args.lidar_density)) if v is not None}
     if args.spec:
+        for flag, v in (("--cameras", args.cameras), ("--objects", args.objects)):
+            if v is not None:
+                raise ValueError(f"{flag} does not combine with --spec, which sets the {flag[2:]}")
         d = read_json(args.spec, "scene spec")
         try:
             spec = spec_from_json(d)
-        except (TypeError, AttributeError, KeyError, ValueError, OverflowError) as err:
+        except (TypeError, AttributeError, KeyError, ValueError) as err:
             raise ValueError(f"malformed scene spec {args.spec}: {err}") from err
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
+        spec = dataclasses.replace(spec, **given)
     else:
-        if not 1 <= args.cameras <= MAX_CAMERAS:
-            raise ValueError(f"--cameras must be an integer in [1, {MAX_CAMERAS}], "
-                             f"got {args.cameras}")
-        if args.objects < 0:
-            raise ValueError(f"--objects must be an integer >= 0, got {args.objects}")
-        spec = default_scene_spec(
-            seed=args.seed if args.seed is not None else 0,
-            n_objects=args.objects, n_cameras=args.cameras,
-            radar_density=args.radar_density, lidar_density=args.lidar_density)
+        cameras = 1 if args.cameras is None else args.cameras
+        objects = 8 if args.objects is None else args.objects
+        if not 1 <= cameras <= MAX_CAMERAS:
+            raise ValueError(f"--cameras must be an integer in [1, {MAX_CAMERAS}], got {cameras}")
+        if objects < 0:
+            raise ValueError(f"--objects must be an integer >= 0, got {objects}")
+        spec = default_scene_spec(**{"seed": 0, **given}, n_objects=objects, n_cameras=cameras)
     # externally captured clouds may replace the synthetic ones; read them before writing
     clouds = {name: read_cloud_csv(path) for name, path in
               (("radar", args.radar_csv), ("lidar", args.lidar_csv)) if path}
@@ -93,10 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--spec", default=None, help="SceneSpec JSON path")
-    p_gen.add_argument("--cameras", type=int, default=1)
-    p_gen.add_argument("--objects", type=int, default=8)
-    p_gen.add_argument("--radar-density", type=float, default=SceneSpec.radar_density)
-    p_gen.add_argument("--lidar-density", type=float, default=SceneSpec.lidar_density)
+    p_gen.add_argument("--cameras", type=int, default=None)
+    p_gen.add_argument("--objects", type=int, default=None)
+    p_gen.add_argument("--radar-density", type=float, default=None)
+    p_gen.add_argument("--lidar-density", type=float, default=None)
     p_gen.add_argument("--radar-csv", default=None,
                        help="x,y,z,r CSV replacing the synthetic radar cloud")
     p_gen.add_argument("--lidar-csv", default=None,

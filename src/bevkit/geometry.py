@@ -8,7 +8,6 @@ with d <= 0 are behind the camera and never rasterized.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +93,7 @@ class EgoPose:
 
     def __post_init__(self):
         if not is_number(self.timestamp):
-            raise ValueError(f"ego timestamp must be a number, got {self.timestamp!r}")
-        if not abs(self.timestamp) <= sys.float_info.max:  # math.isfinite overflows on big ints
-            raise ValueError(f"ego timestamp must be finite, got {self.timestamp!r}")
+            raise ValueError(f"ego timestamp must be a finite number, got {self.timestamp!r}")
         rot = _check_rotation(self.rotation, "ego")
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(t)):

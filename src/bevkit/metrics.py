@@ -400,7 +400,7 @@ def _box_set(token: str, boxes) -> BoxSet:
             else:
                 cols.append(json_floats(values, key))
         return BoxSet(*cols)
-    except (TypeError, KeyError, ValueError, OverflowError) as err:
+    except (TypeError, KeyError, ValueError) as err:
         for i, d in enumerate(boxes):
             try:
                 _check_box(d)

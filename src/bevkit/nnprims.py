@@ -14,15 +14,18 @@ lift_outer_product and depth_refine use it; they stay as the test oracles'
 reference and as names the benchmark's tracer patches.
 
 It imports nothing else from bevkit, so it also owns the one input-value rule
-(is_int, is_number and the converters on them) and the JSON reader and writer.
+(is_int: an int in int64's range, is_number: an int or float in float64's finite
+range, and the converters on them) and the JSON reader and writer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,29 +34,31 @@ TNSR_MAGIC = b"TNSR"
 
 
 def is_int(v) -> bool:
-    """The integer rule of every bevkit input: an int, not a bool, so not a numpy integer."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """The integer rule of every input: an int, no bool, that int64 holds, so numpy takes it."""
+    return isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63
 
 
 def is_number(v) -> bool:
-    """The number rule of every bevkit input, what JSON can carry: an int or a float, no bool."""
-    return is_int(v) or isinstance(v, float)
+    """The number rule of every input: an int or float, no bool, in float64's finite range."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)  # exact: NaN, inf and a huge int all fail
 
 
 def json_floats(value, what: str) -> np.ndarray:
-    """A parsed JSON number or nested lists of them as float64; ValueError naming what
-    otherwise. A parsed JSON leaf is_number exactly when its type is int or float."""
+    """A parsed JSON number or nested lists of them as float64, NaN and inf included;
+    ValueError naming what for any other leaf or an int beyond float range."""
     leaves = np.array(value, dtype=object)
-    if not {int, float}.issuperset(map(type, leaves.ravel())):  # .flat stops at 32 dims
-        raise ValueError(f"{what} must hold only numbers, got {value!r}")
-    return leaves.astype(np.float64)
+    with contextlib.suppress(OverflowError):  # an int beyond float range
+        if {int, float}.issuperset(map(type, leaves.ravel())):  # .flat stops at 32 dims
+            return leaves.astype(np.float64)
+    raise ValueError(f"{what} must hold only numbers, got {value!r}")
 
 
 def finite_floats(value, n: int, what: str):
     """A list of n JSON numbers as a tuple of finite floats, or for n = 0 one as a float."""
     try:
         x = json_floats(value, what)
-    except (ValueError, OverflowError):  # not numbers, or an int beyond float range
+    except ValueError:
         x = None
     if x is None or x.shape != ((n,) if n else ()) or not np.isfinite(x).all():
         raise ValueError(f"{what} must be {n or 'a'} finite number{'s' * (n > 1)}, got {value!r}")

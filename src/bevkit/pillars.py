@@ -254,9 +254,10 @@ def read_pc4d(path) -> RadarPointCloud:
         if size > expected:
             raise ValueError(f"{size - expected} trailing bytes after {count} points in {path}")
         payload = fh.read(16 * count)
-    pts = np.frombuffer(payload, dtype="<f4").reshape(count, 4)
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns in the cast; the cloud rejects it
+        pts = np.frombuffer(payload, dtype="<f4").reshape(count, 4).astype(np.float64)
     try:
-        return RadarPointCloud(pts.astype(np.float64))
+        return RadarPointCloud(pts)
     except ValueError as err:
         raise ValueError(f"{err} in {path}") from err
 

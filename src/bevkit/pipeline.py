@@ -50,7 +50,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -78,8 +77,7 @@ def _at_least(low: int):
     return (lambda v: is_int(v) and v >= low), f"an integer >= {low}"
 
 
-# an int is finite however large; NaN fails every comparison
-_POSITIVE = (lambda v: is_number(v) and 0 < v < math.inf), "a positive number"
+_POSITIVE = (lambda v: is_number(v) and v > 0), "a positive number"
 _UNIT = (lambda v: is_number(v) and 0 <= v <= 1), "a number in [0, 1]"
 
 
@@ -121,7 +119,7 @@ class PipelineConfig:
     # moderate prior weight: a hard boost would backfire at pixels where
     # lidar sees a nearer surface than the radar return
     radar_hint_strength: float = _setting(2.0, "fusion", "radar_hint_strength", (
-        (lambda v: is_number(v) and 0 <= v < math.inf), "a number >= 0"))
+        (lambda v: is_number(v) and v >= 0), "a number >= 0"))
     # execution. splat sums slot weights one way, so every run is
     # sequential and deterministic: pooling accepts only "reference" and
     # sequential changes nothing. Both stay so older files and callers load.

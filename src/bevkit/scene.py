@@ -16,12 +16,12 @@ load_scene reads.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import metrics
 from .fusion import BoxSet, DetectionBox
 from .geometry import CameraRig, EgoPose
 from .metrics import ATTRIBUTES, DETECTION_CLASSES, save_boxes
@@ -86,22 +86,19 @@ class SceneSpec:
     feature_shape: tuple[int, int, int] = (64, 16, 44)
 
     def __post_init__(self):
-        if not self.cameras:
-            raise ValueError("a scene needs at least one camera")
-        if len(self.cameras) > MAX_CAMERAS:
-            raise ValueError(f"at most {MAX_CAMERAS} cameras supported")
+        if not 1 <= len(self.cameras) <= MAX_CAMERAS:
+            raise ValueError(f"a scene needs 1 to {MAX_CAMERAS} cameras, got {len(self.cameras)}")
         if not self.ego_trajectory:
             raise ValueError("a scene needs at least one ego pose")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         shape = list(self.feature_shape)
-        if not (is_int(self.seed) and self.seed >= 0 and len(shape) == 3
-                and all(is_int(v) and v >= 1 for v in shape)):
-            raise ValueError("seed must be an integer >= 0 and feature_shape three integers "
-                             f">= 1, got seed {self.seed!r} and feature_shape {shape}")
+        if not (len(shape) == 3 and all(is_int(v) and v >= 1 for v in shape)):
+            raise ValueError(f"feature_shape must be three integers >= 1, got {shape}")
         self.feature_shape = tuple(shape)
         for name in ("radar_density", "lidar_density", "radar_max_range", "lidar_max_range"):
             v, density = getattr(self, name), name.endswith("density")
-            if not (is_number(v) and abs(v) <= sys.float_info.max  # no NaN, inf or huge int
-                    and (v >= 0 if density else v > 0)):
+            if not (is_number(v) and (v >= 0 if density else v > 0)):
                 raise ValueError(f"{name} must be a finite number {'>=' if density else '>'} 0, "
                                  f"got {v!r}")
 
@@ -283,41 +280,37 @@ class SceneBundle:
 
 
 def load_scene(scene_dir) -> SceneBundle:
-    # looked up at call time, so a patch of bevkit.metrics.load_boxes (perfbench's tracer)
-    # is seen; a module-level import would bind the unpatched function
-    from .metrics import load_boxes
-
+    """The bundle in scene_dir. scene.json's seed, cameras and ego_trajectory are read by
+    spec_from_json, the reader of what generate_scene wrote, so SceneSpec's rules check
+    them. Checked here: the file names, the sample token, one features file per camera,
+    the feature shapes and the gt token. A malformed file is one ValueError naming it."""
     path = Path(scene_dir)
     manifest_path = path / "scene.json"
     manifest = read_json(manifest_path)
     try:
-        files = manifest["files"]
+        files, token = manifest["files"], manifest["sample_token"]
         names = [files["radar"], files["lidar"], files["gt_boxes"], *files["features"]]
-        cameras = [rig_from_json(d) for d in manifest["cameras"]]
-        ego_trajectory = [pose_from_json(d) for d in manifest["ego_trajectory"]]
-        seed, token = manifest["seed"], manifest["sample_token"]
-    except (TypeError, AttributeError, KeyError, ValueError, OverflowError) as err:
+        spec = spec_from_json({k: manifest[k] for k in ("seed", "cameras", "ego_trajectory")})
+    except (TypeError, AttributeError, KeyError, ValueError) as err:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
     if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
-            and len(files["features"]) == len(cameras) and 1 <= len(cameras) <= MAX_CAMERAS
-            and is_int(seed) and seed >= 0 and isinstance(token, str) and ego_trajectory):
+            and len(files["features"]) == len(spec.cameras) and isinstance(token, str)):
         raise ValueError(f"{manifest_path}: files must name the radar, lidar and gt_boxes "
-                         f"files and list one features file per camera (1 to {MAX_CAMERAS}), "
-                         "seed must be an integer >= 0, sample_token a string and "
-                         "ego_trajectory at least one pose")
+                         "files and list one features file per camera, and sample_token "
+                         "must be a string")
     features = [read_tensor(path / f) for f in files["features"]]
     for f, name in zip(features, files["features"]):
         if f.ndim != 3 or f.size == 0 or f.shape != features[0].shape:
             raise ValueError(f"{path / name}: features must be non-empty (C, H, W) tensors "
                              f"of one shape, got {f.shape} (camera 0: {features[0].shape})")
-    gt_boxes = load_boxes(path / files["gt_boxes"])
+    gt_boxes = metrics.load_boxes(path / files["gt_boxes"])
     if list(gt_boxes) != [token]:
         raise ValueError(f"{path / files['gt_boxes']}: ground truth must hold exactly the "
                          f"sample token {token!r} of scene.json, found {list(gt_boxes)}")
     return SceneBundle(
         manifest=manifest,
-        cameras=cameras,
-        ego_trajectory=ego_trajectory,
+        cameras=spec.cameras,
+        ego_trajectory=spec.ego_trajectory,
         radar=read_pc4d(path / files["radar"]).points,
         lidar=read_pc4d(path / files["lidar"]).points,
         features=features,

@@ -1,8 +1,9 @@
 """Bundle fuzzer: one mutation of a small bundle per example, run through the CLI.
 
-Each example copies one small bundle and changes it once: a JSON leaf of
-scene.json or gt_boxes.json set to an awkward value or deleted, a binary
-file truncated, one header byte changed or 4 payload bytes overwritten.
+Each example copies one small bundle, with the run's config.json beside its
+files, and changes it once: a JSON leaf of scene.json, gt_boxes.json or
+config.json set to an awkward value (huge integers among them) or deleted, a
+binary file truncated, one header byte changed or 4 payload bytes overwritten.
 Whatever the change, `bevkit run` must end in exit 0, 1 or 2 without
 raising. Exits 1 and 2 print exactly one stderr line; exit 0 prints no
 traceback or warning, and the detection losses are finite (depth_bce may
@@ -27,7 +28,8 @@ from bevkit.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from bevkit.pipeline import PipelineConfig
 from bevkit.scene import default_scene_spec, generate_scene
 
-VALUES = [None, "x", -1, 0, 1e308, -1e308, float("nan"), [], {}, [1.0], True, 1e20, 1e-320]
+VALUES = [None, "x", -1, 0, 1e308, -1e308, float("nan"), [], {}, [1.0], True, 1e20, 1e-320,
+          10**400, -10**400]
 DELETE = "<delete>"
 # binary files -> header length: PC4D magic, count, 8 reserved bytes; TNSR magic, rank 3
 BINARY = {"radar.pc4d": 16, "lidar.pc4d": 16, "features_cam0.tnsr": 20}
@@ -50,12 +52,11 @@ def fuzz_base(tmp_path_factory):
     spec = default_scene_spec(3, n_objects=4, radar_density=300.0, lidar_density=800.0,
                               feature_shape=(8, 8, 22))
     scene = generate_scene(spec, root / "scene")
-    config = root / "config.json"
     PipelineConfig(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
-                   kan_hidden=(16,), radar_channels=8).to_json(config)
-    leaves = [(name, path) for name in ("scene.json", "gt_boxes.json")
+                   kan_hidden=(16,), radar_channels=8).to_json(scene / "config.json")
+    leaves = [(name, path) for name in ("scene.json", "gt_boxes.json", "config.json")
               for path in _leaves(json.loads((scene / name).read_text()))]
-    return scene, config, leaves
+    return scene, leaves
 
 
 def _mutate(scene: Path, leaves, data) -> None:
@@ -89,7 +90,7 @@ def _mutate(scene: Path, leaves, data) -> None:
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_mutated_bundle_ends_in_one_line_or_a_clean_run(fuzz_base, data):
-    base, config, leaves = fuzz_base
+    base, leaves = fuzz_base
     with tempfile.TemporaryDirectory() as tmp:
         scene, out = Path(tmp) / "scene", Path(tmp) / "out"
         shutil.copytree(base, scene)
@@ -99,7 +100,7 @@ def test_mutated_bundle_ends_in_one_line_or_a_clean_run(fuzz_base, data):
                 warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["run", "--scene", str(scene), "--out", str(out),
-                       "--config", str(config)])
+                       "--config", str(scene / "config.json")])
         err = err.getvalue()
         assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
         if rc != EXIT_OK:

@@ -113,12 +113,16 @@ class TestGen:
                             ({"class_name": "lorry"}, "class_name must be one of"),
                             ({"attribute": "vehicle.flying"}, "attribute must be one of"))),
         *(({**ONE_CAMERA_SPEC, **bad}, says)
-          for bad, says in (({"feature_shape": "abc"}, "feature_shape ['a', 'b', 'c']"),
-                            ({"feature_shape": [64, 16.5, 44]}, "feature_shape [64, 16.5, 44]"),
-                            ({"feature_shape": [64, 16]}, "feature_shape [64, 16]"),
-                            ({"feature_shape": [64, 0, 44]}, "feature_shape [64, 0, 44]"),
-                            ({"seed": 1.7}, "got seed 1.7 "),
-                            ({"seed": -1}, "got seed -1 "),
+          for bad, says in (({"feature_shape": "abc"},
+                             "feature_shape must be three integers >= 1, got ['a', 'b', 'c']\n"),
+                            ({"feature_shape": [64, 16.5, 44]},
+                             "feature_shape must be three integers >= 1, got [64, 16.5, 44]\n"),
+                            ({"feature_shape": [64, 16]},
+                             "feature_shape must be three integers >= 1, got [64, 16]\n"),
+                            ({"feature_shape": [64, 0, 44]},
+                             "feature_shape must be three integers >= 1, got [64, 0, 44]\n"),
+                            ({"seed": 1.7}, "seed must be an integer >= 0, got 1.7\n"),
+                            ({"seed": -1}, "seed must be an integer >= 0, got -1\n"),
                             ({"radar_densty": 5}, ": unknown key 'radar_densty'\n"))),
     ], ids=["list", "unknown-key", "unknown-object-key", "object-center-string",
             "object-center-length", "object-size-nan", "object-size-zero",
@@ -162,7 +166,7 @@ class TestGen:
         (["--objects", "-2"], "--objects must be an integer >= 0, got -2"),
         (["--radar-density", "-5"], "radar_density must be a finite number >= 0, got -5.0"),
         (["--lidar-density", "nan"], "lidar_density must be a finite number >= 0, got nan"),
-        (["--seed", "-3"], "got seed -3 "),
+        (["--seed", "-3"], "seed must be an integer >= 0, got -3\n"),
     ], ids=["cameras-zero", "cameras-seven", "objects-negative", "radar-density-negative",
             "lidar-density-nan", "seed-negative"])
     def test_bad_option_named_before_writing(self, tmp_path, capsys, args, says):
@@ -175,14 +179,21 @@ class TestGen:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, args, says", [
-        ({}, ["--seed", "-3"], "got seed -3 "),
+        ({}, ["--seed", "-3"], "seed must be an integer >= 0, got -3\n"),
         ({"radar_density": -5}, [], "radar_density must be a finite number >= 0, got -5\n"),
         ({"lidar_density": float("nan")}, [], "lidar_density must be a finite number >= 0"),
         ({"radar_max_range": 0}, [], "radar_max_range must be a finite number > 0, got 0\n"),
         ({"lidar_max_range": float("inf")}, [], "lidar_max_range must be a finite number > 0"),
+        ({}, ["--radar-density", "-5"], "radar_density must be a finite number >= 0, got -5.0\n"),
+        ({}, ["--lidar-density", "inf"], "lidar_density must be a finite number >= 0, got inf\n"),
+        ({}, ["--cameras", "3"], "error: --cameras does not combine with --spec"),
+        ({}, ["--objects", "5"], "error: --objects does not combine with --spec"),
     ], ids=["seed-negative", "radar-density-negative", "lidar-density-nan",
-            "radar-max-range-zero", "lidar-max-range-inf"])
+            "radar-max-range-zero", "lidar-max-range-inf", "radar-density-flag-negative",
+            "lidar-density-flag-inf", "cameras-flag", "objects-flag"])
     def test_bad_spec_number_named_before_writing(self, tmp_path, capsys, edit, args, says):
+        """A bad spec value, a bad density flag, or --cameras or --objects that the spec
+        would otherwise silently ignore, is one error line with nothing written."""
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({**ONE_CAMERA_SPEC, **edit}))
         out = tmp_path / "scene"
@@ -193,6 +204,20 @@ class TestGen:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert says in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, field", [("--radar-density", "radar_density"),
+                                             ("--lidar-density", "lidar_density")])
+    def test_density_flag_overrides_the_spec(self, tmp_path, flag, field):
+        """gen --spec with a density flag writes the bundle of the spec with that density."""
+        for name, spec, args in (("flag", ONE_CAMERA_SPEC, [flag, "9000"]),
+                                 ("edit", {**ONE_CAMERA_SPEC, field: 9000.0}, [])):
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+            assert main(["gen", "--out", str(tmp_path / name), "--spec",
+                         str(tmp_path / f"{name}.json"), *args]) == EXIT_OK
+        files = sorted(p.name for p in (tmp_path / "edit").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "flag").iterdir())
+        assert all((tmp_path / "flag" / f).read_bytes() == (tmp_path / "edit" / f).read_bytes()
+                   for f in files)
 
     @pytest.mark.parametrize("value", [True, "2000", [2000], None,
                                        pytest.param(10**400, id="huge-int")])
@@ -214,7 +239,7 @@ class TestGen:
     @pytest.mark.parametrize("where, value, says", [
         ("translation", [True, 0, 0], "camera translation must hold only numbers"),
         ("intrinsics", "x", "camera intrinsics must hold only numbers"),
-        ("translation", [10**400, 0, 0], "int too large to convert to float"),
+        ("translation", [10**400, 0, 0], "camera translation must hold only numbers"),
     ], ids=["translation-true", "intrinsics-string", "translation-huge-int"])
     def test_spec_rig_numbers_are_json_numbers(self, tmp_path, capsys, where, value, says):
         """A rig in a spec takes JSON numbers only, and an integer beyond float range ends
@@ -288,6 +313,10 @@ def _huge_count(blob):
 
 def _nan_coordinate(blob):
     return blob[:20] + np.array(np.nan, dtype="<f4").tobytes() + blob[24:]
+
+
+def _signalling_nan_coordinate(blob):
+    return blob[:20] + b"\x00\x00\x81\x7f" + blob[24:]  # the f32 cast warns on it
 
 
 def _negative_reflectivity(blob):
@@ -388,7 +417,8 @@ class TestRun:
         assert "truncated tensor header" in err
 
     @pytest.mark.parametrize("corrupt", [_cut_payload, _cut_header, _bad_magic, _huge_count,
-                                         _nan_coordinate, _negative_reflectivity])
+                                         _nan_coordinate, _signalling_nan_coordinate,
+                                         _negative_reflectivity])
     def test_corrupted_radar_cloud_one_line_error(self, scene_dir, config_path, tmp_path,
                                                   capsys, corrupt):
         bad = tmp_path / "scene"
@@ -447,7 +477,7 @@ class TestRun:
         assert rc in (EXIT_VALIDATION, EXIT_IO)
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
-        assert "scene.json" in err and "(1 to 6)" in err
+        assert "scene.json" in err and "1 to 6 cameras, got 7" in err
 
     def test_deeply_nested_manifest_one_line_error(self, scene_dir, config_path, tmp_path,
                                                    capsys):
@@ -486,7 +516,7 @@ class TestRun:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
-        assert "scene.json" in err and "timestamp must be finite" in err
+        assert "scene.json" in err and "timestamp must be a finite number" in err
 
     @pytest.mark.parametrize("keep", [0, 6, 14, -8, -1])
     def test_truncated_features_validation_error(self, seed3_dir, tmp_path, capsys, keep):
@@ -716,7 +746,7 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1 and "radar.pc4d" in err
 
     @pytest.mark.parametrize("edit, says", [
-        (lambda m: m.update(ego_trajectory=[]), "ego_trajectory at least one pose"),
+        (lambda m: m.update(ego_trajectory=[]), "a scene needs at least one ego pose"),
         (lambda m: m["ego_trajectory"][0]["rotation"][0].__setitem__(1, 1e308),
          "ego rotation must be finite with entries in [-1, 1]"),
         (lambda m: m["cameras"][0]["intrinsics"][1].__setitem__(1, 1e20), None),
@@ -750,17 +780,19 @@ class TestRun:
         ("gt_boxes.json", lambda m: next(iter(m.values()))[0].update(yaw=True),
          "yaw must be a finite number, got True"),
         ("scene.json", lambda m: m["ego_trajectory"][0].update(timestamp="5"),
-         "ego timestamp must be a number, got '5'"),
+         "ego timestamp must be a finite number, got '5'"),
         ("scene.json", lambda m: m["ego_trajectory"][0].update(timestamp=10**400),
-         "ego timestamp must be finite"),
+         "ego timestamp must be a finite number"),
         ("scene.json", lambda m: m["ego_trajectory"][0].update(translation=[True, 0, 0]),
          "ego translation must hold only numbers"),
         ("scene.json", lambda m: m["cameras"][0]["intrinsics"][0].__setitem__(0, "380"),
          "camera intrinsics must hold only numbers"),
         ("scene.json", lambda m: m["cameras"][0]["intrinsics"][0].__setitem__(0, 10**400),
-         "int too large to convert to float"),
+         "camera intrinsics must hold only numbers"),
+        ("scene.json", lambda m: m["cameras"][0].update(image_size=[10**400, 704]),
+         "image_size must be two integers >= 1"),
     ], ids=["box-yaw-true", "timestamp-string", "timestamp-huge-int", "translation-true",
-            "intrinsics-string", "intrinsics-huge-int"])
+            "intrinsics-string", "intrinsics-huge-int", "image-size-huge-int"])
     def test_bundle_numbers_are_json_numbers(self, scene_dir, config_path, tmp_path, capsys,
                                              file, edit, says):
         """A bool or a numeric string where a bundle file needs a number ends in one error

@@ -65,8 +65,9 @@ class TestCameraRig:
             EgoPose(**fields)
 
     @pytest.mark.parametrize("bad, says", [
-        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (10**400, "finite"),
-        (True, "a number"), (np.float32(1.0), "a number"), ("5", "a number"), (None, "a number"),
+        (np.nan, "a finite number"), (np.inf, "a finite number"), (-np.inf, "a finite number"),
+        (10**400, "a finite number"), (True, "a finite number"),
+        (np.float32(1.0), "a finite number"), ("5", "a finite number"), (None, "a finite number"),
     ], ids=["nan", "inf", "-inf", "huge-int", "true", "float32", "string", "none"])
     def test_ego_pose_rejects_nonfinite_timestamp(self, bad, says):
         with pytest.raises(ValueError, match=f"ego timestamp must be {says}"):

@@ -3,8 +3,10 @@
 Every other module reads and writes JSON through nnprims.read_json and
 write_json, and tests integers and numbers through nnprims.is_int and
 is_number (or the converters built on them). A second json.load, a numpy
-scalar type or an exact type test elsewhere would start a second rule.
-A bool rule (isinstance(v, bool)) is not a number rule and stays allowed.
+scalar type or an exact type test elsewhere would start a second rule, and so
+would a range patch on the rule: catching OverflowError, or comparing with
+sys.float_info or math.inf. A bool rule (isinstance(v, bool)) is not a number
+rule and stays allowed.
 """
 
 import ast
@@ -20,8 +22,8 @@ def _is_type_call(node: ast.AST) -> bool:
 
 
 def second_rules(source: str) -> list[str]:
-    """"line: what" for each JSON read or write, numpy scalar type or type(...) is int,
-    in source order."""
+    """"line: what" for each JSON read or write, numpy scalar type, type(...) is int,
+    OverflowError, sys.float_info or math.inf, in source order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -31,6 +33,11 @@ def second_rules(source: str) -> list[str]:
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in ("np", "numpy") and node.attr in ("integer", "floating")):
             found.append((node, f"np.{node.attr}"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in (("sys", "float_info"), ("math", "inf"))):
+            found.append((node, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.Name) and node.id == "OverflowError":
+            found.append((node, "OverflowError"))
         elif (isinstance(node, ast.Compare) and _is_type_call(node.left)
                 and any(isinstance(c, ast.Name) and c.id == "int" for c in node.comparators)):
             found.append((node, "type(...) is int"))
@@ -45,9 +52,15 @@ def test_finds_second_rules():
               "    json.dumps(v)\n"  # building text is not writing a file
               "    isinstance(v, (int, np.integer))\n"
               "    isinstance(w, bool)\n"
-              "    return json.load(fh), type(v) is int, type(w) is type(v), np.floating\n")
+              "    return json.load(fh), type(v) is int, type(w) is type(v), np.floating\n"
+              "def g(v):\n"
+              "    try:\n"
+              "        return abs(v) <= sys.float_info.max and v < math.inf\n"
+              "    except (ValueError, OverflowError):\n"
+              "        return math.pi, sys.maxsize\n")
     assert second_rules(source) == ["4: json.dump", "6: np.integer", "8: json.load",
-                                    "8: type(...) is int", "8: np.floating"]
+                                    "8: type(...) is int", "8: np.floating",
+                                    "11: sys.float_info", "11: math.inf", "12: OverflowError"]
 
 
 def test_only_nnprims_owns_the_input_rule_and_the_json_io():

@@ -736,6 +736,9 @@ class TestPipelineConfig:
         ("pooling", ["reference"]), ("pooling", "cumsum"), ("modality", None),
         ("sequential", "no"), ("sequential", 1),
         ("weight_seed", np.int64(7)), ("d_min", np.float32(2.0)),
+        *(pytest.param(field, 10**400, id=f"{field}-huge-int") for field in (
+            "bev_range", "d_max", "radar_hint_strength", "bev_cells", "pillar_max_points")),
+        pytest.param("weight_seed", 2**63, id="weight_seed-2**63"),
     ])
     def test_bad_values_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -75,8 +75,7 @@ class TestGenerateScene:
         manifest["cameras"] *= 7
         manifest["files"]["features"] *= 7
         (scene / "scene.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"scene\.json: .*one features file per camera "
-                                             r"\(1 to 6\)"):
+        with pytest.raises(ValueError, match=r"scene\.json: .*1 to 6 cameras, got 7"):
             load_scene(scene)
 
     def test_lidar_range_cap_respected(self, tmp_path):
