@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import ATTRIBUTES, BOX_COLUMNS, DETECTION_CLASSES, BoxSet, DetectionBox
-from .nnprims import finite_floats, json_floats, name_index, read_json, write_json
+from .nnprims import finite_floats, json_floats, known_keys, name_index, read_json, write_json
 
 AP_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TP_THRESHOLD = 2.0  # TP errors use the 2 m matches
 TP_METRICS = ("ate", "ase", "aoe", "ave", "aae")
+_BOX_KEYS = {key for key, _, _ in BOX_COLUMNS.values()}  # the keys a box may hold
 
 # Metrics without meaning for a class are reported absent (the NaN cells of
 # published result tables): cones carry no orientation/velocity/attribute,
@@ -366,8 +367,7 @@ def save_boxes(path, boxes_by_token: dict[str, BoxSet | list[DetectionBox]],
 
 def _check_box(d) -> None:
     """ValueError naming the first key of box d that a BoxSet row cannot hold."""
-    if not isinstance(d, dict):
-        raise ValueError(f"box must be an object, got {d!r}")
+    known_keys(d, _BOX_KEYS, "box")
     for key, kind, default in BOX_COLUMNS.values():
         if default is None and key not in d:
             raise ValueError(f"{key} must be given")
@@ -391,6 +391,8 @@ def _box_set(token: str, boxes) -> BoxSet:
     if not isinstance(boxes, list):
         raise ValueError(f"sample {token!r}: boxes must be a list, got {boxes!r}")
     try:
+        if set().union(*boxes) - _BOX_KEYS:
+            raise ValueError("a box key outside BOX_COLUMNS")  # _check_box names it
         cols = []
         for key, kind, default in BOX_COLUMNS.values():
             values = [d[key] if default is None else d.get(key, default) for d in boxes]

@@ -15,7 +15,7 @@ reference and as names the benchmark's tracer patches.
 
 It imports nothing else from bevkit, so it also owns the one input-value rule
 (is_int: an int in int64's range, is_number: an int or float in float64's finite
-range, and the converters on them) and the JSON reader and writer.
+range), the one key rule (known_keys) and the JSON reader and writer.
 """
 
 from __future__ import annotations
@@ -42,6 +42,16 @@ def is_number(v) -> bool:
     """The number rule of every input: an int or float, no bool, in float64's finite range."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max)  # exact: NaN, inf and a huge int all fail
+
+
+def known_keys(d, keys, what: str) -> dict:
+    """The key rule of every JSON object read: d, when it is an object whose every key is
+    in keys; otherwise one ValueError naming what and the first unknown key in sorted order."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    if unknown := d.keys() - keys:
+        raise ValueError(f"unknown {what} key {min(unknown, key=str)!r}")
+    return d
 
 
 def json_floats(value, what: str) -> np.ndarray:

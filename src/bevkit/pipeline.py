@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -62,7 +61,7 @@ from . import kan
 from . import metrics as me
 from . import pillars as pi
 from . import voxelpool as vp
-from .nnprims import (DepthBinSpec, conv_pointwise, is_int, is_number, read_json,
+from .nnprims import (DepthBinSpec, conv_pointwise, is_int, is_number, known_keys, read_json,
                       refine_taps, softmax_over_depth, write_json)
 # The pipeline no longer lifts or refines the lift, but perfbench/tracing.py
 # patches these names here.
@@ -122,7 +121,9 @@ class PipelineConfig:
         (lambda v: is_number(v) and v >= 0), "a number >= 0"))
     # execution. splat sums slot weights one way, so every run is
     # sequential and deterministic: pooling accepts only "reference" and
-    # sequential changes nothing. Both stay so older files and callers load.
+    # sequential changes nothing. Both stay for their callers: acceptance
+    # tests c09 and c10 pass sequential, perfbench/workloads.py passes both.
+    # ROADMAP item 7 retires run.pooling after item 1 changes the benchmark.
     weight_seed: int = _setting(7, "run", "weight_seed", _at_least(0))
     pooling: str = _setting("reference", "run", "pooling",
                             ((lambda v: v == "reference"), '"reference"'))
@@ -174,24 +175,10 @@ class PipelineConfig:
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
         """Inverse of to_dict; absent keys keep their defaults, unknown ones raise."""
-        if not isinstance(d, dict):
-            raise ValueError("config must be a JSON object")
         kwargs = {}
-        for section, values in d.items():
-            if section not in _SECTIONS:
-                raise ValueError(f"unknown config section {section!r}")
-            if not isinstance(values, dict):
-                raise ValueError(f"config section {section!r} must be an object")
-            for key, value in values.items():
-                if (section, key) in RETIRED_KEYS:
-                    only = RETIRED_KEYS[section, key]
-                    # compare types too: False == 0 and 10 == 10.0 in Python
-                    if type(value) is not type(only) or value != only:
-                        raise ValueError(f"config key {section}.{key} is retired; "
-                                         f"only {json.dumps(only)} is accepted")
-                    continue
-                if (section, key) not in _FIELD_OF:
-                    raise ValueError(f"unknown config key {section}.{key}")
+        for section, values in known_keys(d, _SECTIONS, "config").items():
+            for key, value in known_keys(values, _SECTIONS[section],
+                                         f"config section {section!r}").items():
                 kwargs[_FIELD_OF[section, key]] = value
         return PipelineConfig(**kwargs)
 
@@ -203,15 +190,7 @@ class PipelineConfig:
 # field -> (section, key) in the JSON layout written by PipelineConfig.to_json
 CONFIG_KEYS = {f.name: f.metadata["key"] for f in fields(PipelineConfig)}
 _FIELD_OF = {where: name for name, where in CONFIG_KEYS.items()}
-_SECTIONS = {section for section, _ in CONFIG_KEYS.values()}
-
-# keys that older versions wrote -> the only value that still loads
-RETIRED_KEYS = {
-    ("run", "average_pool"): False,
-    ("fusion", "n_classes"): N_CLASSES,
-    ("fusion", "match_iou_thresh"): 0.01,
-    ("run", "workers"): 4,
-}
+_SECTIONS = {section: {k for s, k in _FIELD_OF if s == section} for section, _ in _FIELD_OF}
 
 
 @dataclass
@@ -380,7 +359,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     report = RunReport()
     with _stage(report, "load"):
         bundle: SceneBundle = load_scene(scene_dir)
-    token = bundle.manifest["sample_token"]
+    (token,) = bundle.gt_boxes
     use_radar = cfg.modality == "camera+radar"
     n_feat = bundle.features[0].shape[0]
     weights = weights or PipelineWeights.create(cfg, n_feat)

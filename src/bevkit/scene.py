@@ -2,11 +2,11 @@
 
 A scene bundle on disk stands in for one annotated driving sample:
 
-    scene.json          seed, sample token, rigs, ego trajectory, file names
+    scene.json          seed, rigs, ego trajectory, file names, nothing else
     radar.pc4d          radar returns, (x, y, z, reflectivity) f32 rows
     lidar.pc4d          lidar returns, same format
     features_cam<i>.tnsr  synthetic backbone features per camera
-    gt_boxes.json       ground-truth boxes keyed by sample token
+    gt_boxes.json       ground-truth boxes keyed by the one sample token
 
 Everything is a pure function of the SceneSpec, so one seed always yields
 byte-identical bundles. Point counts are Poisson draws whose means scale
@@ -25,8 +25,8 @@ from . import metrics
 from .fusion import BoxSet, DetectionBox
 from .geometry import CameraRig, EgoPose
 from .metrics import ATTRIBUTES, DETECTION_CLASSES, save_boxes
-from .nnprims import (finite_floats, is_int, is_number, json_floats, name_index, read_json,
-                      read_tensor, write_json, write_tensor)
+from .nnprims import (finite_floats, is_int, is_number, json_floats, known_keys, name_index,
+                      read_json, read_tensor, write_json, write_tensor)
 from .pillars import read_pc4d, write_pc4d
 
 SAMPLE_TOKEN = "sample-0"
@@ -190,6 +190,7 @@ def rig_to_json(rig: CameraRig) -> dict:
 
 
 def rig_from_json(d: dict) -> CameraRig:
+    known_keys(d, ("intrinsics", "rotation", "translation", "image_size"), "camera")
     return CameraRig(*(json_floats(d[k], f"camera {k}") for k in
                        ("intrinsics", "rotation", "translation")), tuple(d["image_size"]))
 
@@ -200,12 +201,13 @@ def pose_to_json(pose: EgoPose) -> dict:
 
 
 def pose_from_json(d: dict) -> EgoPose:
+    known_keys(d, ("rotation", "translation", "timestamp"), "ego pose")
     return EgoPose(json_floats(d["rotation"], "ego rotation"),
                    json_floats(d["translation"], "ego translation"), d["timestamp"])
 
 
 def _object_from_json(o: dict) -> SceneObject:
-    obj = SceneObject(**o)
+    obj = SceneObject(**known_keys(o, {f.name for f in fields(SceneObject)}, "object"))
     obj.center = finite_floats(obj.center, 3, "object center")
     obj.size = finite_floats(obj.size, 3, "object size")
     obj.yaw = finite_floats(obj.yaw, 0, "object yaw")
@@ -218,11 +220,7 @@ def spec_from_json(d: dict) -> SceneSpec:
     """The SceneSpec of a gen --spec object: each key a SceneSpec field, rigs, poses and
     objects as JSON objects, every other value as given, so SceneSpec alone checks it.
     Absent fields keep their defaults; unknown keys raise."""
-    if not isinstance(d, dict):
-        raise ValueError("a scene spec must be a JSON object")
-    unknown = sorted(set(d) - {f.name for f in fields(SceneSpec)})
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
+    known_keys(d, {f.name for f in fields(SceneSpec)}, "scene spec")
     readers = {"cameras": rig_from_json, "ego_trajectory": pose_from_json,
                "objects": _object_from_json}
     return SceneSpec(**{k: [readers[k](x) for x in v] if k in readers else v
@@ -251,7 +249,6 @@ def generate_scene(spec: SceneSpec, out_dir) -> Path:
 
     manifest = {
         "seed": spec.seed,
-        "sample_token": SAMPLE_TOKEN,
         "cameras": [rig_to_json(r) for r in spec.cameras],
         "ego_trajectory": [pose_to_json(p) for p in spec.ego_trajectory],
         "files": {
@@ -280,33 +277,38 @@ class SceneBundle:
 
 
 def load_scene(scene_dir) -> SceneBundle:
-    """The bundle in scene_dir. scene.json's seed, cameras and ego_trajectory are read by
-    spec_from_json, the reader of what generate_scene wrote, so SceneSpec's rules check
-    them. Checked here: the file names, the sample token, one features file per camera,
-    the feature shapes and the gt token. A malformed file is one ValueError naming it."""
+    """The bundle in scene_dir. scene.json holds seed, cameras and ego_trajectory, read by
+    spec_from_json so SceneSpec's rules check them, and files, the plain names of regular
+    files in the bundle: one features file per camera, all of one (C, H, W) shape, and a
+    gt_boxes.json of one sample token. A malformed file is one ValueError naming it."""
     path = Path(scene_dir)
     manifest_path = path / "scene.json"
     manifest = read_json(manifest_path)
     try:
-        files, token = manifest["files"], manifest["sample_token"]
+        known_keys(manifest, ("seed", "cameras", "ego_trajectory", "files"), "scene.json")
+        files = known_keys(manifest["files"], ("radar", "lidar", "features", "gt_boxes"),
+                           "scene.json files")
         names = [files["radar"], files["lidar"], files["gt_boxes"], *files["features"]]
         spec = spec_from_json({k: manifest[k] for k in ("seed", "cameras", "ego_trajectory")})
     except (TypeError, AttributeError, KeyError, ValueError) as err:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
     if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
-            and len(files["features"]) == len(spec.cameras) and isinstance(token, str)):
+            and len(files["features"]) == len(spec.cameras)):
         raise ValueError(f"{manifest_path}: files must name the radar, lidar and gt_boxes "
-                         "files and list one features file per camera, and sample_token "
-                         "must be a string")
+                         "files and list one features file per camera")
+    for n in names:  # a missing file passes on to its open's OSError; a FIFO would block it
+        if n in ("", "..") or n != Path(n).name or not (path / n).is_file() and (path / n).exists():
+            raise ValueError(f"{manifest_path}: files must give the plain name of a regular "
+                             f"file in the bundle, got {n!r}")
     features = [read_tensor(path / f) for f in files["features"]]
     for f, name in zip(features, files["features"]):
         if f.ndim != 3 or f.size == 0 or f.shape != features[0].shape:
             raise ValueError(f"{path / name}: features must be non-empty (C, H, W) tensors "
                              f"of one shape, got {f.shape} (camera 0: {features[0].shape})")
     gt_boxes = metrics.load_boxes(path / files["gt_boxes"])
-    if list(gt_boxes) != [token]:
-        raise ValueError(f"{path / files['gt_boxes']}: ground truth must hold exactly the "
-                         f"sample token {token!r} of scene.json, found {list(gt_boxes)}")
+    if len(gt_boxes) != 1:
+        raise ValueError(f"{path / files['gt_boxes']}: ground truth must hold exactly one "
+                         f"sample token, found {list(gt_boxes)}")
     return SceneBundle(
         manifest=manifest,
         cameras=spec.cameras,

@@ -235,6 +235,10 @@ def ase_exact(pred_size, gt_size):
     return 1 - inter / (vol_p + vol_g - inter)
 
 
+BOX_FILE_KEYS = {"translation", "size", "yaw", "velocity", "detection_name", "detection_score",
+                 "attribute_name"}
+
+
 def box_from_json(d: dict) -> DetectionBox:
     """One boxes-file box, field by field."""
     return DetectionBox(
@@ -251,8 +255,8 @@ def box_from_json(d: dict) -> DetectionBox:
 def load_boxes_oracle(path):
     """A boxes file box by box: {token: [DetectionBox]}; ValueError when malformed.
 
-    The file must map each token to a list of box objects, and every box
-    must pass box_from_json.
+    The file must map each token to a list of box objects, every box must
+    pass box_from_json and hold no key outside BOX_FILE_KEYS.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -260,7 +264,8 @@ def load_boxes_oracle(path):
         raise ValueError("the top level is no object")
     out = {}
     for token, boxes in payload.items():
-        if not isinstance(boxes, list) or not all(isinstance(d, dict) for d in boxes):
+        if not isinstance(boxes, list) or not all(isinstance(d, dict) and d.keys() <= BOX_FILE_KEYS
+                                                  for d in boxes):
             raise ValueError(f"{token!r} holds no list of box objects")
         try:
             out[token] = [box_from_json(d) for d in boxes]

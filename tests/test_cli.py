@@ -123,13 +123,18 @@ class TestGen:
                              "feature_shape must be three integers >= 1, got [64, 0, 44]\n"),
                             ({"seed": 1.7}, "seed must be an integer >= 0, got 1.7\n"),
                             ({"seed": -1}, "seed must be an integer >= 0, got -1\n"),
-                            ({"radar_densty": 5}, ": unknown key 'radar_densty'\n"))),
+                            ({"radar_densty": 5}, ": unknown scene spec key 'radar_densty'\n"),
+                            ({"cameras": [{**ONE_CAMERA_SPEC["cameras"][0], "focal_mm": 4.0}]},
+                             ": unknown camera key 'focal_mm'\n"),
+                            ({"ego_trajectory": [{**ONE_CAMERA_SPEC["ego_trajectory"][0],
+                                                  "speed": 2.0}]},
+                             ": unknown ego pose key 'speed'\n"))),
     ], ids=["list", "unknown-key", "unknown-object-key", "object-center-string",
             "object-center-length", "object-size-nan", "object-size-zero",
             "object-yaw-inf", "object-velocity-length", "object-class-unknown",
             "object-attribute-unknown", "feature-shape-string", "feature-shape-float",
             "feature-shape-length", "feature-shape-zero", "seed-float", "seed-negative",
-            "misspelt-optional-key"])
+            "misspelt-optional-key", "extra-camera-key", "extra-pose-key"])
     def test_malformed_spec_validation_error(self, tmp_path, capsys, spec, says):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -257,8 +262,7 @@ class TestGen:
 
     def test_manifest_holds_what_load_scene_reads(self, seed3_dir):
         manifest = json.loads((seed3_dir / "scene.json").read_text())
-        assert sorted(manifest) == ["cameras", "ego_trajectory", "files", "sample_token",
-                                    "seed"]
+        assert sorted(manifest) == ["cameras", "ego_trajectory", "files", "seed"]
 
 
 def _set_files(m):
@@ -518,6 +522,70 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
         assert "scene.json" in err and "timestamp must be a finite number" in err
 
+    @pytest.mark.parametrize("key, name, want", [
+        ("gt_boxes", "/etc/hostname", EXIT_VALIDATION),
+        ("radar", "../scene/radar.pc4d", EXIT_VALIDATION),
+        ("radar", "..", EXIT_VALIDATION),
+        ("lidar", "subdir", EXIT_VALIDATION),
+        ("radar", "fifo", EXIT_VALIDATION),
+        ("radar", "missing.pc4d", EXIT_IO),
+    ], ids=["absolute", "parent", "dotdot", "directory", "fifo", "missing"])
+    def test_bundle_file_names_stay_in_the_bundle(self, seed3_dir, tmp_path, key, name, want):
+        """A file name is the plain name of a regular file in the bundle; a missing one is
+        an i/o error. A fresh process with a timeout runs each case, so a read that blocks
+        on the FIFO fails the test instead of hanging it."""
+        bad = tmp_path / "scene"
+        shutil.copytree(seed3_dir, bad)
+        (bad / "subdir").mkdir()
+        os.mkfifo(bad / "fifo")
+        manifest = json.loads((bad / "scene.json").read_text())
+        manifest["files"][key] = name
+        (bad / "scene.json").write_text(json.dumps(manifest))
+        src = str(Path(bevkit.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "bevkit.cli", "run", "--scene", str(bad),
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == want, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert repr(name) in proc.stderr if want == EXIT_VALIDATION else name in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["scene.json", "config.json", "gt_boxes.json"])
+    def test_inserted_keys_are_named(self, seed3_dir, config_path, tmp_path, capsys, name):
+        """Every JSON object that a run reads takes only its declared keys: one inserted
+        anywhere ends the run with exit 1 and one line naming it. The top level of
+        gt_boxes.json maps sample tokens, so it has no declared keys to check."""
+        bad = tmp_path / "scene"
+        shutil.copytree(seed3_dir, bad)
+        shutil.copy(config_path, bad / "config.json")
+        original = (bad / name).read_text()
+
+        def objects(node, path=()):
+            if isinstance(node, dict) and (path or name != "gt_boxes.json"):
+                yield path
+            for key, value in (node.items() if isinstance(node, dict) else
+                               enumerate(node) if isinstance(node, list) else ()):
+                yield from objects(value, (*path, key))
+
+        paths = list(objects(json.loads(original)))
+        assert len(paths) == {"scene.json": 6, "config.json": 6, "gt_boxes.json": 8}[name]
+        for path in paths:
+            doc = json.loads(original)
+            obj = doc
+            for key in path:
+                obj = obj[key]
+            obj["inserted_key"] = 1
+            (bad / name).write_text(json.dumps(doc))
+            capsys.readouterr()
+            rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
+                       "--config", str(bad / "config.json")])
+            err = capsys.readouterr().err
+            assert rc == EXIT_VALIDATION, path
+            assert err.count("\n") == 1 and "'inserted_key'" in err, (path, err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("keep", [0, 6, 14, -8, -1])
     def test_truncated_features_validation_error(self, seed3_dir, tmp_path, capsys, keep):
         bad = tmp_path / "scene"
@@ -595,9 +663,12 @@ class TestRun:
     @pytest.mark.parametrize("tokens, found", [
         (["other-token"], "['other-token']"),
         (["sample-0", "sample-1"], "['sample-0', 'sample-1']"),
+        ([], "[]"),
     ])
     def test_gt_tokens_must_be_the_manifest_token(self, scene_dir, config_path, tmp_path,
                                                    capsys, tokens, found):
+        # gt_boxes.json's one key is the sample token: one of any name loads and keys the
+        # predictions; zero or two exit 1 naming the tokens found
         bad = tmp_path / "scene"
         shutil.copytree(scene_dir, bad)
         boxes = json.loads((bad / "gt_boxes.json").read_text())
@@ -606,11 +677,16 @@ class TestRun:
         capsys.readouterr()
         rc = main(["run", "--scene", str(bad), "--out", str(tmp_path / "out"),
                    "--config", str(config_path)])
+        if len(tokens) == 1:
+            assert rc == EXIT_OK
+            assert str(list(json.loads((tmp_path / "out" / "predictions.json").read_text()))) \
+                == found
+            return
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "stage 'load'" in err and "gt_boxes.json" in err
-        assert "'sample-0'" in err and found in err
+        assert f"exactly one sample token, found {found}" in err
         assert not (tmp_path / "out").exists()
 
     def test_nonfinite_tensor_names_the_file(self, seed3_dir, tmp_path, capsys):
@@ -641,9 +717,10 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "scene.json" in err
 
-    @pytest.mark.parametrize("value, want", [(0.0, EXIT_VALIDATION), (0.01, EXIT_OK)])
+    # each value with the exit older versions gave it; the key is unknown now, so both exit 1
+    @pytest.mark.parametrize("value, exit_before", [(0.0, EXIT_VALIDATION), (0.01, EXIT_OK)])
     def test_retired_match_iou_thresh(self, scene_dir, config_path, tmp_path, capsys,
-                                      value, want):
+                                      value, exit_before):
         cfg = json.loads(config_path.read_text())
         cfg["fusion"]["match_iou_thresh"] = value
         path = tmp_path / "cfg.json"
@@ -651,11 +728,10 @@ class TestRun:
         capsys.readouterr()
         rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
                    "--config", str(path)])
-        assert rc == want
-        if want == EXIT_VALIDATION:
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and err.count("\n") == 1
-            assert "fusion.match_iou_thresh" in err
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "unknown config section 'fusion' key 'match_iou_thresh'" in err
 
     def test_misspelled_config_key_validation_error(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "typo.json"
@@ -663,7 +739,7 @@ class TestRun:
         rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out"),
                    "--config", str(cfg)])
         assert rc == EXIT_VALIDATION
-        assert "run.poolng" in capsys.readouterr().err
+        assert "unknown config section 'run' key 'poolng'" in capsys.readouterr().err
 
     def test_wrong_typed_config_value_validation_error(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "typed.json"

@@ -1,12 +1,13 @@
-"""The input-value rule and the JSON I/O have one owner, bevkit.nnprims.
+"""The input-value rule, the key rule and the JSON I/O have one owner, bevkit.nnprims.
 
 Every other module reads and writes JSON through nnprims.read_json and
-write_json, and tests integers and numbers through nnprims.is_int and
-is_number (or the converters built on them). A second json.load, a numpy
-scalar type or an exact type test elsewhere would start a second rule, and so
-would a range patch on the rule: catching OverflowError, or comparing with
-sys.float_info or math.inf. A bool rule (isinstance(v, bool)) is not a number
-rule and stays allowed.
+write_json, tests integers and numbers through nnprims.is_int and
+is_number (or the converters built on them), and checks the keys of a JSON
+object through nnprims.known_keys. A second json.load, a numpy scalar type,
+an exact type test or a raised "unknown ..." message elsewhere would start a
+second rule, and so would a range patch on the rule: catching OverflowError,
+or comparing with sys.float_info or math.inf. A bool rule (isinstance(v,
+bool)) is not a number rule and stays allowed.
 """
 
 import ast
@@ -23,7 +24,7 @@ def _is_type_call(node: ast.AST) -> bool:
 
 def second_rules(source: str) -> list[str]:
     """"line: what" for each JSON read or write, numpy scalar type, type(...) is int,
-    OverflowError, sys.float_info or math.inf, in source order."""
+    OverflowError, sys.float_info, math.inf or raised "unknown ..." message, in source order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -41,6 +42,10 @@ def second_rules(source: str) -> list[str]:
         elif (isinstance(node, ast.Compare) and _is_type_call(node.left)
                 and any(isinstance(c, ast.Name) and c.id == "int" for c in node.comparators)):
             found.append((node, "type(...) is int"))
+        elif isinstance(node, ast.Raise):
+            found += [(c, "unknown-key message") for c in ast.walk(node)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                      and c.value.startswith("unknown ")]
     found.sort(key=lambda hit: (hit[0].lineno, hit[0].col_offset))
     return [f"{node.lineno}: {what}" for node, what in found]
 
@@ -57,10 +62,14 @@ def test_finds_second_rules():
               "    try:\n"
               "        return abs(v) <= sys.float_info.max and v < math.inf\n"
               "    except (ValueError, OverflowError):\n"
-              "        return math.pi, sys.maxsize\n")
+              "        return math.pi, sys.maxsize\n"
+              "def h(k):\n"
+              "    print('unknown key')\n"  # a message that is not raised
+              "    raise ValueError(f'unknown box key {k!r}' if k else 'unknowns')\n")
     assert second_rules(source) == ["4: json.dump", "6: np.integer", "8: json.load",
                                     "8: type(...) is int", "8: np.floating",
-                                    "11: sys.float_info", "11: math.inf", "12: OverflowError"]
+                                    "11: sys.float_info", "11: math.inf", "12: OverflowError",
+                                    "16: unknown-key message"]
 
 
 def test_only_nnprims_owns_the_input_rule_and_the_json_io():
