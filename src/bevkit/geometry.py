@@ -232,6 +232,16 @@ def unproject_frustum(rig: CameraRig, frustum: FrustumGrid) -> np.ndarray:
     k_inv = np.linalg.inv(rig.intrinsics)
     px = frustum.pixels
     rays = np.column_stack([px, np.ones(len(px))]) @ k_inv.T
-    cam = np.multiply.outer(frustum.depths, rays.reshape(-1))
-    cam -= np.tile(rig.translation, len(px))
-    return cam.reshape(-1, 3) @ rig.rotation
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan samples are in no cell
+        cam = np.multiply.outer(frustum.depths, rays.reshape(-1))
+        cam -= np.tile(rig.translation, len(px))
+        return cam.reshape(-1, 3) @ rig.rotation
+
+
+def rows_alike(rig: CameraRig, height: int, depths: np.ndarray) -> bool:
+    """Whether all rows of a regular frustum height rows tall unproject to row 0's ego x and y,
+    bit for bit: zero pitch and roll, K zero at skew and below, camera y far from overflow."""
+    k = rig.intrinsics.tolist()
+    reach = (height + abs(k[1][2]) / k[2][2]) / k[1][1] * max(1.0, float(np.abs(depths).max()))
+    return reach + abs(float(rig.translation[1])) < 1e300 and not (
+        rig.rotation[1, :2].any() or k[0][1] or k[1][0] or k[2][0] or k[2][1])

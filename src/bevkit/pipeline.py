@@ -364,7 +364,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     n_feat = bundle.features[0].shape[0]
     weights = weights or PipelineWeights.create(cfg, n_feat)
     bins = cfg.depth_bins
-    feature_hw = bundle.features[0].shape[1:]
+    fh, fw = feature_hw = bundle.features[0].shape[1:]
     for i, f in enumerate(bundle.features):
         report.checksums[f"image_features_cam{i}"] = checksum(f)
 
@@ -388,7 +388,6 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
 
     # Camera branch, camera by camera (see "Stage wiring"). "lift" builds the depth
     # weights' taps, "voxelpool" places and pools them into logits_camera.
-    frustum = geo.FrustumGrid.regular(feature_hw, bins.centers())
     # the identity tap is the plain lift: lift + refine(lift, K) = refine(lift, K + delta)
     kernel = weights.refine_kernel + np.pad([[1.0]], 1)
     camera_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
@@ -418,9 +417,10 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
         with _stage(report, "lift"):
             taps = refine_taps(p_depth, kernel)
         with _stage(report, "voxelpool"):
-            pts = geo.unproject_frustum(frig, frustum)
+            rows = 1 if geo.rows_alike(frig, fh, bins.centers()) else fh
+            pts = geo.unproject_frustum(frig, geo.FrustumGrid.regular((rows, fw), bins.centers()))
             report.dropped_points[f"frustum_cam{i}"] = vp.splat(
-                pts, class_logits, taps, cfg.bev_grid, camera_logits)
+                pts.reshape(-1, rows, fw, 3), class_logits, taps, cfg.bev_grid, camera_logits)
     report.losses["depth_bce"] = float(np.mean(bce)) if bce else float("nan")
     report.checksums["logits_camera"] = checksum(camera_logits)
 

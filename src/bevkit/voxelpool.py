@@ -15,9 +15,10 @@ the features that land in a cell.
 
 splat pools lift-splat features without building them, on one geometry
 plan per camera (as in BEVPoolv2): each sample is paired once with its
-(image column, occupied cell), cells and pairs are ranked by np.arange
-lookups (no prefix sums), every tap's depth weights are summed into that
-pair's row, and one product per image column applies the context.
+(image column, occupied cell) on R in {1, H} image rows, R = 1 (the row rule)
+only for a zero-pitch, zero-roll rig, the one kind that gains; cells and
+pairs are ranked by np.arange lookups, every tap's depth weights are summed
+into that pair's row, and one product per image column applies the context.
 """
 
 from __future__ import annotations
@@ -213,47 +214,51 @@ def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
           out: np.ndarray) -> int:
     """Pool lifted features into a BEV grid without building the lift.
 
-    positions are the (D*H*W, 3) frustum samples in depth-major order, context
-    is (C, H, W). taps is a list of (shift, weights) pairs with (D, H, W)
-    weights. It stands for the lifted features
-    sum_t weights_t[l, h, w] * context[:, h, w + shift_t] at sample (l, h, w);
-    a shifted column off the map contributes nothing. That is linear in the
-    context, and a cell sees few image columns, so sample (l, h, w) owns slot
-    h of the row of its (column w, occupied cell) pair for every tap. Cells,
-    then pairs in column-major order, are ranked by writing np.arange into a
-    lookup at their flat ids. Each tap's weights go by np.bincount into its
-    own H-wide block of the rows, in sample order, so each block is
-    bit-identical to sum_reference over that tap's slots. Column j's rows take
-    one product with the taps' context columns j + shift, stacked into
-    (taps*H, C) from a zero-padded context; it re-associates the sum across
-    taps (1e-9). The (cells, C) sums are added once into out, a C-contiguous
-    (C, ny, nx) array. Returns the number of samples outside the grid.
+    positions are (D, R, W, 3) frustum samples in depth-major order, of all R = H
+    image rows or row 0 alone (R = 1; other R raise ValueError). context is
+    (C, H, W); taps, (shift, weights) pairs with (D, H, W) weights, stand for the
+    lifted features sum_t weights_t[l, h, w] * context[:, h, w + shift_t] at sample
+    (l, h, w); a column shifted off the map adds nothing. That is linear in the
+    context, and a cell sees few image columns, so sample (l, h, w) owns slot h of
+    the row of its (column w, occupied cell) pair for every tap. Cells, then pairs
+    in column-major order, are ranked on the R rows by np.arange lookups. With R = 1
+    every row takes row 0's: exact only if all rows unproject to row 0's x and y, as
+    at zero pitch and roll (geometry.rows_alike; a real nuScenes rig passes all H
+    rows). Slots and weights are gathered through the in-range mask broadcast to
+    (D, H, W). Each tap's weights go by np.bincount, in sample order, into its own
+    H-wide block of the rows, bit-identical to sum_reference over its slots. Column
+    j's rows take one product with the taps' context columns j + shift, stacked into
+    (taps*H, C) from a zero-padded context, re-associating the sum across taps
+    (1e-9). The (cells, C) sums are added once into out, a C-contiguous (C, ny, nx)
+    array. Returns the number of the D*H*W samples outside the grid.
     """
     c, h, w = context.shape
-    if not out.flags.c_contiguous:
-        raise ValueError("splat output must be C-contiguous")
-    inside, ids = cfg.cell_ids(positions)
+    if positions.shape[1:] not in ((1, w, 3), (h, w, 3)) or not out.flags.c_contiguous:
+        raise ValueError("splat needs (D, 1 or H, W, 3) positions and a C-contiguous out")
+    inside, ids = cfg.cell_ids(positions.reshape(-1, 3))
+    dropped = (inside.size - ids.size) * (h // positions.shape[1])  # row 0 stands for H rows
     if not taps:
-        return int(inside.size - ids.size)
+        return dropped
     present = np.zeros(cfg.ny * cfg.nx, dtype=bool)
     present[ids] = True
     cells = np.flatnonzero(present)
     n = cells.size
     cell_rank = np.empty(present.size, dtype=np.int64)
     cell_rank[cells] = np.arange(n)
-    mask = inside.reshape(-1, h, w)  # in-range columns and rows come off index grids
-    col = np.broadcast_to(np.arange(w), mask.shape)[mask]
-    row = np.broadcast_to(np.arange(h)[:, None], mask.shape)[mask]
-    pairs = col * n + cell_rank[ids]
+    mask = inside.reshape(positions.shape[:3])
+    pairs = np.broadcast_to(np.arange(w), mask.shape)[mask] * n + cell_rank[ids]
     reached = np.zeros(w * n, dtype=bool)
     reached[pairs] = True
     keys = np.flatnonzero(reached)  # column-major: column j, then cell
     pair_rank = np.empty(reached.size, dtype=np.int64)
     pair_rank[keys] = np.arange(keys.size)
-    slots = pair_rank[pairs] * h + row
+    rank = np.zeros(mask.shape, dtype=np.int64)
+    rank[mask] = pair_rank[pairs] * h
+    full = np.ascontiguousarray(np.broadcast_to(mask, (len(mask), h, w)))
+    slots = (rank + np.arange(h)[:, None])[full]
     rows = np.empty((keys.size, len(taps) * h))
     for t, (_, weights) in enumerate(taps):
-        rows[:, t * h:(t + 1) * h] = np.bincount(slots, weights=weights.reshape(-1)[inside],
+        rows[:, t * h:(t + 1) * h] = np.bincount(slots, weights=weights[full],
                                                  minlength=keys.size * h).reshape(keys.size, h)
     pad = max(abs(shift) for shift, _ in taps)
     padded = np.pad(context, ((0, 0), (0, 0), (pad, pad)))
@@ -266,4 +271,4 @@ def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
         lo, hi = bounds[j], bounds[j + 1]
         sums[keys[lo:hi] - j * n] += rows[lo:hi] @ stacked[j]
     out.reshape(c, -1)[:, cells] += sums.T
-    return int(inside.size - ids.size)
+    return dropped

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -546,6 +547,63 @@ class TestPerCameraPooling:
         for k, pts in enumerate(positions):
             inside, _ = cfg.bev_grid.cell_ids(pts)
             assert 0 < report.dropped_points[f"frustum_cam{k}"] == int((~inside).sum())
+
+    def test_pitched_camera_splats_all_rows(self, tmp_path):
+        """Every gen rig is level, so splat's all-rows path runs here: beside a level camera,
+        one pitched about its camera x axis, whose rows reach cells row 0 does not."""
+        spec = default_scene_spec(seed=5, n_objects=8, n_cameras=2, feature_shape=(16, 8, 22),
+                                  radar_density=1200, lidar_density=4000)
+        level = sc.forward_camera()
+        c, s = math.cos(0.1), math.sin(0.1)
+        tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        spec.cameras = [level, geo.CameraRig(level.intrinsics, tilt @ level.rotation,
+                                             tilt @ level.translation, level.image_size)]
+        scene = generate_scene(spec, tmp_path / "scene")
+        cfg = PipelineConfig(**SMALL, sequential=True)
+        weights = PipelineWeights.create(cfg, 16)
+        report, _, seen = run_recorded(scene, cfg, weights)
+        depths = cfg.depth_bins.centers()
+        rigs = [rig.scaled(8 / 256, 22 / 704) for rig in sc.load_scene(scene).cameras]
+        assert [geo.rows_alike(rig, 8, depths) for rig in rigs] == [True, False]
+        frustum = geo.FrustumGrid.regular((8, 22), depths)
+        positions = [geo.unproject_frustum(rig, frustum) for rig in rigs]
+        contexts = pl.kan.depthnet_forward(sc.load_scene(scene).features, spec.cameras,
+                                           weights.depthnet).context
+        want = np.tensordot(weights.head_kernel, np.add(*lift_refine_pool(
+            positions, contexts, seen["softmax"], weights.refine_kernel, cfg.bev_grid)), 1)
+        assert np.abs(seen["fuse"][0][0] - want).max() <= 1e-9
+        inside = cfg.bev_grid.cell_ids(positions[1])[0].reshape(len(depths), 8, 22)
+        assert report.dropped_points["frustum_cam1"] == int((~inside).sum())
+        assert int((~inside).sum()) != 8 * int((~inside[:, 0]).sum())  # row 0 would miscount
+
+    def test_level_camera_voxelpool_memory(self, tmp_path, monkeypatch):
+        """One default-config camera at the cam6 feature shape (16x44, 112 bins): its
+        voxelpool stage (row-0 unproject and splat) peaks below three all-rows
+        (D*H*W, 3) position arrays, which unprojecting all rows exceeds."""
+        spec = default_scene_spec(seed=3, n_objects=4, radar_density=200, lidar_density=2000)
+        scene = generate_scene(spec, tmp_path / "scene")
+        peaks, stage = [], pl._stage
+
+        @contextlib.contextmanager
+        def traced(report, name):
+            with stage(report, name):
+                if name == "voxelpool":
+                    tracemalloc.start()
+                try:
+                    yield
+                finally:
+                    if name == "voxelpool":
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                        tracemalloc.stop()
+
+        monkeypatch.setattr(pl, "_stage", traced)
+        cfg = PipelineConfig(modality="camera")
+        report, _ = run_pipeline(scene, cfg)
+        _, h, w = spec.feature_shape
+        positions_bytes = cfg.n_depth_bins * h * w * 3 * 8
+        assert (h, w, positions_bytes) == (16, 44, 1_892_352)
+        assert 0 < report.dropped_points["frustum_cam0"] < cfg.n_depth_bins * h * w
+        assert len(peaks) == 1 and peaks[0] < 3 * positions_bytes
 
 
 class TestMetamorphic:

@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_pool, lift_refine_pool
 
 from bevkit import voxelpool as vp
-from bevkit.geometry import CameraRig, FrustumGrid, unproject_frustum
+from bevkit.geometry import CameraRig, FrustumGrid, rows_alike, unproject_frustum
 from bevkit.nnprims import DepthBinSpec, refine_taps, softmax_over_depth
 from bevkit.pipeline import PipelineConfig, PipelineWeights
-from bevkit.scene import forward_camera
+from bevkit.scene import FORWARD_CAM_ROTATION, forward_camera
 from bevkit.voxelpool import (
     BEVGridConfig,
     FeaturedPoints,
@@ -229,7 +231,8 @@ class TestSplat:
             p = softmax_over_depth(rng.normal(0, 2, (c_d, h, w)))
             kernel = rng.normal(0, 1, (3, 3))
             camera_bev = np.zeros((c_ctx, ny, nx))
-            dropped = splat(pts, ctx, refine_taps(p, kernel + IDENTITY), cfg, camera_bev)
+            dropped = splat(pts.reshape(-1, h, w, 3), ctx, refine_taps(p, kernel + IDENTITY), cfg,
+                            camera_bev)
             want_bev, want_depth = lift_refine_pool([pts], [ctx], [p], kernel, cfg)
             assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
             inside, _ = cfg.cell_ids(pts)
@@ -238,7 +241,7 @@ class TestSplat:
             # taps with weight at every column: a column shifted off the map adds nothing
             taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
             got = np.zeros((c_ctx, ny, nx))
-            splat(pts, ctx, taps, cfg, got)
+            splat(pts.reshape(-1, h, w, 3), ctx, taps, cfg, got)
             lifted = shifted_lift(ctx, taps).reshape(c_ctx, -1).T
             want = pool_reference(FeaturedPoints(pts, lifted), cfg).data
             assert np.abs(got - want).max() <= 1e-9
@@ -261,7 +264,8 @@ class TestSplat:
         for shift in (0, -1, 1):
             weights = rng.lognormal(0, 3, (d, h, w))
             got = np.zeros((h * w, cfg.ny, cfg.nx))
-            splat(pts, np.eye(h * w).reshape(h * w, h, w), [(shift, weights)], cfg, got)
+            splat(pts.reshape(-1, h, w, 3), np.eye(h * w).reshape(h * w, h, w), [(shift, weights)],
+                  cfg, got)
             # the same slots, in sample order, through sum_reference
             keep = (0 <= sample % w + shift) & (sample % w + shift < w)
             slots = occ[keep] * h * w + sample[keep] % (h * w) + shift
@@ -293,9 +297,9 @@ class TestSplat:
             assert {0, w - 1} <= set((np.flatnonzero(inside) % w).tolist())
             taps = refine_taps(p, kernel + IDENTITY)
             assert [shift for shift, _ in taps] == [-1, 0, 1]
-            splat(pts, ctx, taps, grid_cfg, camera_bev)
+            splat(pts.reshape(-1, h, w, 3), ctx, taps, grid_cfg, camera_bev)
             taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
-            splat(pts, ctx, taps, grid_cfg, got)
+            splat(pts.reshape(-1, h, w, 3), ctx, taps, grid_cfg, got)
             lifted.append(shifted_lift(ctx, taps).reshape(c, -1).T)
         want_bev, want_depth = lift_refine_pool(positions, contexts, p_depths, kernel,
                                                 grid_cfg)
@@ -321,19 +325,20 @@ class TestSplat:
         p = softmax_over_depth(rng.normal(0, 1, (cfg.n_depth_bins, h, w)))
         kernel = PipelineWeights.create(cfg, 16).refine_kernel
         camera_bev = np.zeros((c, grid_cfg.ny, grid_cfg.nx))
-        splat(pts, ctx, refine_taps(p, kernel + IDENTITY), grid_cfg, camera_bev)
+        splat(pts.reshape(-1, h, w, 3), ctx, refine_taps(p, kernel + IDENTITY), grid_cfg,
+              camera_bev)
         want_bev, want_depth = lift_refine_pool([pts], [ctx], [p], kernel, grid_cfg)
         assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
         # weight at columns 0 and W-1, whose shifted columns fall off the map
         taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
         got = np.zeros((c, grid_cfg.ny, grid_cfg.nx))
-        splat(pts, ctx, taps, grid_cfg, got)
+        splat(pts.reshape(-1, h, w, 3), ctx, taps, grid_cfg, got)
         lifted = shifted_lift(ctx, taps).reshape(c, -1).T
         want = pool_reference(FeaturedPoints(pts, lifted), grid_cfg).data
         assert np.abs(got - want).max() <= 1e-9
 
     def test_nothing_in_range(self):
-        pts = np.full((2 * 3, 3), 100.0)
+        pts = np.full((2, 1, 3, 3), 100.0)
         out = np.zeros((4, 10, 10))
         p = np.ones((2, 1, 3))
         assert splat(pts, np.ones((4, 1, 3)), [(0, p)], grid(), out) == 6
@@ -342,8 +347,8 @@ class TestSplat:
     def test_empty_tap_set_adds_nothing(self):
         # an injected refine kernel K = -IDENTITY leaves the pipeline no taps
         assert refine_taps(np.ones((3, 1, 3)), -IDENTITY + IDENTITY) == []
-        pts = np.zeros((2 * 3, 3))
-        pts[:2] = 100.0
+        pts = np.zeros((2, 1, 3, 3))
+        pts[0, 0, :2] = 100.0
         out = np.zeros((4, 10, 10))
         assert splat(pts, np.ones((4, 1, 3)), [], grid(), out) == 2
         assert np.all(out == 0.0)
@@ -362,9 +367,138 @@ class TestSplat:
         camera_bev = np.zeros((c, cells, cells))
         tracemalloc.start()
         try:
-            splat(pts, ctx, refine_taps(p, kernel + IDENTITY), cfg.bev_grid, camera_bev)
+            splat(pts.reshape(-1, h, w, 3), ctx, refine_taps(p, kernel + IDENTITY), cfg.bev_grid,
+                  camera_bev)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert camera_bev.any()
         assert peak < c * d * h * w * 8
+
+
+def level_rig(yaw, focal, principal, translation, image_size):
+    """The forward camera turned by yaw about the ego z axis: zero pitch and roll."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    rot = FORWARD_CAM_ROTATION @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    k = np.array([[focal[0], 0.0, principal[0]], [0.0, focal[1], principal[1]], [0.0, 0.0, 1.0]])
+    return CameraRig(k, rot, translation, image_size)
+
+
+def pitched(rig, angle):
+    """rig turned by angle about its camera x axis."""
+    c, s = np.cos(angle), np.sin(angle)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return CameraRig(rig.intrinsics, tilt @ rig.rotation, tilt @ rig.translation, rig.image_size)
+
+
+def row_and_all_rows(rig, hw, depths, cfg, context, taps):
+    """splat's (grid, dropped count) from row 0 of the frustum and from all its rows."""
+    h, w = hw
+    runs = []
+    for rows in (1, h):
+        pts = unproject_frustum(rig, FrustumGrid.regular((rows, w), depths))
+        out = np.zeros((len(context), cfg.ny, cfg.nx))
+        runs.append((out, splat(pts.reshape(-1, rows, w, 3), context, taps, cfg, out)))
+    return runs
+
+
+class TestRowRule:
+    """splat on row 0 of a level rig's frustum equals splat on all its rows, bit for bit."""
+
+    def test_row_zero_equals_all_rows_on_level_rigs(self):
+        seen = []
+
+        @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+        @given(hw=st.tuples(st.integers(1, 6), st.integers(1, 9)),
+               stride=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+               focal=st.tuples(st.floats(5.0, 2000.0), st.floats(5.0, 2000.0)),
+               principal=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+               yaw=st.floats(-np.pi, np.pi),
+               translation=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+               bins=st.tuples(st.integers(3, 12), st.floats(4.0, 60.0)),
+               cells=st.tuples(st.floats(4.0, 40.0), st.integers(1, 30), st.integers(1, 30)),
+               seed=st.integers(0, 2**32 - 1))
+        # f_y = 1e-300 passes unproject's determinant guard beside f_x = 1e300; a 1e300
+        # translation along camera y, x or z
+        @example(hw=(4, 5), stride=(1, 1), focal=(1e300, 1e-300), principal=(0.5, 0.5),
+                 yaw=0.3, translation=(0.0, 1.6, -1.5), bins=(8, 50.0), cells=(40.0, 20, 20),
+                 seed=1)
+        @example(hw=(4, 5), stride=(1, 1), focal=(300.0, 300.0), principal=(0.5, 0.5),
+                 yaw=0.3, translation=(0.0, 10.0**300, 0.0), bins=(8, 50.0),
+                 cells=(40.0, 20, 20), seed=2)
+        @example(hw=(4, 5), stride=(1, 1), focal=(300.0, 300.0), principal=(0.5, 0.5),
+                 yaw=0.3, translation=(10.0**300, 0.0, -10.0**300), bins=(8, 50.0),
+                 cells=(40.0, 20, 20), seed=3)
+        def check(hw, stride, focal, principal, yaw, translation, bins, cells, seed):
+            (h, w), (sy, sx) = hw, stride
+            image = (h * sy, w * sx)
+            rig = level_rig(yaw, focal, (principal[0] * image[1], principal[1] * image[0]),
+                            translation, image).scaled(1 / sy, 1 / sx)
+            depths = DepthBinSpec(0.5, bins[1], bins[0]).centers()
+            extent, nx, ny = cells
+            cfg = BEVGridConfig((-extent, extent), (-extent, 0.8 * extent), nx, ny)
+            level = rows_alike(rig, h, depths)
+            # only a rig whose camera y could come near overflow leaves the row rule
+            assert level or max(focal) / min(focal) > 1e6 or abs(translation[1]) > 1e6
+            rng = np.random.default_rng(seed)
+            ctx = rng.normal(0, 1, (3, h, w))
+            p = softmax_over_depth(rng.normal(0, 2, (bins[0], h, w)))
+            for taps in (refine_taps(p, rng.normal(0, 1, (3, 3)) + IDENTITY),
+                         [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)], []):
+                (row_bev, row_dropped), (bev, dropped) = row_and_all_rows(
+                    rig, (h, w), depths, cfg, ctx, taps)
+                if level:
+                    assert row_dropped == dropped and np.array_equal(row_bev, bev)
+            seen.append((level, 0 < dropped < depths.size * h * w, h))
+
+        check()
+        levels = [s for s in seen if s[0]]
+        assert len(levels) >= 100
+        assert sum(partial for _, partial, _ in levels) >= 60
+        assert {1, 6} <= {h for _, partial, h in levels if partial}
+
+    @pytest.mark.parametrize("k, t_y", [
+        # f_y = 1e-306 beside f_x = 1e306: rows 3 and on overflow at far depths
+        ([[1e306, 0.0, 2.0], [0.0, 1e-306, 0.5e-306], [0.0, 0.0, 1.0]], 0.0),
+        # a finite y of rows 4 and on, minus a translation at the float limit
+        ([[1e295, 0.0, 2.0], [0.0, 1e-295, 4.0], [0.0, 0.0, 1.0]], -np.finfo(float).max),
+    ], ids=["focal", "translation"])
+    def test_camera_y_overflow_takes_all_rows(self, k, t_y):
+        # an inf camera-frame y gives inf * 0 = nan, which drops samples whose row-0 twins
+        # are in range
+        rig = CameraRig(np.array(k), FORWARD_CAM_ROTATION, [0.0, t_y, 0.0], (16, 4))
+        depths = DepthBinSpec(0.5, 58.0, 20).centers()
+        ctx, taps = np.ones((2, 16, 4)), [(0, np.ones((20, 16, 4)))]
+        (_, row_dropped), (bev, dropped) = row_and_all_rows(rig, (16, 4), depths,
+                                                            grid(extent=60.0), ctx, taps)
+        assert bev.any() and dropped > row_dropped
+        assert not rows_alike(rig, 16, depths)
+
+    def test_pitched_skewed_or_rotated_rigs_take_all_rows(self):
+        depths = DepthBinSpec(0.5, 30.0, 8).centers()
+        level = level_rig(0.3, (380.0, 380.0), (352.0, 128.0), (0.2, 1.6, -1.5), (256, 704))
+        assert rows_alike(level, 16, depths)
+        rng = np.random.default_rng(4045)
+        for _ in range(20):
+            assert not rows_alike(random_rig(rng), 16, depths)
+        assert not rows_alike(pitched(level, 1e-3), 16, depths)
+        for at in ((0, 1), (1, 0), (2, 0), (2, 1)):  # skew, and below the diagonal
+            k = level.intrinsics.copy()
+            k[at] = 1e-13
+            assert not rows_alike(CameraRig(k, level.rotation, level.translation,
+                                            level.image_size), 16, depths)
+        # a 1e-3 pitch moves samples between cells, so row 0 cannot stand for the others
+        rig = pitched(level, 1e-3).scaled(16 / 256, 44 / 704)
+        ctx, taps = np.ones((1, 16, 44)), [(0, np.ones((8, 16, 44)))]
+        (row_bev, _), (bev, _) = row_and_all_rows(rig, (16, 44), depths,
+                                                  PipelineConfig().bev_grid, ctx, taps)
+        assert not np.array_equal(row_bev, bev)
+
+    def test_positions_of_other_row_counts_raise(self):
+        out = np.zeros((2, 10, 10))
+        taps = [(0, np.ones((2, 4, 3)))]
+        for shape in ((2, 2, 3, 3), (8, 3, 3), (2, 4, 2, 3)):
+            with pytest.raises(ValueError, match="1 or H"):
+                splat(np.zeros(shape), np.ones((2, 4, 3)), taps, grid(), out)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            splat(np.zeros((2, 1, 3, 3)), np.ones((2, 4, 3)), taps, grid(), out.transpose(0, 2, 1))
