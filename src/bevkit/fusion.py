@@ -12,7 +12,6 @@ runs and evaluation take, and DetectionBox, the view of one box.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ import numpy as np
 from .geometry import DepthMap
 from .kan import sigmoid
 from .nnprims import DepthBinSpec, as_tensor
-
-logger = logging.getLogger(__name__)
 
 BCE_CLAMP = 1e-7
 
@@ -197,7 +194,7 @@ def detection_loss(heatmap_pred: np.ndarray, heatmap_gt: np.ndarray,
 
     boxes_pred and boxes_gt are matched pairs, aligned by row. L_bbox
     averages each pair's mean absolute difference of params(). With no
-    matched pairs the box term is zero by definition (flagged in the log).
+    matched pairs it is zero by definition, and a run's eval.mtp is all null.
     """
     heatmap_pred, heatmap_gt = as_tensor(heatmap_pred), as_tensor(heatmap_gt)
     if heatmap_pred.shape != heatmap_gt.shape:
@@ -205,11 +202,8 @@ def detection_loss(heatmap_pred: np.ndarray, heatmap_gt: np.ndarray,
     if len(boxes_pred) != len(boxes_gt):
         raise ValueError("box sets must be matched pairs of equal length")
     l_heatmap = float(_bce(heatmap_pred, heatmap_gt).mean())
-    if len(boxes_pred):
-        l_bbox = float(np.abs(boxes_pred.params() - boxes_gt.params()).mean(axis=1).mean())
-    else:
-        logger.warning("detection_loss: no matched box pairs, L_bbox = 0 by definition")
-        l_bbox = 0.0
+    l_bbox = (float(np.abs(boxes_pred.params() - boxes_gt.params()).mean(axis=1).mean())
+              if len(boxes_pred) else 0.0)
     return l_heatmap + l_bbox, l_heatmap, l_bbox
 
 

@@ -34,6 +34,15 @@ def _check_rotation(rot: np.ndarray, what: str) -> np.ndarray:
     return rot
 
 
+def _check_translation(t: np.ndarray, what: str) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != (3,):
+        raise ValueError(f"{what} translation must be 3 numbers, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"{what} translation must be finite")
+    return t
+
+
 @dataclass(frozen=True)
 class CameraRig:
     """One camera: intrinsics K, sensor-to-camera rotation R, translation t.
@@ -59,12 +68,12 @@ class CameraRig:
         if np.any(np.diag(k) <= 0):
             raise ValueError("intrinsic diagonal must be strictly positive")
         rot = _check_rotation(self.rotation, "camera")
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("camera translation must be finite")
-        h, w = self.image_size
-        if not all(is_int(v) and v >= 1 for v in (h, w)):
-            raise ValueError(f"image_size must be two integers >= 1, got {self.image_size}")
+        t = _check_translation(self.translation, "camera")
+        size = self.image_size
+        if not (isinstance(size, (tuple, list)) and len(size) == 2
+                and all(is_int(v) and v >= 1 for v in size)):
+            raise ValueError(f"image_size must be two integers >= 1, got {size!r}")
+        h, w = size
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)
@@ -95,9 +104,7 @@ class EgoPose:
         if not is_number(self.timestamp):
             raise ValueError(f"ego timestamp must be a finite number, got {self.timestamp!r}")
         rot = _check_rotation(self.rotation, "ego")
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("ego translation must be finite")
+        t = _check_translation(self.translation, "ego")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "timestamp", float(self.timestamp))
@@ -146,6 +153,9 @@ class FrustumGrid:
         self.depths = np.asarray(self.depths, dtype=np.float64)
         if self.depths.ndim != 1 or self.depths.size < 1:
             raise ValueError("depths must be a non-empty 1-D array")
+        if not np.isfinite(self.depths).all():
+            bad = np.flatnonzero(~np.isfinite(self.depths)).tolist()
+            raise ValueError(f"depths must be finite, got {self.depths[bad].tolist()} at {bad}")
         if np.any(np.diff(self.depths) <= 0):
             raise ValueError("depth bins must be strictly increasing")
 

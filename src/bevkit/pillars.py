@@ -8,7 +8,6 @@ a dense C x H x W pseudo image whose cells line up with the BEV grid.
 
 from __future__ import annotations
 
-import logging
 import os
 import struct
 import warnings
@@ -18,8 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .voxelpool import BEVGridConfig
-
-logger = logging.getLogger(__name__)
 
 PC4D_MAGIC = b"PC4D"
 PC4D_HEADER_BYTES = 16
@@ -146,8 +143,8 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
     pillar with more than T points keeps a uniform sample without
     replacement drawn from a per-pillar stream seeded by (seed, flat cell
     id), so results do not depend on pillar processing order. If more than
-    max_pillars cells are occupied, the most populated ones are kept
-    (first-occurrence order breaking ties) and the truncation is reported.
+    max_pillars cells are occupied, the most populated ones are kept (first-occurrence
+    order breaking ties); truncated_pillars, a run's pillars.truncated, counts the rest.
 
     Points are grouped by one stable sort on their flat cell, so each
     pillar's points keep input order and take their row from their rank in
@@ -168,8 +165,6 @@ def build_pillars(cloud: RadarPointCloud, cfg: PillarGridConfig, seed: int) -> P
     kept = np.arange(len(cells))
     if truncated:
         kept = np.lexsort((first, -counts))[: cfg.max_pillars]
-        logger.warning("dropped %d pillars beyond the %d most populated",
-                       truncated, cfg.max_pillars)
     kept = kept[np.argsort(first[kept])]
     n_kept = np.minimum(counts[kept], t_cap)
     offset = np.cumsum(n_kept) - n_kept

@@ -191,8 +191,8 @@ def rig_to_json(rig: CameraRig) -> dict:
 
 def rig_from_json(d: dict) -> CameraRig:
     known_keys(d, ("intrinsics", "rotation", "translation", "image_size"), "camera")
-    return CameraRig(*(json_floats(d[k], f"camera {k}") for k in
-                       ("intrinsics", "rotation", "translation")), tuple(d["image_size"]))
+    return CameraRig(*(json_floats(d.get(k), f"camera {k}") for k in
+                       ("intrinsics", "rotation", "translation")), d.get("image_size"))
 
 
 def pose_to_json(pose: EgoPose) -> dict:
@@ -202,8 +202,8 @@ def pose_to_json(pose: EgoPose) -> dict:
 
 def pose_from_json(d: dict) -> EgoPose:
     known_keys(d, ("rotation", "translation", "timestamp"), "ego pose")
-    return EgoPose(json_floats(d["rotation"], "ego rotation"),
-                   json_floats(d["translation"], "ego translation"), d["timestamp"])
+    return EgoPose(json_floats(d.get("rotation"), "ego rotation"),
+                   json_floats(d.get("translation"), "ego translation"), d.get("timestamp"))
 
 
 def _object_from_json(o: dict) -> SceneObject:
@@ -218,11 +218,15 @@ def _object_from_json(o: dict) -> SceneObject:
 
 def spec_from_json(d: dict) -> SceneSpec:
     """The SceneSpec of a gen --spec object: each key a SceneSpec field, rigs, poses and
-    objects as JSON objects, every other value as given, so SceneSpec alone checks it.
-    Absent fields keep their defaults; unknown keys raise."""
+    objects as JSON lists of JSON objects, every other value as given, so SceneSpec alone
+    checks it. Absent fields keep their defaults (seed None, no rigs, no poses)."""
     known_keys(d, {f.name for f in fields(SceneSpec)}, "scene spec")
     readers = {"cameras": rig_from_json, "ego_trajectory": pose_from_json,
                "objects": _object_from_json}
+    d = {"seed": None, "cameras": [], "ego_trajectory": [], **d}
+    for k in readers.keys() & d.keys():
+        if not isinstance(d[k], list):
+            raise ValueError(f"{k} must be a JSON list, got {d[k]!r}")
     return SceneSpec(**{k: [readers[k](x) for x in v] if k in readers else v
                         for k, v in d.items()})
 
@@ -286,22 +290,24 @@ def load_scene(scene_dir) -> SceneBundle:
     manifest = read_json(manifest_path)
     try:
         known_keys(manifest, ("seed", "cameras", "ego_trajectory", "files"), "scene.json")
-        files = known_keys(manifest["files"], ("radar", "lidar", "features", "gt_boxes"),
+        files = known_keys(manifest.get("files"), ("radar", "lidar", "features", "gt_boxes"),
                            "scene.json files")
-        names = [files["radar"], files["lidar"], files["gt_boxes"], *files["features"]]
-        spec = spec_from_json({k: manifest[k] for k in ("seed", "cameras", "ego_trajectory")})
+        spec = spec_from_json({k: v for k, v in manifest.items() if k != "files"})
     except (TypeError, AttributeError, KeyError, ValueError) as err:
         raise ValueError(f"malformed {manifest_path}: {err}") from err
-    if not (isinstance(files["features"], list) and all(isinstance(n, str) for n in names)
-            and len(files["features"]) == len(spec.cameras)):
-        raise ValueError(f"{manifest_path}: files must name the radar, lidar and gt_boxes "
-                         "files and list one features file per camera")
-    for n in names:  # a missing file passes on to its open's OSError; a FIFO would block it
-        if n in ("", "..") or n != Path(n).name or not (path / n).is_file() and (path / n).exists():
-            raise ValueError(f"{manifest_path}: files must give the plain name of a regular "
-                             f"file in the bundle, got {n!r}")
-    features = [read_tensor(path / f) for f in files["features"]]
-    for f, name in zip(features, files["features"]):
+    feature_names = files.get("features")
+    if not (isinstance(feature_names, list) and len(feature_names) == len(spec.cameras)):
+        raise ValueError(f"{manifest_path}: files.features must be a JSON list of one features "
+                         f"file per camera, got {feature_names!r}")
+    named = [(k, files.get(k)) for k in ("radar", "lidar", "gt_boxes")]
+    for key, n in named + [("features", n) for n in feature_names]:
+        # a missing file passes on to its open's OSError; a FIFO would block it
+        if (not isinstance(n, str) or n in ("", "..") or n != Path(n).name
+                or not (path / n).is_file() and (path / n).exists()):
+            raise ValueError(f"{manifest_path}: files.{key} must give the plain name of a "
+                             f"regular file in the bundle, got {n!r}")
+    features = [read_tensor(path / f) for f in feature_names]
+    for f, name in zip(features, feature_names):
         if f.ndim != 3 or f.size == 0 or f.shape != features[0].shape:
             raise ValueError(f"{path / name}: features must be non-empty (C, H, W) tensors "
                              f"of one shape, got {f.shape} (camera 0: {features[0].shape})")

@@ -235,6 +235,9 @@ def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
     c, h, w = context.shape
     if positions.shape[1:] not in ((1, w, 3), (h, w, 3)) or not out.flags.c_contiguous:
         raise ValueError("splat needs (D, 1 or H, W, 3) positions and a C-contiguous out")
+    if any(np.shape(wt) != (len(positions), h, w) for _, wt in taps):
+        raise ValueError(f"splat's taps need (D, H, W) = {(len(positions), h, w)} weights, "
+                         f"got {[np.shape(wt) for _, wt in taps]}")
     inside, ids = cfg.cell_ids(positions.reshape(-1, 3))
     dropped = (inside.size - ids.size) * (h // positions.shape[1])  # row 0 stands for H rows
     if not taps:

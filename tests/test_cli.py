@@ -20,6 +20,15 @@ SMALL = dict(n_depth_bins=24, n_context=12, bev_cells=64, bev_range=32.0,
 DROP = object()  # a malformed-box case's value that deletes the key
 
 
+def run_in_fresh_process(*args, **env):
+    """`python -m bevkit.cli args` in a new process that imports this bevkit, env added."""
+    src = str(Path(bevkit.__file__).resolve().parent.parent)
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "bevkit.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "config.json"
@@ -60,6 +69,15 @@ ONE_CAMERA_SPEC = {
     "radar_density": 500,
     "lidar_density": 500,
 }
+
+
+def _spec(camera=None, pose=None, **top):
+    """ONE_CAMERA_SPEC with keys of its camera, its ego pose or its top level set; a
+    value of DROP deletes the key."""
+    def edit(d, edits):
+        return {k: v for k, v in {**d, **(edits or {})}.items() if v is not DROP}
+    return edit({**ONE_CAMERA_SPEC, "cameras": [edit(ONE_CAMERA_SPEC["cameras"][0], camera)],
+                 "ego_trajectory": [edit(ONE_CAMERA_SPEC["ego_trajectory"][0], pose)]}, top)
 
 
 class TestGen:
@@ -129,12 +147,29 @@ class TestGen:
                             ({"ego_trajectory": [{**ONE_CAMERA_SPEC["ego_trajectory"][0],
                                                   "speed": 2.0}]},
                              ": unknown ego pose key 'speed'\n"))),
+        (_spec(camera={"translation": [0.0, 0.0]}),
+         ": camera translation must be 3 numbers, got shape (2,)\n"),
+        (_spec(pose={"translation": [0.0, 0.0]}),
+         ": ego translation must be 3 numbers, got shape (2,)\n"),
+        (_spec(camera={"image_size": [256, 704, 3]}),
+         ": image_size must be two integers >= 1, got [256, 704, 3]\n"),
+        (_spec(camera={"image_size": [256]}),
+         ": image_size must be two integers >= 1, got [256]\n"),
+        (_spec(camera={"image_size": 256}), ": image_size must be two integers >= 1, got 256\n"),
+        (_spec(camera={"rotation": DROP}), ": camera rotation must hold only numbers, got None\n"),
+        (_spec(pose={"timestamp": DROP}), ": ego timestamp must be a finite number, got None\n"),
+        (_spec(seed=DROP), ": seed must be an integer >= 0, got None\n"),
+        (_spec(ego_trajectory=5), ": ego_trajectory must be a JSON list, got 5\n"),
+        (_spec(cameras={"a": 1}), ": cameras must be a JSON list, got {'a': 1}\n"),
     ], ids=["list", "unknown-key", "unknown-object-key", "object-center-string",
             "object-center-length", "object-size-nan", "object-size-zero",
             "object-yaw-inf", "object-velocity-length", "object-class-unknown",
             "object-attribute-unknown", "feature-shape-string", "feature-shape-float",
             "feature-shape-length", "feature-shape-zero", "seed-float", "seed-negative",
-            "misspelt-optional-key", "extra-camera-key", "extra-pose-key"])
+            "misspelt-optional-key", "extra-camera-key", "extra-pose-key",
+            "camera-translation-length", "pose-translation-length", "image-size-three",
+            "image-size-one", "image-size-int", "camera-no-rotation", "pose-no-timestamp",
+            "no-seed", "ego-trajectory-int", "cameras-object"])
     def test_malformed_spec_validation_error(self, tmp_path, capsys, spec, says):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -341,20 +376,15 @@ class TestRun:
                                                                    config_path, tmp_path):
         """`bevkit run` in a fresh process: 1 or 2 BLAS threads, or glibc's heap kept
         rather than trimmed and mapped, give the same predictions and report."""
-        src = str(Path(bevkit.__file__).resolve().parent.parent)
         envs = {"blas1": {"OPENBLAS_NUM_THREADS": "1"},
                 "blas2": {"OPENBLAS_NUM_THREADS": "2"},
                 "heap": {"OPENBLAS_NUM_THREADS": "1", "MALLOC_MMAP_THRESHOLD_": str(1 << 25),
                          "MALLOC_TRIM_THRESHOLD_": str(1 << 30)}}
         outputs = {}
         for name, extra in envs.items():
-            env = {**os.environ, **extra,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             out = tmp_path / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "bevkit.cli", "run", "--scene", str(scene_dir),
-                 "--out", str(out), "--config", str(config_path)],
-                env=env, capture_output=True, text=True, timeout=60)
+            proc = run_in_fresh_process("run", "--scene", str(scene_dir), "--out", str(out),
+                                        "--config", str(config_path), **extra)
             assert proc.returncode == EXIT_OK, proc.stderr
             report = json.loads((out / "report.json").read_text())
             del report["timings"], report["eval"]["eval_time"]
@@ -365,6 +395,27 @@ class TestRun:
         for name, got in outputs.items():
             assert got[0] == want[0], name
             assert got[1] == want[1], name
+
+    @pytest.mark.parametrize("case", ["truncating-config", "no-ground-truth"])
+    def test_recorded_facts_leave_stderr_empty(self, scene_dir, tmp_path, case):
+        """A run that drops pillars beyond the cap, or that has no 2 m box pair (L_bbox = 0
+        by definition), exits 0 with nothing on stderr, in a fresh process where no test
+        harness catches a log record; report.json holds the fact."""
+        scene, config = tmp_path / "scene", tmp_path / "config.json"
+        shutil.copytree(scene_dir, scene)
+        PipelineConfig(**SMALL, pillar_max_pillars=1 if case == "truncating-config" else 4096
+                       ).to_json(config)
+        if case == "no-ground-truth":
+            (scene / "gt_boxes.json").write_text(json.dumps({"sample-0": []}))
+        proc = run_in_fresh_process("run", "--scene", str(scene), "--out", str(tmp_path / "out"),
+                                    "--config", str(config))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        if case == "truncating-config":
+            assert report["pillars"]["kept"] == 1 and report["pillars"]["truncated"] > 0
+        else:
+            assert report["losses"]["l_bbox"] == 0.0
+            assert report["eval"]["mtp"] and set(report["eval"]["mtp"].values()) == {None}
 
     def test_run_missing_scene_fails(self, tmp_path, config_path):
         rc = main(["run", "--scene", str(tmp_path / "missing"), "--out",
@@ -541,12 +592,7 @@ class TestRun:
         manifest = json.loads((bad / "scene.json").read_text())
         manifest["files"][key] = name
         (bad / "scene.json").write_text(json.dumps(manifest))
-        src = str(Path(bevkit.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "bevkit.cli", "run", "--scene", str(bad),
-                               "--out", str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True, timeout=60)
+        proc = run_in_fresh_process("run", "--scene", str(bad), "--out", str(tmp_path / "out"))
         assert proc.returncode == want, proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert repr(name) in proc.stderr if want == EXIT_VALIDATION else name in proc.stderr
@@ -831,12 +877,34 @@ class TestRun:
         (lambda m: m["cameras"][0].update(image_size=[1, 1], intrinsics=[
             [1e308, 0.0, 352.0], [0.0, 380.0, 128.0], [0.0, 0.0, 1.0]]),
          "stage 'supervision' failed: intrinsics must be finite"),
+        (lambda m: m["cameras"][0].update(translation=[0.0, 0.0]),
+         "camera translation must be 3 numbers, got shape (2,)"),
+        (lambda m: m["ego_trajectory"][0].update(translation=[0.0, 0.0]),
+         "ego translation must be 3 numbers, got shape (2,)"),
+        (lambda m: m["cameras"][0].update(image_size=[256, 704, 3]),
+         "image_size must be two integers >= 1, got [256, 704, 3]"),
+        (lambda m: m["cameras"][0].update(image_size=[256]),
+         "image_size must be two integers >= 1, got [256]"),
+        (lambda m: m["cameras"][0].update(image_size=256),
+         "image_size must be two integers >= 1, got 256"),
+        (lambda m: m["cameras"][0].pop("rotation"),
+         "camera rotation must hold only numbers, got None"),
+        (lambda m: m["ego_trajectory"][0].pop("timestamp"),
+         "ego timestamp must be a finite number, got None"),
+        (lambda m: m.pop("seed"), "seed must be an integer >= 0, got None"),
+        (lambda m: m["files"].pop("radar"), "files.radar must give the plain name"),
+        (lambda m: m.update(ego_trajectory=5), "ego_trajectory must be a JSON list, got 5"),
+        (lambda m: m.update(cameras={"a": 1}), "cameras must be a JSON list, got {'a': 1}"),
     ], ids=["empty-ego-trajectory", "ego-rotation-1e308", "fy-1e20", "k22-1e308", "tz-1e308",
-            "feature-rig-overflow"])
+            "feature-rig-overflow", "camera-translation-length", "pose-translation-length",
+            "image-size-three", "image-size-one", "image-size-int", "camera-no-rotation",
+            "pose-no-timestamp", "no-seed", "no-files-radar", "ego-trajectory-int",
+            "cameras-object"])
     def test_extreme_manifest_values_end_quietly(self, scene_dir, config_path, tmp_path,
                                                  capsys, edit, says):
         """A manifest value that overflows the geometry ends in one error line, or in a run
-        that prints nothing to stderr (pytest turns a RuntimeWarning into an error)."""
+        that prints nothing to stderr (pytest turns a RuntimeWarning into an error). A
+        value of the wrong shape or type, or a missing one, ends in one line naming it."""
         bad = tmp_path / "scene"
         shutil.copytree(scene_dir, bad)
         manifest = json.loads((bad / "scene.json").read_text())

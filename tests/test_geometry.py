@@ -81,10 +81,18 @@ class TestCameraRig:
             EgoPose(rot, np.zeros(3))
 
     @pytest.mark.parametrize("size", [(0, 4), (1e-320, 4), (4.5, 4), (True, 4), (4, 1e20),
-                                      (np.int64(256), 704)])
+                                      (np.int64(256), 704), (256, 704, 3), (256,), 256, "ab"])
     def test_image_size_must_be_integers_of_one_or_more(self, size):
         with pytest.raises(ValueError, match="image_size must be two integers >= 1"):
             CameraRig(np.eye(3), np.eye(3), np.zeros(3), size)
+
+    @pytest.mark.parametrize("t", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), 0.0])
+    @pytest.mark.parametrize("make, what", [
+        (lambda t: CameraRig(np.eye(3), np.eye(3), t, (4, 4)), "camera"),
+        (lambda t: EgoPose(np.eye(3), t), "ego")], ids=["camera", "ego"])
+    def test_translation_must_be_three_numbers(self, make, what, t):
+        with pytest.raises(ValueError, match=f"{what} translation must be 3 numbers, got shape"):
+            make(t)
 
     def test_rejects_nonpositive_image(self):
         with pytest.raises(ValueError):
@@ -295,6 +303,15 @@ class TestUnprojectFrustum:
     def test_depth_bins_validated(self):
         with pytest.raises(ValueError, match="increasing"):
             FrustumGrid.regular((2, 2), np.array([3.0, 2.0]))
+
+    @pytest.mark.parametrize("depths, says", [([1.0, np.nan, 3.0], r"\[nan\] at \[1\]"),
+                                              ([np.inf], r"\[inf\] at \[0\]"),
+                                              ([1.0, 2.0, np.inf], r"\[inf\] at \[2\]"),
+                                              ([-np.inf, np.nan], r"\[-inf, nan\] at \[0, 1\]")],
+                             ids=["nan", "inf", "last-inf", "two"])
+    def test_nonfinite_depths_named(self, depths, says):
+        with pytest.raises(ValueError, match="depths must be finite, got " + says):
+            FrustumGrid(np.zeros((1, 2)), depths)
 
 
 class TestDepthMapType:

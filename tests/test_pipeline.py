@@ -42,6 +42,27 @@ def scene_dir(tmp_path_factory):
     return generate_scene(spec, out)
 
 
+def stage_peaks(monkeypatch, name: str) -> list[int]:
+    """Run each pipeline stage called name under tracemalloc; the list the patch returns
+    gets the peak bytes allocated above the stage's entry, one per time it runs."""
+    peaks, stage = [], pl._stage
+
+    @contextlib.contextmanager
+    def traced(report, stage_name):
+        with stage(report, stage_name):
+            if stage_name == name:
+                tracemalloc.start()
+            try:
+                yield
+            finally:
+                if stage_name == name:
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
+
+    monkeypatch.setattr(pl, "_stage", traced)
+    return peaks
+
+
 class TestRunPipeline:
     def test_stages_and_losses_present(self, scene_dir):
         report, preds = run_pipeline(scene_dir, PipelineConfig(**SMALL, sequential=True))
@@ -122,6 +143,21 @@ class TestRunPipeline:
         occupied = np.unique(cfg.bev_grid.cell_ids(radar)[1])
         np.testing.assert_array_equal(built[0].occupied_cells, occupied)
         assert report.fusion_stats["n_radar_boxes"] == len(occupied) > 50
+
+    def test_pillars_stage_memory(self, tmp_path, monkeypatch, perfbench):
+        """On radar_dense seed-11 bundle 0 (4,096 kept pillars, 1,303 truncated), the
+        default pillars stage peaks below twice the VFE's (C, N) float64 product over the
+        N kept points. Building the padded (P, T, 9) view inside the stage exceeds that."""
+        spec = perfbench("workloads").scene_specs("radar_dense", 11)[0]
+        peaks = stage_peaks(monkeypatch, "pillars")
+        cfg, scene = PipelineConfig(), generate_scene(spec, tmp_path / "scene")
+        report, _ = run_pipeline(scene, cfg)
+        assert report.pillars["kept"] == cfg.pillar_max_pillars == 4096
+        assert report.pillars["truncated"] == 1303
+        n = len(pl.pi.build_pillars(pl.pi.RadarPointCloud(sc.load_scene(scene).radar),
+                                    cfg.pillar_grid, spec.seed).points)
+        assert n == 13_594  # at most T = 20 per pillar
+        assert len(peaks) == 1 and 0 < peaks[0] < 2 * cfg.radar_channels * n * 8
 
     def test_radar_projection_equals_full_grid_conv(self, scene_dir):
         """Convolving only the occupied cells gives the full-grid 1x1 conv bit for bit.
@@ -582,21 +618,7 @@ class TestPerCameraPooling:
         (D*H*W, 3) position arrays, which unprojecting all rows exceeds."""
         spec = default_scene_spec(seed=3, n_objects=4, radar_density=200, lidar_density=2000)
         scene = generate_scene(spec, tmp_path / "scene")
-        peaks, stage = [], pl._stage
-
-        @contextlib.contextmanager
-        def traced(report, name):
-            with stage(report, name):
-                if name == "voxelpool":
-                    tracemalloc.start()
-                try:
-                    yield
-                finally:
-                    if name == "voxelpool":
-                        peaks.append(tracemalloc.get_traced_memory()[1])
-                        tracemalloc.stop()
-
-        monkeypatch.setattr(pl, "_stage", traced)
+        peaks = stage_peaks(monkeypatch, "voxelpool")
         cfg = PipelineConfig(modality="camera")
         report, _ = run_pipeline(scene, cfg)
         _, h, w = spec.feature_shape

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -502,3 +503,10 @@ class TestRowRule:
                 splat(np.zeros(shape), np.ones((2, 4, 3)), taps, grid(), out)
         with pytest.raises(ValueError, match="C-contiguous"):
             splat(np.zeros((2, 1, 3, 3)), np.ones((2, 4, 3)), taps, grid(), out.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 3), (3, 2, 3), (2, 2, 4), (2, 6)])
+    def test_taps_of_other_shapes_raise(self, shape):
+        taps = [(0, np.ones((2, 2, 3))), (1, np.ones(shape))]
+        says = f"taps need (D, H, W) = (2, 2, 3) weights, got [(2, 2, 3), {shape}]"
+        with pytest.raises(ValueError, match=re.escape(says)):
+            splat(np.zeros((2, 1, 3, 3)), np.ones((4, 2, 3)), taps, grid(), np.zeros((4, 10, 10)))
