@@ -20,7 +20,8 @@ EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 1, 2
 
 
 def cmd_gen(args) -> int:
-    # the flags default to None, so a given one is seen; seed and densities override a spec
+    # the flags default to None, so a given one is seen; seed and densities override a spec's
+    # and are merged in before it is read, so they may supply a field it lacks
     given = {k: v for k, v in (("seed", args.seed), ("radar_density", args.radar_density),
                                ("lidar_density", args.lidar_density)) if v is not None}
     if args.spec:
@@ -29,10 +30,9 @@ def cmd_gen(args) -> int:
                 raise ValueError(f"{flag} does not combine with --spec, which sets the {flag[2:]}")
         d = read_json(args.spec, "scene spec")
         try:
-            spec = spec_from_json(d)
+            spec = spec_from_json({**d, **given} if isinstance(d, dict) else d)
         except (TypeError, AttributeError, KeyError, ValueError) as err:
             raise ValueError(f"malformed scene spec {args.spec}: {err}") from err
-        spec = dataclasses.replace(spec, **given)
     else:
         cameras = 1 if args.cameras is None else args.cameras
         objects = 8 if args.objects is None else args.objects

@@ -9,9 +9,10 @@ output element's sum does not depend on the thread count.
 Canonical layouts used throughout the package:
     image features      (C, H, W)
     depth distribution  (C_D, H, W)
-The run never builds the lifted (C_ctx, C_D, H, W) layout. Only
-lift_outer_product and depth_refine use it; they stay as the test oracles'
-reference and as names the benchmark's tracer patches.
+The run never builds the lifted (C_ctx, C_D, H, W) layout: each row group's
+lift is summed over its rows and refined, by depth_refine (any row count) on
+the (C, C_D, 1, W) sum when the group holds C/3 rows or more. lift_outer_product
+stays as the test oracles' reference and as a name the benchmark's tracer patches.
 
 It imports nothing else from bevkit, so it also owns the one input-value rule
 (is_int: an int in int64's range, is_number: an int or float in float64's finite
@@ -224,36 +225,6 @@ def depth_refine(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     for dj, dk in zip(*np.nonzero(kernel)):
         out += kernel[dj, dk] * padded[:, dj : dj + c_d, :, dk : dk + w]
     return out
-
-
-def refine_taps(p_depth: np.ndarray, kernel: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """depth_refine of a lift, as (column shift, depth weights) taps.
-
-    Column b of the kernel mixes depth bins at column offset b - 1, so
-    depth_refine(lift_outer_product(context, p_depth), kernel)[:, l, h, w]
-    is the sum over the kernel's nonzero columns b of
-    q_b[l, h, w] * context[:, h, w + b - 1], where q_b is p_depth refined
-    by column b alone; a column outside the map has q_b = 0 (zero padding).
-    This filters the (C_D, H, W) distribution, not the lift. Every q_b sums
-    one zero-padded copy of p_depth over column b's nonzero entries in
-    depth_refine's order, so it equals depth_refine(p_depth[None], column
-    b alone)[0] bit for bit.
-    """
-    p_depth = as_tensor(p_depth)
-    kernel = as_tensor(kernel)
-    if p_depth.ndim != 3 or p_depth.shape[0] < 3 or kernel.shape != (3, 3):
-        raise ValueError(f"need (C_D >= 3, H, W) depth weights and a 3x3 kernel, "
-                         f"got {p_depth.shape} and {kernel.shape}")
-    c_d, h, w = p_depth.shape
-    padded = np.zeros((c_d + 2, h, w + 2))
-    padded[1:-1, :, 1:-1] = p_depth
-    taps = []
-    for b in np.flatnonzero(kernel.any(axis=0)):
-        q = np.zeros(p_depth.shape)
-        for dj in np.flatnonzero(kernel[:, b]):
-            q += kernel[dj, b] * padded[dj : dj + c_d, :, b : b + w]
-        taps.append((int(b) - 1, q))
-    return taps
 
 
 def write_tensor(path, arr: np.ndarray) -> None:

@@ -16,11 +16,14 @@ logits and no array is n_context channels wide:
         features + rig -> gates -> split conv with K_h folded into its context
         rows -> depth logits + class logits
       radar depth map -> depth-logit hints added in place (camera+radar)
-      softmax -> depth weights p -> BCE against the target; p refined by
-        refine_kernel plus a one-hot centre (the plain lift), one kernel
-        column at a time -> column taps; frustum -> BEV cells; taps summed
-        into (image column, cell) rows @ class logits -> added into
-        logits_camera (no (C, D, H, W) lift)
+      softmax -> depth weights p -> BCE against the target; cells of row 0
+        (a level rig: one group of all H rows) or of every row (H groups of
+        one) -> per group, class logits x p summed over its rows, a (C, D, W)
+        class lift, refined by refine_kernel plus a one-hot centre (the plain
+        lift) on its thinner side: once after the row sum (C <= 3 rows), else
+        on p's column taps before it -> one bincount per class at the groups'
+        cells, 3H/C groups per pass, added into logits_camera (no
+        (C, D, H, W) lift)
     logits_camera + logits_radar + head bias -> fused logits; camera+radar:
       the heatmap prior is their sigmoid at the radar-occupied cells only ->
       gated cells, those the prior accepts -> q rows (x, y, 0, 0) at their
@@ -42,7 +45,8 @@ the two maps is, bit for bit, the map of the stacked clouds.
 
 Every stage runs inside _stage, which names it in the errors it raises and
 sums its wall time into timings: timings.{supervision,depthnet,depth_loss,
-lift,voxelpool} are sums over cameras.
+lift,voxelpool} are sums over cameras, and lift and voxelpool also over
+passes of row groups.
 """
 
 from __future__ import annotations
@@ -61,11 +65,10 @@ from . import kan
 from . import metrics as me
 from . import pillars as pi
 from . import voxelpool as vp
-from .nnprims import (DepthBinSpec, conv_pointwise, is_int, is_number, known_keys, read_json,
-                      refine_taps, softmax_over_depth, write_json)
-# The pipeline no longer lifts or refines the lift, but perfbench/tracing.py
-# patches these names here.
-from .nnprims import depth_refine, lift_outer_product  # noqa: F401
+from .nnprims import (DepthBinSpec, conv_pointwise, depth_refine, is_int, is_number, known_keys,
+                      read_json, softmax_over_depth, write_json)
+# The pipeline never builds the full lift, but perfbench/tracing.py patches this name here.
+from .nnprims import lift_outer_product  # noqa: F401
 from .scene import CLASS_SIZES, CLASS_ATTRIBUTES, SceneBundle, load_scene
 
 MODALITIES = ("camera", "camera+radar")
@@ -119,7 +122,7 @@ class PipelineConfig:
     # lidar sees a nearer surface than the radar return
     radar_hint_strength: float = _setting(2.0, "fusion", "radar_hint_strength", (
         (lambda v: is_number(v) and v >= 0), "a number >= 0"))
-    # execution. splat sums slot weights one way, so every run is
+    # execution. splat sums each class in sample order, so every run is
     # sequential and deterministic: pooling accepts only "reference" and
     # sequential changes nothing. Both stay for their callers: acceptance
     # tests c09 and c10 pass sequential, perfbench/workloads.py passes both.
@@ -348,6 +351,33 @@ def _add_conv_at_cells(flat, rows, cells, kernel, bias) -> None:
     flat[:, cells] = at
 
 
+def _summed_lift(context: np.ndarray, p_depth: np.ndarray, kernel: np.ndarray,
+                 g: int) -> np.ndarray:
+    """depth_refine of the lift of (C, k*g, W) context by (D, k*g, W) depth weights, summed
+    over each run of g rows, as a (C, D, k, W) array. The refine filters each row's (depth,
+    column) plane alone, so it runs on the thinner side of the row sums. With C <= 3g, on
+    the sums: one (C, g) @ (g, D) product per run and column, then one refine. Else on the
+    depth weights, once per kernel column b: that tap, read beside the context at column
+    w + b - 1, makes one (C, 3g) @ (3g, D) product per run and column sum the rows and the
+    three taps."""
+    c, rows, w = context.shape
+    d, k = len(p_depth), rows // g
+    if c <= 3 * g:
+        lift = np.matmul(context.reshape(c, k, g, w).transpose(3, 1, 0, 2),
+                         p_depth.reshape(d, k, g, w).transpose(3, 1, 2, 0))
+        return depth_refine(lift.transpose(2, 3, 1, 0), kernel)
+    p_pad, c_pad = np.zeros((w + 2, rows, d + 2)), np.zeros((c, rows, w + 2))
+    p_pad[1:-1, :, 1:-1] = p_depth.transpose(2, 1, 0)
+    c_pad[:, :, 1:-1] = context
+    shifted, taps = np.empty((w, k, c, 3, g)), np.zeros((w, k, 3, g, d))
+    for b in range(3):
+        shifted[:, :, :, b] = c_pad[:, :, b:b + w].reshape(c, k, g, w).transpose(3, 1, 0, 2)
+        for a in np.flatnonzero(kernel[:, b]):
+            taps[:, :, b] += kernel[a, b] * p_pad[b:b + w, :, a:a + d].reshape(w, k, g, d)
+    lift = np.matmul(shifted.reshape(w, k, c, -1), taps.reshape(w, k, -1, d))
+    return lift.transpose(2, 3, 1, 0)
+
+
 def run_pipeline(scene_dir, cfg: PipelineConfig,
                  weights: PipelineWeights | None = None
                  ) -> tuple[RunReport, dict[str, fu.BoxSet]]:
@@ -386,8 +416,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
                               "truncated": int(tensor.truncated_pillars)}
             report.checksums["logits_radar"] = checksum(radar_logits)
 
-    # Camera branch, camera by camera (see "Stage wiring"). "lift" builds the depth
-    # weights' taps, "voxelpool" places and pools them into logits_camera.
+    # Camera branch, camera by camera (see "Stage wiring"). "voxelpool" places the frustum
+    # and, per row group, pools into logits_camera what "lift" sums and refines.
     # the identity tap is the plain lift: lift + refine(lift, K) = refine(lift, K + delta)
     kernel = weights.refine_kernel + np.pad([[1.0]], 1)
     camera_logits = np.zeros((N_CLASSES, cfg.bev_cells, cfg.bev_cells))
@@ -414,13 +444,22 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
         with _stage(report, "depth_loss"):
             if gt_map.coverage_mask().any():
                 bce.append(fu.depth_bce_loss(p_depth, gt_map, bins))
-        with _stage(report, "lift"):
-            taps = refine_taps(p_depth, kernel)
         with _stage(report, "voxelpool"):
-            rows = 1 if geo.rows_alike(frig, fh, bins.centers()) else fh
-            pts = geo.unproject_frustum(frig, geo.FrustumGrid.regular((rows, fw), bins.centers()))
-            report.dropped_points[f"frustum_cam{i}"] = vp.splat(
-                pts.reshape(-1, rows, fw, 3), class_logits, taps, cfg.bev_grid, camera_logits)
+            groups = 1 if geo.rows_alike(frig, fh, bins.centers()) else fh
+            frustum = geo.FrustumGrid.regular((groups, fw), bins.centers())
+            cells = cfg.bev_grid.sample_cells(geo.unproject_frustum(frig, frustum))
+            cells = cells.reshape(-1, groups, fw)
+        # rows per group, whose rows share row r's cells; groups per pass, whose lift is
+        # no larger than the (D*H*W, 3) positions of all rows
+        size, step, dropped = fh // groups, max(1, 3 * fh // N_CLASSES), 0
+        for r in range(0, groups, step):
+            rows = slice(r * size, min(r + step, groups) * size)
+            with _stage(report, "lift"):
+                refined = _summed_lift(class_logits[:, rows], p_depth[:, rows], kernel, size)
+            with _stage(report, "voxelpool"):
+                dropped += size * vp.splat(cells[:, r:r + step], refined, cfg.bev_grid,
+                                           camera_logits)
+        report.dropped_points[f"frustum_cam{i}"] = dropped
     report.losses["depth_bce"] = float(np.mean(bce)) if bce else float("nan")
     report.checksums["logits_camera"] = checksum(camera_logits)
 

@@ -13,12 +13,13 @@ BEVGridConfig.cell_ids is the one cell rule: cells are half-open, so a
 point exactly on the max edge of either range is dropped. Every kernel sums
 the features that land in a cell.
 
-splat pools lift-splat features without building them, on one geometry
-plan per camera (as in BEVPoolv2): each sample is paired once with its
-(image column, occupied cell) on R in {1, H} image rows, R = 1 (the row rule)
-only for a zero-pitch, zero-roll rig, the one kind that gains; cells and
-pairs are ranked by np.arange lookups, every tap's depth weights are summed
-into that pair's row, and one product per image column applies the context.
+splat adds a camera's lifted values at their frustum cells (sample_cells:
+the cell rule, with nx*ny for a dropped sample), one np.bincount per
+channel. The pipeline hands it a few row groups at a time: each group's
+refined class lift summed over its image rows, at the group's (D, W) cells.
+A level rig (zero pitch and roll) is one group of all H rows at row 0's
+cells (the row rule); any other rig is H groups of one row, splatted 3H/C
+at a time, so no (C, D, H, W) array is built.
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ class BEVGridConfig:
             iy *= self.nx
             iy += ix
         return inside, iy[inside].astype(np.int64)
+
+    def sample_cells(self, positions: np.ndarray) -> np.ndarray:
+        """The flat cell id of every position by cell_ids, nx*ny where it drops one."""
+        inside, ids = self.cell_ids(positions)
+        cells = np.full(len(inside), self.nx * self.ny)
+        cells[inside] = ids
+        return cells
 
     def cell_center(self, ix, iy) -> np.ndarray:
         dx, dy = self.cell_size
@@ -210,68 +218,19 @@ def pool_concurrent(points: FeaturedPoints, cfg: BEVGridConfig, workers: int,
                                                                     workers, block))
 
 
-def splat(positions: np.ndarray, context: np.ndarray, taps, cfg: BEVGridConfig,
-          out: np.ndarray) -> int:
-    """Pool lifted features into a BEV grid without building the lift.
-
-    positions are (D, R, W, 3) frustum samples in depth-major order, of all R = H
-    image rows or row 0 alone (R = 1; other R raise ValueError). context is
-    (C, H, W); taps, (shift, weights) pairs with (D, H, W) weights, stand for the
-    lifted features sum_t weights_t[l, h, w] * context[:, h, w + shift_t] at sample
-    (l, h, w); a column shifted off the map adds nothing. That is linear in the
-    context, and a cell sees few image columns, so sample (l, h, w) owns slot h of
-    the row of its (column w, occupied cell) pair for every tap. Cells, then pairs
-    in column-major order, are ranked on the R rows by np.arange lookups. With R = 1
-    every row takes row 0's: exact only if all rows unproject to row 0's x and y, as
-    at zero pitch and roll (geometry.rows_alike; a real nuScenes rig passes all H
-    rows). Slots and weights are gathered through the in-range mask broadcast to
-    (D, H, W). Each tap's weights go by np.bincount, in sample order, into its own
-    H-wide block of the rows, bit-identical to sum_reference over its slots. Column
-    j's rows take one product with the taps' context columns j + shift, stacked into
-    (taps*H, C) from a zero-padded context, re-associating the sum across taps
-    (1e-9). The (cells, C) sums are added once into out, a C-contiguous (C, ny, nx)
-    array. Returns the number of the D*H*W samples outside the grid.
+def splat(cells: np.ndarray, lifted: np.ndarray, cfg: BEVGridConfig, out: np.ndarray) -> int:
+    """Add (C, *S) lifted values at their (*S) cells from cfg.sample_cells into out, a
+    C-contiguous (C, ny, nx) grid of cfg's shape; returns the number of samples at cell
+    nx*ny, outside the grid, which add nothing. Each channel is one np.bincount in sample
+    order, bit-identical to sum_reference over the in-range ids and values.
     """
-    c, h, w = context.shape
-    if positions.shape[1:] not in ((1, w, 3), (h, w, 3)) or not out.flags.c_contiguous:
-        raise ValueError("splat needs (D, 1 or H, W, 3) positions and a C-contiguous out")
-    if any(np.shape(wt) != (len(positions), h, w) for _, wt in taps):
-        raise ValueError(f"splat's taps need (D, H, W) = {(len(positions), h, w)} weights, "
-                         f"got {[np.shape(wt) for _, wt in taps]}")
-    inside, ids = cfg.cell_ids(positions.reshape(-1, 3))
-    dropped = (inside.size - ids.size) * (h // positions.shape[1])  # row 0 stands for H rows
-    if not taps:
-        return dropped
-    present = np.zeros(cfg.ny * cfg.nx, dtype=bool)
-    present[ids] = True
-    cells = np.flatnonzero(present)
-    n = cells.size
-    cell_rank = np.empty(present.size, dtype=np.int64)
-    cell_rank[cells] = np.arange(n)
-    mask = inside.reshape(positions.shape[:3])
-    pairs = np.broadcast_to(np.arange(w), mask.shape)[mask] * n + cell_rank[ids]
-    reached = np.zeros(w * n, dtype=bool)
-    reached[pairs] = True
-    keys = np.flatnonzero(reached)  # column-major: column j, then cell
-    pair_rank = np.empty(reached.size, dtype=np.int64)
-    pair_rank[keys] = np.arange(keys.size)
-    rank = np.zeros(mask.shape, dtype=np.int64)
-    rank[mask] = pair_rank[pairs] * h
-    full = np.ascontiguousarray(np.broadcast_to(mask, (len(mask), h, w)))
-    slots = (rank + np.arange(h)[:, None])[full]
-    rows = np.empty((keys.size, len(taps) * h))
-    for t, (_, weights) in enumerate(taps):
-        rows[:, t * h:(t + 1) * h] = np.bincount(slots, weights=weights[full],
-                                                 minlength=keys.size * h).reshape(keys.size, h)
-    pad = max(abs(shift) for shift, _ in taps)
-    padded = np.pad(context, ((0, 0), (0, 0), (pad, pad)))
-    # stacked[j] is (taps*H, C): row t*H + r is context[:, r, j + shift_t]
-    stacked = np.ascontiguousarray(np.concatenate(
-        [padded[:, :, pad + shift:pad + shift + w] for shift, _ in taps], axis=1).T)
-    bounds = np.searchsorted(keys, np.arange(w + 1) * n)
-    sums = np.zeros((n, c))
-    for j in range(w):
-        lo, hi = bounds[j], bounds[j + 1]
-        sums[keys[lo:hi] - j * n] += rows[lo:hi] @ stacked[j]
-    out.reshape(c, -1)[:, cells] += sums.T
-    return dropped
+    c, n = len(lifted), cfg.nx * cfg.ny
+    if lifted.shape[1:] != cells.shape or out.shape != (c, cfg.ny, cfg.nx) \
+            or not out.flags.c_contiguous:
+        raise ValueError(f"splat needs (*S) cells for (C, *S) = {lifted.shape} lifted values "
+                         f"and a C-contiguous (C, ny, nx) = {(c, cfg.ny, cfg.nx)} out, got "
+                         f"cells {cells.shape} and out {out.shape}")
+    ids, flat = cells.ravel(), out.reshape(c, n)
+    for k in range(c):
+        flat[k] += np.bincount(ids, weights=lifted[k].ravel(), minlength=n + 1)[:n]
+    return int(np.count_nonzero(ids == n))

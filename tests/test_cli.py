@@ -259,6 +259,21 @@ class TestGen:
         assert all((tmp_path / "flag" / f).read_bytes() == (tmp_path / "edit" / f).read_bytes()
                    for f in files)
 
+    def test_seed_flag_fills_a_spec_without_seed(self, tmp_path, capsys):
+        """--seed is merged into the spec before it is read, so a spec with no seed takes
+        it; without --seed that spec is still malformed."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_spec(seed=DROP)))
+        capsys.readouterr()
+        assert main(["gen", "--out", str(tmp_path / "bare"), "--spec", str(spec_path)]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: malformed scene spec {spec_path}: "
+                                           "seed must be an integer >= 0, got None\n")
+        assert not (tmp_path / "bare").exists()
+        assert main(["gen", "--out", str(tmp_path / "scene"), "--spec", str(spec_path),
+                     "--seed", "4"]) == EXIT_OK
+        assert json.loads((tmp_path / "scene" / "scene.json").read_text())["seed"] == 4
+
     @pytest.mark.parametrize("value", [True, "2000", [2000], None,
                                        pytest.param(10**400, id="huge-int")])
     def test_spec_numbers_are_json_numbers(self, tmp_path, capsys, value):

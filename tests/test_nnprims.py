@@ -17,7 +17,6 @@ from bevkit.nnprims import (
     json_floats,
     lift_outer_product,
     read_tensor,
-    refine_taps,
     se_excite,
     softmax_over_depth,
     write_json,
@@ -207,51 +206,29 @@ class TestDepthRefine:
 PIPELINE_REFINE_KERNEL = PipelineWeights.create(PipelineConfig(), 16).refine_kernel
 
 
-class TestRefineTaps:
-    def test_taps_rebuild_refined_lift(self):
+class TestRefineOfRowSum:
+    """depth_refine filters each row's (depth, column) plane alone, so refining a lift
+    summed over its rows is the row sum of the refined lift; the pipeline's class
+    lift rests on this."""
+
+    def test_refine_commutes_with_row_sum(self):
         rng = np.random.default_rng(16)
-        for _ in range(10):
-            c, d = (int(v) for v in rng.integers(1, 6, 2))
-            h, w = (int(v) for v in rng.integers(1, 7, 2))
-            ctx = rng.normal(0, 1, (c, h, w))
-            p = softmax_over_depth(rng.normal(0, 1, (d + 2, h, w)))
+        kernels = [PIPELINE_REFINE_KERNEL + IDENTITY_3X3, IDENTITY_3X3]
+        kernels += [rng.normal(0, 1, (3, 3)) for _ in range(6)]
+        for b in range(3):  # a zero column: its shift adds nothing
             kernel = rng.normal(0, 1, (3, 3))
-            want = depth_refine(lift_outer_product(ctx, p), kernel)
-            got = np.zeros_like(want)
-            for shift, q in refine_taps(p, kernel):
-                for k in range(w):
-                    if 0 <= k + shift < w:
-                        got[:, :, :, k] += ctx[:, None, :, k + shift] * q[None, :, :, k]
-            assert np.abs(got - want).max() < 1e-12
-
-    def test_each_tap_is_depth_refine_of_its_column(self):
-        rng = np.random.default_rng(18)
-        kernels = [PIPELINE_REFINE_KERNEL + IDENTITY_3X3, IDENTITY_3X3, PIPELINE_REFINE_KERNEL]
-        kernels += [rng.normal(0, 1, (3, 3)) * (rng.uniform(size=(3, 3)) < 0.6)
-                    for _ in range(12)]
+            kernel[:, b] = 0.0
+            kernels.append(kernel)
         for i, kernel in enumerate(kernels):
-            d = 3 + i % 4
-            h, w = (int(v) for v in rng.integers(1, 7, 2))
-            p = softmax_over_depth(rng.normal(0, 2, (d, h, w)))
-            taps = refine_taps(p, kernel)
-            assert [s + 1 for s, _ in taps] == np.flatnonzero(kernel.any(axis=0)).tolist()
-            for shift, q in taps:
-                column = np.zeros((3, 3))
-                column[:, shift + 1] = kernel[:, shift + 1]
-                assert np.array_equal(q, depth_refine(p[None], column)[0])
-
-    def test_bad_shapes_rejected(self):
-        p = softmax_over_depth(np.zeros((4, 2, 3)))
-        for bad_p, bad_k in ((p[:2], IDENTITY_3X3), (p[0], IDENTITY_3X3),
-                             (p, np.eye(2))):
-            with pytest.raises(ValueError):
-                refine_taps(bad_p, bad_k)
-
-    def test_zero_columns_skipped(self):
-        p = softmax_over_depth(np.zeros((4, 2, 3)))
-        assert [s for s, _ in refine_taps(p, PIPELINE_REFINE_KERNEL)] == [-1, 0, 1]
-        assert [s for s, _ in refine_taps(p, IDENTITY_3X3)] == [0]
-        np.testing.assert_array_equal(refine_taps(p, IDENTITY_3X3)[0][1], p)
+            c, d = int(rng.integers(1, 6)), int(rng.integers(3, 9))
+            h, w = 1 if i % 3 == 0 else int(rng.integers(2, 9)), int(rng.integers(1, 8))
+            lift = lift_outer_product(rng.normal(0, 1, (c, h, w)),
+                                      softmax_over_depth(rng.normal(0, 2, (d, h, w))))
+            want = depth_refine(lift, kernel).sum(axis=2, keepdims=True)
+            got = depth_refine(lift.sum(axis=2, keepdims=True), kernel)
+            scale = np.abs(kernel).sum() * np.abs(lift).sum(axis=2).max()
+            assert got.shape == (c, d, 1, w)
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 class TestFiniteDiffJacobian:

@@ -74,7 +74,6 @@ def test_one_unproject_span_per_camera(tracing, tmp_path):
 # PATCHES entries that the pipeline no longer calls; their per-layer metrics read 0
 DEAD_TARGETS = {("bevkit.pillars", "scatter_to_pseudo_image"),
                 ("bevkit.pipeline", "lift_outer_product"),
-                ("bevkit.pipeline", "depth_refine"),
                 ("bevkit.voxelpool", "pool_reference"),
                 ("bevkit.voxelpool", "pool_cumsum"),
                 ("bevkit.voxelpool", "pool_concurrent"),

@@ -499,6 +499,14 @@ def run_recorded(scene, cfg, weights=None):
     return report, preds, seen
 
 
+def pitched_forward_camera(angle):
+    """The forward camera turned by angle about its camera x axis."""
+    level, c, s = sc.forward_camera(), math.cos(angle), math.sin(angle)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return geo.CameraRig(level.intrinsics, tilt @ level.rotation, tilt @ level.translation,
+                         level.image_size)
+
+
 def yawed_rigs(yaws_deg):
     """Forward-model cameras turned about the ego z axis, mounted 1.5 m out."""
     base = sc.forward_camera()
@@ -589,11 +597,7 @@ class TestPerCameraPooling:
         one pitched about its camera x axis, whose rows reach cells row 0 does not."""
         spec = default_scene_spec(seed=5, n_objects=8, n_cameras=2, feature_shape=(16, 8, 22),
                                   radar_density=1200, lidar_density=4000)
-        level = sc.forward_camera()
-        c, s = math.cos(0.1), math.sin(0.1)
-        tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-        spec.cameras = [level, geo.CameraRig(level.intrinsics, tilt @ level.rotation,
-                                             tilt @ level.translation, level.image_size)]
+        spec.cameras = [sc.forward_camera(), pitched_forward_camera(0.1)]
         scene = generate_scene(spec, tmp_path / "scene")
         cfg = PipelineConfig(**SMALL, sequential=True)
         weights = PipelineWeights.create(cfg, 16)
@@ -613,9 +617,10 @@ class TestPerCameraPooling:
         assert int((~inside).sum()) != 8 * int((~inside[:, 0]).sum())  # row 0 would miscount
 
     def test_level_camera_voxelpool_memory(self, tmp_path, monkeypatch):
-        """One default-config camera at the cam6 feature shape (16x44, 112 bins): its
-        voxelpool stage (row-0 unproject and splat) peaks below three all-rows
-        (D*H*W, 3) position arrays, which unprojecting all rows exceeds."""
+        """One default-config camera at the cam6 feature shape (16x44, 112 bins): each
+        entry of its voxelpool stage (row-0 unproject, then its one row group's splat)
+        peaks below three all-rows (D*H*W, 3) position arrays, which unprojecting all
+        rows exceeds."""
         spec = default_scene_spec(seed=3, n_objects=4, radar_density=200, lidar_density=2000)
         scene = generate_scene(spec, tmp_path / "scene")
         peaks = stage_peaks(monkeypatch, "voxelpool")
@@ -625,7 +630,30 @@ class TestPerCameraPooling:
         positions_bytes = cfg.n_depth_bins * h * w * 3 * 8
         assert (h, w, positions_bytes) == (16, 44, 1_892_352)
         assert 0 < report.dropped_points["frustum_cam0"] < cfg.n_depth_bins * h * w
-        assert len(peaks) == 1 and peaks[0] < 3 * positions_bytes
+        assert len(peaks) == 2 and max(peaks) < 3 * positions_bytes
+
+    def test_pitched_camera_stage_memory(self, tmp_path, monkeypatch):
+        """One default-config camera pitched 0.1 rad, at the cam6 feature shape: it takes
+        one row group per image row, lifted and splatted four rows per pass, and every
+        entry of its lift and voxelpool stages peaks below three all-rows (D*H*W, 3)
+        position arrays. The whole (C, D, H, W) class lift alone would not."""
+        spec = default_scene_spec(seed=3, n_objects=4, radar_density=200, lidar_density=2000)
+        spec.cameras = [pitched_forward_camera(0.1)]
+        scene = generate_scene(spec, tmp_path / "scene")
+        cfg = PipelineConfig(modality="camera")
+        _, h, w = spec.feature_shape
+        positions_bytes = cfg.n_depth_bins * h * w * 3 * 8
+        assert (h, w, 3 * positions_bytes) == (16, 44, 5_677_056)
+        assert pl.N_CLASSES * cfg.n_depth_bins * h * w * 8 > 3 * positions_bytes
+        assert not geo.rows_alike(spec.cameras[0].scaled(h / 256, w / 704), h,
+                                  cfg.depth_bins.centers())
+        passes = h // (3 * h // pl.N_CLASSES)
+        assert passes == 4
+        for name, entries in (("lift", passes), ("voxelpool", 1 + passes)):
+            with monkeypatch.context() as patch:
+                peaks = stage_peaks(patch, name)
+                run_pipeline(scene, cfg)
+            assert len(peaks) == entries and max(peaks) < 3 * positions_bytes, name
 
 
 class TestMetamorphic:

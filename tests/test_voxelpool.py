@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_pool, lift_refine_pool
 
+from bevkit import pipeline as pl
 from bevkit import voxelpool as vp
 from bevkit.geometry import CameraRig, FrustumGrid, rows_alike, unproject_frustum
-from bevkit.nnprims import DepthBinSpec, refine_taps, softmax_over_depth
+from bevkit.nnprims import DepthBinSpec, depth_refine, lift_outer_product, softmax_over_depth
 from bevkit.pipeline import PipelineConfig, PipelineWeights
 from bevkit.scene import FORWARD_CAM_ROTATION, forward_camera
 from bevkit.voxelpool import (
@@ -204,16 +205,15 @@ def random_rig(rng):
     return CameraRig(k, q, rng.normal(0, 2, 3), (16, 16))
 
 
-def shifted_lift(context, taps):
-    """(C, D, H, W) features sum_t w_t[l, h, w] * context[:, h, w + s_t], zero off the map."""
+def pool_groups(rig, depths, cfg, context, p, kernel, groups):
+    """(grid, dropped count) of the pipeline's camera pooling in `groups` row groups, in
+    one pass: the cells of the first `groups` rows, each group's summed lift refined by
+    kernel + IDENTITY and splatted at its row's cells."""
     c, h, w = context.shape
-    out = np.zeros((c,) + taps[0][1].shape)
-    for shift, weights in taps:
-        moved = np.zeros_like(context)
-        lo, hi = max(0, -shift), min(w, w - shift)
-        moved[:, :, lo:hi] = context[:, :, lo + shift:hi + shift]
-        out += moved[:, None] * weights[None]
-    return out
+    cells = cfg.sample_cells(unproject_frustum(rig, FrustumGrid.regular((groups, w), depths)))
+    out = np.zeros((c, cfg.ny, cfg.nx))
+    lifted = pl._summed_lift(context, p, kernel + IDENTITY, h // groups)
+    return out, h // groups * splat(cells.reshape(-1, groups, w), lifted, cfg, out)
 
 
 class TestSplat:
@@ -227,150 +227,149 @@ class TestSplat:
             extent = float(rng.uniform(2.0, 20.0))
             cfg = BEVGridConfig((-extent, extent), (-extent * 0.7, extent), nx, ny)
             bins = DepthBinSpec(0.5, float(rng.uniform(4.0, 30.0)), c_d)
-            pts = unproject_frustum(random_rig(rng), FrustumGrid.regular((h, w), bins.centers()))
+            rig = random_rig(rng)
+            pts = unproject_frustum(rig, FrustumGrid.regular((h, w), bins.centers()))
             ctx = rng.normal(0, 1, (c_ctx, h, w))
             p = softmax_over_depth(rng.normal(0, 2, (c_d, h, w)))
             kernel = rng.normal(0, 1, (3, 3))
-            camera_bev = np.zeros((c_ctx, ny, nx))
-            dropped = splat(pts.reshape(-1, h, w, 3), ctx, refine_taps(p, kernel + IDENTITY), cfg,
-                            camera_bev)
+            # a random rig is never level: one group per row
+            camera_bev, dropped = pool_groups(rig, bins.centers(), cfg, ctx, p, kernel, h)
             want_bev, want_depth = lift_refine_pool([pts], [ctx], [p], kernel, cfg)
             assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
             inside, _ = cfg.cell_ids(pts)
             assert dropped == int((~inside).sum())
             cases_with_drops += 0 < dropped < len(pts)
-            # taps with weight at every column: a column shifted off the map adds nothing
-            taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
+            # any lifted values at all rows' cells, in one call, are pool_reference's
+            lifted = rng.uniform(0, 1, (c_ctx,) + p.shape)
             got = np.zeros((c_ctx, ny, nx))
-            splat(pts.reshape(-1, h, w, 3), ctx, taps, cfg, got)
-            lifted = shifted_lift(ctx, taps).reshape(c_ctx, -1).T
-            want = pool_reference(FeaturedPoints(pts, lifted), cfg).data
-            assert np.abs(got - want).max() <= 1e-9
+            assert splat(cfg.sample_cells(pts).reshape(p.shape), lifted, cfg, got) == dropped
+            want = pool_reference(FeaturedPoints(pts, lifted.reshape(c_ctx, -1).T), cfg).data
+            assert np.array_equal(got, want)
         assert cases_with_drops >= 30
 
     @pytest.mark.parametrize("seed", [1 << 20, 40])
     def test_slot_sums_bit_identical_to_sum_reference(self, seed):
-        # a one-hot context (C = H*W) makes the product exact, so with one tap
-        # each grid column is one cell's slot sums for that tap; each seed
-        # draws its own rig and weights. Across taps the product re-associates
-        # (the 1e-9 tests above and below cover that).
+        # each class is one np.bincount in sample order: bit-identical to sum_reference
+        # over the same ids and values; each seed draws its own rig and values
         rng = np.random.default_rng(seed)
-        h, w, d = 5, 7, 30
+        c, h, w, d = 3, 5, 7, 30
         cfg = BEVGridConfig((-6.0, 6.0), (-4.0, 8.0), 9, 7)
         bins = DepthBinSpec(0.5, 12.0, d)
         pts = unproject_frustum(random_rig(rng), FrustumGrid.regular((h, w), bins.centers()))
         inside, ids = cfg.cell_ids(pts)
-        cells, occ = np.unique(ids, return_inverse=True)
-        sample = np.flatnonzero(inside)
-        for shift in (0, -1, 1):
-            weights = rng.lognormal(0, 3, (d, h, w))
-            got = np.zeros((h * w, cfg.ny, cfg.nx))
-            splat(pts.reshape(-1, h, w, 3), np.eye(h * w).reshape(h * w, h, w), [(shift, weights)],
-                  cfg, got)
-            # the same slots, in sample order, through sum_reference
-            keep = (0 <= sample % w + shift) & (sample % w + shift < w)
-            slots = occ[keep] * h * w + sample[keep] % (h * w) + shift
-            assert np.bincount(slots).max() > 1  # slots collect many samples
-            sums = vp.sum_reference(slots, weights.reshape(-1)[sample[keep], None],
-                                    cells.size * h * w)
-            want = np.zeros_like(got)
-            want[:, cells // cfg.nx, cells % cfg.nx] = sums.reshape(cells.size, h * w).T
-            assert np.array_equal(got, want)
+        assert np.bincount(ids).max() > 1  # cells collect many samples
+        lifted = rng.lognormal(0, 3, (c, d, h, w))
+        got = np.zeros((c, cfg.ny, cfg.nx))
+        splat(cfg.sample_cells(pts).reshape(d, h, w), lifted, cfg, got)
+        for k in range(c):
+            sums = vp.sum_reference(ids, lifted[k].reshape(-1)[inside, None], cfg.nx * cfg.ny)
+            assert np.array_equal(got[k], sums.reshape(cfg.ny, cfg.nx))
 
     def test_matches_lift_refine_pool_on_surround_rig(self, perfbench):
-        # six cameras at the 16x44 map, each with in-range samples at columns 0
-        # and W-1: the refine taps' weights vanish where a shift leaves the map,
-        # the random taps' weights do not
+        # six level cameras at the 16x44 map, each one row group, each with in-range
+        # samples at columns 0 and W-1, where the refine's zero padding shows
         cfg = PipelineConfig()
         grid_cfg, c, h, w = cfg.bev_grid, 8, 16, 44
+        depths = cfg.depth_bins.centers()
         rng = np.random.default_rng(4044)
-        frustum = FrustumGrid.regular((h, w), cfg.depth_bins.centers())
-        positions = [unproject_frustum(rig.scaled(h / 256, w / 704), frustum)
-                     for rig in perfbench("workloads").surround_rig()]
+        frustum = FrustumGrid.regular((h, w), depths)
+        rigs = [rig.scaled(h / 256, w / 704) for rig in perfbench("workloads").surround_rig()]
+        positions = [unproject_frustum(rig, frustum) for rig in rigs]
         contexts = [rng.uniform(0, 1, (c, h, w)) for _ in positions]
         p_depths = [softmax_over_depth(rng.normal(0, 1, (cfg.n_depth_bins, h, w)))
                     for _ in positions]
         kernel = PipelineWeights.create(cfg, 16).refine_kernel
         camera_bev = np.zeros((c, grid_cfg.ny, grid_cfg.nx))
-        got, lifted = np.zeros_like(camera_bev), []
-        for pts, ctx, p in zip(positions, contexts, p_depths):
+        for rig, pts, ctx, p in zip(rigs, positions, contexts, p_depths):
             inside, _ = grid_cfg.cell_ids(pts)
             assert {0, w - 1} <= set((np.flatnonzero(inside) % w).tolist())
-            taps = refine_taps(p, kernel + IDENTITY)
-            assert [shift for shift, _ in taps] == [-1, 0, 1]
-            splat(pts.reshape(-1, h, w, 3), ctx, taps, grid_cfg, camera_bev)
-            taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
-            splat(pts.reshape(-1, h, w, 3), ctx, taps, grid_cfg, got)
-            lifted.append(shifted_lift(ctx, taps).reshape(c, -1).T)
+            assert rows_alike(rig, h, depths)
+            camera_bev += pool_groups(rig, depths, grid_cfg, ctx, p, kernel, 1)[0]
         want_bev, want_depth = lift_refine_pool(positions, contexts, p_depths, kernel,
                                                 grid_cfg)
         assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
-        want = pool_reference(FeaturedPoints(np.vstack(positions), np.vstack(lifted)),
-                              grid_cfg).data
-        assert np.abs(got - want).max() <= 1e-9
 
     def test_matches_lift_refine_pool_at_benchmark_shape(self):
-        # one forward camera at the 16x44 map, 112 bins and 128 cells: the cells
-        # near the camera each see several image columns
+        # one forward camera at the 16x44 map, 112 bins and 128 cells, one row group:
+        # the cells near the camera each see several image columns
         cfg = PipelineConfig()
         grid_cfg, c, h, w = cfg.bev_grid, 8, 16, 44
+        depths = cfg.depth_bins.centers()
         rng = np.random.default_rng(4043)
-        frustum = FrustumGrid.regular((h, w), cfg.depth_bins.centers())
-        pts = unproject_frustum(forward_camera().scaled(h / 256, w / 704), frustum)
+        rig = forward_camera().scaled(h / 256, w / 704)
+        pts = unproject_frustum(rig, FrustumGrid.regular((h, w), depths))
         inside, ids = grid_cfg.cell_ids(pts)
         col = np.flatnonzero(inside) % w
         seen = np.unique(np.column_stack([ids, col]), axis=0)
         assert np.bincount(seen[:, 0]).max() >= 4
         assert {0, w - 1} <= set(col.tolist())
+        assert rows_alike(rig, h, depths)
         ctx = rng.uniform(0, 1, (c, h, w))
         p = softmax_over_depth(rng.normal(0, 1, (cfg.n_depth_bins, h, w)))
         kernel = PipelineWeights.create(cfg, 16).refine_kernel
-        camera_bev = np.zeros((c, grid_cfg.ny, grid_cfg.nx))
-        splat(pts.reshape(-1, h, w, 3), ctx, refine_taps(p, kernel + IDENTITY), grid_cfg,
-              camera_bev)
+        camera_bev, dropped = pool_groups(rig, depths, grid_cfg, ctx, p, kernel, 1)
         want_bev, want_depth = lift_refine_pool([pts], [ctx], [p], kernel, grid_cfg)
         assert np.abs(camera_bev - (want_bev + want_depth)).max() <= 1e-9
-        # weight at columns 0 and W-1, whose shifted columns fall off the map
-        taps = [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)]
-        got = np.zeros((c, grid_cfg.ny, grid_cfg.nx))
-        splat(pts.reshape(-1, h, w, 3), ctx, taps, grid_cfg, got)
-        lifted = shifted_lift(ctx, taps).reshape(c, -1).T
-        want = pool_reference(FeaturedPoints(pts, lifted), grid_cfg).data
-        assert np.abs(got - want).max() <= 1e-9
+        assert dropped == int((~inside).sum())
 
     def test_nothing_in_range(self):
-        pts = np.full((2, 1, 3, 3), 100.0)
+        cells = grid().sample_cells(np.full((6, 3), 100.0)).reshape(2, 1, 3)
+        assert np.all(cells == 100)  # one past the 10x10 grid
         out = np.zeros((4, 10, 10))
-        p = np.ones((2, 1, 3))
-        assert splat(pts, np.ones((4, 1, 3)), [(0, p)], grid(), out) == 6
+        assert splat(cells, np.ones((4, 2, 1, 3)), grid(), out) == 6
         assert np.all(out == 0.0)
 
     def test_empty_tap_set_adds_nothing(self):
-        # an injected refine kernel K = -IDENTITY leaves the pipeline no taps
-        assert refine_taps(np.ones((3, 1, 3)), -IDENTITY + IDENTITY) == []
-        pts = np.zeros((2, 1, 3, 3))
-        pts[0, 0, :2] = 100.0
-        out = np.zeros((4, 10, 10))
-        assert splat(pts, np.ones((4, 1, 3)), [], grid(), out) == 2
-        assert np.all(out == 0.0)
+        # an injected refine kernel K = -IDENTITY leaves either side of the refine no taps,
+        # so the refined lift is zero and the grid keeps its values
+        pts = np.zeros((18, 3))
+        pts[:2, :2] = 100.0
+        out = np.ones((4, 10, 10))
+        for g in (2, 1):  # 4 <= 3g: the row sum is refined; else the depth weights
+            lifted = pl._summed_lift(np.ones((4, 2, 3)), np.ones((3, 2, 3)),
+                                     -IDENTITY + IDENTITY, g)
+            assert lifted.shape == (4, 3, 2 // g, 3) and not lifted.any()
+            cells = grid().sample_cells(pts[:lifted[0].size]).reshape(lifted.shape[1:])
+            assert splat(cells, lifted, grid(), out) == 2
+        assert np.all(out == 1.0)
+
+    def test_summed_lift_is_the_row_sum_of_the_refined_lift(self):
+        # both sides of the refine, C <= 3g and C > 3g, one run of g rows or several,
+        # against depth_refine of the whole lift summed over each run; kernels with zero
+        # columns and rows, maps one column wide
+        rng = np.random.default_rng(4046)
+        kernels = [rng.normal(0, 1, (3, 3)), PipelineWeights.create(PipelineConfig(), 16)
+                   .refine_kernel + IDENTITY]
+        kernels += [rng.normal(0, 1, (3, 3)) * (np.arange(3) != b) for b in range(3)]
+        kernels += [rng.normal(0, 1, (3, 3)) * (np.arange(3) != a)[:, None] for a in range(3)]
+        for kernel in kernels:
+            for c, k, g, w in ((10, 1, 1, 6), (10, 3, 1, 5), (10, 1, 4, 5), (10, 2, 4, 3),
+                               (4, 2, 1, 1), (3, 3, 1, 7), (7, 1, 2, 1), (6, 2, 2, 4)):
+                ctx = rng.normal(0, 1, (c, k * g, w))
+                p = softmax_over_depth(rng.normal(0, 2, (6, k * g, w)))
+                refined = depth_refine(lift_outer_product(ctx, p), kernel)
+                want = refined.reshape(c, 6, k, g, w).sum(axis=3)
+                got = pl._summed_lift(ctx, p, kernel, g)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("h, w, cells", [(16, 44, 128), (32, 88, 512)])
     def test_peak_memory_below_one_lift(self, h, w, cells):
-        # a dense slot matrix at 32x88 and 512 cells would take ~170 MB
+        # one level camera's summed lift and splat, at n_context channels, stay below
+        # the (C, D, H, W) lift they stand for
         cfg = PipelineConfig(bev_cells=cells)
         c, d = cfg.n_context, cfg.n_depth_bins
         rng = np.random.default_rng(4042)
-        frustum = FrustumGrid.regular((h, w), cfg.depth_bins.centers())
-        pts = unproject_frustum(forward_camera().scaled(h / 256, w / 704), frustum)
+        rig = forward_camera().scaled(h / 256, w / 704)
         ctx = rng.uniform(0, 1, (c, h, w))
         p = softmax_over_depth(rng.normal(0, 1, (d, h, w)))
         kernel = PipelineWeights.create(cfg, 16).refine_kernel
-        camera_bev = np.zeros((c, cells, cells))
+        assert rows_alike(rig, h, cfg.depth_bins.centers())
         tracemalloc.start()
         try:
-            splat(pts.reshape(-1, h, w, 3), ctx, refine_taps(p, kernel + IDENTITY), cfg.bev_grid,
-                  camera_bev)
-            peak = tracemalloc.get_traced_memory()[1]
+            camera_bev, _ = pool_groups(rig, cfg.depth_bins.centers(), cfg.bev_grid, ctx, p,
+                                        kernel, 1)
+            peak = tracemalloc.get_traced_memory()[1] - camera_bev.nbytes
         finally:
             tracemalloc.stop()
         assert camera_bev.any()
@@ -392,19 +391,24 @@ def pitched(rig, angle):
     return CameraRig(rig.intrinsics, tilt @ rig.rotation, tilt @ rig.translation, rig.image_size)
 
 
-def row_and_all_rows(rig, hw, depths, cfg, context, taps):
-    """splat's (grid, dropped count) from row 0 of the frustum and from all its rows."""
-    h, w = hw
-    runs = []
-    for rows in (1, h):
-        pts = unproject_frustum(rig, FrustumGrid.regular((rows, w), depths))
-        out = np.zeros((len(context), cfg.ny, cfg.nx))
-        runs.append((out, splat(pts.reshape(-1, rows, w, 3), context, taps, cfg, out)))
-    return runs
+def row_and_all_rows(rig, depths, cfg, context, p, kernel):
+    """pool_groups' (grid, dropped count) from one group of all rows at row 0's positions
+    and from one group per row."""
+    return [pool_groups(rig, depths, cfg, context, p, kernel, groups)
+            for groups in (1, context.shape[1])]
+
+
+def cell_map(cfg, positions):
+    """Each sample's flat cell id, -1 outside the grid, in the (D, R, W) shape of positions."""
+    inside, ids = cfg.cell_ids(positions.reshape(-1, 3))
+    out = np.full(inside.size, -1)
+    out[inside] = ids
+    return out.reshape(positions.shape[:3])
 
 
 class TestRowRule:
-    """splat on row 0 of a level rig's frustum equals splat on all its rows, bit for bit."""
+    """On a level rig every row's samples land in row 0's cells, bit for bit, so one group
+    of all rows pools what one group per row pools, up to the re-associated row sum."""
 
     def test_row_zero_equals_all_rows_on_level_rigs(self):
         seen = []
@@ -430,6 +434,11 @@ class TestRowRule:
         @example(hw=(4, 5), stride=(1, 1), focal=(300.0, 300.0), principal=(0.5, 0.5),
                  yaw=0.3, translation=(10.0**300, 0.0, -10.0**300), bins=(8, 50.0),
                  cells=(40.0, 20, 20), seed=3)
+        # the draw hangs on this test's source: a level rig at the largest H that the grid
+        # cuts is always among the cases
+        @example(hw=(6, 9), stride=(1, 1), focal=(300.0, 300.0), principal=(0.5, 0.5),
+                 yaw=0.3, translation=(0.0, 1.6, -1.5), bins=(8, 50.0), cells=(40.0, 20, 20),
+                 seed=4)
         def check(hw, stride, focal, principal, yaw, translation, bins, cells, seed):
             (h, w), (sy, sx) = hw, stride
             image = (h * sy, w * sx)
@@ -441,15 +450,18 @@ class TestRowRule:
             level = rows_alike(rig, h, depths)
             # only a rig whose camera y could come near overflow leaves the row rule
             assert level or max(focal) / min(focal) > 1e6 or abs(translation[1]) > 1e6
+            cells_of = [cell_map(cfg, unproject_frustum(
+                rig, FrustumGrid.regular((rows, w), depths)).reshape(-1, rows, w, 3))
+                for rows in (1, h)]
+            if level:  # the row rule's claim: the all-rows mask and ids are row 0's, repeated
+                assert np.array_equal(cells_of[1], np.repeat(cells_of[0], h, axis=1))
             rng = np.random.default_rng(seed)
             ctx = rng.normal(0, 1, (3, h, w))
             p = softmax_over_depth(rng.normal(0, 2, (bins[0], h, w)))
-            for taps in (refine_taps(p, rng.normal(0, 1, (3, 3)) + IDENTITY),
-                         [(s, rng.uniform(0, 1, p.shape)) for s in (-1, 0, 1)], []):
-                (row_bev, row_dropped), (bev, dropped) = row_and_all_rows(
-                    rig, (h, w), depths, cfg, ctx, taps)
-                if level:
-                    assert row_dropped == dropped and np.array_equal(row_bev, bev)
+            (row_bev, row_dropped), (bev, dropped) = row_and_all_rows(
+                rig, depths, cfg, ctx, p, rng.normal(0, 1, (3, 3)))
+            if level:
+                assert row_dropped == dropped and np.abs(row_bev - bev).max() <= 1e-9
             seen.append((level, 0 < dropped < depths.size * h * w, h))
 
         check()
@@ -469,9 +481,8 @@ class TestRowRule:
         # are in range
         rig = CameraRig(np.array(k), FORWARD_CAM_ROTATION, [0.0, t_y, 0.0], (16, 4))
         depths = DepthBinSpec(0.5, 58.0, 20).centers()
-        ctx, taps = np.ones((2, 16, 4)), [(0, np.ones((20, 16, 4)))]
-        (_, row_dropped), (bev, dropped) = row_and_all_rows(rig, (16, 4), depths,
-                                                            grid(extent=60.0), ctx, taps)
+        (_, row_dropped), (bev, dropped) = row_and_all_rows(
+            rig, depths, grid(extent=60.0), np.ones((2, 16, 4)), np.ones((20, 16, 4)), 0 * IDENTITY)
         assert bev.any() and dropped > row_dropped
         assert not rows_alike(rig, 16, depths)
 
@@ -490,23 +501,28 @@ class TestRowRule:
                                             level.image_size), 16, depths)
         # a 1e-3 pitch moves samples between cells, so row 0 cannot stand for the others
         rig = pitched(level, 1e-3).scaled(16 / 256, 44 / 704)
-        ctx, taps = np.ones((1, 16, 44)), [(0, np.ones((8, 16, 44)))]
-        (row_bev, _), (bev, _) = row_and_all_rows(rig, (16, 44), depths,
-                                                  PipelineConfig().bev_grid, ctx, taps)
+        (row_bev, _), (bev, _) = row_and_all_rows(rig, depths, PipelineConfig().bev_grid,
+                                                  np.ones((1, 16, 44)), np.ones((8, 16, 44)),
+                                                  0 * IDENTITY)
         assert not np.array_equal(row_bev, bev)
 
     def test_positions_of_other_row_counts_raise(self):
+        # cells of other row counts, or flat, for a (2, 2, 1, 3) lift; an out that is not
+        # C-contiguous or not (C, ny, nx) of the grid, larger or smaller
         out = np.zeros((2, 10, 10))
-        taps = [(0, np.ones((2, 4, 3)))]
-        for shape in ((2, 2, 3, 3), (8, 3, 3), (2, 4, 2, 3)):
-            with pytest.raises(ValueError, match="1 or H"):
-                splat(np.zeros(shape), np.ones((2, 4, 3)), taps, grid(), out)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            splat(np.zeros((2, 1, 3, 3)), np.ones((2, 4, 3)), taps, grid(), out.transpose(0, 2, 1))
+        lifted = np.ones((2, 2, 1, 3))
+        for shape in ((2, 2, 3), (6,), (2, 1, 2), (3, 1, 3)):
+            with pytest.raises(ValueError, match="splat needs"):
+                splat(np.zeros(shape, dtype=np.int64), lifted, grid(), out)
+        says = "C-contiguous (C, ny, nx) = (2, 10, 10) out"
+        for bad in (out.transpose(0, 2, 1), np.zeros((3, 10, 10)), np.zeros((2, 12, 12)),
+                    np.zeros((2, 8, 10)), np.zeros((2, 100))):
+            with pytest.raises(ValueError, match=re.escape(says)):
+                splat(np.zeros((2, 1, 3), dtype=np.int64), lifted, grid(), bad)
 
-    @pytest.mark.parametrize("shape", [(2, 1, 3), (3, 2, 3), (2, 2, 4), (2, 6)])
-    def test_taps_of_other_shapes_raise(self, shape):
-        taps = [(0, np.ones((2, 2, 3))), (1, np.ones(shape))]
-        says = f"taps need (D, H, W) = (2, 2, 3) weights, got [(2, 2, 3), {shape}]"
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (4, 3, 1, 3), (4, 2, 1, 4), (4, 2, 2, 3)])
+    def test_lifted_of_other_shapes_raise(self, shape):
+        says = f"(C, *S) = {shape} lifted values"
         with pytest.raises(ValueError, match=re.escape(says)):
-            splat(np.zeros((2, 1, 3, 3)), np.ones((4, 2, 3)), taps, grid(), np.zeros((4, 10, 10)))
+            splat(np.zeros((2, 1, 3), dtype=np.int64), np.ones(shape), grid(),
+                  np.zeros((4, 10, 10)))
