@@ -136,7 +136,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as err:
-        print(f"error: out of memory: {err}", file=sys.stderr)
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -46,7 +46,8 @@ the two maps is, bit for bit, the map of the stacked clouds.
 Every stage runs inside _stage, which names it in the errors it raises and
 sums its wall time into timings: timings.{supervision,depthnet,depth_loss,
 lift,voxelpool} are sums over cameras, and lift and voxelpool also over
-passes of row groups.
+passes of row groups. timings.checksums sums every digest, each in its own
+entry after the stage that made the array; README says what is hashed.
 """
 
 from __future__ import annotations
@@ -395,8 +396,6 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
     weights = weights or PipelineWeights.create(cfg, n_feat)
     bins = cfg.depth_bins
     fh, fw = feature_hw = bundle.features[0].shape[1:]
-    for i, f in enumerate(bundle.features):
-        report.checksums[f"image_features_cam{i}"] = checksum(f)
 
     # Radar pillar stream. The pillar grid is the BEV grid, so the pillars'
     # binning also gives the points in range and, later, the proposals.
@@ -414,6 +413,7 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             report.pillars = {"points_in_range": tensor.points_in_range,
                               "kept": len(tensor.point_counts),
                               "truncated": int(tensor.truncated_pillars)}
+        with _stage(report, "checksums"):
             report.checksums["logits_radar"] = checksum(radar_logits)
 
     # Camera branch, camera by camera (see "Stage wiring"). "voxelpool" places the frustum
@@ -438,9 +438,9 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             if use_radar:
                 _hint_depth_logits(depth_logits, radar_map, bins, cfg.radar_hint_strength)
             p_depth = softmax_over_depth(depth_logits)
+        with _stage(report, "checksums"):
             report.checksums[f"gates_cam{i}"] = checksum(gates)
             report.checksums[f"class_logits_cam{i}"] = checksum(class_logits)
-            report.checksums[f"depth_logits_cam{i}"] = checksum(depth_logits)
         with _stage(report, "depth_loss"):
             if gt_map.coverage_mask().any():
                 bce.append(fu.depth_bce_loss(p_depth, gt_map, bins))
@@ -461,7 +461,8 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
                                            camera_logits)
         report.dropped_points[f"frustum_cam{i}"] = dropped
     report.losses["depth_bce"] = float(np.mean(bce)) if bce else float("nan")
-    report.checksums["logits_camera"] = checksum(camera_logits)
+    with _stage(report, "checksums"):
+        report.checksums["logits_camera"] = checksum(camera_logits)
 
     # Fusion, heatmap prior at the radar cells, radar cell gating, final heatmap.
     with _stage(report, "fusion"):
@@ -477,9 +478,10 @@ def run_pipeline(scene_dir, cfg: PipelineConfig,
             q = np.column_stack([cfg.bev_grid.cell_center(ix, iy), np.zeros((len(ix), 2))])
             _add_conv_at_cells(flat, q, matched, head @ weights.q_kernel, head @ weights.q_bias)
         final_scores = kan.sigmoid(logits)
-        report.checksums["heatmap"] = checksum(final_scores)
         report.fusion_stats = {"n_radar_boxes": float(len(proposals)),
                                "n_matches": float(len(matched))}
+    with _stage(report, "checksums"):
+        report.checksums["heatmap"] = checksum(final_scores)
 
     # Decode, evaluation, losses. L_bbox pairs are evaluate's 2 m matches,
     # taken class by class; "head" times decode and losses.

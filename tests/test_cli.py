@@ -828,6 +828,20 @@ class TestRun:
         assert err.startswith("error: out of memory:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_bare_memory_error_one_complete_line(self, scene_dir, tmp_path, capsys,
+                                                 monkeypatch):
+        # a MemoryError may carry no reason (gen --objects 100000000 under a 4 GB
+        # ulimit -v raises one); the line then ends at "out of memory", no dangling colon
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(bevkit.pipeline.kan, "depthnet_forward", exhausted)
+        capsys.readouterr()
+        rc = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not (tmp_path / "out").exists()
+
 
     @pytest.mark.parametrize("bev_range, grid", [(9e307, "(inf, inf)"), (5e-324, "(0.0, 0.0)")],
                              ids=["infinite-cells", "empty-cells"])

@@ -42,6 +42,13 @@ def scene_dir(tmp_path_factory):
     return generate_scene(spec, out)
 
 
+@pytest.fixture(scope="module")
+def two_cameras(tmp_path_factory):
+    spec = default_scene_spec(seed=3, n_objects=2, n_cameras=2, feature_shape=(16, 8, 22),
+                              radar_density=300, lidar_density=600)
+    return generate_scene(spec, tmp_path_factory.mktemp("scenes") / "two_cameras")
+
+
 def stage_peaks(monkeypatch, name: str) -> list[int]:
     """Run each pipeline stage called name under tracemalloc; the list the patch returns
     gets the peak bytes allocated above the stage's entry, one per time it runs."""
@@ -67,7 +74,7 @@ class TestRunPipeline:
     def test_stages_and_losses_present(self, scene_dir):
         report, preds = run_pipeline(scene_dir, PipelineConfig(**SMALL, sequential=True))
         for stage in ("load", "supervision", "pillars", "depthnet", "lift",
-                      "voxelpool", "fusion", "head", "evaluate"):
+                      "voxelpool", "fusion", "head", "evaluate", "checksums"):
             assert stage in report.timings
         for loss in ("depth_bce", "l_det", "l_heatmap", "l_bbox"):
             assert np.isfinite(report.losses[loss])
@@ -84,15 +91,14 @@ class TestRunPipeline:
         assert "pillars" not in report.to_dict()
 
     def test_modality_changes_only_radar_dependent_stages(self, scene_dir):
-        cam, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, modality="camera",
-                                                        sequential=True))
-        fused, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, modality="camera+radar",
-                                                          sequential=True))
+        (cam, _, cam_seen), (fused, _, fused_seen) = (
+            run_recorded(scene_dir, PipelineConfig(**SMALL, modality=modality, sequential=True))
+            for modality in ("camera", "camera+radar"))
         # the camera path is untouched by the radar stream
-        for key in ("image_features_cam0", "gates_cam0", "class_logits_cam0"):
+        for key in ("gates_cam0", "class_logits_cam0"):
             assert cam.checksums[key] == fused.checksums[key]
         # radar hints reach the depth logits and everything downstream
-        assert cam.checksums["depth_logits_cam0"] != fused.checksums["depth_logits_cam0"]
+        assert not np.array_equal(cam_seen["depth_logits"][0], fused_seen["depth_logits"][0])
         assert cam.checksums["logits_camera"] != fused.checksums["logits_camera"]
 
     def test_radar_hints_do_not_raise_depth_bce(self, scene_dir):
@@ -315,19 +321,29 @@ class TestRunPipeline:
         assert np.array_equal(scores, sigmoid_oracle(fused.reshape(pl.N_CLASSES, -1)[:, proposals]))
 
     @pytest.mark.parametrize("modality", MODALITIES)
-    def test_checksum_keys_are_pinned(self, tmp_path, modality):
+    def test_checksum_keys_are_pinned(self, two_cameras, modality):
         """The report's checksum schema; changing it is a deliberate act."""
-        spec = default_scene_spec(seed=3, n_objects=2, n_cameras=2, feature_shape=(16, 8, 22),
-                                  radar_density=300, lidar_density=600)
-        scene = generate_scene(spec, tmp_path / "scene")
-        report, _ = run_pipeline(scene, PipelineConfig(**SMALL, modality=modality,
-                                                       sequential=True))
-        want = {f"{key}_cam{i}" for key in ("image_features", "gates", "class_logits",
-                                             "depth_logits") for i in range(2)}
+        report, _ = run_pipeline(two_cameras, PipelineConfig(**SMALL, modality=modality,
+                                                             sequential=True))
+        want = {f"{key}_cam{i}" for key in ("gates", "class_logits") for i in range(2)}
         want |= {"logits_camera", "heatmap"}
         if modality == "camera+radar":
             want.add("logits_radar")
         assert set(report.checksums) == want
+
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_hashed_bytes_are_pinned(self, two_cameras, monkeypatch, modality):
+        """The run hashes what it computes: per camera its gates and (10, H, W) class
+        logits, then its 2 or 3 (10, cells, cells) grids. A digest of a camera's input
+        features or depth logits would add 8 (n_features + n_bins) H W bytes each."""
+        hashed, checksum = [], pl.checksum
+        monkeypatch.setattr(pl, "checksum",
+                            lambda arr: hashed.append(np.asarray(arr).size * 8) or checksum(arr))
+        run_pipeline(two_cameras, PipelineConfig(**SMALL, modality=modality, sequential=True))
+        n_features, h, w = sc.load_scene(two_cameras).features[0].shape
+        grids = 3 if modality == "camera+radar" else 2
+        assert sum(hashed) == 8 * (2 * (n_features + pl.N_CLASSES * h * w)
+                                   + grids * pl.N_CLASSES * SMALL["bev_cells"] ** 2)
 
     def test_losses_take_oracle_heatmap_and_greedy_pairs(self, scene_dir):
         """detection_loss gets the per-box GT heatmap and the 2 m greedy pairs, class by class."""
@@ -476,11 +492,11 @@ class TestHeadFirstDepthNet:
 def run_recorded(scene, cfg, weights=None):
     """run_pipeline plus what its stages saw.
 
-    seen holds each camera's depth weights, the two grids each
-    fuse_bev_features call summed and every sigmoid taken over the BEV
-    grid, in call order.
+    seen holds each camera's depth logits (the softmax input, hints added)
+    and depth weights, the two grids each fuse_bev_features call summed and
+    every sigmoid taken over the BEV grid, in call order.
     """
-    seen = {"softmax": [], "fuse": [], "heads": []}
+    seen = {"depth_logits": [], "softmax": [], "fuse": [], "heads": []}
 
     def record(name, fn, keep_args=False):
         def wrapped(*args):
@@ -490,8 +506,14 @@ def run_recorded(scene, cfg, weights=None):
             return out
         return wrapped
 
+    softmax_over_depth = pl.softmax_over_depth
+
+    def softmax(logits):
+        seen["depth_logits"].append(logits.copy())
+        return softmax_over_depth(logits)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pl, "softmax_over_depth", record("softmax", pl.softmax_over_depth))
+        mp.setattr(pl, "softmax_over_depth", record("softmax", softmax))
         mp.setattr(pl.fu, "fuse_bev_features",
                    record("fuse", pl.fu.fuse_bev_features, keep_args=True))
         mp.setattr(pl.kan, "sigmoid", record("heads", pl.kan.sigmoid))
@@ -576,8 +598,9 @@ class TestPerCameraPooling:
             (alone / "scene.json").write_text(json.dumps(
                 {**manifest, "cameras": [manifest["cameras"][k]], "files": files}))
             single, _, single_seen = run_recorded(alone, cfg, weights)
-            for key in ("gates", "class_logits", "depth_logits"):
+            for key in ("gates", "class_logits"):
                 assert single.checksums[f"{key}_cam0"] == report.checksums[f"{key}_cam{k}"]
+            assert np.array_equal(single_seen["depth_logits"][0], seen["depth_logits"][k])
             for key in ("supervision", "frustum"):
                 assert (single.dropped_points[f"{key}_cam0"]
                         == report.dropped_points[f"{key}_cam{k}"])
@@ -675,11 +698,13 @@ class TestMetamorphic:
         manifest["files"]["features"] = [manifest["files"]["features"][k] for k in order]
         (permuted / "scene.json").write_text(json.dumps(manifest))
         cfg = PipelineConfig(**SMALL, sequential=True)
-        (a, preds_a), (b, preds_b) = run_pipeline(scene, cfg), run_pipeline(permuted, cfg)
+        (a, preds_a, seen_a), (b, preds_b, seen_b) = (run_recorded(d, cfg)
+                                                      for d in (scene, permuted))
         # each camera keeps its own rig, class logits and depth
         for i, k in enumerate(order):
-            for key in ("gates", "class_logits", "depth_logits"):
+            for key in ("gates", "class_logits"):
                 assert a.checksums[f"{key}_cam{k}"] == b.checksums[f"{key}_cam{i}"]
+            assert np.array_equal(seen_a["depth_logits"][k], seen_b["depth_logits"][i])
             for key in ("supervision", "frustum"):
                 assert a.dropped_points[f"{key}_cam{k}"] == b.dropped_points[f"{key}_cam{i}"]
         # per-camera sums reassociate, so scores and losses may move in the last bits
@@ -744,14 +769,13 @@ class TestMetamorphic:
             assert strict == [cell for cell in loose if cell in strict]
 
     def test_zero_radar_hint_gives_camera_only_depth_logits(self, scene_dir):
-        cam, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, modality="camera",
-                                                        sequential=True))
-        unhinted, _ = run_pipeline(scene_dir, PipelineConfig(**SMALL, radar_hint_strength=0.0,
-                                                             sequential=True))
-        keys = [k for k in cam.checksums if k.startswith("depth_logits_")]
-        assert keys
-        for key in keys:
-            assert unhinted.checksums[key] == cam.checksums[key]
+        cam, _, cam_seen = run_recorded(scene_dir, PipelineConfig(**SMALL, modality="camera",
+                                                                  sequential=True))
+        unhinted, _, unhinted_seen = run_recorded(scene_dir, PipelineConfig(
+            **SMALL, radar_hint_strength=0.0, sequential=True))
+        assert len(cam_seen["depth_logits"]) == len(unhinted_seen["depth_logits"]) > 0
+        for want, got in zip(cam_seen["depth_logits"], unhinted_seen["depth_logits"]):
+            assert np.array_equal(got, want)
         assert unhinted.losses["depth_bce"] == cam.losses["depth_bce"]
 
 

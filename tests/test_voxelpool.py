@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -413,6 +414,9 @@ class TestRowRule:
     def test_row_zero_equals_all_rows_on_level_rigs(self):
         seen = []
 
+        # derandomize alone seeds the draw from check's source, so any edit to its body
+        # re-draws the rigs, which may then miss the floors below; a pinned seed comes first
+        @hypothesis.seed(0)
         @settings(max_examples=120, derandomize=True, database=None, deadline=None)
         @given(hw=st.tuples(st.integers(1, 6), st.integers(1, 9)),
                stride=st.tuples(st.integers(1, 40), st.integers(1, 40)),
@@ -434,8 +438,7 @@ class TestRowRule:
         @example(hw=(4, 5), stride=(1, 1), focal=(300.0, 300.0), principal=(0.5, 0.5),
                  yaw=0.3, translation=(10.0**300, 0.0, -10.0**300), bins=(8, 50.0),
                  cells=(40.0, 20, 20), seed=3)
-        # the draw hangs on this test's source: a level rig at the largest H that the grid
-        # cuts is always among the cases
+        # a level rig at the largest H that the grid cuts is always among the cases
         @example(hw=(6, 9), stride=(1, 1), focal=(300.0, 300.0), principal=(0.5, 0.5),
                  yaw=0.3, translation=(0.0, 1.6, -1.5), bins=(8, 50.0), cells=(40.0, 20, 20),
                  seed=4)
